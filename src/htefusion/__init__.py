@@ -31,6 +31,7 @@ from .nuisance import (
     CellMeans,
     KnownFunction,
     NuisanceSet,
+    NuisanceValues,
     OutcomeMean,
     Propensity,
     VarianceFunction,

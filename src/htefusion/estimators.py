@@ -37,12 +37,14 @@ from .model import BasisSpec, Dataset, PsiVector, StructuralModel, constant_term
 from .nuisance import (
     CellMeans,
     NuisanceSet,
+    NuisanceValues,
     Propensity,
     build_spline_basis,
     fit_conditional_outcomes,
     fit_outcome_mean,
     fit_propensity,
     fit_variance_function,
+    source_designs,
 )
 
 __all__ = [
@@ -95,13 +97,18 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a Newton solve of the estimating equations."""
+    """Outcome of a Newton solve of the estimating equations.
+
+    ``workspace`` holds the equations the solve ran on, for the sandwich
+    covariance and the specification test to reuse.
+    """
 
     psi_hat: PsiVector
     iterations: int
     final_score_norm: float
     converged: bool
     fallback_used: bool
+    workspace: ScoreWorkspace | None = None
 
 
 @dataclass(frozen=True)
@@ -130,22 +137,29 @@ class ScoreWorkspace:
         return self.p1 + self.p2
 
 
-def build_workspace(data: Dataset, model: StructuralModel, nuis: NuisanceSet,
+def build_workspace(data: Dataset, model: StructuralModel,
+                    nuis: NuisanceSet | NuisanceValues,
                     trial_only: bool = False) -> ScoreWorkspace:
-    """Evaluate nuisances once and cache every score ingredient.
+    """Cache every score ingredient of the nuisances on ``data``.
 
-    With ``trial_only`` the workspace is restricted to randomized records
-    and to the effect block; the result is identical whether or not
-    observational records are present in ``data``.
+    ``nuis`` is a fitted set, evaluated here once, or its values already
+    evaluated on every record of ``data``.  With ``trial_only`` the
+    workspace is restricted to randomized records and to the effect
+    block; the result is identical whether or not observational records
+    are present in ``data``.
     """
+    values = nuis if isinstance(nuis, NuisanceValues) else None
+    if values is not None and values.e.shape != (data.n,):
+        raise ValidationError("nuisance values do not match the number of records")
     if trial_only:
         if data.n_trial == 0:
             raise ValidationError("trial-only workspace requires s=1 records")
+        if values is not None:
+            values = values.subset(data.s == 1)
         data = data.trial_only()
-    e = nuis.e.predict(data.x, data.s)
-    mu = nuis.mu.predict(data.x, data.s)
-    v1 = nuis.sigma2.predict(1, data.x, data.s)
-    v0 = nuis.sigma2.predict(0, data.x, data.s)
+    if values is None:
+        values = nuis.evaluate(data)
+    e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
     a = data.a.astype(float)
     own_w = np.where(data.a == 1, 1.0 / v1, 1.0 / v0)
     weighted_a = (e / v1) / (e / v1 + (1.0 - e) / v0)
@@ -288,9 +302,14 @@ def _newton_solve(ws: ScoreWorkspace, init: np.ndarray, opts: FitOptions):
     return init.copy(), opts.max_iter, norm, False, True
 
 
-def solve_integrative(data: Dataset, model: StructuralModel, nuis: NuisanceSet,
-                      psi_init: PsiVector, opts: FitOptions = FitOptions()) -> SolveReport:
-    """Solve the pooled estimating equations for all coefficients."""
+def solve_integrative(data: Dataset, model: StructuralModel,
+                      nuis: NuisanceSet | NuisanceValues, psi_init: PsiVector,
+                      opts: FitOptions = FitOptions()) -> SolveReport:
+    """Solve the pooled estimating equations for all coefficients.
+
+    ``nuis`` is a fitted set or its values on ``data``, as for
+    :func:`build_workspace`.
+    """
     if data.n_trial == 0 or data.n_obs == 0:
         raise ValidationError("integrative fitting needs records from both sources")
     for source in (0, 1):
@@ -305,10 +324,10 @@ def solve_integrative(data: Dataset, model: StructuralModel, nuis: NuisanceSet,
         raise ValidationError("starting values do not match the model dimension")
     params, its, norm, converged, fallback = _newton_solve(ws, init, opts)
     return SolveReport(PsiVector.from_stacked(params, model.p1), its, norm,
-                       converged, fallback)
+                       converged, fallback, ws)
 
 
-def solve_rct(data: Dataset, model: StructuralModel, nuis: NuisanceSet,
+def solve_rct(data: Dataset, model: StructuralModel, nuis: NuisanceSet | NuisanceValues,
               phi_init: np.ndarray, opts: FitOptions = FitOptions()) -> SolveReport:
     """Solve the trial-only equations for the effect coefficients."""
     ws = build_workspace(data, model, nuis, trial_only=True)
@@ -316,7 +335,7 @@ def solve_rct(data: Dataset, model: StructuralModel, nuis: NuisanceSet,
     if init.size != model.p1:
         raise ValidationError("starting values do not match the effect dimension")
     params, its, norm, converged, fallback = _newton_solve(ws, init, opts)
-    return SolveReport(PsiVector(params, np.zeros(0)), its, norm, converged, fallback)
+    return SolveReport(PsiVector(params, np.zeros(0)), its, norm, converged, fallback, ws)
 
 
 def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity) -> np.ndarray:
@@ -346,29 +365,53 @@ def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpe
 
 
 def _outcome_nuisances_at(data: Dataset, model: StructuralModel, psi: PsiVector,
-                          e_fit, cond_y, spec, opts: FitOptions) -> NuisanceSet:
-    """Refit the coefficient-dependent nuisances (mu, sigma2) at ``psi``."""
-    mu_fit = fit_outcome_mean(data, model, psi, e_fit, spec, ridge=opts.ridge)
-    var_fit = fit_variance_function(data, model, psi, e_fit, mu_fit,
-                                    _variance_spec(data, spec, opts),
-                                    ridge=opts.ridge, rel_bounds=opts.sigma2_rel_bounds)
-    return NuisanceSet(e_fit, mu_fit, var_fit, cond_y)
+                          e_fit, e_hat, cond_y, spec, opts: FitOptions,
+                          designs: dict | None = None):
+    """Refit the coefficient-dependent nuisances (mu, sigma2) at ``psi``.
+
+    Returns the refitted set and its values on ``data``.  The fits share
+    one design of ``spec`` per source: ``designs`` when the caller's
+    stage holds it, else one built here and dropped on return.
+    """
+    if designs is None:
+        designs = source_designs(data, spec)
+    mu_fit = fit_outcome_mean(data, model, psi, e_fit, spec, ridge=opts.ridge,
+                              e_hat=e_hat, designs=designs)
+    mu_hat = mu_fit.predict(data.x, data.s)
+    var_spec = _variance_spec(data, spec, opts)
+    var_fit = fit_variance_function(data, model, psi, e_fit, mu_fit, var_spec,
+                                    ridge=opts.ridge, rel_bounds=opts.sigma2_rel_bounds,
+                                    e_hat=e_hat, mu_hat=mu_hat,
+                                    designs=designs if var_spec is spec else None)
+    nuis = NuisanceSet(e_fit, mu_fit, var_fit, cond_y)
+    return nuis, nuis.evaluate(data, e=e_hat, mu=mu_hat)
+
+
+def _base_stage(data: Dataset, model: StructuralModel, opts: FitOptions):
+    """Fit the nuisance cascade at the preliminary coefficients.
+
+    Order: propensities, per-cell outcome means, preliminary coefficients,
+    pseudo-outcome means per source, residual variances per cell.  All
+    fits share one spline design per source, and the propensities are
+    evaluated on the sample once, for this and every later refit.
+    """
+    spec = build_spline_basis(data, opts.knots, opts.degree)
+    designs = source_designs(data, spec)
+    e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
+                           clip=opts.clip_e, ridge=opts.ridge, designs=designs)
+    e_hat = e_fit.predict(data.x, data.s)
+    cond_y = fit_conditional_outcomes(data, spec, ridge=opts.ridge, designs=designs)
+    psi_pre = preliminary_estimate(data, model, cond_y)
+    base, values = _outcome_nuisances_at(data, model, psi_pre, e_fit, e_hat, cond_y,
+                                         spec, opts, designs)
+    return spec, e_fit, e_hat, cond_y, psi_pre, base, values
 
 
 def fit_nuisances(data: Dataset, model: StructuralModel,
                   opts: FitOptions = FitOptions()):
-    """Run the nuisance cascade; returns the set and the starting values.
-
-    Order: propensities, per-cell outcome means, preliminary coefficients,
-    pseudo-outcome means per source, residual variances per cell.
-    """
-    spec = build_spline_basis(data, opts.knots, opts.degree)
-    e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
-                           clip=opts.clip_e, ridge=opts.ridge)
-    cond_y = fit_conditional_outcomes(data, spec, ridge=opts.ridge)
-    psi_pre = preliminary_estimate(data, model, cond_y)
-    nuis = _outcome_nuisances_at(data, model, psi_pre, e_fit, cond_y, spec, opts)
-    return nuis, psi_pre
+    """Run the nuisance cascade; returns the set and the starting values."""
+    *_, psi_pre, base, _values = _base_stage(data, model, opts)
+    return base, psi_pre
 
 
 @dataclass
@@ -404,36 +447,33 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     unknown = set(which) - {"integrative", "rct", "meta"}
     if unknown:
         raise ValidationError(f"unknown estimators requested: {sorted(unknown)}")
-    spec = build_spline_basis(data, opts.knots, opts.degree)
-    e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
-                           clip=opts.clip_e, ridge=opts.ridge)
-    cond_y = fit_conditional_outcomes(data, spec, ridge=opts.ridge)
-    psi_pre = preliminary_estimate(data, model, cond_y)
-    base = _outcome_nuisances_at(data, model, psi_pre, e_fit, cond_y, spec, opts)
+    spec, e_fit, e_hat, cond_y, psi_pre, base, base_values = _base_stage(data, model, opts)
     result = PipelineResult(base, psi_pre)
-    if "integrative" in which:
-        nuis = base
-        rep = solve_integrative(data, model, nuis, psi_pre, opts)
-        for _ in range(max(0, opts.refine)):
-            if rep.fallback_used:
-                break
-            nuis = _outcome_nuisances_at(data, model, rep.psi_hat,
-                                         e_fit, cond_y, spec, opts)
-            rep = solve_integrative(data, model, nuis, rep.psi_hat, opts)
-        result.integrative = rep
-        result.nuisances = nuis
+    # The trial-only fit runs first so that the pooled workspace, the
+    # larger one, is never held across the other estimator's refits; each
+    # refine round likewise drops the previous workspace before refitting.
     if "rct" in which:
         rnuis = base
-        rep = solve_rct(data, model, rnuis, psi_pre.phi, opts)
+        rep = solve_rct(data, model, base_values, psi_pre.phi, opts)
         for _ in range(max(0, opts.refine)):
             if rep.fallback_used:
                 break
-            rnuis = _outcome_nuisances_at(data, model,
-                                          PsiVector(rep.psi_hat.phi, psi_pre.lam),
-                                          e_fit, cond_y, spec, opts)
-            rep = solve_rct(data, model, rnuis, rep.psi_hat.phi, opts)
-        result.rct = rep
-        result.rct_nuisances = rnuis
+            phi, rep = rep.psi_hat.phi, None
+            rnuis, values = _outcome_nuisances_at(data, model, PsiVector(phi, psi_pre.lam),
+                                                  e_fit, e_hat, cond_y, spec, opts)
+            rep = solve_rct(data, model, values, phi, opts)
+        result.rct, result.rct_nuisances = rep, rnuis
+    if "integrative" in which:
+        nuis = base
+        rep = solve_integrative(data, model, base_values, psi_pre, opts)
+        for _ in range(max(0, opts.refine)):
+            if rep.fallback_used:
+                break
+            psi, rep = rep.psi_hat, None
+            nuis, values = _outcome_nuisances_at(data, model, psi,
+                                                 e_fit, e_hat, cond_y, spec, opts)
+            rep = solve_integrative(data, model, values, psi, opts)
+        result.integrative, result.nuisances = rep, nuis
     if "meta" in which:
         result.meta_coef = meta_estimate(data, model, e_fit)
     return result

@@ -114,16 +114,30 @@ def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
+def _workspace(data: Dataset, model: StructuralModel, nuis: NuisanceSet | ScoreWorkspace,
+               trial_only: bool = False) -> ScoreWorkspace:
+    """The workspace a solve reported, or one built from a fitted set."""
+    if not isinstance(nuis, ScoreWorkspace):
+        return build_workspace(data, model, nuis, trial_only=trial_only)
+    n = data.n_trial if trial_only else data.n
+    p2 = 0 if trial_only else model.p2
+    if (nuis.n, nuis.p1, nuis.p2) != (n, model.p1, p2):
+        raise ValidationError("workspace does not match the data, model or trial_only")
+    return nuis
+
+
 def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVector,
-                        nuis: NuisanceSet, trial_only: bool = False) -> PsiEstimate:
+                        nuis: NuisanceSet | ScoreWorkspace,
+                        trial_only: bool = False) -> PsiEstimate:
     """Empirical sandwich covariance at the solved coefficients.
 
     The bread is the average analytic score Jacobian, the meat the
     average outer product of per-record scores; the covariance is
     bread-inverse times meat times bread-inverse-transpose over the
-    number of records entering the equations, symmetrized.
+    number of records entering the equations, symmetrized.  ``nuis`` is
+    the fitted set or the workspace its solve reported.
     """
-    ws = build_workspace(data, model, nuis, trial_only=trial_only)
+    ws = _workspace(data, model, nuis, trial_only)
     params = psi_hat.phi if trial_only else psi_hat.stacked
     params = np.asarray(params, dtype=float)
     if params.size != ws.p:
@@ -167,9 +181,8 @@ def ate_estimate(data: Dataset, model: StructuralModel, est: PsiEstimate) -> Ate
     m = int(obs.sum())
     if m == 0:
         raise ValidationError("average effect needs observational records")
-    x_obs = data.x[obs]
-    tau_vals = model.tau(est.psi_hat.phi, x_obs)
-    design = model.tau_basis.design(x_obs)
+    design = model.tau_basis.design(data.x[obs])
+    tau_vals = design @ est.psi_hat.phi
     grad0 = design.mean(axis=0)
     tau0 = float(tau_vals.mean())
     pi0 = m / data.n
@@ -197,8 +210,8 @@ def precision_gain(est_int: PsiEstimate, est_rct: PsiEstimate) -> GainReport:
     return GainReport(prec_int, prec_rct, gain, min_eig)
 
 
-def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, nuis: NuisanceSet,
-             alt_tau: BasisSpec, alt_lambda: BasisSpec,
+def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate,
+             nuis: NuisanceSet | ScoreWorkspace, alt_tau: BasisSpec, alt_lambda: BasisSpec,
              efficient_weight: bool = False) -> GofResult:
     """Score-type test of the working effect and confounding models.
 
@@ -209,11 +222,12 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, nuis: Nuis
     centered treatment) times the centered pseudo-outcome; the averaged
     vector is compared against its estimation-adjusted covariance on a
     chi-square scale with one degree of freedom per alternative column.
+    ``nuis`` is the fitted set or the workspace its solve reported.
     """
     q1, q2 = alt_tau.p, alt_lambda.p
     if q1 + q2 < 1:
         raise ValidationError("the specification test needs at least one alternative term")
-    ws = build_workspace(data, model, nuis)
+    ws = _workspace(data, model, nuis)
     params = est.psi_hat.stacked
     if params.size != ws.p:
         raise ValidationError("coefficient vector does not match the workspace dimension")

@@ -12,7 +12,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ValidationError
 from .estimators import FitOptions, run_pipeline
-from .inference import ate_estimate, gof_test, sandwich_covariance, tau_curve
+from .inference import _Z95, ate_estimate, gof_test, sandwich_covariance, tau_curve
 from .model import (
     BasisSpec,
     Dataset,
@@ -157,51 +157,82 @@ def _plain(obj):
     return obj
 
 
-def _parse_binary(token: str, line: int, col: str) -> int:
+def _cell_error(token, binary: bool) -> str | None:
+    """Why one CSV cell is unusable, or None when it parses."""
+    if token is None:
+        return "missing value"
     try:
         val = float(token)
     except ValueError:
-        raise ValidationError(f"line {line}, column {col!r}: {token!r} is not a number")
-    if val not in (0.0, 1.0):
-        raise ValidationError(f"line {line}, column {col!r}: expected 0 or 1, got {token!r}")
-    return int(val)
-
-
-def _parse_float(token: str, line: int, col: str) -> float:
-    try:
-        val = float(token)
-    except ValueError:
-        raise ValidationError(f"line {line}, column {col!r}: {token!r} is not a number")
+        return f"{token!r} is not a number"
+    if binary and val not in (0.0, 1.0):
+        return f"expected 0 or 1, got {token!r}"
     if not np.isfinite(val):
-        raise ValidationError(f"line {line}, column {col!r}: value is not finite")
-    return val
+        return "value is not finite"
+    return None
+
+
+def _locate_bad_cell(path: str, needed: list, index: dict) -> str | None:
+    """Scan the file row by row for the first unusable cell.
+
+    Runs only after the bulk parse has failed or rejected a value, to name
+    the physical line (blank lines included) and the column.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:  # blank line
+                continue
+            for pos, col in enumerate(needed):
+                i = index[col]
+                problem = _cell_error(row[i] if i < len(row) else None, binary=pos < 2)
+                if problem is not None:
+                    return f"line {reader.line_num}, column {col!r}: {problem}"
+    return None
 
 
 def load_csv(path: str, cfg: AnalysisConfig) -> Dataset:
-    """Read a combined-sample CSV, validating every cell it uses."""
+    """Read a combined-sample CSV, validating every cell it uses.
+
+    The needed columns are parsed in one numpy call.  If that fails or a
+    value is out of range, the file is scanned again to report the first
+    bad cell by physical line and column.
+    """
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
         raise ValidationError(f"data file not found: {path}")
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValidationError(f"data file {path} is empty")
-        have = set(reader.fieldnames)
-        needed = [cfg.source_col, cfg.treatment_col, cfg.outcome_col, *cfg.covariates]
-        missing = [c for c in needed if c not in have]
-        if missing:
-            raise ValidationError(f"data file {path} is missing columns: {missing}")
-        s, a, y, x = [], [], [], []
-        for i, row in enumerate(reader):
-            line = i + 2  # header is line 1
-            s.append(_parse_binary(row[cfg.source_col], line, cfg.source_col))
-            a.append(_parse_binary(row[cfg.treatment_col], line, cfg.treatment_col))
-            y.append(_parse_float(row[cfg.outcome_col], line, cfg.outcome_col))
-            x.append([_parse_float(row[c], line, c) for c in cfg.covariates])
-    if not s:
+        header_lines = reader.line_num
+    index = {name: i for i, name in enumerate(header)}  # last duplicate wins
+    needed = [cfg.source_col, cfg.treatment_col, cfg.outcome_col, *cfg.covariates]
+    missing = [c for c in needed if c not in index]
+    if missing:
+        raise ValidationError(f"data file {path} is missing columns: {missing}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body is reported below
+            table = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
+                               skiprows=header_lines, usecols=[index[c] for c in needed],
+                               dtype=float, ndmin=2, encoding="utf-8")
+        failure = None
+    except ValueError as exc:
+        table, failure = None, str(exc)
+    if table is not None and (not np.isin(table[:, :2], (0.0, 1.0)).all()
+                              or not np.isfinite(table[:, 2:]).all()):
+        table, failure = None, "a value is out of range"
+    if table is None:
+        located = _locate_bad_cell(path, needed, index)
+        raise ValidationError(located or f"data file {path} could not be parsed: {failure}")
+    if table.shape[0] == 0:
         raise ValidationError(f"data file {path} contains no data rows")
-    return Dataset(s, a, y, np.array(x))
+    return Dataset(table[:, 0], table[:, 1], table[:, 2].copy(),
+                   np.ascontiguousarray(table[:, 3:]))
 
 
 @dataclass(frozen=True)
@@ -233,8 +264,6 @@ class ResultDocument:
 
 
 def _coef_block(labels, values, ses) -> list:
-    from .inference import _Z95
-
     block = []
     for lab, val, se in zip(labels, values, ses):
         block.append({
@@ -268,7 +297,7 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
 
         if fit.integrative is not None:
             rep = fit.integrative
-            est = sandwich_covariance(data, model, rep.psi_hat, fit.nuisances)
+            est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
             block = {
                 "tau": _coef_block(model.tau_basis.labels(names), est.psi_hat.phi,
                                    est.se[:model.p1]),
@@ -288,7 +317,7 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
                     for i in range(curve.grid.shape[0])
                 ]
             if cfg.gof_tau_terms or cfg.gof_lambda_terms:
-                gof = gof_test(data, model, est, fit.nuisances,
+                gof = gof_test(data, model, est, rep.workspace,
                                parse_terms(cfg.gof_tau_terms, names),
                                parse_terms(cfg.gof_lambda_terms, names),
                                efficient_weight=cfg.gof_efficient_weight)
@@ -304,7 +333,7 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
 
         if fit.rct is not None:
             rep = fit.rct
-            est = sandwich_covariance(data, model, rep.psi_hat, fit.rct_nuisances,
+            est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace,
                                       trial_only=True)
             block = {"tau": _coef_block(model.tau_basis.labels(names),
                                         est.psi_hat.phi, est.se)}

@@ -168,20 +168,17 @@ class Dataset:
             yield UnitRecord(int(self.s[i]), int(self.a[i]), float(self.y[i]), self.x[i])
 
 
-def _natural_cubic_piece(v: np.ndarray, knots: Sequence[float], piece: int) -> np.ndarray:
+def _natural_cubic_pieces(v: np.ndarray, knots: Sequence[float]) -> list:
     # Natural cubic spline beyond {1, v}: for knots t_0 < ... < t_L the
     # r-th piece is d_r(v) - d_{L-1}(v) with
     # d_j(v) = [(v - t_j)_+^3 - (v - t_L)_+^3] / (t_L - t_j),
-    # linear outside [t_0, t_L] by construction.
+    # linear outside [t_0, t_L] by construction.  Each truncated cube is
+    # computed once and shared by all L - 1 pieces.
     t = np.asarray(knots, dtype=float)
     L = t.size - 1
-
-    def d(j):
-        return (
-            np.clip(v - t[j], 0.0, None) ** 3 - np.clip(v - t[L], 0.0, None) ** 3
-        ) / (t[L] - t[j])
-
-    return d(piece) - d(L - 1)
+    top = np.clip(v - t[L], 0.0, None) ** 3
+    d = [(np.clip(v - t[j], 0.0, None) ** 3 - top) / (t[L] - t[j]) for j in range(L)]
+    return [d[r] - d[L - 1] for r in range(L - 1)]
 
 
 @dataclass(frozen=True)
@@ -215,15 +212,18 @@ class BasisTerm:
             if any(b <= a for a, b in zip(self.knots, self.knots[1:])):
                 raise ValidationError("spline knots must be strictly increasing")
 
-    def column(self, X: np.ndarray) -> np.ndarray:
-        if self.kind == "const":
-            return np.ones(X.shape[0])
+    def _covariate(self, X: np.ndarray) -> np.ndarray:
         for idx in (self.j, self.k) if self.kind == "product" else (self.j,):
             if not 0 <= idx < X.shape[1]:
                 raise ValidationError(
                     f"basis term refers to covariate {idx} but x has {X.shape[1]} columns"
                 )
-        v = X[:, self.j]
+        return X[:, self.j]
+
+    def column(self, X: np.ndarray) -> np.ndarray:
+        if self.kind == "const":
+            return np.ones(X.shape[0])
+        v = self._covariate(X)
         if self.kind == "linear":
             return v.copy()
         if self.kind == "square":
@@ -232,7 +232,7 @@ class BasisTerm:
             return v * X[:, self.k]
         if self.degree == 1:
             return np.clip(v - self.knots[self.piece + 1], 0.0, None)
-        return _natural_cubic_piece(v, self.knots, self.piece)
+        return _natural_cubic_pieces(v, self.knots)[self.piece]
 
     def label(self, names: Sequence[str] | None = None) -> str:
         def nm(idx):
@@ -293,9 +293,18 @@ class BasisSpec:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValidationError("design expects a 2-d covariate matrix")
-        if self.p == 0:
-            return np.empty((X.shape[0], 0))
-        return np.column_stack([t.column(X) for t in self.terms])
+        out = np.empty((X.shape[0], self.p))
+        shared_key, pieces = None, None
+        for col, term in enumerate(self.terms):
+            if term.kind == "spline" and term.degree == 3:
+                # the pieces of one covariate's spline share their cubes
+                if (term.j, term.knots) != shared_key:
+                    shared_key = (term.j, term.knots)
+                    pieces = _natural_cubic_pieces(term._covariate(X), term.knots)
+                out[:, col] = pieces[term.piece]
+            else:
+                out[:, col] = term.column(X)
+        return out
 
     def row(self, x) -> np.ndarray:
         """Evaluate all terms on a single covariate vector, returning (p,)."""

@@ -37,6 +37,7 @@ __all__ = [
     "CellMeans",
     "VarianceFunction",
     "NuisanceSet",
+    "NuisanceValues",
     "fit_additive",
     "fit_propensity",
     "fit_conditional_outcomes",
@@ -148,13 +149,20 @@ class AdditiveRegressor:
 
 
 def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 1e-6,
-                 max_iter: int = 100, tol: float = 1e-10) -> AdditiveRegressor:
-    """Fit an additive regression by penalized LS (identity) or IRLS (logit)."""
+                 max_iter: int = 100, tol: float = 1e-10,
+                 design: np.ndarray | None = None) -> AdditiveRegressor:
+    """Fit an additive regression by penalized LS (identity) or IRLS (logit).
+
+    ``design`` is ``basis.design(X)`` when the caller already holds it.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValidationError("X and y must have the same number of rows")
-    design = basis.design(X)
+    if design is None:
+        design = basis.design(X)
+    elif design.shape != (X.shape[0], basis.p):
+        raise ValidationError("design does not match X and the basis")
     if link == "identity":
         coef = _solve_penalized(design, y, ridge)
         return AdditiveRegressor(basis, coef, "identity", ridge)
@@ -223,6 +231,32 @@ def _predict_component(component, X) -> np.ndarray:
     return np.asarray(component.predict(X), dtype=float)
 
 
+def _predict_cells(components: dict, X, labels: tuple, missing: str) -> np.ndarray:
+    """Evaluate each component on the rows whose labels equal its key.
+
+    ``labels`` holds one per-record column per key part: the source, or
+    the arm and the source.  Rows are selected with one mask per key; a
+    row that no key matches raises ``missing`` filled with its labels.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    labels = [np.broadcast_to(np.asarray(col), (n,)) for col in labels]
+    out = np.empty(n)
+    covered = np.zeros(n, dtype=bool)
+    for key, component in components.items():
+        key = key if isinstance(key, tuple) else (key,)
+        mask = labels[0] == key[0]
+        for col, part in zip(labels[1:], key[1:]):
+            mask &= col == part
+        if mask.any():
+            out[mask] = _predict_component(component, X[mask])
+            covered |= mask
+    if not covered.all():
+        row = int(np.argmin(covered))
+        raise ValidationError(missing.format(*(int(col[row]) for col in labels)))
+    return out
+
+
 @dataclass
 class Propensity:
     """Treatment propensity by source, with symmetric probability clipping."""
@@ -236,15 +270,8 @@ class Propensity:
     def predict_raw(self, X, s) -> np.ndarray:
         """Fitted probabilities without the clip, for callers that want the
         raw inverse weights (the pooled comparator deliberately does)."""
-        X = np.asarray(X, dtype=float)
-        s = np.broadcast_to(np.asarray(s), (X.shape[0],))
-        out = np.empty(X.shape[0])
-        for src in np.unique(s):
-            if int(src) not in self.by_source:
-                raise ValidationError(f"no propensity component for source s={int(src)}")
-            mask = s == src
-            out[mask] = _predict_component(self.by_source[int(src)], X[mask])
-        return out
+        return _predict_cells(self.by_source, X, (s,),
+                              "no propensity component for source s={}")
 
 
 @dataclass
@@ -254,15 +281,8 @@ class OutcomeMean:
     by_source: dict
 
     def predict(self, X, s) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        s = np.broadcast_to(np.asarray(s), (X.shape[0],))
-        out = np.empty(X.shape[0])
-        for src in np.unique(s):
-            if int(src) not in self.by_source:
-                raise ValidationError(f"no outcome-mean component for source s={int(src)}")
-            mask = s == src
-            out[mask] = _predict_component(self.by_source[int(src)], X[mask])
-        return out
+        return _predict_cells(self.by_source, X, (s,),
+                              "no outcome-mean component for source s={}")
 
 
 @dataclass
@@ -286,16 +306,8 @@ class VarianceFunction:
     bounds: tuple
 
     def predict(self, a, X, s) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        a = np.broadcast_to(np.asarray(a), (X.shape[0],))
-        s = np.broadcast_to(np.asarray(s), (X.shape[0],))
-        out = np.empty(X.shape[0])
-        for key in np.unique(np.stack([a, s], axis=1), axis=0):
-            cell = (int(key[0]), int(key[1]))
-            if cell not in self.by_cell:
-                raise ValidationError(f"no variance fit for cell (a={cell[0]}, s={cell[1]})")
-            mask = (a == key[0]) & (s == key[1])
-            out[mask] = _predict_component(self.by_cell[cell], X[mask])
+        out = _predict_cells(self.by_cell, X, (a, s),
+                             "no variance fit for cell (a={}, s={})")
         return np.clip(out, self.bounds[0], self.bounds[1])
 
 
@@ -310,6 +322,24 @@ class _SmearedLogVariance:
         return np.exp(self.reg.predict(X)) * self.smear
 
 
+@dataclass(frozen=True)
+class NuisanceValues:
+    """A nuisance set evaluated on every record of one dataset.
+
+    ``e`` is the clipped propensity, ``mu`` the pseudo-outcome mean, and
+    ``v1``/``v0`` the residual variances of the treated and untreated arm
+    at each record's covariates and source.
+    """
+
+    e: np.ndarray
+    mu: np.ndarray
+    v1: np.ndarray
+    v0: np.ndarray
+
+    def subset(self, mask) -> "NuisanceValues":
+        return NuisanceValues(self.e[mask], self.mu[mask], self.v1[mask], self.v0[mask])
+
+
 @dataclass
 class NuisanceSet:
     """All fitted nuisance components needed by the estimating equations."""
@@ -318,6 +348,39 @@ class NuisanceSet:
     mu: OutcomeMean
     sigma2: VarianceFunction
     cond_y: CellMeans | None = None
+
+    def evaluate(self, data: Dataset, e: np.ndarray | None = None,
+                 mu: np.ndarray | None = None) -> NuisanceValues:
+        """Evaluate the components on every record through their ``predict``.
+
+        Pass ``e`` or ``mu`` when they are already evaluated on ``data``.
+        """
+        if e is None:
+            e = self.e.predict(data.x, data.s)
+        if mu is None:
+            mu = self.mu.predict(data.x, data.s)
+        return NuisanceValues(e, mu, self.sigma2.predict(1, data.x, data.s),
+                              self.sigma2.predict(0, data.x, data.s))
+
+
+def source_designs(data: Dataset, spec: BasisSpec) -> dict:
+    """``spec``'s design over each source's records, keyed by source.
+
+    The nuisance fits of one stage share these rather than rebuilding the
+    same columns per fit; the stage drops them when it ends.
+    """
+    return {src: spec.design(data.x[data.s == src])
+            for src in (0, 1) if (data.s == src).any()}
+
+
+def _stage_design(designs: dict | None, data: Dataset, source: int,
+                  arm: int | None = None) -> np.ndarray | None:
+    """Rows of a stage design for one source, or for one (arm, source) cell."""
+    if designs is None:
+        return None
+    if arm is None:
+        return designs[source]
+    return designs[source][data.a[data.s == source] == arm]
 
 
 def _require_both_arms(data: Dataset, source: int, context: str):
@@ -330,13 +393,15 @@ def _require_both_arms(data: Dataset, source: int, context: str):
 
 
 def fit_propensity(data: Dataset, spec: BasisSpec, trial_known: float | None = None,
-                   clip: float = 0.01, ridge: float = 1e-6) -> Propensity:
+                   clip: float = 0.01, ridge: float = 1e-6,
+                   designs: dict | None = None) -> Propensity:
     """Fit per-source logistic propensities on the spline basis.
 
     ``trial_known`` short-circuits the trial fit with a known constant
     randomization probability.  Each fitted source must contain both
     treatment arms; otherwise the logistic fit is hopeless (separation)
-    and a validation error is raised.
+    and a validation error is raised.  ``designs`` is
+    ``source_designs(data, spec)`` when the caller holds it.
     """
     if not 0.0 < clip < 0.5:
         raise ValidationError("clip must lie in (0, 0.5)")
@@ -352,15 +417,20 @@ def fit_propensity(data: Dataset, spec: BasisSpec, trial_known: float | None = N
             continue
         _require_both_arms(data, source, "propensity fit")
         by_source[source] = fit_additive(
-            data.x[mask], data.a[mask].astype(float), spec, link="logit", ridge=ridge
+            data.x[mask], data.a[mask].astype(float), spec, link="logit", ridge=ridge,
+            design=_stage_design(designs, data, source),
         )
     if not by_source:
         raise ValidationError("propensity fit: dataset has no usable source")
     return Propensity(by_source, clip=clip)
 
 
-def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6) -> CellMeans:
-    """Regress the raw outcome on the spline basis within each (a, s) cell."""
+def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6,
+                             designs: dict | None = None) -> CellMeans:
+    """Regress the raw outcome on the spline basis within each (a, s) cell.
+
+    ``designs`` is ``source_designs(data, spec)`` when the caller holds it.
+    """
     by_cell = {}
     for s_val in (0, 1):
         for a_val in (0, 1):
@@ -368,7 +438,8 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
             if not mask.any():
                 continue
             by_cell[(a_val, s_val)] = fit_additive(
-                data.x[mask], data.y[mask], spec, link="identity", ridge=ridge
+                data.x[mask], data.y[mask], spec, link="identity", ridge=ridge,
+                design=_stage_design(designs, data, s_val, a_val),
             )
     if not by_cell:
         raise ValidationError("conditional-outcome fit: no non-empty cells")
@@ -376,9 +447,16 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
 
 
 def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
-                     e_fit: Propensity, spec: BasisSpec, ridge: float = 1e-6) -> OutcomeMean:
-    """Regress the pseudo-outcome at the preliminary fit on X per source."""
-    e_hat = e_fit.predict(data.x, data.s)
+                     e_fit: Propensity, spec: BasisSpec, ridge: float = 1e-6, *,
+                     e_hat: np.ndarray | None = None,
+                     designs: dict | None = None) -> OutcomeMean:
+    """Regress the pseudo-outcome at the preliminary fit on X per source.
+
+    ``e_hat`` is ``e_fit`` already evaluated on ``data``, and ``designs``
+    is ``source_designs(data, spec)``, when the caller holds them.
+    """
+    if e_hat is None:
+        e_hat = e_fit.predict(data.x, data.s)
     h = pseudo_outcomes(model, psi_pre, data, e_hat)
     by_source = {}
     for source in (0, 1):
@@ -386,26 +464,34 @@ def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
         if not mask.any():
             continue
         by_source[source] = fit_additive(
-            data.x[mask], h[mask], spec, link="identity", ridge=ridge
+            data.x[mask], h[mask], spec, link="identity", ridge=ridge,
+            design=_stage_design(designs, data, source),
         )
     return OutcomeMean(by_source)
 
 
 def fit_variance_function(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
                           e_fit: Propensity, mu_fit: OutcomeMean, spec: BasisSpec,
-                          ridge: float = 1e-6,
-                          rel_bounds: tuple = (1e-4, 1e4)) -> VarianceFunction:
+                          ridge: float = 1e-6, rel_bounds: tuple = (1e-4, 1e4), *,
+                          e_hat: np.ndarray | None = None,
+                          mu_hat: np.ndarray | None = None,
+                          designs: dict | None = None) -> VarianceFunction:
     """Fit the residual variance surface per (a, s) cell.
 
     Squared centered pseudo-outcomes are regressed on the log scale and
     mapped back with the cell's empirical smearing factor, so that a
     homoscedastic truth is recovered without retransformation bias.
     Predictions are clamped to ``rel_bounds`` times the pooled outcome
-    variance.
+    variance.  ``e_hat`` and ``mu_hat`` are ``e_fit`` and ``mu_fit``
+    already evaluated on ``data``, and ``designs`` is
+    ``source_designs(data, spec)``, when the caller holds them.
     """
-    e_hat = e_fit.predict(data.x, data.s)
+    if e_hat is None:
+        e_hat = e_fit.predict(data.x, data.s)
+    if mu_hat is None:
+        mu_hat = mu_fit.predict(data.x, data.s)
     h = pseudo_outcomes(model, psi_pre, data, e_hat)
-    resid = h - mu_fit.predict(data.x, data.s)
+    resid = h - mu_hat
     y_var = float(np.var(data.y))
     if y_var <= 0.0:
         y_var = 1.0
@@ -419,8 +505,12 @@ def fit_variance_function(data: Dataset, model: StructuralModel, psi_pre: PsiVec
             r2 = resid[mask] ** 2
             floor = 1e-12 * (float(r2.mean()) + 1e-300)
             z = np.log(r2 + floor)
-            reg = fit_additive(data.x[mask], z, spec, link="identity", ridge=ridge)
-            smear = float(np.mean(np.exp(z - reg.predict(data.x[mask]))))
+            design = _stage_design(designs, data, s_val, a_val)
+            if design is None:
+                design = spec.design(data.x[mask])
+            reg = fit_additive(data.x[mask], z, spec, link="identity", ridge=ridge,
+                               design=design)
+            smear = float(np.mean(np.exp(z - design @ reg.coef)))
             by_cell[(a_val, s_val)] = _SmearedLogVariance(reg, smear)
     if not by_cell:
         raise ValidationError("variance fit: no non-empty cells")

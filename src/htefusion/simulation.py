@@ -14,6 +14,7 @@ is byte-identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,7 @@ from scipy.special import expit
 
 from .errors import NumericalError, ValidationError
 from .estimators import FitOptions, run_pipeline
-from .inference import ate_estimate, sandwich_covariance, gof_test
+from .inference import _Z95, ate_estimate, gof_test, sandwich_covariance
 from .model import (
     BasisSpec,
     Dataset,
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 N_COVARIATES = 5
-_Z95 = 1.959963984540054
 ESTIMATOR_NAMES = ("integrative", "rct", "meta")
 
 
@@ -127,6 +127,8 @@ class SimConfig:
             raise ValidationError("confounding_form must be 'unit' or 'double'")
         if self.jobs < 1:
             raise ValidationError("jobs must be at least 1")
+        # more workers than cores only adds processes
+        object.__setattr__(self, "jobs", min(self.jobs, os.cpu_count() or 1))
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValidationError(f"unknown estimators: {sorted(unknown)}")
@@ -233,21 +235,22 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
 
     if fit.integrative is not None:
         out["fallback"] |= fit.integrative.fallback_used
-        est = sandwich_covariance(data, model, fit.integrative.psi_hat, fit.nuisances)
+        est = sandwich_covariance(data, model, fit.integrative.psi_hat,
+                                  fit.integrative.workspace)
         design = model.tau_basis.design(grid)
         pts = design @ est.psi_hat.phi
         ves = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
         ate = ate_estimate(data, model, est)
         record("integrative", pts, ves, (ate.tau0_hat, ate.se ** 2))
         if cfg.gof_enabled:
-            gof = gof_test(data, model, est, fit.nuisances,
+            gof = gof_test(data, model, est, fit.integrative.workspace,
                            cfg.gof_alt_tau or BasisSpec(()),
                            cfg.gof_alt_lambda or BasisSpec(()),
                            efficient_weight=cfg.gof_efficient_weight)
             out["gof_p"] = gof.p_value
     if fit.rct is not None:
         out["fallback"] |= fit.rct.fallback_used
-        est = sandwich_covariance(data, model, fit.rct.psi_hat, fit.rct_nuisances,
+        est = sandwich_covariance(data, model, fit.rct.psi_hat, fit.rct.workspace,
                                   trial_only=True)
         design = model.tau_basis.design(grid)
         pts = design @ est.psi_hat.phi

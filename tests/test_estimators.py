@@ -86,6 +86,24 @@ class TestWorkspace:
         with pytest.raises(ValidationError):
             build_workspace(data.subset(data.s == 0), model, nuis, trial_only=True)
 
+    def test_evaluated_values_give_the_same_workspace(self, fused_fixture):
+        cfg, data, model, nuis = fused_fixture
+        values = nuis.evaluate(data)
+        for trial_only in (False, True):
+            direct = build_workspace(data, model, nuis, trial_only=trial_only)
+            reused = build_workspace(data, model, values, trial_only=trial_only)
+            for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
+                assert np.array_equal(getattr(direct, name), getattr(reused, name))
+        with pytest.raises(ValidationError, match="do not match"):
+            build_workspace(data.trial_only(), model, values)
+
+    def test_solve_reports_its_workspace(self, fused_fixture):
+        cfg, data, model, nuis = fused_fixture
+        rep = solve_integrative(data, model, nuis, true_psi(cfg))
+        assert rep.workspace.n == data.n and rep.workspace.p == model.p
+        rct = solve_rct(data, model, nuis, true_psi(cfg).phi)
+        assert rct.workspace.n == data.n_trial and rct.workspace.p2 == 0
+
     def test_nonfinite_nuisance_raises(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         from htefusion import NuisanceSet, OutcomeMean

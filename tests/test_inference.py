@@ -73,6 +73,18 @@ class TestSandwich:
                                   trial_only=True)
         assert np.allclose(full.cov, sub.cov)
 
+    def test_reported_workspace_gives_the_same_estimate(self, solved):
+        cfg, data, model, nuis, rep, est = solved
+        reused = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
+        assert np.array_equal(reused.cov, est.cov)
+        alt = BasisSpec((product_term(0, 1),))
+        assert gof_test(data, model, est, rep.workspace, alt, BasisSpec(())) == \
+            gof_test(data, model, est, nuis, alt, BasisSpec(()))
+        with pytest.raises(ValidationError, match="workspace does not match"):
+            sandwich_covariance(data, model, rep.psi_hat, rep.workspace, trial_only=True)
+        with pytest.raises(ValidationError, match="workspace does not match"):
+            sandwich_covariance(data.trial_only(), model, rep.psi_hat, rep.workspace)
+
     def test_dimension_check(self, solved):
         cfg, data, model, nuis, rep, est = solved
         with pytest.raises(ValidationError):

@@ -135,16 +135,19 @@ class TestLoadCsv:
         head = "s,a,y," + ",".join(NAMES) + "\n"
         ok = "1,0,1.0,0.1,0.2,0.3,0.4,0.5\n"
         cases = [
-            ("2,0,1.0,0.1,0.2,0.3,0.4,0.5", "column 's'"),
-            ("1,x,1.0,0.1,0.2,0.3,0.4,0.5", "column 'a'"),
-            ("1,0,inf,0.1,0.2,0.3,0.4,0.5", "column 'y'"),
-            ("1,0,1.0,0.1,oops,0.3,0.4,0.5", "column 'bmi'"),
+            (ok, "2,0,1.0,0.1,0.2,0.3,0.4,0.5", 3, "column 's'"),
+            (ok, "1,x,1.0,0.1,0.2,0.3,0.4,0.5", 3, "column 'a'"),
+            (ok, "1,0,inf,0.1,0.2,0.3,0.4,0.5", 3, "column 'y'"),
+            (ok, "1,0,1.0,0.1,oops,0.3,0.4,0.5", 3, "column 'bmi'"),
+            # blank lines count: the bad cell is on physical line 5
+            (ok + "\n\n", "1,0,oops,0.1,0.2,0.3,0.4,0.5", 5, "column 'y'"),
+            (ok, "1,0,1.0,0.1", 3, "column 'bmi': missing value"),
         ]
-        for body, needle in cases:
+        for before, body, line, needle in cases:
             path = tmp_path / "bad.csv"
-            path.write_text(head + ok + body + "\n")
+            path.write_text(head + before + body + "\n")
             cfg = base_config(path)
-            with pytest.raises(ValidationError, match=f"line 3, {needle}"):
+            with pytest.raises(ValidationError, match=f"line {line}, {needle}"):
                 load_csv(str(path), cfg)
 
     def test_empty_inputs(self, tmp_path):

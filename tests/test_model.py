@@ -157,6 +157,31 @@ class TestBasisSpec:
         for i in range(3):
             assert np.array_equal(spec.row(X[i]), design[i])
 
+    def test_spline_design_matches_the_piece_formula(self):
+        # pieces of one covariate share cubes inside design(); interleaving
+        # terms of other covariates must not mix them up
+        knots = (-1.5, -0.5, 0.0, 0.5, 1.5)
+        other = (-1.0, 0.0, 1.0)
+        spec = BasisSpec((spline_term(0, knots, 1), linear_term(1),
+                          spline_term(0, knots, 0), spline_term(1, other, 0),
+                          spline_term(0, knots, 2), spline_term(0, knots, 2, degree=1)))
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, (200, 2))
+
+        def piece(v, t, r):
+            L = len(t) - 1
+
+            def d(j):
+                return (np.clip(v - t[j], 0.0, None) ** 3
+                        - np.clip(v - t[L], 0.0, None) ** 3) / (t[L] - t[j])
+            return d(r) - d(L - 1)
+
+        want = np.column_stack([piece(x[:, 0], knots, 1), x[:, 1], piece(x[:, 0], knots, 0),
+                                piece(x[:, 1], other, 0), piece(x[:, 0], knots, 2),
+                                np.clip(x[:, 0] - knots[3], 0.0, None)])
+        assert np.array_equal(spec.design(x), want)
+        for col, term in enumerate(spec.terms):
+            assert np.array_equal(term.column(x), want[:, col])
+
     def test_empty_spec_design(self):
         spec = BasisSpec(())
         assert spec.design(X).shape == (3, 0)

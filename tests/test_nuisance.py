@@ -30,6 +30,7 @@ from htefusion import (
     linear_term,
     square_term,
 )
+from htefusion.nuisance import source_designs
 
 
 class TestBuildSplineBasis:
@@ -170,6 +171,29 @@ class TestFitPropensity:
             fit_propensity(desk_data, spec, clip=0.6)
         with pytest.raises(ValidationError):
             fit_propensity(desk_data, spec, trial_known=1.5)
+
+
+class TestSharedDesigns:
+    def test_fits_on_stage_designs_match_fits_on_covariates(self, desk_data):
+        spec = build_spline_basis(desk_data, 2)
+        designs = source_designs(desk_data, spec)
+        assert {src: d.shape for src, d in designs.items()} == {
+            0: (desk_data.n_obs, spec.p), 1: (desk_data.n_trial, spec.p)}
+        pairs = [
+            (fit_propensity(desk_data, spec).by_source,
+             fit_propensity(desk_data, spec, designs=designs).by_source),
+            (fit_conditional_outcomes(desk_data, spec).by_cell,
+             fit_conditional_outcomes(desk_data, spec, designs=designs).by_cell),
+        ]
+        for plain, shared in pairs:
+            assert plain.keys() == shared.keys()
+            for key in plain:
+                assert np.array_equal(plain[key].coef, shared[key].coef)
+
+    def test_design_shape_is_checked(self):
+        spec = BasisSpec((constant_term(), linear_term(0)))
+        with pytest.raises(ValidationError, match="design does not match"):
+            fit_additive(np.zeros((3, 1)), np.zeros(3), spec, design=np.zeros((3, 1)))
 
 
 class TestFitConditionalOutcomes:

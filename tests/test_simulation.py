@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ class TestConfig:
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ValidationError):
             make_config(**bad)
+
+    def test_jobs_capped_at_cpu_count(self):
+        # constructing the config starts no worker process
+        cores = os.cpu_count() or 1
+        assert make_config(jobs=10**6).jobs == cores
+        assert make_config(jobs=1).jobs == 1
 
     def test_beta_length_checked(self):
         with pytest.raises(ValidationError):
