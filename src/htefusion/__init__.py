@@ -8,6 +8,8 @@ against the trial-only fit, and a score-type specification test.  A
 Monte Carlo harness reproduces the built-in synthetic study.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .errors import NumericalError, ValidationError
 from .model import (
@@ -16,13 +18,10 @@ from .model import (
     Dataset,
     PsiVector,
     StructuralModel,
-    UnitRecord,
     constant_term,
     linear_term,
     product_term,
-    pseudo_outcome,
     pseudo_outcomes,
-    residual_eps_h,
     spline_term,
     square_term,
 )
@@ -48,14 +47,12 @@ from .estimators import (
     ScoreWorkspace,
     SolveReport,
     build_workspace,
-    efficient_score,
     fit_nuisances,
     mean_score,
     mean_score_jacobian,
     meta_estimate,
     preliminary_estimate,
     run_pipeline,
-    score_jacobian,
     score_matrix,
     solve_integrative,
     solve_rct,
@@ -97,4 +94,7 @@ from .io import (
     run_simulate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]
+# Importing the submodules binds their names here too; star imports leave
+# them out so that ``io`` and the like never shadow standard modules.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)] + ["__version__"]

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ._version import __version__
 from .errors import NumericalError, ValidationError
-from .io import AnalysisConfig, ResultDocument, run_fit, run_simulate
+from .io import AnalysisConfig, ResultDocument, _read_json_object, run_fit, run_simulate
 from .simulation import SimConfig, summarize
 
 
@@ -114,16 +113,8 @@ def _fit_config(args: argparse.Namespace) -> AnalysisConfig:
     if args.curve_out is not None:
         raw["curve_output"] = args.curve_out
     if args.config:
-        try:
-            with open(args.config) as fh:
-                file_raw = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {args.config} is not valid JSON: {exc}")
-        if not isinstance(file_raw, dict):
-            raise ValidationError("config file must hold a JSON object")
-        raw.update(file_raw)  # config file takes precedence over flags
+        # config file takes precedence over flags
+        raw.update(_read_json_object(args.config, "config file"))
     return AnalysisConfig.from_dict(raw)
 
 
@@ -185,13 +176,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gof(args: argparse.Namespace) -> int:
-    try:
-        with open(args.fit) as fh:
-            doc = ResultDocument.from_json(fh.read())
-    except FileNotFoundError:
-        raise ValidationError(f"result document not found: {args.fit}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"result document {args.fit} is not valid JSON: {exc}")
+    doc = ResultDocument.from_dict(_read_json_object(args.fit, "result document"))
     tau_alt, lambda_alt = _split(args.tau_alt), _split(args.lambda_alt)
     if not tau_alt and not lambda_alt:
         raise ValidationError(

@@ -21,14 +21,13 @@ residual variance of the record's own arm and ``r_i`` the variance-
 weighted conditional mean of treatment given covariates and source.  By
 construction ``k_i`` has conditional mean zero, which makes the
 equations insensitive to the outcome-mean plug-in.  Because ``eps_i``
-is linear in the coefficients, the damped Newton solve below typically
-converges in one step.
+is linear in the coefficients, the mean score has a constant Jacobian
+and one linear solve finds its root.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .nuisance import (
     NuisanceSet,
     NuisanceValues,
     Propensity,
+    _solve_penalized,
     build_spline_basis,
     fit_conditional_outcomes,
     fit_outcome_mean,
@@ -52,8 +52,6 @@ __all__ = [
     "SolveReport",
     "ScoreWorkspace",
     "build_workspace",
-    "efficient_score",
-    "score_jacobian",
     "mean_score",
     "mean_score_jacobian",
     "score_matrix",
@@ -69,7 +67,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings shared by the nuisance fits and the equation solver.
+    """Settings of the nuisance fits and of the refinement rounds.
 
     ``var_knots`` controls the basis of the log-variance regressions.
     ``None``, the default, fits one constant per (arm, source) cell:
@@ -81,26 +79,24 @@ class FitOptions:
     """
 
     knots: int = 4
-    degree: int = 3
     var_knots: int | None = None
     ridge: float = 1e-6
     clip_e: float = 0.01
-    sigma2_rel_bounds: tuple = (1e-4, 1e4)
     trial_known: float | None = None
-    tol_rel: float = 1e-10
-    max_iter: int = 50
-    max_halvings: int = 30
-    jac_ridge_rel: float = 1e-8
-    step_tol: float = 1e-12
     refine: int = 1
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a Newton solve of the estimating equations.
+    """Outcome of the linear solve of the estimating equations.
 
-    ``workspace`` holds the equations the solve ran on, for the sandwich
-    covariance and the specification test to reuse.
+    ``iterations`` is 1 for a solve and 0 when the start was already a
+    root.  When the Jacobian is singular or the solution leaves a mean
+    score above the tolerance, ``fallback_used`` is set, ``converged``
+    is not, and ``psi_hat`` is the start.  ``final_score_norm`` is the
+    norm of the mean score at ``psi_hat``.  ``workspace`` holds the
+    equations the solve ran on, for the sandwich covariance and the
+    specification test to reuse.
     """
 
     psi_hat: PsiVector
@@ -203,34 +199,6 @@ def mean_score_jacobian(ws: ScoreWorkspace) -> np.ndarray:
     return -(ws.grad * ws.score_weight[:, None]).T @ ws.resid_design / ws.n
 
 
-def efficient_score(ws: ScoreWorkspace, params: np.ndarray, i: int) -> np.ndarray:
-    """Score contribution of record ``i`` at the given coefficients."""
-    eps = ws.base_resid[i] - ws.resid_design[i] @ params
-    return ws.grad[i] * (ws.score_weight[i] * eps)
-
-def score_jacobian(ws: ScoreWorkspace, params: np.ndarray, i: int) -> np.ndarray:
-    """Derivative of record ``i``'s score in the coefficients.
-
-    The residual is linear in the coefficients, so this does not depend
-    on ``params``; the argument is kept for signature symmetry.
-    """
-    return -ws.score_weight[i] * np.outer(ws.grad[i], ws.resid_design[i])
-
-
-def _plain_lstsq(design: np.ndarray, target: np.ndarray, what: str) -> np.ndarray:
-    gram = design.T @ design
-    rhs = design.T @ target
-    try:
-        coef = np.linalg.solve(gram, rhs)
-        if np.isfinite(coef).all():
-            return coef
-    except np.linalg.LinAlgError:
-        pass
-    warnings.warn(f"{what}: singular design, solved with a small ridge", stacklevel=3)
-    scale = float(np.mean(np.diag(gram))) or 1.0
-    return np.linalg.solve(gram + 1e-8 * scale * np.eye(design.shape[1]), rhs)
-
-
 def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans) -> PsiVector:
     """Least-squares starting values from cell-mean differences.
 
@@ -245,66 +213,49 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
         raise ValidationError("preliminary estimate requires trial records")
     xt = data.x[trial]
     delta_trial = cond_y.predict(1, 1, xt) - cond_y.predict(0, 1, xt)
-    phi = _plain_lstsq(model.tau_basis.design(xt), delta_trial, "preliminary effect fit")
+    phi = _solve_penalized(model.tau_basis.design(xt), delta_trial, 0.0,
+                           "preliminary effect fit")
     obs = data.s == 0
     if not obs.any():
         return PsiVector(phi, np.zeros(model.p2))
     xo = data.x[obs]
     delta_obs = cond_y.predict(1, 0, xo) - cond_y.predict(0, 0, xo)
     resid = delta_obs - model.tau(phi, xo)
-    lam = _plain_lstsq(model.lambda_basis.design(xo), resid, "preliminary confounding fit")
+    lam = _solve_penalized(model.lambda_basis.design(xo), resid, 0.0,
+                           "preliminary confounding fit")
     return PsiVector(phi, lam)
 
 
-def _newton_solve(ws: ScoreWorkspace, init: np.ndarray, opts: FitOptions):
-    """Damped Newton iteration on the mean score; returns a raw report."""
-    current = init.copy()
-    f = mean_score(ws, current)
+# A solve is accepted when it cuts the mean score to this fraction of its
+# norm at the start; the equations are linear, so an accepted solve is exact
+# up to rounding.
+_SOLVE_RTOL = 1e-10
+
+
+def _linear_solve(ws: ScoreWorkspace, init: np.ndarray):
+    """One Newton step from ``init``, exact for the linear equations.
+
+    Returns (params, iterations, final score norm, converged, fallback).
+    """
+    f = mean_score(ws, init)
     if not np.isfinite(f).all():
         raise NumericalError("mean score is not finite at the starting values")
     norm = float(np.linalg.norm(f))
     if norm == 0.0:
-        return current, 0, 0.0, True, False
-    tol = opts.tol_rel * norm
-    jac = mean_score_jacobian(ws)
-    jac_scale = float(np.linalg.norm(jac))
-    for it in range(1, opts.max_iter + 1):
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.isfinite(step).all():
-            ridge = opts.jac_ridge_rel * (jac_scale if jac_scale > 0 else 1.0)
-            try:
-                step = np.linalg.solve(jac + ridge * np.eye(ws.p), -f)
-            except np.linalg.LinAlgError:
-                return init.copy(), it, norm, False, True
-            if not np.isfinite(step).all():
-                return init.copy(), it, norm, False, True
-        scale_t = 1.0
-        improved = False
-        for _ in range(opts.max_halvings + 1):
-            cand = current + scale_t * step
-            f_new = mean_score(ws, cand)
-            norm_new = float(np.linalg.norm(f_new))
-            if np.isfinite(norm_new) and norm_new < norm:
-                improved = True
-                break
-            scale_t *= 0.5
-        if not improved:
-            return init.copy(), it, norm, False, True
-        step_size = float(np.linalg.norm(scale_t * step))
-        current, f, norm = cand, f_new, norm_new
-        if norm <= tol:
-            return current, it, norm, True, False
-        if step_size <= opts.step_tol * (1.0 + float(np.linalg.norm(current))):
-            break
-    return init.copy(), opts.max_iter, norm, False, True
+        return init.copy(), 0, 0.0, True, False
+    try:
+        params = init + np.linalg.solve(mean_score_jacobian(ws), -f)
+    except np.linalg.LinAlgError:
+        return init.copy(), 1, norm, False, True
+    norm_new = float(np.linalg.norm(mean_score(ws, params)))
+    if not norm_new <= _SOLVE_RTOL * norm:  # also rejects NaN
+        return init.copy(), 1, norm, False, True
+    return params, 1, norm_new, True, False
 
 
 def solve_integrative(data: Dataset, model: StructuralModel,
-                      nuis: NuisanceSet | NuisanceValues, psi_init: PsiVector,
-                      opts: FitOptions = FitOptions()) -> SolveReport:
+                      nuis: NuisanceSet | NuisanceValues,
+                      psi_init: PsiVector) -> SolveReport:
     """Solve the pooled estimating equations for all coefficients.
 
     ``nuis`` is a fitted set or its values on ``data``, as for
@@ -322,19 +273,19 @@ def solve_integrative(data: Dataset, model: StructuralModel,
     init = psi_init.stacked
     if init.size != ws.p:
         raise ValidationError("starting values do not match the model dimension")
-    params, its, norm, converged, fallback = _newton_solve(ws, init, opts)
+    params, its, norm, converged, fallback = _linear_solve(ws, init)
     return SolveReport(PsiVector.from_stacked(params, model.p1), its, norm,
                        converged, fallback, ws)
 
 
 def solve_rct(data: Dataset, model: StructuralModel, nuis: NuisanceSet | NuisanceValues,
-              phi_init: np.ndarray, opts: FitOptions = FitOptions()) -> SolveReport:
+              phi_init: np.ndarray) -> SolveReport:
     """Solve the trial-only equations for the effect coefficients."""
     ws = build_workspace(data, model, nuis, trial_only=True)
     init = np.asarray(phi_init, dtype=float)
     if init.size != model.p1:
         raise ValidationError("starting values do not match the effect dimension")
-    params, its, norm, converged, fallback = _newton_solve(ws, init, opts)
+    params, its, norm, converged, fallback = _linear_solve(ws, init)
     return SolveReport(PsiVector(params, np.zeros(0)), its, norm, converged, fallback, ws)
 
 
@@ -353,7 +304,7 @@ def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity) -> n
         raise NumericalError("meta comparator: fitted propensities reached 0 or 1")
     a = data.a.astype(float)
     adj = a * data.y / e - (1.0 - a) * data.y / (1.0 - e)
-    return _plain_lstsq(model.tau_basis.design(data.x), adj, "meta comparator fit")
+    return _solve_penalized(model.tau_basis.design(data.x), adj, 0.0, "meta comparator fit")
 
 
 def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpec:
@@ -361,7 +312,7 @@ def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpe
         return BasisSpec((constant_term(),))
     if opts.var_knots == opts.knots:
         return spec
-    return build_spline_basis(data, opts.var_knots, opts.degree)
+    return build_spline_basis(data, opts.var_knots)
 
 
 def _outcome_nuisances_at(data: Dataset, model: StructuralModel, psi: PsiVector,
@@ -380,8 +331,7 @@ def _outcome_nuisances_at(data: Dataset, model: StructuralModel, psi: PsiVector,
     mu_hat = mu_fit.predict(data.x, data.s)
     var_spec = _variance_spec(data, spec, opts)
     var_fit = fit_variance_function(data, model, psi, e_fit, mu_fit, var_spec,
-                                    ridge=opts.ridge, rel_bounds=opts.sigma2_rel_bounds,
-                                    e_hat=e_hat, mu_hat=mu_hat,
+                                    ridge=opts.ridge, e_hat=e_hat, mu_hat=mu_hat,
                                     designs=designs if var_spec is spec else None)
     nuis = NuisanceSet(e_fit, mu_fit, var_fit, cond_y)
     return nuis, nuis.evaluate(data, e=e_hat, mu=mu_hat)
@@ -395,7 +345,7 @@ def _base_stage(data: Dataset, model: StructuralModel, opts: FitOptions):
     fits share one spline design per source, and the propensities are
     evaluated on the sample once, for this and every later refit.
     """
-    spec = build_spline_basis(data, opts.knots, opts.degree)
+    spec = build_spline_basis(data, opts.knots)
     designs = source_designs(data, spec)
     e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
                            clip=opts.clip_e, ridge=opts.ridge, designs=designs)
@@ -454,25 +404,25 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     # refine round likewise drops the previous workspace before refitting.
     if "rct" in which:
         rnuis = base
-        rep = solve_rct(data, model, base_values, psi_pre.phi, opts)
+        rep = solve_rct(data, model, base_values, psi_pre.phi)
         for _ in range(max(0, opts.refine)):
             if rep.fallback_used:
                 break
             phi, rep = rep.psi_hat.phi, None
             rnuis, values = _outcome_nuisances_at(data, model, PsiVector(phi, psi_pre.lam),
                                                   e_fit, e_hat, cond_y, spec, opts)
-            rep = solve_rct(data, model, values, phi, opts)
+            rep = solve_rct(data, model, values, phi)
         result.rct, result.rct_nuisances = rep, rnuis
     if "integrative" in which:
         nuis = base
-        rep = solve_integrative(data, model, base_values, psi_pre, opts)
+        rep = solve_integrative(data, model, base_values, psi_pre)
         for _ in range(max(0, opts.refine)):
             if rep.fallback_used:
                 break
             psi, rep = rep.psi_hat, None
             nuis, values = _outcome_nuisances_at(data, model, psi,
                                                  e_fit, e_hat, cond_y, spec, opts)
-            rep = solve_integrative(data, model, values, psi, opts)
+            rep = solve_integrative(data, model, values, psi)
         result.integrative, result.nuisances = rep, nuis
     if "meta" in which:
         result.meta_coef = meta_estimate(data, model, e_fit)

@@ -129,19 +129,24 @@ class AnalysisConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "AnalysisConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ValidationError("config file must hold a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json_object(path, "config file"))
 
     def to_dict(self) -> dict:
         return _plain(asdict(self))
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    """Parse a JSON file that must hold an object; ``what`` names it in errors."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must hold a JSON object")
+    return raw
 
 
 def _plain(obj):
@@ -295,48 +300,17 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
         warnings.simplefilter("always")
         fit = run_pipeline(data, model, opts, which=cfg.estimators)
 
-        if fit.integrative is not None:
-            rep = fit.integrative
-            est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
-            block = {
-                "tau": _coef_block(model.tau_basis.labels(names), est.psi_hat.phi,
-                                   est.se[:model.p1]),
-                "lambda": _coef_block(model.lambda_basis.labels(names),
-                                      est.psi_hat.lam, est.se[model.p1:]),
-            }
-            ate = ate_estimate(data, model, est)
-            block["ate"] = {"estimate": ate.tau0_hat, "se": ate.se,
-                            "lower": ate.lower, "upper": ate.upper,
-                            "pi0": ate.pi0_hat}
-            if cfg.probes:
-                curve = tau_curve(model, est, np.array(cfg.probes))
-                block["curve"] = [
-                    {"x": _plain(curve.grid[i]), "estimate": float(curve.estimate[i]),
-                     "se": float(curve.se[i]), "lower": float(curve.lower[i]),
-                     "upper": float(curve.upper[i])}
-                    for i in range(curve.grid.shape[0])
-                ]
-            if cfg.gof_tau_terms or cfg.gof_lambda_terms:
-                gof = gof_test(data, model, est, rep.workspace,
-                               parse_terms(cfg.gof_tau_terms, names),
-                               parse_terms(cfg.gof_lambda_terms, names),
-                               efficient_weight=cfg.gof_efficient_weight)
-                block["gof"] = {"t_stat": gof.t_stat, "df": gof.df,
-                                "p_value": gof.p_value}
-            results["integrative"] = block
-            diagnostics["integrative"] = {
-                "iterations": rep.iterations,
-                "final_score_norm": rep.final_score_norm,
-                "converged": rep.converged,
-                "fallback_used": rep.fallback_used,
-            }
-
-        if fit.rct is not None:
-            rep = fit.rct
+        for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
+            if rep is None:
+                continue
+            pooled = name == "integrative"
             est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace,
-                                      trial_only=True)
+                                      trial_only=not pooled)
             block = {"tau": _coef_block(model.tau_basis.labels(names),
-                                        est.psi_hat.phi, est.se)}
+                                        est.psi_hat.phi, est.se[:model.p1])}
+            if pooled:
+                block["lambda"] = _coef_block(model.lambda_basis.labels(names),
+                                              est.psi_hat.lam, est.se[model.p1:])
             if data.n_obs > 0:
                 ate = ate_estimate(data, model, est)
                 block["ate"] = {"estimate": ate.tau0_hat, "se": ate.se,
@@ -350,8 +324,15 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
                      "upper": float(curve.upper[i])}
                     for i in range(curve.grid.shape[0])
                 ]
-            results["rct"] = block
-            diagnostics["rct"] = {
+            if pooled and (cfg.gof_tau_terms or cfg.gof_lambda_terms):
+                gof = gof_test(data, model, est, rep.workspace,
+                               parse_terms(cfg.gof_tau_terms, names),
+                               parse_terms(cfg.gof_lambda_terms, names),
+                               efficient_weight=cfg.gof_efficient_weight)
+                block["gof"] = {"t_stat": gof.t_stat, "df": gof.df,
+                                "p_value": gof.p_value}
+            results[name] = block
+            diagnostics[name] = {
                 "iterations": rep.iterations,
                 "final_score_norm": rep.final_score_norm,
                 "converged": rep.converged,

@@ -10,15 +10,14 @@ covariates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
-    "UnitRecord",
     "Dataset",
     "BasisTerm",
     "BasisSpec",
@@ -29,9 +28,7 @@ __all__ = [
     "square_term",
     "product_term",
     "spline_term",
-    "pseudo_outcome",
     "pseudo_outcomes",
-    "residual_eps_h",
 ]
 
 
@@ -40,30 +37,6 @@ def _check_binary(v, name):
     if not np.isin(arr, (0, 1)).all():
         raise ValidationError(f"{name} must contain only 0/1 values")
     return arr.astype(np.int8)
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One observation: source flag, treatment arm, outcome, covariates."""
-
-    s: int
-    a: int
-    y: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.s not in (0, 1):
-            raise ValidationError(f"source flag s must be 0 or 1, got {self.s!r}")
-        if self.a not in (0, 1):
-            raise ValidationError(f"treatment a must be 0 or 1, got {self.a!r}")
-        if not np.isfinite(self.y):
-            raise ValidationError(f"outcome y must be finite, got {self.y!r}")
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise ValidationError("covariate vector x must be 1-d and non-empty")
-        if not np.isfinite(x).all():
-            raise ValidationError("covariate vector x must be finite")
-        object.__setattr__(self, "x", x)
 
 
 class Dataset:
@@ -115,24 +88,6 @@ class Dataset:
     def __setattr__(self, name, value):  # columns are read-only
         raise AttributeError("Dataset is immutable")
 
-    @classmethod
-    def from_records(cls, records: Iterable[UnitRecord]) -> "Dataset":
-        recs = list(records)
-        if not recs:
-            raise ValidationError("dataset must contain at least one record")
-        d = recs[0].x.size
-        for i, r in enumerate(recs):
-            if r.x.size != d:
-                raise ValidationError(
-                    f"record {i} has {r.x.size} covariates, expected {d}"
-                )
-        return cls(
-            [r.s for r in recs],
-            [r.a for r in recs],
-            [r.y for r in recs],
-            np.vstack([r.x for r in recs]),
-        )
-
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -162,10 +117,6 @@ class Dataset:
 
     def trial_only(self) -> "Dataset":
         return self.subset(self.s == 1)
-
-    def records(self) -> Iterator[UnitRecord]:
-        for i in range(self.n):
-            yield UnitRecord(int(self.s[i]), int(self.a[i]), float(self.y[i]), self.x[i])
 
 
 def _natural_cubic_pieces(v: np.ndarray, knots: Sequence[float]) -> list:
@@ -390,29 +341,15 @@ class StructuralModel:
         return self._eval(self.lambda_basis, lam_coef, x)
 
 
-def pseudo_outcome(model: StructuralModel, psi: PsiVector, rec: UnitRecord, e_hat: float) -> float:
+def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset, e_hat) -> np.ndarray:
     """Outcome purged of the modeled effect and confounding terms.
 
-    H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat).  For a trial
-    record the confounding term vanishes, so the value does not depend
-    on ``e_hat`` or on the confounding coefficients.
+    H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for every record,
+    with ``e_hat`` aligned with the records.  On trial records the
+    confounding term vanishes, so H does not depend on ``e_hat`` or on
+    the confounding coefficients there.
     """
-    h = rec.y - model.tau(psi.phi, rec.x) * rec.a
-    if rec.s == 0:
-        h -= model.lam(psi.lam, rec.x) * (rec.a - float(e_hat))
-    return float(h)
-
-
-def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset, e_hat) -> np.ndarray:
-    """Vectorized pseudo_outcome over a dataset; e_hat aligns with records."""
     e_hat = np.broadcast_to(np.asarray(e_hat, dtype=float), (data.n,))
     tau_vals = model.tau(psi.phi, data.x)
     lam_vals = model.lam(psi.lam, data.x)
     return data.y - tau_vals * data.a - (1 - data.s) * lam_vals * (data.a - e_hat)
-
-
-def residual_eps_h(
-    model: StructuralModel, psi: PsiVector, rec: UnitRecord, e_hat: float, mu_hat: float
-) -> float:
-    """Pseudo-outcome centered at its source-specific conditional mean."""
-    return pseudo_outcome(model, psi, rec, e_hat) - float(mu_hat)

@@ -95,19 +95,16 @@ def build_spline_basis(data: Dataset, knots_per_covariate: int = 4, degree: int 
 
 
 def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
-                     weights: np.ndarray | None = None) -> np.ndarray:
-    """Ridge-penalized (weighted) least squares via the normal equations.
+                     what: str = "additive regression") -> np.ndarray:
+    """Ridge-penalized least squares via the normal equations.
 
     The penalty is ``ridge`` times the mean diagonal of the Gram matrix,
-    applied to every coefficient.  If the system is still numerically
-    singular the penalty is escalated a hundredfold with a warning.
+    applied to every coefficient; ``ridge=0`` gives plain least squares.
+    If the system is numerically singular the penalty is escalated a
+    hundredfold with a warning that names the fit, ``what``.
     """
-    if weights is None:
-        gram = design.T @ design
-        rhs = design.T @ target
-    else:
-        gram = design.T @ (weights[:, None] * design)
-        rhs = design.T @ (weights * target)
+    gram = design.T @ design
+    rhs = design.T @ target
     scale = float(np.mean(np.diag(gram)))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
@@ -121,12 +118,14 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
         if coef is not None and np.isfinite(coef).all():
             if attempt > 0:
                 warnings.warn(
-                    "singular normal equations; solved with an escalated ridge",
+                    f"{what}: singular normal equations; solved with an escalated ridge",
                     stacklevel=3,
                 )
             return coef
         pen = max(pen * 100.0, 1e-10 * scale)
-    raise NumericalError("normal equations remained singular despite ridge escalation")
+    raise NumericalError(
+        f"{what}: normal equations remained singular despite ridge escalation"
+    )
 
 
 @dataclass

@@ -222,7 +222,7 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
     model = cfg.model()
     opts = FitOptions(knots=cfg.knots, trial_known=cfg.trial_known)
     fit = run_pipeline(data, model, opts, which=cfg.estimators)
-    grid = _probe_points(cfg)
+    design = model.tau_basis.design(_probe_points(cfg))
     labels = [probe_label(pr) for pr in cfg.probes]
     out = {"fallback": False, "estimates": {}, "gof_p": None}
 
@@ -233,32 +233,23 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
         cells["ate"] = ate_row
         out["estimates"][name] = cells
 
-    if fit.integrative is not None:
-        out["fallback"] |= fit.integrative.fallback_used
-        est = sandwich_covariance(data, model, fit.integrative.psi_hat,
-                                  fit.integrative.workspace)
-        design = model.tau_basis.design(grid)
+    for name, report in (("integrative", fit.integrative), ("rct", fit.rct)):
+        if report is None:
+            continue
+        out["fallback"] |= report.fallback_used
+        est = sandwich_covariance(data, model, report.psi_hat, report.workspace,
+                                  trial_only=name == "rct")
         pts = design @ est.psi_hat.phi
         ves = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
         ate = ate_estimate(data, model, est)
-        record("integrative", pts, ves, (ate.tau0_hat, ate.se ** 2))
-        if cfg.gof_enabled:
-            gof = gof_test(data, model, est, fit.integrative.workspace,
+        record(name, pts, ves, (ate.tau0_hat, ate.se ** 2))
+        if name == "integrative" and cfg.gof_enabled:
+            gof = gof_test(data, model, est, report.workspace,
                            cfg.gof_alt_tau or BasisSpec(()),
                            cfg.gof_alt_lambda or BasisSpec(()),
                            efficient_weight=cfg.gof_efficient_weight)
             out["gof_p"] = gof.p_value
-    if fit.rct is not None:
-        out["fallback"] |= fit.rct.fallback_used
-        est = sandwich_covariance(data, model, fit.rct.psi_hat, fit.rct.workspace,
-                                  trial_only=True)
-        design = model.tau_basis.design(grid)
-        pts = design @ est.psi_hat.phi
-        ves = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
-        ate = ate_estimate(data, model, est)
-        record("rct", pts, ves, (ate.tau0_hat, ate.se ** 2))
     if fit.meta_coef is not None:
-        design = model.tau_basis.design(grid)
         pts = design @ fit.meta_coef
         obs_tau = model.tau(fit.meta_coef, data.x[data.s == 0])
         record("meta", pts, [None] * len(labels), (float(obs_tau.mean()), None))

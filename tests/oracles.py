@@ -1,0 +1,86 @@
+"""Per-record reference implementations for the vectorized code.
+
+The package works on whole columns; these scalar versions restate the
+defining formulas one record at a time, so tests can check the
+vectorized pseudo-outcomes, scores and Jacobians against them.
+"""
+
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
+
+from htefusion import Dataset, PsiVector, StructuralModel, ValidationError
+
+
+@dataclass(frozen=True)
+class UnitRecord:
+    """One observation: source flag, treatment arm, outcome, covariates."""
+
+    s: int
+    a: int
+    y: float
+    x: np.ndarray
+
+    def __post_init__(self):
+        if self.s not in (0, 1):
+            raise ValidationError(f"source flag s must be 0 or 1, got {self.s!r}")
+        if self.a not in (0, 1):
+            raise ValidationError(f"treatment a must be 0 or 1, got {self.a!r}")
+        if not np.isfinite(self.y):
+            raise ValidationError(f"outcome y must be finite, got {self.y!r}")
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim != 1 or x.size == 0:
+            raise ValidationError("covariate vector x must be 1-d and non-empty")
+        if not np.isfinite(x).all():
+            raise ValidationError("covariate vector x must be finite")
+        object.__setattr__(self, "x", x)
+
+
+def records(data: Dataset) -> Iterator[UnitRecord]:
+    """The records of a dataset, one at a time."""
+    for i in range(data.n):
+        yield UnitRecord(int(data.s[i]), int(data.a[i]), float(data.y[i]), data.x[i])
+
+
+def from_records(recs: Iterable[UnitRecord]) -> Dataset:
+    """Stack records into a dataset; every record needs the same width."""
+    recs = list(recs)
+    if not recs:
+        raise ValidationError("dataset must contain at least one record")
+    d = recs[0].x.size
+    for i, r in enumerate(recs):
+        if r.x.size != d:
+            raise ValidationError(f"record {i} has {r.x.size} covariates, expected {d}")
+    return Dataset([r.s for r in recs], [r.a for r in recs], [r.y for r in recs],
+                   np.vstack([r.x for r in recs]))
+
+
+def pseudo_outcome(model: StructuralModel, psi: PsiVector, rec: UnitRecord,
+                   e_hat: float) -> float:
+    """H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for one record."""
+    h = rec.y - model.tau(psi.phi, rec.x) * rec.a
+    if rec.s == 0:
+        h -= model.lam(psi.lam, rec.x) * (rec.a - float(e_hat))
+    return float(h)
+
+
+def residual_eps_h(model: StructuralModel, psi: PsiVector, rec: UnitRecord,
+                   e_hat: float, mu_hat: float) -> float:
+    """Pseudo-outcome centered at its source-specific conditional mean."""
+    return pseudo_outcome(model, psi, rec, e_hat) - float(mu_hat)
+
+
+def efficient_score(ws, params: np.ndarray, i: int) -> np.ndarray:
+    """Score contribution of record ``i`` of a workspace at ``params``."""
+    eps = ws.base_resid[i] - ws.resid_design[i] @ params
+    return ws.grad[i] * (ws.score_weight[i] * eps)
+
+
+def score_jacobian(ws, params: np.ndarray, i: int) -> np.ndarray:
+    """Derivative of record ``i``'s score in the coefficients.
+
+    The residual is linear in the coefficients, so this does not depend
+    on ``params``; the argument is kept for signature symmetry.
+    """
+    return -ws.score_weight[i] * np.outer(ws.grad[i], ws.resid_design[i])

@@ -324,7 +324,6 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
     cfg = SimConfig(n=n, m=m, beta=(0.0,) * 5, reps=reps, tau_terms=lin_tau,
                     seed=77)
     model = cfg.model()
-    opts = FitOptions(knots=0, trial_known=0.5)
     e_true, v_true = _KnownPropensity(), _KnownVariance()
 
     draws = []
@@ -336,7 +335,7 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
         for _ in range(2):
             mu = fit_outcome_mean(data, model, psi, e_true, spec0, ridge=1e-6)
             nuis = NuisanceSet(e_true, mu, v_true, cond_y)
-            psi = solve_integrative(data, model, nuis, psi, opts).psi_hat
+            psi = solve_integrative(data, model, nuis, psi).psi_hat
         draws.append(psi.stacked)
     draws = np.array(draws)
     mc_mean = draws.mean(axis=0)

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import htefusion
 from htefusion import __version__, generate_replicate
 from htefusion.cli import main
 from conftest import make_config
@@ -21,8 +25,8 @@ def data_csv(tmp_path_factory):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "y", *NAMES])
-        for rec in data.records():
-            writer.writerow([rec.s, rec.a, rec.y, *rec.x])
+        for s, a, y, x in zip(data.s, data.a, data.y, data.x):
+            writer.writerow([int(s), int(a), float(y), *(float(v) for v in x)])
     return path
 
 
@@ -143,10 +147,15 @@ class TestGof:
         assert "specification test" in text and "on 3 df" in text
 
     def test_missing_document(self, tmp_path, capsys):
-        code = main(["gof", "--fit", str(tmp_path / "absent.json"),
-                     "--tau-alt", "age^2"])
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
+        for name, text, message in (("absent.json", None, "not found"),
+                                    ("five.json", "5", "must hold a JSON object"),
+                                    ("null.json", "null", "must hold a JSON object")):
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            code = main(["gof", "--fit", str(path), "--tau-alt", "age^2"])
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_no_alternative_terms(self, data_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -165,8 +174,21 @@ class TestEntryPoint:
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == __version__
 
+    def test_star_import_binds_no_module(self):
+        namespace = {}
+        exec("from htefusion import *", namespace)
+        modules = [name for name, val in namespace.items()
+                   if name != "__builtins__" and isinstance(val, ModuleType)]
+        assert modules == []
+        assert "FitOptions" in namespace
+
     def test_console_script(self):
+        # the child imports the package from where this process found it,
+        # which need not be an installed copy
+        src = str(Path(htefusion.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "htefusion.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__

@@ -26,8 +26,8 @@ def write_csv(path, data, names=NAMES):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "y", *names])
-        for rec in data.records():
-            writer.writerow([rec.s, rec.a, rec.y, *rec.x])
+        for s, a, y, x in zip(data.s, data.a, data.y, data.x):
+            writer.writerow([int(s), int(a), float(y), *(float(v) for v in x)])
 
 
 def base_config(data_path, **kw):
