@@ -166,13 +166,16 @@ def build_workspace(data: Dataset, model: StructuralModel,
         resid_design = a[:, None] * t_design
         p2 = 0
     else:
+        # blocks are written in place: no stacked temporaries beside the result
+        p1, p2 = model.p1, model.p2
         l_design = model.lambda_basis.design(data.x)
         obs = (1.0 - data.s)[:, None]
-        grad = np.hstack([t_design, obs * l_design])
-        resid_design = np.hstack(
-            [a[:, None] * t_design, obs * (a - e)[:, None] * l_design]
-        )
-        p2 = model.p2
+        grad = np.empty((data.n, p1 + p2))
+        resid_design = np.empty((data.n, p1 + p2))
+        grad[:, :p1] = t_design
+        np.multiply(obs, l_design, out=grad[:, p1:])
+        np.multiply(a[:, None], t_design, out=resid_design[:, :p1])
+        np.multiply(obs * (a - e)[:, None], l_design, out=resid_design[:, p1:])
     base_resid = data.y - mu
     for name, arr in (("propensity", e), ("outcome mean", mu),
                       ("variance", v1), ("variance", v0)):
@@ -196,10 +199,13 @@ def mean_score(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
 
 def mean_score_jacobian(ws: ScoreWorkspace) -> np.ndarray:
     """Average derivative of the score in the coefficients (constant)."""
-    return -(ws.grad * ws.score_weight[:, None]).T @ ws.resid_design / ws.n
+    # negate the (p, p) product, not the (n, p) factor: the same numbers
+    # without a second record-length temporary
+    return -((ws.grad * ws.score_weight[:, None]).T @ ws.resid_design) / ws.n
 
 
-def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans) -> PsiVector:
+def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans,
+                         designs: dict | None = None) -> PsiVector:
     """Least-squares starting values from cell-mean differences.
 
     The effect coefficients regress the trial arm-mean difference on the
@@ -207,19 +213,23 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
     regress the observational arm-mean difference minus the fitted
     effect curve on the confounding basis over observational records.
     With exact cell means and representable curves both steps are exact.
+    ``designs`` is the cell means' ``source_designs`` of ``data`` when
+    the caller holds it.
     """
     trial = data.s == 1
     if not trial.any():
         raise ValidationError("preliminary estimate requires trial records")
     xt = data.x[trial]
-    delta_trial = cond_y.predict(1, 1, xt) - cond_y.predict(0, 1, xt)
+    dt = designs[1] if designs is not None else None  # rows of xt
+    delta_trial = cond_y.predict(1, 1, xt, dt) - cond_y.predict(0, 1, xt, dt)
     phi = _solve_penalized(model.tau_basis.design(xt), delta_trial, 0.0,
                            "preliminary effect fit")
     obs = data.s == 0
     if not obs.any():
         return PsiVector(phi, np.zeros(model.p2))
     xo = data.x[obs]
-    delta_obs = cond_y.predict(1, 0, xo) - cond_y.predict(0, 0, xo)
+    dobs = designs[0] if designs is not None else None  # rows of xo
+    delta_obs = cond_y.predict(1, 0, xo, dobs) - cond_y.predict(0, 0, xo, dobs)
     resid = delta_obs - model.tau(phi, xo)
     lam = _solve_penalized(model.lambda_basis.design(xo), resid, 0.0,
                            "preliminary confounding fit")
@@ -289,7 +299,8 @@ def solve_rct(data: Dataset, model: StructuralModel, nuis: NuisanceSet | Nuisanc
     return SolveReport(PsiVector(params, np.zeros(0)), its, norm, converged, fallback, ws)
 
 
-def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity) -> np.ndarray:
+def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity,
+                  designs: dict | None = None) -> np.ndarray:
     """Pooled inverse-propensity comparator for the effect coefficients.
 
     Regresses ``a*y/e - (1-a)*y/(1-e)`` on the effect basis over the
@@ -297,9 +308,10 @@ def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity) -> n
     observational source this is biased by construction.  Uses the raw
     fitted probabilities rather than the clipped ones; the instability
     of plain inverse weighting near extreme propensities is part of
-    what the benchmark is meant to show.
+    what the benchmark is meant to show.  ``designs`` is the propensity
+    fits' ``source_designs`` of ``data`` when the caller holds it.
     """
-    e = e_fit.predict_raw(data.x, data.s)
+    e = e_fit.predict_raw(data.x, data.s, designs)
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise NumericalError("meta comparator: fitted propensities reached 0 or 1")
     a = data.a.astype(float)
@@ -316,45 +328,46 @@ def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpe
 
 
 def _outcome_nuisances_at(data: Dataset, model: StructuralModel, psi: PsiVector,
-                          e_fit, e_hat, cond_y, spec, opts: FitOptions,
-                          designs: dict | None = None):
+                          e_fit, e_hat, cond_y, spec, opts: FitOptions, designs: dict):
     """Refit the coefficient-dependent nuisances (mu, sigma2) at ``psi``.
 
-    Returns the refitted set and its values on ``data``.  The fits share
-    one design of ``spec`` per source: ``designs`` when the caller's
-    stage holds it, else one built here and dropped on return.
+    Returns the refitted set and its values on ``data``.  Fits and values
+    read ``designs``, the pipeline's ``source_designs(data, spec)``; a
+    variance basis other than ``spec`` gets its own designs here.
     """
-    if designs is None:
-        designs = source_designs(data, spec)
     mu_fit = fit_outcome_mean(data, model, psi, e_fit, spec, ridge=opts.ridge,
                               e_hat=e_hat, designs=designs)
-    mu_hat = mu_fit.predict(data.x, data.s)
+    mu_hat = mu_fit.predict(data.x, data.s, designs)
     var_spec = _variance_spec(data, spec, opts)
+    var_designs = designs if var_spec is spec else source_designs(data, var_spec)
     var_fit = fit_variance_function(data, model, psi, e_fit, mu_fit, var_spec,
                                     ridge=opts.ridge, e_hat=e_hat, mu_hat=mu_hat,
-                                    designs=designs if var_spec is spec else None)
-    nuis = NuisanceSet(e_fit, mu_fit, var_fit, cond_y)
-    return nuis, nuis.evaluate(data, e=e_hat, mu=mu_hat)
+                                    designs=var_designs)
+    values = NuisanceValues(e_hat, mu_hat,
+                            var_fit.predict(1, data.x, data.s, var_designs),
+                            var_fit.predict(0, data.x, data.s, var_designs))
+    return NuisanceSet(e_fit, mu_fit, var_fit, cond_y), values
 
 
 def _base_stage(data: Dataset, model: StructuralModel, opts: FitOptions):
     """Fit the nuisance cascade at the preliminary coefficients.
 
     Order: propensities, per-cell outcome means, preliminary coefficients,
-    pseudo-outcome means per source, residual variances per cell.  All
-    fits share one spline design per source, and the propensities are
-    evaluated on the sample once, for this and every later refit.
+    pseudo-outcome means per source, residual variances per cell.  The
+    spline design is built once per source and returned, for every fit
+    and in-sample prediction of this and every later refit; the
+    propensities are likewise evaluated on the sample once.
     """
     spec = build_spline_basis(data, opts.knots)
     designs = source_designs(data, spec)
     e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
                            clip=opts.clip_e, ridge=opts.ridge, designs=designs)
-    e_hat = e_fit.predict(data.x, data.s)
+    e_hat = e_fit.predict(data.x, data.s, designs)
     cond_y = fit_conditional_outcomes(data, spec, ridge=opts.ridge, designs=designs)
-    psi_pre = preliminary_estimate(data, model, cond_y)
+    psi_pre = preliminary_estimate(data, model, cond_y, designs)
     base, values = _outcome_nuisances_at(data, model, psi_pre, e_fit, e_hat, cond_y,
                                          spec, opts, designs)
-    return spec, e_fit, e_hat, cond_y, psi_pre, base, values
+    return spec, designs, e_fit, e_hat, cond_y, psi_pre, base, values
 
 
 def fit_nuisances(data: Dataset, model: StructuralModel,
@@ -397,11 +410,13 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     unknown = set(which) - {"integrative", "rct", "meta"}
     if unknown:
         raise ValidationError(f"unknown estimators requested: {sorted(unknown)}")
-    spec, e_fit, e_hat, cond_y, psi_pre, base, base_values = _base_stage(data, model, opts)
+    (spec, designs, e_fit, e_hat, cond_y, psi_pre,
+     base, base_values) = _base_stage(data, model, opts)
     result = PipelineResult(base, psi_pre)
-    # The trial-only fit runs first so that the pooled workspace, the
-    # larger one, is never held across the other estimator's refits; each
-    # refine round likewise drops the previous workspace before refitting.
+    # The spline designs are held until the last estimator ends.  The
+    # trial-only fit runs first so that the pooled workspace, the larger
+    # one, is never held across the other estimator's refits; each refine
+    # round likewise drops the previous workspace before refitting.
     if "rct" in which:
         rnuis = base
         rep = solve_rct(data, model, base_values, psi_pre.phi)
@@ -410,7 +425,8 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
                 break
             phi, rep = rep.psi_hat.phi, None
             rnuis, values = _outcome_nuisances_at(data, model, PsiVector(phi, psi_pre.lam),
-                                                  e_fit, e_hat, cond_y, spec, opts)
+                                                  e_fit, e_hat, cond_y, spec, opts,
+                                                  designs)
             rep = solve_rct(data, model, values, phi)
         result.rct, result.rct_nuisances = rep, rnuis
     if "integrative" in which:
@@ -420,10 +436,10 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
             if rep.fallback_used:
                 break
             psi, rep = rep.psi_hat, None
-            nuis, values = _outcome_nuisances_at(data, model, psi,
-                                                 e_fit, e_hat, cond_y, spec, opts)
+            nuis, values = _outcome_nuisances_at(data, model, psi, e_fit, e_hat,
+                                                 cond_y, spec, opts, designs)
             rep = solve_integrative(data, model, values, psi)
         result.integrative, result.nuisances = rep, nuis
     if "meta" in which:
-        result.meta_coef = meta_estimate(data, model, e_fit)
+        result.meta_coef = meta_estimate(data, model, e_fit, designs)
     return result

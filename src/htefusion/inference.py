@@ -107,10 +107,14 @@ class GofResult:
     p_value: float
 
 
-def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _require_invertible(mat: np.ndarray, what: str) -> None:
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(f"{what} is numerically singular (condition number {cond:.3g})")
+
+
+def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    _require_invertible(mat, what)
     return np.linalg.solve(mat, rhs)
 
 
@@ -145,8 +149,9 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVecto
     scores = score_matrix(ws, params)
     bread = mean_score_jacobian(ws)
     meat = scores.T @ scores / ws.n
-    half = _solve_square(bread, meat, "sandwich bread")
-    cov = _solve_square(bread, half.T, "sandwich bread") / ws.n
+    _require_invertible(bread, "sandwich bread")
+    half = np.linalg.solve(bread, meat)
+    cov = np.linalg.solve(bread, half.T) / ws.n
     cov = (cov + cov.T) / 2.0
     if trial_only:
         kept = PsiVector(params, np.zeros(0))

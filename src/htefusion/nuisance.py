@@ -137,11 +137,15 @@ class AdditiveRegressor:
     link: str = "identity"
     ridge: float = 1e-6
 
-    def linear_predictor(self, X) -> np.ndarray:
-        return self.basis.design(np.asarray(X, dtype=float)) @ self.coef
-
-    def predict(self, X) -> np.ndarray:
-        eta = self.linear_predictor(X)
+    def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
+        """Fitted values at ``X``; ``design`` is ``basis.design(X)`` when the
+        caller already holds it."""
+        X = np.asarray(X, dtype=float)
+        if design is None:
+            design = self.basis.design(X)
+        elif design.shape != (X.shape[0], self.basis.p):
+            raise ValidationError("design does not match X and the basis")
+        eta = design @ self.coef
         if self.link == "logit":
             return expit(eta)
         return eta
@@ -217,25 +221,41 @@ class KnownFunction:
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
+        """``fn`` at ``X``; a known surface needs no ``design``."""
         X = np.asarray(X, dtype=float)
         out = np.asarray(self.fn(X), dtype=float)
         return np.broadcast_to(out, (X.shape[0],)).copy()
 
 
-def _predict_component(component, X) -> np.ndarray:
+def _predict_component(component, X, design: np.ndarray | None = None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if np.isscalar(component) or isinstance(component, (int, float)):
         return np.full(X.shape[0], float(component))
-    return np.asarray(component.predict(X), dtype=float)
+    return np.asarray(component.predict(X, design), dtype=float)
 
 
-def _predict_cells(components: dict, X, labels: tuple, missing: str) -> np.ndarray:
+def _source_rows(designs: dict, sources: np.ndarray, source: int,
+                 mask: np.ndarray) -> np.ndarray:
+    """Rows ``mask`` of the design held for ``source``'s records."""
+    in_source = sources == source
+    design = designs.get(source)
+    if design is None or design.shape[0] != np.count_nonzero(in_source):
+        raise ValidationError(f"design does not match the records of source s={source}")
+    rows = mask[in_source]
+    return design if rows.all() else design[rows]
+
+
+def _predict_cells(components: dict, X, labels: tuple, missing: str,
+                   designs: dict | None = None) -> np.ndarray:
     """Evaluate each component on the rows whose labels equal its key.
 
     ``labels`` holds one per-record column per key part: the source, or
-    the arm and the source.  Rows are selected with one mask per key; a
-    row that no key matches raises ``missing`` filled with its labels.
+    the arm and the source, which comes last.  Rows are selected with one
+    mask per key; a row that no key matches raises ``missing`` filled
+    with its labels.  ``designs`` maps each source to the components'
+    design over that source's records, in order, when the caller holds
+    it; each component then reads its own rows of it.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -248,7 +268,10 @@ def _predict_cells(components: dict, X, labels: tuple, missing: str) -> np.ndarr
         for col, part in zip(labels[1:], key[1:]):
             mask &= col == part
         if mask.any():
-            out[mask] = _predict_component(component, X[mask])
+            design = None
+            if designs is not None:
+                design = _source_rows(designs, labels[-1], key[-1], mask)
+            out[mask] = _predict_component(component, X[mask], design)
             covered |= mask
     if not covered.all():
         row = int(np.argmin(covered))
@@ -263,14 +286,16 @@ class Propensity:
     by_source: dict
     clip: float = 0.01
 
-    def predict(self, X, s) -> np.ndarray:
-        return np.clip(self.predict_raw(X, s), self.clip, 1.0 - self.clip)
+    def predict(self, X, s, designs: dict | None = None) -> np.ndarray:
+        """Clipped probabilities; ``designs`` is ``source_designs`` of the
+        records when the caller holds it."""
+        return np.clip(self.predict_raw(X, s, designs), self.clip, 1.0 - self.clip)
 
-    def predict_raw(self, X, s) -> np.ndarray:
+    def predict_raw(self, X, s, designs: dict | None = None) -> np.ndarray:
         """Fitted probabilities without the clip, for callers that want the
         raw inverse weights (the pooled comparator deliberately does)."""
         return _predict_cells(self.by_source, X, (s,),
-                              "no propensity component for source s={}")
+                              "no propensity component for source s={}", designs)
 
 
 @dataclass
@@ -279,9 +304,9 @@ class OutcomeMean:
 
     by_source: dict
 
-    def predict(self, X, s) -> np.ndarray:
+    def predict(self, X, s, designs: dict | None = None) -> np.ndarray:
         return _predict_cells(self.by_source, X, (s,),
-                              "no outcome-mean component for source s={}")
+                              "no outcome-mean component for source s={}", designs)
 
 
 @dataclass
@@ -290,11 +315,13 @@ class CellMeans:
 
     by_cell: dict
 
-    def predict(self, a: int, s: int, X) -> np.ndarray:
+    def predict(self, a: int, s: int, X, design: np.ndarray | None = None) -> np.ndarray:
+        """The cell's mean at ``X``; ``design`` is the basis design of ``X``
+        when the caller holds it."""
         key = (int(a), int(s))
         if key not in self.by_cell:
             raise ValidationError(f"no conditional-outcome fit for cell (a={a}, s={s})")
-        return _predict_component(self.by_cell[key], np.asarray(X, dtype=float))
+        return _predict_component(self.by_cell[key], X, design)
 
 
 @dataclass
@@ -304,9 +331,9 @@ class VarianceFunction:
     by_cell: dict
     bounds: tuple
 
-    def predict(self, a, X, s) -> np.ndarray:
+    def predict(self, a, X, s, designs: dict | None = None) -> np.ndarray:
         out = _predict_cells(self.by_cell, X, (a, s),
-                             "no variance fit for cell (a={}, s={})")
+                             "no variance fit for cell (a={}, s={})", designs)
         return np.clip(out, self.bounds[0], self.bounds[1])
 
 
@@ -317,8 +344,8 @@ class _SmearedLogVariance:
         self.reg = reg
         self.smear = float(smear)
 
-    def predict(self, X) -> np.ndarray:
-        return np.exp(self.reg.predict(X)) * self.smear
+    def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
+        return np.exp(self.reg.predict(X, design)) * self.smear
 
 
 @dataclass(frozen=True)
@@ -365,8 +392,8 @@ class NuisanceSet:
 def source_designs(data: Dataset, spec: BasisSpec) -> dict:
     """``spec``'s design over each source's records, keyed by source.
 
-    The nuisance fits of one stage share these rather than rebuilding the
-    same columns per fit; the stage drops them when it ends.
+    The nuisance fits and in-sample predictions of a whole fit share
+    these rather than rebuilding the same columns per call.
     """
     return {src: spec.design(data.x[data.s == src])
             for src in (0, 1) if (data.s == src).any()}
@@ -374,12 +401,13 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
 
 def _stage_design(designs: dict | None, data: Dataset, source: int,
                   arm: int | None = None) -> np.ndarray | None:
-    """Rows of a stage design for one source, or for one (arm, source) cell."""
+    """Rows of the held designs for one source, or for one (arm, source) cell."""
     if designs is None:
         return None
-    if arm is None:
-        return designs[source]
-    return designs[source][data.a[data.s == source] == arm]
+    mask = data.s == source
+    if arm is not None:
+        mask &= data.a == arm
+    return _source_rows(designs, data.s, source, mask)
 
 
 def _require_both_arms(data: Dataset, source: int, context: str):

@@ -23,6 +23,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
     FitOptions,
@@ -371,7 +372,9 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
             f"{worst:.2f} (limit 3)")
 
 
-def test_criterion_8d_results_independent_of_worker_count():
+def test_criterion_8d_results_independent_of_worker_count(monkeypatch):
+    # two workers even on a one-core host, where jobs is capped at one
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
     cfg = SimConfig(beta=(1.0,) * 5, reps=6,
                     gof_alt_tau=BasisSpec((product_term(0, 1),)))
     one = run_monte_carlo(cfg).to_dict()

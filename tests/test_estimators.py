@@ -34,6 +34,7 @@ from htefusion import (
     solve_rct,
     square_term,
 )
+import htefusion.estimators as estimators
 from htefusion.estimators import residuals
 from conftest import make_config, true_nuisances, true_psi
 from oracles import efficient_score, score_jacobian
@@ -320,3 +321,63 @@ class TestPipeline:
         b = run_pipeline(data, model, opts, which=("integrative",))
         assert np.array_equal(a.integrative.psi_hat.stacked,
                               b.integrative.psi_hat.stacked)
+
+
+class TestCachedDesigns:
+    """The pipeline's held spline designs give the design-free values."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return make_config(beta=1.0, seed=3).model()
+
+    @pytest.mark.parametrize("var_knots", [None, 4])
+    def test_base_values_equal_design_free_evaluation(self, desk_data, model, var_knots):
+        opts = FitOptions(knots=4, var_knots=var_knots)
+        *_, base, values = estimators._base_stage(desk_data, model, opts)
+        plain = base.evaluate(desk_data)
+        for name in ("e", "mu", "v1", "v0"):
+            assert np.array_equal(getattr(values, name), getattr(plain, name)), name
+
+    def test_estimates_equal_design_free_estimates(self, desk_data, model):
+        _, designs, e_fit, _, cond_y, *_ = estimators._base_stage(
+            desk_data, model, FitOptions(knots=4))
+        assert np.array_equal(preliminary_estimate(desk_data, model, cond_y).stacked,
+                              preliminary_estimate(desk_data, model, cond_y,
+                                                   designs).stacked)
+        assert np.array_equal(meta_estimate(desk_data, model, e_fit),
+                              meta_estimate(desk_data, model, e_fit, designs))
+
+    def test_mismatched_design_raises(self, desk_data, model):
+        _, designs, e_fit, _, cond_y, *_, base, _ = estimators._base_stage(
+            desk_data, model, FitOptions(knots=4))
+        x, s = desk_data.x, desk_data.s
+        short = {0: designs[0][:-1], 1: designs[1]}
+        with pytest.raises(ValidationError, match="design does not match"):
+            e_fit.predict(x, s, short)
+        with pytest.raises(ValidationError, match="design does not match"):
+            base.mu.predict(x, s, {1: designs[1]})
+        with pytest.raises(ValidationError, match="design does not match"):
+            cond_y.predict(1, 1, x[s == 1], designs[1][:, :-1])
+        with pytest.raises(ValidationError, match="design does not match"):
+            preliminary_estimate(desk_data, model, cond_y, {0: designs[0], 1: designs[0]})
+
+    def test_one_spline_design_per_source(self, desk_data, model, monkeypatch):
+        built, rows = [], []
+        build = estimators.build_spline_basis
+        design = BasisSpec.design
+
+        def capture(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def counting(self, X):
+            if any(self is spec for spec in built):
+                rows.append(np.shape(X)[0])
+            return design(self, X)
+
+        monkeypatch.setattr(estimators, "build_spline_basis", capture)
+        monkeypatch.setattr(BasisSpec, "design", counting)
+        run_pipeline(desk_data, model, FitOptions(knots=4),
+                     which=("integrative", "rct", "meta"))
+        assert len(built) == 1
+        assert sorted(rows) == sorted([desk_data.n_obs, desk_data.n_trial])

@@ -9,6 +9,7 @@ from htefusion import (
     FitOptions,
     NumericalError,
     PsiVector,
+    SimConfig,
     StructuralModel,
     ValidationError,
     ate_estimate,
@@ -21,6 +22,7 @@ from htefusion import (
     precision_gain,
     product_term,
     run_pipeline,
+    run_replicate,
     sandwich_covariance,
     score_matrix,
     solve_integrative,
@@ -64,6 +66,25 @@ class TestSandwich:
         assert est.n == data.n
         assert np.allclose(est.se, np.sqrt(np.diag(est.cov)))
         assert est.phi_cov.shape == (model.p1, model.p1)
+
+    def test_bread_condition_is_checked_once(self, monkeypatch, solved):
+        cfg, data, model, nuis, rep, est = solved
+        shapes = []
+        cond = np.linalg.cond
+
+        def counting(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return cond(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        again = sandwich_covariance(data, model, rep.psi_hat, nuis)
+        assert shapes == [(model.p, model.p)]
+        assert np.array_equal(again.cov, est.cov)
+        # one check per sandwich (pooled and trial-only), two in the test
+        shapes.clear()
+        run_replicate(SimConfig(n=200, m=600, beta=(1.0,) * 5, reps=1, seed=1,
+                                gof_alt_tau=BasisSpec((product_term(0, 1),))), 0)
+        assert len(shapes) == 4
 
     def test_trial_only_equals_trial_subset(self, solved):
         cfg, data, model, nuis, rep, est = solved

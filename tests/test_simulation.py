@@ -274,8 +274,10 @@ class TestRunMonteCarlo:
         assert st.mc_mean == pytest.approx(pts.mean())
         assert st.mc_var == pytest.approx(pts.var(ddof=1))
 
-    def test_worker_count_does_not_change_results(self, tiny_study):
+    def test_worker_count_does_not_change_results(self, monkeypatch, tiny_study):
         cfg, mc = tiny_study
+        # two workers even on a one-core host, where jobs is capped at one
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
         twice = run_monte_carlo(dataclasses.replace(cfg, jobs=2))
         a, b = mc.to_dict(), twice.to_dict()
         assert a.pop("config")["jobs"] == 1
