@@ -27,12 +27,20 @@ and one linear solve finds its root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import BasisSpec, Dataset, PsiVector, StructuralModel, constant_term
+from .model import (
+    BasisSpec,
+    Dataset,
+    PsiVector,
+    StructuralModel,
+    _check_design,
+    constant_term,
+    pseudo_outcomes,
+)
 from .nuisance import (
     CellMeans,
     NuisanceSet,
@@ -135,24 +143,34 @@ class ScoreWorkspace:
 
 def build_workspace(data: Dataset, model: StructuralModel,
                     nuis: NuisanceSet | NuisanceValues,
-                    trial_only: bool = False) -> ScoreWorkspace:
+                    trial_only: bool = False, *,
+                    design: np.ndarray | None = None) -> ScoreWorkspace:
     """Cache every score ingredient of the nuisances on ``data``.
 
     ``nuis`` is a fitted set, evaluated here once, or its values already
-    evaluated on every record of ``data``.  With ``trial_only`` the
-    workspace is restricted to randomized records and to the effect
-    block; the result is identical whether or not observational records
-    are present in ``data``.
+    evaluated on every record of ``data``.  ``design`` is
+    ``model.design(data.x)`` when the caller holds it.  With
+    ``trial_only`` the workspace is restricted to randomized records and
+    to the effect block, only the effect columns of ``design`` are read,
+    and it may hold only those; the result is identical whether or not
+    observational records are present in ``data``.
     """
     values = nuis if isinstance(nuis, NuisanceValues) else None
     if values is not None and values.e.shape != (data.n,):
         raise ValidationError("nuisance values do not match the number of records")
+    p1 = model.p1
+    if design is not None:
+        _check_design(design, data.n, p1 if trial_only else model.p)
     if trial_only:
         if data.n_trial == 0:
             raise ValidationError("trial-only workspace requires s=1 records")
-        if values is not None:
-            values = values.subset(data.s == 1)
-        data = data.trial_only()
+        if data.n_obs:
+            keep = data.rows(1)
+            if values is not None:
+                values = values.subset(keep)
+            if design is not None:
+                design = design[keep, :p1]
+            data = data.trial_only()
     if values is None:
         values = nuis.evaluate(data)
     e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
@@ -160,15 +178,17 @@ def build_workspace(data: Dataset, model: StructuralModel,
     own_w = np.where(data.a == 1, 1.0 / v1, 1.0 / v0)
     weighted_a = (e / v1) / (e / v1 + (1.0 - e) / v0)
     k = (a - weighted_a) * own_w
-    t_design = model.tau_basis.design(data.x)
+    if design is None:
+        design = model.tau_basis.design(data.x) if trial_only else model.design(data.x)
+    t_design = design[:, :p1]
     if trial_only:
-        grad = t_design
+        grad = np.ascontiguousarray(t_design)
         resid_design = a[:, None] * t_design
         p2 = 0
     else:
         # blocks are written in place: no stacked temporaries beside the result
-        p1, p2 = model.p1, model.p2
-        l_design = model.lambda_basis.design(data.x)
+        p2 = model.p2
+        l_design = design[:, p1:p1 + p2]
         obs = (1.0 - data.s)[:, None]
         grad = np.empty((data.n, p1 + p2))
         resid_design = np.empty((data.n, p1 + p2))
@@ -182,6 +202,16 @@ def build_workspace(data: Dataset, model: StructuralModel,
         if not np.isfinite(arr).all():
             raise NumericalError(f"non-finite {name} predictions in the workspace")
     return ScoreWorkspace(grad, resid_design, base_resid, k, a - e, model.p1, p2)
+
+
+def _check_workspace(ws: ScoreWorkspace, data: Dataset, model: StructuralModel,
+                     trial_only: bool) -> ScoreWorkspace:
+    """``ws`` once it is shown to hold the equations of ``data`` and ``model``."""
+    n = data.n_trial if trial_only else data.n
+    p2 = 0 if trial_only else model.p2
+    if (ws.n, ws.p1, ws.p2) != (n, model.p1, p2):
+        raise ValidationError("workspace does not match the data, model or trial_only")
+    return ws
 
 
 def residuals(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
@@ -216,7 +246,7 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
     ``designs`` is the cell means' ``source_designs`` of ``data`` when
     the caller holds it.
     """
-    trial = data.s == 1
+    trial = data.rows(1)
     if not trial.any():
         raise ValidationError("preliminary estimate requires trial records")
     xt = data.x[trial]
@@ -224,7 +254,7 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
     delta_trial = cond_y.predict(1, 1, xt, dt) - cond_y.predict(0, 1, xt, dt)
     phi = _solve_penalized(model.tau_basis.design(xt), delta_trial, 0.0,
                            "preliminary effect fit")
-    obs = data.s == 0
+    obs = data.rows(0)
     if not obs.any():
         return PsiVector(phi, np.zeros(model.p2))
     xo = data.x[obs]
@@ -264,22 +294,24 @@ def _linear_solve(ws: ScoreWorkspace, init: np.ndarray):
 
 
 def solve_integrative(data: Dataset, model: StructuralModel,
-                      nuis: NuisanceSet | NuisanceValues,
+                      nuis: NuisanceSet | NuisanceValues | ScoreWorkspace,
                       psi_init: PsiVector) -> SolveReport:
     """Solve the pooled estimating equations for all coefficients.
 
     ``nuis`` is a fitted set or its values on ``data``, as for
-    :func:`build_workspace`.
+    :func:`build_workspace`, or the workspace built from them.
     """
     if data.n_trial == 0 or data.n_obs == 0:
         raise ValidationError("integrative fitting needs records from both sources")
     for source in (0, 1):
-        mask = data.s == source
-        if np.unique(data.a[mask]).size < 2:
+        if np.unique(data.a[data.rows(source)]).size < 2:
             raise ValidationError(
                 f"integrative fitting: source s={source} contains a single arm"
             )
-    ws = build_workspace(data, model, nuis)
+    if isinstance(nuis, ScoreWorkspace):
+        ws = _check_workspace(nuis, data, model, trial_only=False)
+    else:
+        ws = build_workspace(data, model, nuis)
     init = psi_init.stacked
     if init.size != ws.p:
         raise ValidationError("starting values do not match the model dimension")
@@ -288,10 +320,17 @@ def solve_integrative(data: Dataset, model: StructuralModel,
                        converged, fallback, ws)
 
 
-def solve_rct(data: Dataset, model: StructuralModel, nuis: NuisanceSet | NuisanceValues,
+def solve_rct(data: Dataset, model: StructuralModel,
+              nuis: NuisanceSet | NuisanceValues | ScoreWorkspace,
               phi_init: np.ndarray) -> SolveReport:
-    """Solve the trial-only equations for the effect coefficients."""
-    ws = build_workspace(data, model, nuis, trial_only=True)
+    """Solve the trial-only equations for the effect coefficients.
+
+    ``nuis`` is as for :func:`solve_integrative`.
+    """
+    if isinstance(nuis, ScoreWorkspace):
+        ws = _check_workspace(nuis, data, model, trial_only=True)
+    else:
+        ws = build_workspace(data, model, nuis, trial_only=True)
     init = np.asarray(phi_init, dtype=float)
     if init.size != model.p1:
         raise ValidationError("starting values do not match the effect dimension")
@@ -327,36 +366,79 @@ def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpe
     return build_spline_basis(data, opts.var_knots)
 
 
-def _outcome_nuisances_at(data: Dataset, model: StructuralModel, psi: PsiVector,
-                          e_fit, e_hat, cond_y, spec, opts: FitOptions, designs: dict):
+@dataclass(frozen=True)
+class _Stage:
+    """What every refine round of one estimator reads unchanged.
+
+    ``data`` holds the records the estimator reads; ``designs`` and
+    ``var_designs`` are the nuisance and variance-basis designs over
+    them by source, and ``e_hat`` the propensities at them.  The bases,
+    the fixed nuisance fits and ``y_var``, the outcome variance the
+    sigma2 bounds scale, come from the pooled sample in every stage.
+    """
+
+    data: Dataset
+    spec: BasisSpec
+    designs: dict
+    var_spec: BasisSpec
+    var_designs: dict
+    e_fit: Propensity
+    e_hat: np.ndarray
+    cond_y: CellMeans
+    y_var: float
+    trial_only: bool = False
+
+    def trial(self) -> "_Stage":
+        """The trial-only estimator's stage: the same fits on the trial records."""
+        return replace(self, data=self.data.trial_only(), designs={1: self.designs[1]},
+                       var_designs={1: self.var_designs[1]},
+                       e_hat=self.e_hat[self.data.rows(1)], trial_only=True)
+
+    def design(self, model: StructuralModel) -> np.ndarray:
+        """``model.design`` over the stage's records; a trial-only stage
+        reads the effect columns alone."""
+        x = self.data.x
+        return model.tau_basis.design(x) if self.trial_only else model.design(x)
+
+
+def _outcome_nuisances_at(stage: _Stage, model: StructuralModel, psi: PsiVector,
+                          ridge: float, design: np.ndarray):
     """Refit the coefficient-dependent nuisances (mu, sigma2) at ``psi``.
 
-    Returns the refitted set and its values on ``data``.  Fits and values
-    read ``designs``, the pipeline's ``source_designs(data, spec)``; a
-    variance basis other than ``spec`` gets its own designs here.
+    Fits the stage's records only, from one pseudo-outcome computed on
+    ``design``, which is ``stage.design(model)``.  Returns the refitted set
+    and its values on the stage's records.
     """
-    mu_fit = fit_outcome_mean(data, model, psi, e_fit, spec, ridge=opts.ridge,
-                              e_hat=e_hat, designs=designs)
-    mu_hat = mu_fit.predict(data.x, data.s, designs)
-    var_spec = _variance_spec(data, spec, opts)
-    var_designs = designs if var_spec is spec else source_designs(data, var_spec)
-    var_fit = fit_variance_function(data, model, psi, e_fit, mu_fit, var_spec,
-                                    ridge=opts.ridge, e_hat=e_hat, mu_hat=mu_hat,
-                                    designs=var_designs)
-    values = NuisanceValues(e_hat, mu_hat,
-                            var_fit.predict(1, data.x, data.s, var_designs),
-                            var_fit.predict(0, data.x, data.s, var_designs))
-    return NuisanceSet(e_fit, mu_fit, var_fit, cond_y), values
+    data = stage.data
+    h = pseudo_outcomes(model, psi, data, stage.e_hat, design)
+    mu_fit = fit_outcome_mean(data, model, psi, stage.e_fit, stage.spec, ridge=ridge,
+                              designs=stage.designs, h=h)
+    mu_hat = mu_fit.predict(data.x, data.s, stage.designs)
+    var_fit = fit_variance_function(data, model, psi, stage.e_fit, mu_fit, stage.var_spec,
+                                    ridge=ridge, mu_hat=mu_hat, designs=stage.var_designs,
+                                    h=h, y_var=stage.y_var)
+    values = NuisanceValues(stage.e_hat, mu_hat,
+                            var_fit.predict(1, data.x, data.s, stage.var_designs),
+                            var_fit.predict(0, data.x, data.s, stage.var_designs))
+    return NuisanceSet(stage.e_fit, mu_fit, var_fit, stage.cond_y), values
 
 
-def _base_stage(data: Dataset, model: StructuralModel, opts: FitOptions):
+def _base_stage(data: Dataset, model: StructuralModel, opts: FitOptions,
+                which: tuple = ()):
     """Fit the nuisance cascade at the preliminary coefficients.
 
     Order: propensities, per-cell outcome means, preliminary coefficients,
     pseudo-outcome means per source, residual variances per cell.  The
-    spline design is built once per source and returned, for every fit
-    and in-sample prediction of this and every later refit; the
-    propensities are likewise evaluated on the sample once.
+    spline and variance-basis designs are built once per source and kept
+    in the returned stage, for every fit and in-sample prediction of
+    this and every later refit; the propensities are likewise evaluated
+    on the sample once.  The base round's effect and confounding design
+    also gives the first workspace of each estimator in ``which``; it
+    ends with this call, and so do the base set's values, which only
+    those workspaces read.
+
+    Returns the pooled stage, the preliminary coefficients, the base set
+    and ``{estimator: (stage, first workspace)}``.
     """
     spec = build_spline_basis(data, opts.knots)
     designs = source_designs(data, spec)
@@ -365,16 +447,65 @@ def _base_stage(data: Dataset, model: StructuralModel, opts: FitOptions):
     e_hat = e_fit.predict(data.x, data.s, designs)
     cond_y = fit_conditional_outcomes(data, spec, ridge=opts.ridge, designs=designs)
     psi_pre = preliminary_estimate(data, model, cond_y, designs)
-    base, values = _outcome_nuisances_at(data, model, psi_pre, e_fit, e_hat, cond_y,
-                                         spec, opts, designs)
-    return spec, designs, e_fit, e_hat, cond_y, psi_pre, base, values
+    var_spec = _variance_spec(data, spec, opts)
+    var_designs = designs if var_spec is spec else source_designs(data, var_spec)
+    stage = _Stage(data, spec, designs, var_spec, var_designs, e_fit, e_hat, cond_y,
+                   float(np.var(data.y)))
+    design = stage.design(model)
+    base, values = _outcome_nuisances_at(stage, model, psi_pre, opts.ridge, design)
+    first = {}
+    if "rct" in which:
+        first["rct"] = (stage.trial(), build_workspace(data, model, values, trial_only=True,
+                                                       design=design))
+    if "integrative" in which:
+        first["integrative"] = (stage, build_workspace(data, model, values, design=design))
+    return stage, psi_pre, base, first
 
 
 def fit_nuisances(data: Dataset, model: StructuralModel,
                   opts: FitOptions = FitOptions()):
     """Run the nuisance cascade; returns the set and the starting values."""
-    *_, psi_pre, base, _values = _base_stage(data, model, opts)
+    _, psi_pre, base, _ = _base_stage(data, model, opts)
     return base, psi_pre
+
+
+def _refine(first: dict, name: str, model: StructuralModel, nuis: NuisanceSet,
+            psi: PsiVector, opts: FitOptions):
+    """Solve estimator ``name`` from its stage and first workspace, which
+    it takes out of ``first``, then ``opts.refine`` times refit mu and
+    sigma2 on the stage's records at the solution and solve again.
+    Returns the last report and the set it was solved with.
+
+    A round's effect and confounding design ends once its workspace is
+    built, and the previous workspace is dropped before each refit, so
+    neither is held through another round's solve.
+    """
+    stage, ws = first.pop(name)
+    solve = solve_rct if stage.trial_only else solve_integrative
+
+    def start(psi):
+        return psi.phi if stage.trial_only else psi
+
+    rep = solve(stage.data, model, ws, start(psi))
+    for _ in range(max(0, opts.refine)):
+        if rep.fallback_used:
+            break
+        # the trial-only fit keeps the preliminary confounding coefficients,
+        # which no trial record reads
+        psi = PsiVector(rep.psi_hat.phi, psi.lam) if stage.trial_only else rep.psi_hat
+        rep = ws = None  # the previous workspace goes before the refit
+        nuis, ws = _refit(stage, model, psi, opts.ridge)
+        rep = solve(stage.data, model, ws, start(psi))
+    return rep, nuis
+
+
+def _refit(stage: _Stage, model: StructuralModel, psi: PsiVector, ridge: float):
+    """One refine round: the refitted set and its workspace, from one
+    effect and confounding design that ends with the round."""
+    design = stage.design(model)
+    nuis, values = _outcome_nuisances_at(stage, model, psi, ridge, design)
+    return nuis, build_workspace(stage.data, model, values, stage.trial_only,
+                                 design=design)
 
 
 @dataclass
@@ -382,9 +513,12 @@ class PipelineResult:
     """Everything produced by one pass of the estimation cascade.
 
     ``nuisances`` is the set the integrative solve ended on (the base set
-    when no integrative fit was requested); ``rct_nuisances`` is the
-    trial estimator's own refined set, which never sees the pooled
-    coefficient path.
+    when no integrative fit was requested).  ``rct_nuisances`` is the set
+    the trial-only solve ended on, which never sees the pooled
+    coefficient path: after a refine round it holds the pooled
+    propensities and cell means with an outcome mean and variance cells
+    fitted on trial records only, so it has no observational components
+    for ``mu`` and ``sigma2``; without one it is the base set.
     """
 
     nuisances: NuisanceSet
@@ -405,41 +539,21 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     rounds (default one) refit mu and sigma2 at the solved coefficients
     and re-solve, which removes most of the leakage at desk-scale
     sample sizes.  Each estimator refines along its own coefficient
-    path: the trial-only fit never sees pooled coefficients.
+    path: the trial-only fit never sees pooled coefficients, and its
+    refits read trial records only.
     """
     unknown = set(which) - {"integrative", "rct", "meta"}
     if unknown:
         raise ValidationError(f"unknown estimators requested: {sorted(unknown)}")
-    (spec, designs, e_fit, e_hat, cond_y, psi_pre,
-     base, base_values) = _base_stage(data, model, opts)
+    stage, psi_pre, base, first = _base_stage(data, model, opts, which)
     result = PipelineResult(base, psi_pre)
-    # The spline designs are held until the last estimator ends.  The
-    # trial-only fit runs first so that the pooled workspace, the larger
-    # one, is never held across the other estimator's refits; each refine
-    # round likewise drops the previous workspace before refitting.
-    if "rct" in which:
-        rnuis = base
-        rep = solve_rct(data, model, base_values, psi_pre.phi)
-        for _ in range(max(0, opts.refine)):
-            if rep.fallback_used:
-                break
-            phi, rep = rep.psi_hat.phi, None
-            rnuis, values = _outcome_nuisances_at(data, model, PsiVector(phi, psi_pre.lam),
-                                                  e_fit, e_hat, cond_y, spec, opts,
-                                                  designs)
-            rep = solve_rct(data, model, values, phi)
-        result.rct, result.rct_nuisances = rep, rnuis
-    if "integrative" in which:
-        nuis = base
-        rep = solve_integrative(data, model, base_values, psi_pre)
-        for _ in range(max(0, opts.refine)):
-            if rep.fallback_used:
-                break
-            psi, rep = rep.psi_hat, None
-            nuis, values = _outcome_nuisances_at(data, model, psi, e_fit, e_hat,
-                                                 cond_y, spec, opts, designs)
-            rep = solve_integrative(data, model, values, psi)
-        result.integrative, result.nuisances = rep, nuis
+    # The pooled estimator runs first: its final workspace is then held only
+    # across the trial-only refits, which read the trial records alone.
+    if "integrative" in first:
+        result.integrative, result.nuisances = _refine(first, "integrative", model,
+                                                       base, psi_pre, opts)
+    if "rct" in first:
+        result.rct, result.rct_nuisances = _refine(first, "rct", model, base, psi_pre, opts)
     if "meta" in which:
-        result.meta_coef = meta_estimate(data, model, e_fit, designs)
+        result.meta_coef = meta_estimate(data, model, stage.e_fit, stage.designs)
     return result

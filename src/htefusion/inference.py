@@ -10,6 +10,7 @@ from scipy import stats
 from .errors import NumericalError, ValidationError
 from .estimators import (
     ScoreWorkspace,
+    _check_workspace,
     build_workspace,
     mean_score_jacobian,
     residuals,
@@ -123,11 +124,7 @@ def _workspace(data: Dataset, model: StructuralModel, nuis: NuisanceSet | ScoreW
     """The workspace a solve reported, or one built from a fitted set."""
     if not isinstance(nuis, ScoreWorkspace):
         return build_workspace(data, model, nuis, trial_only=trial_only)
-    n = data.n_trial if trial_only else data.n
-    p2 = 0 if trial_only else model.p2
-    if (nuis.n, nuis.p1, nuis.p2) != (n, model.p1, p2):
-        raise ValidationError("workspace does not match the data, model or trial_only")
-    return nuis
+    return _check_workspace(nuis, data, model, trial_only)
 
 
 def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVector,

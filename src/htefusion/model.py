@@ -53,10 +53,11 @@ class Dataset:
 
     Source/arm coverage is intentionally not enforced here: a trial-only
     dataset is valid input for trial-only fitting.  Estimation routines
-    check the coverage they actually need.
+    check the coverage they actually need.  Source and cell masks and the
+    trial subset are built once per dataset, on first use.
     """
 
-    __slots__ = ("s", "a", "y", "x")
+    __slots__ = ("s", "a", "y", "x", "_cache")
 
     def __init__(self, s, a, y, x):
         s = _check_binary(s, "s")
@@ -84,6 +85,7 @@ class Dataset:
         for name, col in (("s", s), ("a", a), ("y", y), ("x", x)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):  # columns are read-only
         raise AttributeError("Dataset is immutable")
@@ -115,8 +117,23 @@ class Dataset:
             raise ValidationError("subset would be empty")
         return Dataset(self.s[mask], self.a[mask], self.y[mask], self.x[mask])
 
+    def rows(self, source: int, arm: int | None = None) -> np.ndarray:
+        """Read-only mask of one source's records, or of one (arm, source) cell."""
+        key = (source, arm)
+        mask = self._cache.get(key)
+        if mask is None:
+            mask = self.s == source
+            if arm is not None:
+                mask &= self.a == arm
+            mask.flags.writeable = False
+            self._cache[key] = mask
+        return mask
+
     def trial_only(self) -> "Dataset":
-        return self.subset(self.s == 1)
+        trial = self._cache.get("trial")
+        if trial is None:
+            trial = self._cache["trial"] = self.subset(self.rows(1))
+        return trial
 
 
 def _natural_cubic_pieces(v: np.ndarray, knots: Sequence[float]) -> list:
@@ -321,12 +338,22 @@ class StructuralModel:
     def p(self) -> int:
         return self.p1 + self.p2
 
-    def _eval(self, basis: BasisSpec, coef, x):
+    def design(self, x) -> np.ndarray:
+        """The effect and confounding designs side by side, shape (n, p):
+        the first ``p1`` columns are ``b_tau(x)`` and the rest ``b_lam(x)``."""
+        return BasisSpec(self.tau_basis.terms + self.lambda_basis.terms).design(x)
+
+    @staticmethod
+    def _coef(basis: BasisSpec, coef) -> np.ndarray:
         coef = np.asarray(coef, dtype=float)
         if coef.shape != (basis.p,):
             raise ValidationError(
                 f"coefficient length {coef.shape} does not match basis size {basis.p}"
             )
+        return coef
+
+    def _eval(self, basis: BasisSpec, coef, x):
+        coef = self._coef(basis, coef)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(basis.row(x) @ coef)
@@ -341,15 +368,32 @@ class StructuralModel:
         return self._eval(self.lambda_basis, lam_coef, x)
 
 
-def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset, e_hat) -> np.ndarray:
+def _check_design(design: np.ndarray, n: int, cols: int) -> None:
+    """Reject a held design without ``n`` rows and at least ``cols`` columns."""
+    if design.ndim != 2 or design.shape[0] != n or design.shape[1] < cols:
+        raise ValidationError("design does not match the records and the model")
+
+
+def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset, e_hat,
+                    design: np.ndarray | None = None) -> np.ndarray:
     """Outcome purged of the modeled effect and confounding terms.
 
     H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for every record,
     with ``e_hat`` aligned with the records.  On trial records the
     confounding term vanishes, so H does not depend on ``e_hat`` or on
-    the confounding coefficients there.
+    the confounding coefficients there, and on a dataset of trial records
+    only it is not evaluated.  ``design`` is ``model.design(data.x)`` when
+    the caller holds it; without observational records only its effect
+    columns are read, and it may hold only those.
     """
+    obs = data.n_obs > 0
+    if design is None:
+        design = model.design(data.x) if obs else model.tau_basis.design(data.x)
+    _check_design(design, data.n, model.p if obs else model.p1)
+    p1 = model.p1
+    h = data.y - (design[:, :p1] @ model._coef(model.tau_basis, psi.phi)) * data.a
+    if not obs:
+        return h
     e_hat = np.broadcast_to(np.asarray(e_hat, dtype=float), (data.n,))
-    tau_vals = model.tau(psi.phi, data.x)
-    lam_vals = model.lam(psi.lam, data.x)
-    return data.y - tau_vals * data.a - (1 - data.s) * lam_vals * (data.a - e_hat)
+    lam_vals = design[:, p1:model.p] @ model._coef(model.lambda_basis, psi.lam)
+    return h - (1 - data.s) * lam_vals * (data.a - e_hat)

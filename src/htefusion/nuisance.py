@@ -101,7 +101,11 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
     The penalty is ``ridge`` times the mean diagonal of the Gram matrix,
     applied to every coefficient; ``ridge=0`` gives plain least squares.
     If the system is numerically singular the penalty is escalated a
-    hundredfold with a warning that names the fit, ``what``.
+    hundredfold with a warning that names the fit, ``what``.  Without a
+    penalty, an exactly singular system can still solve to finite numbers
+    that split collinear coefficients arbitrarily, so its rank is checked
+    first; the penalized fits, whose systems the ridge keeps regular, skip
+    that check.
     """
     gram = design.T @ design
     rhs = design.T @ target
@@ -110,7 +114,10 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
         scale = 1.0
     pen = ridge * scale
     eye = np.eye(design.shape[1])
-    for attempt in range(3):
+    first = 0
+    if pen == 0.0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
+        first, pen = 1, 1e-10 * scale  # the first escalation below
+    for attempt in range(first, 3):
         try:
             coef = np.linalg.solve(gram + pen * eye, rhs)
         except np.linalg.LinAlgError:
@@ -153,10 +160,12 @@ class AdditiveRegressor:
 
 def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 1e-6,
                  max_iter: int = 100, tol: float = 1e-10,
-                 design: np.ndarray | None = None) -> AdditiveRegressor:
+                 design: np.ndarray | None = None,
+                 what: str = "additive regression") -> AdditiveRegressor:
     """Fit an additive regression by penalized LS (identity) or IRLS (logit).
 
     ``design`` is ``basis.design(X)`` when the caller already holds it.
+    ``what`` names the fit in its warnings and errors.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -167,7 +176,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     elif design.shape != (X.shape[0], basis.p):
         raise ValidationError("design does not match X and the basis")
     if link == "identity":
-        coef = _solve_penalized(design, y, ridge)
+        coef = _solve_penalized(design, y, ridge, what)
         return AdditiveRegressor(basis, coef, "identity", ridge)
     if link != "logit":
         raise ValidationError(f"unknown link {link!r}")
@@ -195,7 +204,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
             new = np.linalg.solve(design.T @ (w[:, None] * design) + pen * eye,
                                   design.T @ (w * z))
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"IRLS update produced a singular system: {exc}")
+            raise NumericalError(f"{what}: IRLS update produced a singular system: {exc}")
         step = new - coef
         t = 1.0
         for _ in range(30):
@@ -205,13 +214,13 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
                 break
             t *= 0.5
         else:
-            raise NumericalError("IRLS step halving failed to reduce the deviance")
+            raise NumericalError(f"{what}: IRLS step halving failed to reduce the deviance")
         coef = cand
         if abs(dev - dev_new) < tol * (abs(dev) + 1.0):
             return AdditiveRegressor(basis, coef, "logit", ridge)
         dev = dev_new
     raise NumericalError(
-        f"IRLS did not converge in {max_iter} iterations (last deviance {dev:.6g})"
+        f"{what}: IRLS did not converge in {max_iter} iterations (last deviance {dev:.6g})"
     )
 
 
@@ -395,8 +404,8 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
     The nuisance fits and in-sample predictions of a whole fit share
     these rather than rebuilding the same columns per call.
     """
-    return {src: spec.design(data.x[data.s == src])
-            for src in (0, 1) if (data.s == src).any()}
+    return {src: spec.design(data.x[data.rows(src)])
+            for src in (0, 1) if data.rows(src).any()}
 
 
 def _stage_design(designs: dict | None, data: Dataset, source: int,
@@ -404,15 +413,11 @@ def _stage_design(designs: dict | None, data: Dataset, source: int,
     """Rows of the held designs for one source, or for one (arm, source) cell."""
     if designs is None:
         return None
-    mask = data.s == source
-    if arm is not None:
-        mask &= data.a == arm
-    return _source_rows(designs, data.s, source, mask)
+    return _source_rows(designs, data.s, source, data.rows(source, arm))
 
 
 def _require_both_arms(data: Dataset, source: int, context: str):
-    mask = data.s == source
-    arms = np.unique(data.a[mask])
+    arms = np.unique(data.a[data.rows(source)])
     if arms.size < 2:
         raise ValidationError(
             f"{context}: source s={source} contains a single treatment arm"
@@ -434,7 +439,7 @@ def fit_propensity(data: Dataset, spec: BasisSpec, trial_known: float | None = N
         raise ValidationError("clip must lie in (0, 0.5)")
     by_source = {}
     for source in (0, 1):
-        mask = data.s == source
+        mask = data.rows(source)
         if not mask.any():
             continue
         if source == 1 and trial_known is not None:
@@ -446,6 +451,7 @@ def fit_propensity(data: Dataset, spec: BasisSpec, trial_known: float | None = N
         by_source[source] = fit_additive(
             data.x[mask], data.a[mask].astype(float), spec, link="logit", ridge=ridge,
             design=_stage_design(designs, data, source),
+            what=f"propensity fit (s={source})",
         )
     if not by_source:
         raise ValidationError("propensity fit: dataset has no usable source")
@@ -461,7 +467,7 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
     by_cell = {}
     for s_val in (0, 1):
         for a_val in (0, 1):
-            mask = (data.s == s_val) & (data.a == a_val)
+            mask = data.rows(s_val, a_val)
             if not mask.any():
                 continue
             by_cell[(a_val, s_val)] = fit_additive(
@@ -475,19 +481,19 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
 
 def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
                      e_fit: Propensity, spec: BasisSpec, ridge: float = 1e-6, *,
-                     e_hat: np.ndarray | None = None,
-                     designs: dict | None = None) -> OutcomeMean:
+                     designs: dict | None = None,
+                     h: np.ndarray | None = None) -> OutcomeMean:
     """Regress the pseudo-outcome at the preliminary fit on X per source.
 
-    ``e_hat`` is ``e_fit`` already evaluated on ``data``, and ``designs``
-    is ``source_designs(data, spec)``, when the caller holds them.
+    ``designs`` is ``source_designs(data, spec)``, and ``h`` is the
+    pseudo-outcome of every record at ``psi_pre`` and ``e_fit``, when the
+    caller holds them.
     """
-    if e_hat is None:
-        e_hat = e_fit.predict(data.x, data.s)
-    h = pseudo_outcomes(model, psi_pre, data, e_hat)
+    if h is None:
+        h = pseudo_outcomes(model, psi_pre, data, e_fit.predict(data.x, data.s))
     by_source = {}
     for source in (0, 1):
-        mask = data.s == source
+        mask = data.rows(source)
         if not mask.any():
             continue
         by_source[source] = fit_additive(
@@ -500,33 +506,36 @@ def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
 def fit_variance_function(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
                           e_fit: Propensity, mu_fit: OutcomeMean, spec: BasisSpec,
                           ridge: float = 1e-6, rel_bounds: tuple = (1e-4, 1e4), *,
-                          e_hat: np.ndarray | None = None,
                           mu_hat: np.ndarray | None = None,
-                          designs: dict | None = None) -> VarianceFunction:
+                          designs: dict | None = None,
+                          h: np.ndarray | None = None,
+                          y_var: float | None = None) -> VarianceFunction:
     """Fit the residual variance surface per (a, s) cell.
 
     Squared centered pseudo-outcomes are regressed on the log scale and
     mapped back with the cell's empirical smearing factor, so that a
     homoscedastic truth is recovered without retransformation bias.
-    Predictions are clamped to ``rel_bounds`` times the pooled outcome
-    variance.  ``e_hat`` and ``mu_hat`` are ``e_fit`` and ``mu_fit``
-    already evaluated on ``data``, and ``designs`` is
-    ``source_designs(data, spec)``, when the caller holds them.
+    Predictions are clamped to ``rel_bounds`` times ``y_var``, by default
+    the variance of the outcomes in ``data``; a fit on a subset passes
+    the pooled one.  ``mu_hat`` is ``mu_fit`` already evaluated on
+    ``data``, ``designs`` is ``source_designs(data, spec)``, and ``h`` is
+    the pseudo-outcome of every record at ``psi_pre`` and ``e_fit``, when
+    the caller holds them.
     """
-    if e_hat is None:
-        e_hat = e_fit.predict(data.x, data.s)
     if mu_hat is None:
         mu_hat = mu_fit.predict(data.x, data.s)
-    h = pseudo_outcomes(model, psi_pre, data, e_hat)
+    if h is None:
+        h = pseudo_outcomes(model, psi_pre, data, e_fit.predict(data.x, data.s))
     resid = h - mu_hat
-    y_var = float(np.var(data.y))
+    if y_var is None:
+        y_var = float(np.var(data.y))
     if y_var <= 0.0:
         y_var = 1.0
     bounds = (rel_bounds[0] * y_var, rel_bounds[1] * y_var)
     by_cell = {}
     for s_val in (0, 1):
         for a_val in (0, 1):
-            mask = (data.s == s_val) & (data.a == a_val)
+            mask = data.rows(s_val, a_val)
             if not mask.any():
                 continue
             r2 = resid[mask] ** 2

@@ -6,6 +6,8 @@ conditions and its fallback on singular equations, and the pooled
 comparator against a hand-rolled weighted regression.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from htefusion import (
     square_term,
 )
 import htefusion.estimators as estimators
+import htefusion.nuisance as nuisance
 from htefusion.estimators import residuals
 from conftest import make_config, true_nuisances, true_psi
 from oracles import efficient_score, score_jacobian
@@ -89,13 +92,18 @@ class TestWorkspace:
     def test_evaluated_values_give_the_same_workspace(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         values = nuis.evaluate(data)
+        design = model.design(data.x)
         for trial_only in (False, True):
             direct = build_workspace(data, model, nuis, trial_only=trial_only)
-            reused = build_workspace(data, model, values, trial_only=trial_only)
-            for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
-                assert np.array_equal(getattr(direct, name), getattr(reused, name))
+            for reused in (build_workspace(data, model, values, trial_only=trial_only),
+                           build_workspace(data, model, values, trial_only=trial_only,
+                                           design=design)):
+                for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
+                    assert np.array_equal(getattr(direct, name), getattr(reused, name))
         with pytest.raises(ValidationError, match="do not match"):
             build_workspace(data.trial_only(), model, values)
+        with pytest.raises(ValidationError, match="design does not match"):
+            build_workspace(data, model, values, design=design[:, :model.p1])
 
     def test_solve_reports_its_workspace(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -254,6 +262,20 @@ class TestMetaEstimate:
         ref, *_ = np.linalg.lstsq(design, adj, rcond=None)
         assert np.allclose(coef, ref, atol=1e-8)
 
+    def test_duplicated_effect_column_warns_and_splits_evenly(self):
+        # an exactly singular system that still solves to finite numbers
+        data = generate_replicate(make_config(beta=1.0, n=150, m=450, seed=25), 0)
+        dup = StructuralModel(BasisSpec((constant_term(), linear_term(0), linear_term(0))),
+                              BasisSpec(tuple(linear_term(j) for j in range(5))))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = run_pipeline(data, dup, FitOptions(knots=0, trial_known=0.5),
+                               which=("meta",))
+        messages = {str(w.message) for w in caught}
+        assert ("meta comparator fit: singular normal equations; "
+                "solved with an escalated ridge") in messages
+        assert fit.meta_coef[1] == pytest.approx(fit.meta_coef[2], rel=1e-5)
+
     def test_degenerate_propensity_raises(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         flat = Propensity({0: KnownFunction(lambda X: 0.0), 1: 0.5}, clip=0.01)
@@ -333,14 +355,16 @@ class TestCachedDesigns:
     @pytest.mark.parametrize("var_knots", [None, 4])
     def test_base_values_equal_design_free_evaluation(self, desk_data, model, var_knots):
         opts = FitOptions(knots=4, var_knots=var_knots)
-        *_, base, values = estimators._base_stage(desk_data, model, opts)
+        stage, psi_pre, base, _ = estimators._base_stage(desk_data, model, opts)
+        _, values = estimators._outcome_nuisances_at(stage, model, psi_pre, opts.ridge,
+                                                     stage.design(model))
         plain = base.evaluate(desk_data)
         for name in ("e", "mu", "v1", "v0"):
             assert np.array_equal(getattr(values, name), getattr(plain, name)), name
 
     def test_estimates_equal_design_free_estimates(self, desk_data, model):
-        _, designs, e_fit, _, cond_y, *_ = estimators._base_stage(
-            desk_data, model, FitOptions(knots=4))
+        stage, *_ = estimators._base_stage(desk_data, model, FitOptions(knots=4))
+        designs, e_fit, cond_y = stage.designs, stage.e_fit, stage.cond_y
         assert np.array_equal(preliminary_estimate(desk_data, model, cond_y).stacked,
                               preliminary_estimate(desk_data, model, cond_y,
                                                    designs).stacked)
@@ -348,8 +372,8 @@ class TestCachedDesigns:
                               meta_estimate(desk_data, model, e_fit, designs))
 
     def test_mismatched_design_raises(self, desk_data, model):
-        _, designs, e_fit, _, cond_y, *_, base, _ = estimators._base_stage(
-            desk_data, model, FitOptions(knots=4))
+        stage, _, base, *_ = estimators._base_stage(desk_data, model, FitOptions(knots=4))
+        designs, e_fit, cond_y = stage.designs, stage.e_fit, stage.cond_y
         x, s = desk_data.x, desk_data.s
         short = {0: designs[0][:-1], 1: designs[1]}
         with pytest.raises(ValidationError, match="design does not match"):
@@ -381,3 +405,85 @@ class TestCachedDesigns:
                      which=("integrative", "rct", "meta"))
         assert len(built) == 1
         assert sorted(rows) == sorted([desk_data.n_obs, desk_data.n_trial])
+
+    def test_one_effect_and_confounding_design_per_round(self, desk_data, model,
+                                                         monkeypatch):
+        rows = {"tau": [], "lambda": [], "both": []}
+        bases = (("tau", model.tau_basis.terms), ("lambda", model.lambda_basis.terms),
+                 ("both", model.tau_basis.terms + model.lambda_basis.terms))
+        design = BasisSpec.design
+
+        def counting(self, X):
+            for name, terms in bases:
+                if self.terms == terms:
+                    rows[name].append(np.shape(X)[0])
+            return design(self, X)
+
+        monkeypatch.setattr(BasisSpec, "design", counting)
+        run_pipeline(desk_data, model, FitOptions(knots=4),
+                     which=("integrative", "rct", "meta"))
+        n, n_trial, n_obs = desk_data.n, desk_data.n_trial, desk_data.n_obs
+        # one effect and confounding design for the base round and one for
+        # the pooled refine round, the effect design alone for the trial-only
+        # refine round; the rest are the preliminary estimate (effect on both
+        # sources, confounding on the cohort) and the comparator
+        assert rows["both"] == [n, n]
+        assert sorted(rows["tau"]) == sorted([n_trial, n_obs, n_trial, n])
+        assert rows["lambda"] == [n_obs]
+
+
+class TestTrialOnlyRefits:
+    """The trial-only estimator's refine rounds read trial records only."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return make_config(beta=1.0, seed=3).model()
+
+    def test_refine_round_fits_trial_rows_only(self, desk_data, model, monkeypatch):
+        opts = FitOptions(knots=4)
+        fitted = []
+        fit_additive = nuisance.fit_additive
+
+        def counting(X, *args, **kwargs):
+            fitted.append(np.shape(X)[0])
+            return fit_additive(X, *args, **kwargs)
+
+        monkeypatch.setattr(nuisance, "fit_additive", counting)
+        estimators._base_stage(desk_data, model, opts)
+        base_rows = list(fitted)
+        fitted.clear()
+        fit = run_pipeline(desk_data, model, opts, which=("rct",))
+        refit_rows = fitted[len(base_rows):]
+        assert fitted[:len(base_rows)] == base_rows
+        trial = desk_data.rows(1)
+        cells = [int((trial & desk_data.rows(1, arm)).sum()) for arm in (0, 1)]
+        # one outcome mean and two variance cells, all on trial records
+        assert sorted(refit_rows) == sorted([desk_data.n_trial, *cells])
+        assert set(fit.rct_nuisances.mu.by_source) == {1}
+        assert set(fit.rct_nuisances.sigma2.by_cell) == {(0, 1), (1, 1)}
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    def test_cohort_outcomes_do_not_move_the_trial_fit(self, desk_data, model, knots):
+        obs = desk_data.rows(0)
+        y = desk_data.y.copy()
+        y[obs] = np.random.default_rng(8).permutation(y[obs]) + 0.5
+        other = Dataset(desk_data.s, desk_data.a, y, desk_data.x)
+        opts = FitOptions(knots=knots)
+        fits = [run_pipeline(d, model, opts, which=("integrative", "rct"))
+                for d in (desk_data, other)]
+        assert np.array_equal(fits[0].rct.psi_hat.phi, fits[1].rct.psi_hat.phi)
+        assert not np.array_equal(fits[0].integrative.psi_hat.stacked,
+                                  fits[1].integrative.psi_hat.stacked)
+
+    def test_trial_fit_equals_the_pooled_round_on_trial_rows(self, desk_data, model):
+        opts = FitOptions(knots=4)
+        stage, psi_pre, *_ = estimators._base_stage(desk_data, model, opts)
+        pooled, values = estimators._outcome_nuisances_at(
+            stage, model, psi_pre, opts.ridge, stage.design(model))
+        trial = stage.trial()
+        nuis, trial_values = estimators._outcome_nuisances_at(
+            trial, model, psi_pre, opts.ridge, trial.design(model))
+        on_trial = values.subset(desk_data.rows(1))
+        for name in ("e", "mu", "v1", "v0"):
+            assert np.array_equal(getattr(trial_values, name), getattr(on_trial, name)), name
+        assert nuis.sigma2.bounds == pooled.sigma2.bounds

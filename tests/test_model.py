@@ -79,6 +79,15 @@ class TestDataset:
         with pytest.raises(ValidationError):
             data.subset([True])
 
+    def test_masks_and_trial_subset_are_built_once(self):
+        data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)
+        assert data.rows(1).tolist() == [True, False, True]
+        assert data.rows(1, 1).tolist() == [False, False, True]
+        assert data.rows(0, 1) is data.rows(0, 1)
+        assert data.trial_only() is data.trial_only()
+        with pytest.raises(ValueError):
+            data.rows(1)[0] = False
+
     def test_from_records_roundtrip(self):
         data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)
         again = from_records(records(data))
@@ -280,6 +289,28 @@ class TestPseudoOutcome:
             for i, rec in enumerate(records(data))
         ]
         assert np.allclose(vec, one_by_one)
+
+    def test_held_designs_give_the_same_pseudo_outcomes(self):
+        rng = np.random.default_rng(6)
+        data = Dataset(
+            rng.integers(0, 2, 20), rng.integers(0, 2, 20),
+            rng.standard_normal(20), rng.standard_normal((20, 2)),
+        )
+        e_hat = rng.uniform(0.2, 0.8, 20)
+        design = self.model.design(data.x)
+        assert np.array_equal(design, np.hstack([self.model.tau_basis.design(data.x),
+                                                 self.model.lambda_basis.design(data.x)]))
+        assert np.array_equal(pseudo_outcomes(self.model, self.psi, data, e_hat, design),
+                              pseudo_outcomes(self.model, self.psi, data, e_hat))
+        with pytest.raises(ValidationError, match="design does not match"):
+            pseudo_outcomes(self.model, self.psi, data, e_hat, design[:-1])
+        # without observational records only the effect columns are read
+        trial = data.trial_only()
+        effect = design[data.s == 1, :self.model.p1]
+        assert np.array_equal(pseudo_outcomes(self.model, self.psi, trial, 0.5, effect),
+                              pseudo_outcomes(self.model, self.psi, trial, 0.5))
+        with pytest.raises(ValidationError, match="design does not match"):
+            pseudo_outcomes(self.model, self.psi, data, e_hat, design[:, :self.model.p1])
 
     def test_residual_centers_the_pseudo_outcome(self):
         rec = UnitRecord(1, 1, 10.0, [0.5, -1.0])

@@ -109,6 +109,15 @@ class TestFitAdditive:
         fit = fit_additive(x, y, spec, ridge=1e-8)
         assert np.isfinite(fit.coef).all()
 
+    def test_unpenalized_singular_fit_warns_and_splits_evenly(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((50, 1))
+        y = x[:, 0] + rng.standard_normal(50)
+        spec = BasisSpec((constant_term(), linear_term(0), linear_term(0)))
+        with pytest.warns(UserWarning, match="toy fit: singular normal equations"):
+            fit = fit_additive(x, y, spec, ridge=0.0, what="toy fit")
+        assert fit.coef[1] == pytest.approx(fit.coef[2], rel=1e-6)
+
     def test_validation(self):
         spec = BasisSpec((constant_term(),))
         with pytest.raises(ValidationError):
@@ -164,6 +173,19 @@ class TestFitPropensity:
         fit = fit_propensity(desk_data.subset(desk_data.s == 0), spec)
         with pytest.raises(ValidationError):
             fit.predict(desk_data.x[:3], np.ones(3, dtype=int))
+
+    def test_irls_failure_names_the_fit_and_source(self, desk_data, monkeypatch):
+        spec = build_spline_basis(desk_data, 0)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError,
+                           match=r"^propensity fit \(s=0\): IRLS update produced"):
+            fit_propensity(desk_data, spec, trial_known=0.5)
+        with pytest.raises(NumericalError, match=r"^propensity fit \(s=1\): IRLS"):
+            fit_propensity(desk_data.trial_only(), spec)
 
     def test_validation(self, desk_data):
         spec = build_spline_basis(desk_data, 0)
@@ -275,6 +297,25 @@ class TestFitVarianceFunction:
         vals = fit.predict(1, grid, np.ones(10, dtype=int))
         assert np.ptp(vals) == 0.0
         assert vals[0] == pytest.approx(1.0, rel=0.1)
+
+    def test_held_pseudo_outcome_and_outcome_variance(self):
+        from htefusion import pseudo_outcomes
+
+        data, model, psi, e, mu, spec = self._fitted()
+        h = pseudo_outcomes(model, psi, data, e.predict(data.x, data.s))
+        plain = fit_outcome_mean(data, model, psi, e, spec)
+        held = fit_outcome_mean(data, model, psi, e, spec, h=h)
+        for source in (0, 1):
+            assert np.array_equal(plain.by_source[source].coef, held.by_source[source].coef)
+        grid = np.zeros((3, 2))
+        base = fit_variance_function(data, model, psi, e, mu, spec)
+        again = fit_variance_function(data, model, psi, e, mu, spec, h=h,
+                                      y_var=float(np.var(data.y)))
+        assert again.bounds == base.bounds
+        assert np.array_equal(again.predict(1, grid, np.ones(3, dtype=int)),
+                              base.predict(1, grid, np.ones(3, dtype=int)))
+        scaled = fit_variance_function(data, model, psi, e, mu, spec, h=h, y_var=2.0)
+        assert scaled.bounds == (2e-4, 2e4)
 
     def test_bounds_clamp_predictions(self):
         data, model, psi, e, mu, spec = self._fitted()
