@@ -47,7 +47,6 @@ from .estimators import (
     ScoreWorkspace,
     SolveReport,
     build_workspace,
-    fit_nuisances,
     mean_score,
     mean_score_jacobian,
     meta_estimate,

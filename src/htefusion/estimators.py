@@ -20,9 +20,14 @@ pseudo-outcome, and ``k_i = (a_i - r_i) * w_i`` with ``w_i`` the inverse
 residual variance of the record's own arm and ``r_i`` the variance-
 weighted conditional mean of treatment given covariates and source.  By
 construction ``k_i`` has conditional mean zero, which makes the
-equations insensitive to the outcome-mean plug-in.  Because ``eps_i``
-is linear in the coefficients, the mean score has a constant Jacobian
-and one linear solve finds its root.
+equations insensitive to the outcome-mean plug-in.
+
+The pipeline centers the pseudo-outcome at its outcome-mean fit at the
+same coefficients.  That fit is one ridge smoother ``S`` per source, so
+the centered pseudo-outcome ``(I - S) y - (I - S) R psi`` is still linear
+in the coefficients (``R`` is the coefficient design of the
+pseudo-outcome): the outcome mean is profiled out by residualizing ``y``
+and ``R`` once, and one linear solve finds the root of the equations.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .model import (
     StructuralModel,
     _check_design,
     constant_term,
-    pseudo_outcomes,
 )
 from .nuisance import (
     CellMeans,
@@ -48,8 +52,6 @@ from .nuisance import (
     Propensity,
     _solve_penalized,
     build_spline_basis,
-    fit_conditional_outcomes,
-    fit_outcome_mean,
     fit_propensity,
     fit_variance_function,
     source_designs,
@@ -67,7 +69,6 @@ __all__ = [
     "solve_integrative",
     "solve_rct",
     "meta_estimate",
-    "fit_nuisances",
     "PipelineResult",
     "run_pipeline",
 ]
@@ -75,8 +76,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings of the nuisance fits and of the refinement rounds.
+    """Settings of the nuisance fits and of the variance rounds.
 
+    ``refine`` is the number of variance rounds.  Each estimator first
+    solves with unit residual variances; each round then refits the
+    variances on the estimator's own residuals at its current solution
+    and solves again with the new score weights.  Any positive variances
+    keep the equations unbiased, so the rounds buy efficiency only.
     ``var_knots`` controls the basis of the log-variance regressions.
     ``None``, the default, fits one constant per (arm, source) cell:
     the variance enters only through inverse weights, and fitting a
@@ -121,7 +127,10 @@ class ScoreWorkspace:
 
     ``base_resid - resid_design @ psi`` gives the centered pseudo-outcome
     at any coefficient vector, so scores and their exact Jacobian come
-    from the cached matrices without refitting anything.
+    from the cached matrices without refitting anything.  In the
+    workspace ``run_pipeline`` builds, both are residualized by the
+    outcome-mean fit, so the centering moves with ``psi`` and the
+    Jacobian includes it.
     """
 
     grad: np.ndarray          # (n, p) stacked basis gradients
@@ -175,9 +184,7 @@ def build_workspace(data: Dataset, model: StructuralModel,
         values = nuis.evaluate(data)
     e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
     a = data.a.astype(float)
-    own_w = np.where(data.a == 1, 1.0 / v1, 1.0 / v0)
-    weighted_a = (e / v1) / (e / v1 + (1.0 - e) / v0)
-    k = (a - weighted_a) * own_w
+    k = _score_weight(data.a, e, v1, v0)
     if design is None:
         design = model.tau_basis.design(data.x) if trial_only else model.design(data.x)
     t_design = design[:, :p1]
@@ -202,6 +209,14 @@ def build_workspace(data: Dataset, model: StructuralModel,
         if not np.isfinite(arr).all():
             raise NumericalError(f"non-finite {name} predictions in the workspace")
     return ScoreWorkspace(grad, resid_design, base_resid, k, a - e, model.p1, p2)
+
+
+def _score_weight(a: np.ndarray, e: np.ndarray, v1: np.ndarray,
+                  v0: np.ndarray) -> np.ndarray:
+    """k = (a - r) / v_a, with r the variance-weighted treatment mean."""
+    own_w = np.where(a == 1, 1.0 / v1, 1.0 / v0)
+    weighted_a = (e / v1) / (e / v1 + (1.0 - e) / v0)
+    return (a - weighted_a) * own_w
 
 
 def _check_workspace(ws: ScoreWorkspace, data: Dataset, model: StructuralModel,
@@ -267,8 +282,9 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
 
 
 # A solve is accepted when it cuts the mean score to this fraction of its
-# norm at the start; the equations are linear, so an accepted solve is exact
-# up to rounding.
+# norm at the start, or to the rounding level of the equations,
+# eps * |J| * |params|, which a start near the root cannot beat; the
+# equations are linear, so an accepted solve is exact up to rounding.
 _SOLVE_RTOL = 1e-10
 
 
@@ -283,12 +299,14 @@ def _linear_solve(ws: ScoreWorkspace, init: np.ndarray):
     norm = float(np.linalg.norm(f))
     if norm == 0.0:
         return init.copy(), 0, 0.0, True, False
+    jac = mean_score_jacobian(ws)
     try:
-        params = init + np.linalg.solve(mean_score_jacobian(ws), -f)
+        params = init + np.linalg.solve(jac, -f)
     except np.linalg.LinAlgError:
         return init.copy(), 1, norm, False, True
     norm_new = float(np.linalg.norm(mean_score(ws, params)))
-    if not norm_new <= _SOLVE_RTOL * norm:  # also rejects NaN
+    floor = np.finfo(float).eps * np.linalg.norm(jac) * np.linalg.norm(params)
+    if not norm_new <= max(_SOLVE_RTOL * norm, floor):  # also rejects NaN
         return init.copy(), 1, norm, False, True
     return params, 1, norm_new, True, False
 
@@ -327,6 +345,8 @@ def solve_rct(data: Dataset, model: StructuralModel,
 
     ``nuis`` is as for :func:`solve_integrative`.
     """
+    if np.unique(data.a[data.rows(1)]).size < 2:
+        raise ValidationError("trial-only fitting: the trial contains a single arm")
     if isinstance(nuis, ScoreWorkspace):
         ws = _check_workspace(nuis, data, model, trial_only=True)
     else:
@@ -366,194 +386,119 @@ def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpe
     return build_spline_basis(data, opts.var_knots)
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """What every refine round of one estimator reads unchanged.
+# Rows per block of the residualization: its passes allocate no
+# record-length temporaries beside the one stacked copy it solves on.
+_BLOCK = 8192
 
-    ``data`` holds the records the estimator reads; ``designs`` and
-    ``var_designs`` are the nuisance and variance-basis designs over
-    them by source, and ``e_hat`` the propensities at them.  The bases,
-    the fixed nuisance fits and ``y_var``, the outcome variance the
-    sigma2 bounds scale, come from the pooled sample in every stage.
+
+def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
+                          ridge: float) -> None:
+    """Center the workspace's pseudo-outcome at its outcome-mean fit.
+
+    The outcome mean at any coefficients is each source's ridge smoother
+    ``S`` (the fit of :func:`fit_outcome_mean`) applied to the
+    pseudo-outcome, so ``base_resid`` and ``resid_design`` become
+    ``(I - S) y`` and ``(I - S) R`` in place, from one solve per source
+    on ``designs``, that source's held spline design.
     """
-
-    data: Dataset
-    spec: BasisSpec
-    designs: dict
-    var_spec: BasisSpec
-    var_designs: dict
-    e_fit: Propensity
-    e_hat: np.ndarray
-    cond_y: CellMeans
-    y_var: float
-    trial_only: bool = False
-
-    def trial(self) -> "_Stage":
-        """The trial-only estimator's stage: the same fits on the trial records."""
-        return replace(self, data=self.data.trial_only(), designs={1: self.designs[1]},
-                       var_designs={1: self.var_designs[1]},
-                       e_hat=self.e_hat[self.data.rows(1)], trial_only=True)
-
-    def design(self, model: StructuralModel) -> np.ndarray:
-        """``model.design`` over the stage's records; a trial-only stage
-        reads the effect columns alone."""
-        x = self.data.x
-        return model.tau_basis.design(x) if self.trial_only else model.design(x)
+    for source, design in designs.items():
+        rows = np.flatnonzero(data.rows(source))
+        blocks = [slice(i, i + _BLOCK) for i in range(0, rows.size, _BLOCK)]
+        z = np.empty((rows.size, ws.p + 1))
+        for b in blocks:
+            z[b, 0] = ws.base_resid[rows[b]]
+            z[b, 1:] = ws.resid_design[rows[b]]
+        coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})")
+        for b in blocks:
+            z[b] -= design[b] @ coef
+        ws.base_resid[rows] = z[:, 0]
+        ws.resid_design[rows] = z[:, 1:]
 
 
-def _outcome_nuisances_at(stage: _Stage, model: StructuralModel, psi: PsiVector,
-                          ridge: float, design: np.ndarray):
-    """Refit the coefficient-dependent nuisances (mu, sigma2) at ``psi``.
+def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
+                    e_hat: np.ndarray, var_spec: BasisSpec, var_designs: dict,
+                    y_var: float, opts: FitOptions) -> SolveReport:
+    """Solve one estimator's equations, then run ``opts.refine`` variance
+    rounds on the records ``data`` holds, whose workspace is ``ws``.
 
-    Fits the stage's records only, from one pseudo-outcome computed on
-    ``design``, which is ``stage.design(model)``.  Returns the refitted set
-    and its values on the stage's records.
+    A round fits sigma2 per cell to the residuals at the current
+    solution, recomputes only the score weight and solves again.
     """
-    data = stage.data
-    h = pseudo_outcomes(model, psi, data, stage.e_hat, design)
-    mu_fit = fit_outcome_mean(data, model, psi, stage.e_fit, stage.spec, ridge=ridge,
-                              designs=stage.designs, h=h)
-    mu_hat = mu_fit.predict(data.x, data.s, stage.designs)
-    var_fit = fit_variance_function(data, model, psi, stage.e_fit, mu_fit, stage.var_spec,
-                                    ridge=ridge, mu_hat=mu_hat, designs=stage.var_designs,
-                                    h=h, y_var=stage.y_var)
-    values = NuisanceValues(stage.e_hat, mu_hat,
-                            var_fit.predict(1, data.x, data.s, stage.var_designs),
-                            var_fit.predict(0, data.x, data.s, stage.var_designs))
-    return NuisanceSet(stage.e_fit, mu_fit, var_fit, stage.cond_y), values
-
-
-def _base_stage(data: Dataset, model: StructuralModel, opts: FitOptions,
-                which: tuple = ()):
-    """Fit the nuisance cascade at the preliminary coefficients.
-
-    Order: propensities, per-cell outcome means, preliminary coefficients,
-    pseudo-outcome means per source, residual variances per cell.  The
-    spline and variance-basis designs are built once per source and kept
-    in the returned stage, for every fit and in-sample prediction of
-    this and every later refit; the propensities are likewise evaluated
-    on the sample once.  The base round's effect and confounding design
-    also gives the first workspace of each estimator in ``which``; it
-    ends with this call, and so do the base set's values, which only
-    those workspaces read.
-
-    Returns the pooled stage, the preliminary coefficients, the base set
-    and ``{estimator: (stage, first workspace)}``.
-    """
-    spec = build_spline_basis(data, opts.knots)
-    designs = source_designs(data, spec)
-    e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
-                           clip=opts.clip_e, ridge=opts.ridge, designs=designs)
-    e_hat = e_fit.predict(data.x, data.s, designs)
-    cond_y = fit_conditional_outcomes(data, spec, ridge=opts.ridge, designs=designs)
-    psi_pre = preliminary_estimate(data, model, cond_y, designs)
-    var_spec = _variance_spec(data, spec, opts)
-    var_designs = designs if var_spec is spec else source_designs(data, var_spec)
-    stage = _Stage(data, spec, designs, var_spec, var_designs, e_fit, e_hat, cond_y,
-                   float(np.var(data.y)))
-    design = stage.design(model)
-    base, values = _outcome_nuisances_at(stage, model, psi_pre, opts.ridge, design)
-    first = {}
-    if "rct" in which:
-        first["rct"] = (stage.trial(), build_workspace(data, model, values, trial_only=True,
-                                                       design=design))
-    if "integrative" in which:
-        first["integrative"] = (stage, build_workspace(data, model, values, design=design))
-    return stage, psi_pre, base, first
-
-
-def fit_nuisances(data: Dataset, model: StructuralModel,
-                  opts: FitOptions = FitOptions()):
-    """Run the nuisance cascade; returns the set and the starting values."""
-    _, psi_pre, base, _ = _base_stage(data, model, opts)
-    return base, psi_pre
-
-
-def _refine(first: dict, name: str, model: StructuralModel, nuis: NuisanceSet,
-            psi: PsiVector, opts: FitOptions):
-    """Solve estimator ``name`` from its stage and first workspace, which
-    it takes out of ``first``, then ``opts.refine`` times refit mu and
-    sigma2 on the stage's records at the solution and solve again.
-    Returns the last report and the set it was solved with.
-
-    A round's effect and confounding design ends once its workspace is
-    built, and the previous workspace is dropped before each refit, so
-    neither is held through another round's solve.
-    """
-    stage, ws = first.pop(name)
-    solve = solve_rct if stage.trial_only else solve_integrative
-
-    def start(psi):
-        return psi.phi if stage.trial_only else psi
-
-    rep = solve(stage.data, model, ws, start(psi))
+    trial_only = ws.p2 == 0
+    solve = solve_rct if trial_only else solve_integrative
+    psi = PsiVector(np.zeros(model.p1), np.zeros(ws.p2))
+    rep = solve(data, model, ws, psi.phi if trial_only else psi)
     for _ in range(max(0, opts.refine)):
         if rep.fallback_used:
             break
-        # the trial-only fit keeps the preliminary confounding coefficients,
-        # which no trial record reads
-        psi = PsiVector(rep.psi_hat.phi, psi.lam) if stage.trial_only else rep.psi_hat
-        rep = ws = None  # the previous workspace goes before the refit
-        nuis, ws = _refit(stage, model, psi, opts.ridge)
-        rep = solve(stage.data, model, ws, start(psi))
-    return rep, nuis
-
-
-def _refit(stage: _Stage, model: StructuralModel, psi: PsiVector, ridge: float):
-    """One refine round: the refitted set and its workspace, from one
-    effect and confounding design that ends with the round."""
-    design = stage.design(model)
-    nuis, values = _outcome_nuisances_at(stage, model, psi, ridge, design)
-    return nuis, build_workspace(stage.data, model, values, stage.trial_only,
-                                 design=design)
+        psi = rep.psi_hat
+        # the residual is the pseudo-outcome already centered at its mean
+        var_fit = fit_variance_function(data, model, psi, None, None, var_spec,
+                                        ridge=opts.ridge, mu_hat=0.0,
+                                        h=residuals(ws, psi.stacked),
+                                        designs=var_designs, y_var=y_var)
+        v1 = var_fit.predict(1, data.x, data.s, var_designs)
+        v0 = var_fit.predict(0, data.x, data.s, var_designs)
+        ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
+        rep = solve(data, model, ws, psi.phi if trial_only else psi)
+    return rep
 
 
 @dataclass
 class PipelineResult:
-    """Everything produced by one pass of the estimation cascade.
+    """The requested estimators' solves and the comparator's coefficients.
 
-    ``nuisances`` is the set the integrative solve ended on (the base set
-    when no integrative fit was requested).  ``rct_nuisances`` is the set
-    the trial-only solve ended on, which never sees the pooled
-    coefficient path: after a refine round it holds the pooled
-    propensities and cell means with an outcome mean and variance cells
-    fitted on trial records only, so it has no observational components
-    for ``mu`` and ``sigma2``; without one it is the base set.
+    Each report's ``workspace`` holds the equations it was solved on, with
+    the outcome mean profiled out; pass it to ``sandwich_covariance`` and
+    ``gof_test``.
     """
 
-    nuisances: NuisanceSet
-    psi_pre: PsiVector
     integrative: SolveReport | None = None
     rct: SolveReport | None = None
     meta_coef: np.ndarray | None = None
-    rct_nuisances: NuisanceSet | None = None
 
 
 def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOptions(),
                  which: tuple = ("integrative",)) -> PipelineResult:
-    """Fit nuisances, then the requested estimators.
+    """Fit the nuisances, then the requested estimators.
 
-    The preliminary coefficients are noisy, and the outcome-mean and
-    variance surfaces fitted at them leak that noise into the final
-    solve as a small shrinkage toward zero.  ``opts.refine`` extra
-    rounds (default one) refit mu and sigma2 at the solved coefficients
-    and re-solve, which removes most of the leakage at desk-scale
-    sample sizes.  Each estimator refines along its own coefficient
-    path: the trial-only fit never sees pooled coefficients, and its
-    refits read trial records only.
+    Fits the propensities and builds one workspace whose pseudo-outcome
+    is centered at its per-source outcome-mean fit at every coefficient
+    vector, then solves each estimator from unit residual variances
+    followed by ``opts.refine`` variance rounds (default one).  The
+    trial-only estimator reads the workspace's trial records and effect
+    columns, and its variance rounds fit trial records only; its spline
+    knots and variance bounds come from the pooled sample.
     """
     unknown = set(which) - {"integrative", "rct", "meta"}
     if unknown:
         raise ValidationError(f"unknown estimators requested: {sorted(unknown)}")
-    stage, psi_pre, base, first = _base_stage(data, model, opts, which)
-    result = PipelineResult(base, psi_pre)
-    # The pooled estimator runs first: its final workspace is then held only
-    # across the trial-only refits, which read the trial records alone.
-    if "integrative" in first:
-        result.integrative, result.nuisances = _refine(first, "integrative", model,
-                                                       base, psi_pre, opts)
-    if "rct" in first:
-        result.rct, result.rct_nuisances = _refine(first, "rct", model, base, psi_pre, opts)
+    spec = build_spline_basis(data, opts.knots)
+    designs = source_designs(data, spec)
+    e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
+                           clip=opts.clip_e, ridge=opts.ridge, designs=designs)
+    result = PipelineResult()
     if "meta" in which:
-        result.meta_coef = meta_estimate(data, model, stage.e_fit, stage.designs)
+        result.meta_coef = meta_estimate(data, model, e_fit, designs)
+    if "integrative" in which or "rct" in which:
+        e_hat = e_fit.predict(data.x, data.s, designs)
+        unit = np.ones(data.n)
+        ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
+        _profile_outcome_mean(ws, data, designs, opts.ridge)
+        var_spec = _variance_spec(data, spec, opts)
+        var_designs = designs if var_spec is spec else source_designs(data, var_spec)
+        del designs  # not held through the solves, which read var_designs alone
+        y_var = float(np.var(data.y))
+        if "rct" in which:
+            if data.n_trial == 0:
+                raise ValidationError("trial-only fitting requires s=1 records")
+            trial, p1 = data.rows(1), model.p1
+            trial_ws = ScoreWorkspace(ws.grad[trial, :p1], ws.resid_design[trial, :p1],
+                                      ws.base_resid[trial], ws.score_weight[trial],
+                                      ws.eps_a[trial], p1, 0)
+            result.rct = _solve_weighted(data.trial_only(), model, trial_ws, e_hat[trial],
+                                         var_spec, {1: var_designs[1]}, y_var, opts)
+        if "integrative" in which:
+            result.integrative = _solve_weighted(data, model, ws, e_hat, var_spec,
+                                                 var_designs, y_var, opts)
     return result

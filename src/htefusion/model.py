@@ -90,6 +90,11 @@ class Dataset:
     def __setattr__(self, name, value):  # columns are read-only
         raise AttributeError("Dataset is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which validates and
+        # freezes the columns, instead of setting the slots
+        return Dataset, (self.s, self.a, self.y, self.x)
+
     @property
     def n(self) -> int:
         return self.x.shape[0]

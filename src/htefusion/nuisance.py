@@ -384,18 +384,11 @@ class NuisanceSet:
     sigma2: VarianceFunction
     cond_y: CellMeans | None = None
 
-    def evaluate(self, data: Dataset, e: np.ndarray | None = None,
-                 mu: np.ndarray | None = None) -> NuisanceValues:
-        """Evaluate the components on every record through their ``predict``.
-
-        Pass ``e`` or ``mu`` when they are already evaluated on ``data``.
-        """
-        if e is None:
-            e = self.e.predict(data.x, data.s)
-        if mu is None:
-            mu = self.mu.predict(data.x, data.s)
-        return NuisanceValues(e, mu, self.sigma2.predict(1, data.x, data.s),
-                              self.sigma2.predict(0, data.x, data.s))
+    def evaluate(self, data: Dataset) -> NuisanceValues:
+        """Evaluate the components on every record through their ``predict``."""
+        x, s = data.x, data.s
+        return NuisanceValues(self.e.predict(x, s), self.mu.predict(x, s),
+                              self.sigma2.predict(1, x, s), self.sigma2.predict(0, x, s))
 
 
 def source_designs(data: Dataset, spec: BasisSpec) -> dict:
@@ -473,6 +466,7 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
             by_cell[(a_val, s_val)] = fit_additive(
                 data.x[mask], data.y[mask], spec, link="identity", ridge=ridge,
                 design=_stage_design(designs, data, s_val, a_val),
+                what=f"conditional-outcome fit (a={a_val}, s={s_val})",
             )
     if not by_cell:
         raise ValidationError("conditional-outcome fit: no non-empty cells")
@@ -483,11 +477,13 @@ def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
                      e_fit: Propensity, spec: BasisSpec, ridge: float = 1e-6, *,
                      designs: dict | None = None,
                      h: np.ndarray | None = None) -> OutcomeMean:
-    """Regress the pseudo-outcome at the preliminary fit on X per source.
+    """Regress the pseudo-outcome at ``psi_pre`` on X per source.
 
-    ``designs`` is ``source_designs(data, spec)``, and ``h`` is the
-    pseudo-outcome of every record at ``psi_pre`` and ``e_fit``, when the
-    caller holds them.
+    ``run_pipeline`` does not call this: the fit is one linear smoother
+    per source, which the pipeline applies to the outcome and the
+    coefficient design once instead.  ``designs`` is
+    ``source_designs(data, spec)``, and ``h`` is the pseudo-outcome of
+    every record at ``psi_pre`` and ``e_fit``, when the caller holds them.
     """
     if h is None:
         h = pseudo_outcomes(model, psi_pre, data, e_fit.predict(data.x, data.s))
@@ -499,6 +495,7 @@ def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
         by_source[source] = fit_additive(
             data.x[mask], h[mask], spec, link="identity", ridge=ridge,
             design=_stage_design(designs, data, source),
+            what=f"outcome-mean fit (s={source})",
         )
     return OutcomeMean(by_source)
 
@@ -545,7 +542,7 @@ def fit_variance_function(data: Dataset, model: StructuralModel, psi_pre: PsiVec
             if design is None:
                 design = spec.design(data.x[mask])
             reg = fit_additive(data.x[mask], z, spec, link="identity", ridge=ridge,
-                               design=design)
+                               design=design, what=f"variance fit (a={a_val}, s={s_val})")
             smear = float(np.mean(np.exp(z - design @ reg.coef)))
             by_cell[(a_val, s_val)] = _SmearedLogVariance(reg, smear)
     if not by_cell:

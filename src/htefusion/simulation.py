@@ -90,10 +90,8 @@ class SimConfig:
     unaffected by them.
 
     ``knots`` here defaults to 0 (linear nuisance surfaces) rather than
-    the library-wide spline default: the study's trial cells hold only
-    about 150 records each, and per-cell spline fits at that size leak
-    enough overfitting noise into the weights to visibly miscalibrate
-    the variance estimates.  Pass a positive count to study that.
+    the library-wide spline default; pass a positive count to fit spline
+    nuisance surfaces instead.
     """
 
     n: int = 300

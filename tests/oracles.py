@@ -1,8 +1,10 @@
-"""Per-record reference implementations for the vectorized code.
+"""Reference implementations for the vectorized code.
 
 The package works on whole columns; these scalar versions restate the
 defining formulas one record at a time, so tests can check the
-vectorized pseudo-outcomes, scores and Jacobians against them.
+vectorized pseudo-outcomes, scores and Jacobians against them.  The
+explicit outcome-mean refits are the reference for the pipeline's
+profiled solve.
 """
 
 from dataclasses import dataclass
@@ -10,7 +12,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from htefusion import Dataset, PsiVector, StructuralModel, ValidationError
+from htefusion import (
+    Dataset,
+    NuisanceSet,
+    PsiVector,
+    StructuralModel,
+    ValidationError,
+    fit_outcome_mean,
+    solve_integrative,
+    solve_rct,
+)
 
 
 @dataclass(frozen=True)
@@ -84,3 +95,29 @@ def score_jacobian(ws, params: np.ndarray, i: int) -> np.ndarray:
     on ``params``; the argument is kept for signature symmetry.
     """
     return -ws.score_weight[i] * np.outer(ws.grad[i], ws.resid_design[i])
+
+
+def refit_outcome_mean(data: Dataset, model: StructuralModel, e_fit, sigma2, spec,
+                       ridge: float, trial_only: bool = False, tol: float = 1e-14,
+                       max_rounds: int = 200) -> np.ndarray:
+    """Solve the equations by explicit outcome-mean refits at fixed variances.
+
+    Starting from zero coefficients, each round refits the outcome mean
+    per source at the current coefficients (``fit_outcome_mean``) and
+    solves the equations with that plug-in, until the coefficients stop
+    moving.  Returns the stacked coefficients (the effect block alone
+    with ``trial_only``).
+    """
+    psi = PsiVector(np.zeros(model.p1), np.zeros(model.p2))
+    for _ in range(max_rounds):
+        mu = fit_outcome_mean(data, model, psi, e_fit, spec, ridge=ridge)
+        nuis = NuisanceSet(e_fit, mu, sigma2)
+        if trial_only:
+            new = PsiVector(solve_rct(data, model, nuis, psi.phi).psi_hat.phi, psi.lam)
+        else:
+            new = solve_integrative(data, model, nuis, psi).psi_hat
+        step = np.abs(new.stacked - psi.stacked).max()
+        psi = new
+        if step <= tol * (1.0 + np.abs(psi.stacked).max()):
+            return psi.phi if trial_only else psi.stacked
+    raise AssertionError(f"outcome-mean refits did not converge in {max_rounds} rounds")

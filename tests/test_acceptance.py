@@ -246,9 +246,9 @@ def test_criterion_7_no_gain_when_bases_coincide():
         model = cfg.model()
         fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
         est_i = sandwich_covariance(data, model, fit.integrative.psi_hat,
-                                    fit.nuisances)
+                                    fit.integrative.workspace)
         est_r = sandwich_covariance(data, model, fit.rct.psi_hat,
-                                    fit.rct_nuisances, trial_only=True)
+                                    fit.rct.workspace, trial_only=True)
         gains.append(precision_gain(est_i, est_r).gain)
     gains = np.array(gains)
     per_rep = np.abs(gains).max(axis=(1, 2))

@@ -7,6 +7,7 @@ comparator against a hand-rolled weighted regression.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,13 @@ from htefusion import (
     PsiVector,
     StructuralModel,
     ValidationError,
+    build_spline_basis,
     build_workspace,
     constant_term,
-    fit_nuisances,
+    fit_conditional_outcomes,
+    fit_outcome_mean,
+    fit_propensity,
+    fit_variance_function,
     generate_replicate,
     linear_term,
     mean_score,
@@ -31,6 +36,7 @@ from htefusion import (
     meta_estimate,
     preliminary_estimate,
     run_pipeline,
+    sandwich_covariance,
     score_matrix,
     solve_integrative,
     solve_rct,
@@ -39,8 +45,9 @@ from htefusion import (
 import htefusion.estimators as estimators
 import htefusion.nuisance as nuisance
 from htefusion.estimators import residuals
+from htefusion.nuisance import VarianceFunction, source_designs
 from conftest import make_config, true_nuisances, true_psi
-from oracles import efficient_score, score_jacobian
+from oracles import efficient_score, refit_outcome_mean, score_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +258,22 @@ class TestSolvers:
         assert rep.iterations == 1
         assert np.array_equal(rep.psi_hat.stacked, init.stacked)
 
+    def test_many_variance_rounds_converge_without_fallback(self, desk_data):
+        # each round starts next to the root, where the mean score is at
+        # rounding level; the solve must still be accepted there
+        model = make_config(beta=1.0, seed=3).model()
+        fits = {refine: run_pipeline(desk_data, model,
+                                     FitOptions(knots=0, trial_known=0.5, refine=refine),
+                                     which=("integrative", "rct"))
+                for refine in (8, 20)}
+        for rep in (fits[20].integrative, fits[20].rct):
+            assert rep.converged and not rep.fallback_used
+        # the rounds approach a fixed point
+        assert np.allclose(fits[20].integrative.psi_hat.stacked,
+                           fits[8].integrative.psi_hat.stacked, rtol=0, atol=1e-8)
+        assert np.allclose(fits[20].rct.psi_hat.phi, fits[8].rct.psi_hat.phi,
+                           rtol=0, atol=1e-8)
+
 
 class TestMetaEstimate:
     def test_matches_hand_rolled_weighted_regression(self, fused_fixture):
@@ -284,27 +307,21 @@ class TestMetaEstimate:
 
 
 class TestPipeline:
-    def test_fit_nuisances_returns_consistent_state(self, fused_fixture):
+    def test_var_knots_default_gives_cell_constant_weights(self, fused_fixture):
+        # with a known trial propensity the score weight of a trial record
+        # varies only through its arm's residual variance
         cfg, data, model, _ = fused_fixture
         opts = FitOptions(knots=0, trial_known=0.5)
-        nuis, psi_pre = fit_nuisances(data, model, opts)
-        assert psi_pre.phi.size == model.p1
-        preds = nuis.e.predict(data.x[:4], np.ones(4, dtype=int))
-        assert np.all(preds == 0.5)
-
-    def test_var_knots_default_gives_cell_constant_weights(self, fused_fixture):
-        cfg, data, model, _ = fused_fixture
-        nuis, _ = fit_nuisances(data, model, FitOptions(knots=0))
-        grid = np.random.default_rng(3).standard_normal((20, 5))
-        vals = nuis.sigma2.predict(1, grid, np.ones(20, dtype=int))
-        assert np.ptp(vals) == 0.0
+        ws = run_pipeline(data, model, opts, which=("rct",)).rct.workspace
+        a = data.a[data.rows(1)]
+        assert [np.ptp(ws.score_weight[a == arm]) for arm in (0, 1)] == [0.0, 0.0]
 
     def test_var_knots_zero_gives_covariate_dependence(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
-        nuis, _ = fit_nuisances(data, model, FitOptions(knots=0, var_knots=0))
-        grid = np.vstack([np.full(5, -2.0), np.full(5, 2.0)])
-        vals = nuis.sigma2.predict(1, grid, np.ones(2, dtype=int))
-        assert vals[0] != vals[1]
+        opts = FitOptions(knots=0, trial_known=0.5, var_knots=0)
+        ws = run_pipeline(data, model, opts, which=("rct",)).rct.workspace
+        a = data.a[data.rows(1)]
+        assert min(np.ptp(ws.score_weight[a == arm]) for arm in (0, 1)) > 0.0
 
     def test_requested_estimators_all_present(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
@@ -312,7 +329,7 @@ class TestPipeline:
         fit = run_pipeline(data, model, opts, which=("integrative", "rct", "meta"))
         assert fit.integrative is not None and fit.integrative.converged
         assert fit.rct is not None and fit.rct.converged
-        assert fit.rct_nuisances is not None
+        assert fit.rct.workspace.n == data.n_trial and fit.rct.workspace.p2 == 0
         assert fit.meta_coef is not None and fit.meta_coef.shape == (model.p1,)
 
     def test_unknown_estimator_rejected(self, fused_fixture):
@@ -320,19 +337,37 @@ class TestPipeline:
         with pytest.raises(ValidationError, match="unknown estimators"):
             run_pipeline(data, model, which=("integrative", "aipw"))
 
+    def test_trial_only_fit_needs_both_trial_arms(self, fused_fixture):
+        cfg, data, model, _ = fused_fixture
+        treated_trial = data.subset((data.s == 0) | (data.a == 1))
+        with pytest.raises(ValidationError, match="single arm"):
+            run_pipeline(treated_trial, model, FitOptions(knots=0, trial_known=0.5),
+                         which=("rct",))
+
+    def test_singular_smoother_warning_names_its_source(self, fused_fixture):
+        cfg, data, model, _ = fused_fixture
+        trial = data.trial_only()
+        twin = Dataset(trial.s, trial.a, trial.y, np.column_stack([trial.x, trial.x[:, 0]]))
+        opts = FitOptions(knots=0, ridge=0.0, trial_known=0.5)
+        with pytest.warns(UserWarning, match=r"^outcome-mean smoother \(s=1\): singular"):
+            fit = run_pipeline(twin, model, opts, which=("rct",))
+        assert fit.rct.converged
+
     def test_refinement_refits_at_the_solution(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
         opts0 = FitOptions(knots=0, trial_known=0.5, refine=0)
         opts1 = FitOptions(knots=0, trial_known=0.5, refine=1)
         fit0 = run_pipeline(data, model, opts0)
         fit1 = run_pipeline(data, model, opts1)
-        # refinement moves the solution and leaves nuisances centered there
+        # the variance round moves the solution through the score weight alone
         assert not np.allclose(fit0.integrative.psi_hat.stacked,
                                fit1.integrative.psi_hat.stacked)
-        from htefusion import pseudo_outcomes
-        e_hat = fit1.nuisances.e.predict(data.x, data.s)
-        h = pseudo_outcomes(model, fit1.integrative.psi_hat, data, e_hat)
-        resid = h - fit1.nuisances.mu.predict(data.x, data.s)
+        ws0, ws1 = fit0.integrative.workspace, fit1.integrative.workspace
+        for name in ("grad", "resid_design", "base_resid", "eps_a"):
+            assert np.array_equal(getattr(ws0, name), getattr(ws1, name)), name
+        assert not np.array_equal(ws0.score_weight, ws1.score_weight)
+        # the profiled residuals stay centered at the solution
+        resid = residuals(ws1, fit1.integrative.psi_hat.stacked)
         on_trial = data.s == 1
         assert abs(resid[on_trial].mean()) < 0.05
 
@@ -344,6 +379,48 @@ class TestPipeline:
         assert np.array_equal(a.integrative.psi_hat.stacked,
                               b.integrative.psi_hat.stacked)
 
+    def test_row_order_does_not_matter(self, desk_data):
+        model = make_config(beta=1.0, seed=3).model()
+        order = np.random.default_rng(12).permutation(desk_data.n)
+        shuffled = Dataset(desk_data.s[order], desk_data.a[order], desk_data.y[order],
+                           desk_data.x[order])
+        opts = FitOptions(knots=4)
+        fits = [run_pipeline(d, model, opts, which=("integrative", "rct"))
+                for d in (desk_data, shuffled)]
+        for name in ("integrative", "rct"):
+            trial_only = name == "rct"
+            got = []
+            for d, fit in zip((desk_data, shuffled), fits):
+                rep = getattr(fit, name)
+                est = sandwich_covariance(d, model, rep.psi_hat, rep.workspace,
+                                          trial_only=trial_only)
+                got.append((est.psi_hat.stacked, est.se))
+            for first, second in zip(*got):
+                assert np.allclose(first, second, rtol=1e-10, atol=1e-10), name
+
+
+class TestProfiledOutcomeMean:
+    """The profiled solve is the fixed point of explicit outcome-mean refits."""
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    def test_equals_explicit_outcome_mean_refits(self, desk_data, knots):
+        model = make_config(beta=1.0, seed=3).model()
+        opts = FitOptions(knots=knots, refine=0)  # unit variances throughout
+        fit = run_pipeline(desk_data, model, opts, which=("integrative", "rct"))
+        spec = build_spline_basis(desk_data, knots)
+        e_fit = fit_propensity(desk_data, spec, trial_known=opts.trial_known,
+                               clip=opts.clip_e, ridge=opts.ridge)
+        unit = VarianceFunction({(a, s): 1.0 for a in (0, 1) for s in (0, 1)},
+                                bounds=(1e-8, 1e8))
+        for name in ("integrative", "rct"):
+            trial_only = name == "rct"
+            rep = getattr(fit, name)
+            want = refit_outcome_mean(desk_data, model, e_fit, unit, spec, opts.ridge,
+                                      trial_only=trial_only)
+            est = sandwich_covariance(desk_data, model, rep.psi_hat, rep.workspace,
+                                      trial_only=trial_only)
+            assert np.abs((est.psi_hat.stacked - want) / est.se).max() < 1e-8, name
+
 
 class TestCachedDesigns:
     """The pipeline's held spline designs give the design-free values."""
@@ -352,19 +429,32 @@ class TestCachedDesigns:
     def model(self):
         return make_config(beta=1.0, seed=3).model()
 
+    @staticmethod
+    def _fits(data, knots=4):
+        spec = build_spline_basis(data, knots)
+        designs = source_designs(data, spec)
+        e_fit = fit_propensity(data, spec, designs=designs)
+        return spec, designs, e_fit, fit_conditional_outcomes(data, spec, designs=designs)
+
     @pytest.mark.parametrize("var_knots", [None, 4])
     def test_base_values_equal_design_free_evaluation(self, desk_data, model, var_knots):
-        opts = FitOptions(knots=4, var_knots=var_knots)
-        stage, psi_pre, base, _ = estimators._base_stage(desk_data, model, opts)
-        _, values = estimators._outcome_nuisances_at(stage, model, psi_pre, opts.ridge,
-                                                     stage.design(model))
-        plain = base.evaluate(desk_data)
-        for name in ("e", "mu", "v1", "v0"):
-            assert np.array_equal(getattr(values, name), getattr(plain, name)), name
+        # a variance round's score weight, rebuilt from design-free fits and
+        # predictions at the previous solution
+        opts = FitOptions(knots=4, var_knots=var_knots, refine=0)
+        first = run_pipeline(desk_data, model, opts).integrative
+        second = run_pipeline(desk_data, model, replace(opts, refine=1)).integrative
+        spec, _, e_fit, _ = self._fits(desk_data)
+        var_spec = spec if var_knots == 4 else BasisSpec((constant_term(),))
+        resid = residuals(first.workspace, first.psi_hat.stacked)
+        var_fit = fit_variance_function(desk_data, model, first.psi_hat, e_fit, None,
+                                        var_spec, mu_hat=0.0, h=resid)
+        x, s = desk_data.x, desk_data.s
+        k = estimators._score_weight(desk_data.a, e_fit.predict(x, s),
+                                     var_fit.predict(1, x, s), var_fit.predict(0, x, s))
+        assert np.array_equal(second.workspace.score_weight, k)
 
     def test_estimates_equal_design_free_estimates(self, desk_data, model):
-        stage, *_ = estimators._base_stage(desk_data, model, FitOptions(knots=4))
-        designs, e_fit, cond_y = stage.designs, stage.e_fit, stage.cond_y
+        _, designs, e_fit, cond_y = self._fits(desk_data)
         assert np.array_equal(preliminary_estimate(desk_data, model, cond_y).stacked,
                               preliminary_estimate(desk_data, model, cond_y,
                                                    designs).stacked)
@@ -372,14 +462,15 @@ class TestCachedDesigns:
                               meta_estimate(desk_data, model, e_fit, designs))
 
     def test_mismatched_design_raises(self, desk_data, model):
-        stage, _, base, *_ = estimators._base_stage(desk_data, model, FitOptions(knots=4))
-        designs, e_fit, cond_y = stage.designs, stage.e_fit, stage.cond_y
+        spec, designs, e_fit, cond_y = self._fits(desk_data)
+        psi = preliminary_estimate(desk_data, model, cond_y, designs)
+        mu = fit_outcome_mean(desk_data, model, psi, e_fit, spec, designs=designs)
         x, s = desk_data.x, desk_data.s
         short = {0: designs[0][:-1], 1: designs[1]}
         with pytest.raises(ValidationError, match="design does not match"):
             e_fit.predict(x, s, short)
         with pytest.raises(ValidationError, match="design does not match"):
-            base.mu.predict(x, s, {1: designs[1]})
+            mu.predict(x, s, {1: designs[1]})
         with pytest.raises(ValidationError, match="design does not match"):
             cond_y.predict(1, 1, x[s == 1], designs[1][:, :-1])
         with pytest.raises(ValidationError, match="design does not match"):
@@ -422,18 +513,16 @@ class TestCachedDesigns:
         monkeypatch.setattr(BasisSpec, "design", counting)
         run_pipeline(desk_data, model, FitOptions(knots=4),
                      which=("integrative", "rct", "meta"))
-        n, n_trial, n_obs = desk_data.n, desk_data.n_trial, desk_data.n_obs
-        # one effect and confounding design for the base round and one for
-        # the pooled refine round, the effect design alone for the trial-only
-        # refine round; the rest are the preliminary estimate (effect on both
-        # sources, confounding on the cohort) and the comparator
-        assert rows["both"] == [n, n]
-        assert sorted(rows["tau"]) == sorted([n_trial, n_obs, n_trial, n])
-        assert rows["lambda"] == [n_obs]
+        # one effect and confounding design for the one workspace of the fit,
+        # which both estimators and every variance round read; the effect
+        # design is the comparator's
+        assert rows["both"] == [desk_data.n]
+        assert rows["tau"] == [desk_data.n]
+        assert rows["lambda"] == []
 
 
 class TestTrialOnlyRefits:
-    """The trial-only estimator's refine rounds read trial records only."""
+    """The trial-only estimator's variance rounds read trial records only."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -449,18 +538,16 @@ class TestTrialOnlyRefits:
             return fit_additive(X, *args, **kwargs)
 
         monkeypatch.setattr(nuisance, "fit_additive", counting)
-        estimators._base_stage(desk_data, model, opts)
-        base_rows = list(fitted)
+        fit_propensity(desk_data, build_spline_basis(desk_data, opts.knots))
+        propensity_rows = list(fitted)
         fitted.clear()
         fit = run_pipeline(desk_data, model, opts, which=("rct",))
-        refit_rows = fitted[len(base_rows):]
-        assert fitted[:len(base_rows)] == base_rows
+        assert fitted[:len(propensity_rows)] == propensity_rows
         trial = desk_data.rows(1)
         cells = [int((trial & desk_data.rows(1, arm)).sum()) for arm in (0, 1)]
-        # one outcome mean and two variance cells, all on trial records
-        assert sorted(refit_rows) == sorted([desk_data.n_trial, *cells])
-        assert set(fit.rct_nuisances.mu.by_source) == {1}
-        assert set(fit.rct_nuisances.sigma2.by_cell) == {(0, 1), (1, 1)}
+        # after the propensities, two variance cells, both on trial records
+        assert sorted(fitted[len(propensity_rows):]) == sorted(cells)
+        assert fit.rct.workspace.n == desk_data.n_trial
 
     @pytest.mark.parametrize("knots", [0, 4])
     def test_cohort_outcomes_do_not_move_the_trial_fit(self, desk_data, model, knots):
@@ -476,14 +563,17 @@ class TestTrialOnlyRefits:
                                   fits[1].integrative.psi_hat.stacked)
 
     def test_trial_fit_equals_the_pooled_round_on_trial_rows(self, desk_data, model):
-        opts = FitOptions(knots=4)
-        stage, psi_pre, *_ = estimators._base_stage(desk_data, model, opts)
-        pooled, values = estimators._outcome_nuisances_at(
-            stage, model, psi_pre, opts.ridge, stage.design(model))
-        trial = stage.trial()
-        nuis, trial_values = estimators._outcome_nuisances_at(
-            trial, model, psi_pre, opts.ridge, trial.design(model))
-        on_trial = values.subset(desk_data.rows(1))
-        for name in ("e", "mu", "v1", "v0"):
-            assert np.array_equal(getattr(trial_values, name), getattr(on_trial, name)), name
-        assert nuis.sigma2.bounds == pooled.sigma2.bounds
+        # the trial-only workspace is the pooled one's trial rows and effect
+        # columns; only its variance rounds differ
+        for refine in (0, 1):
+            fit = run_pipeline(desk_data, model, FitOptions(knots=4, refine=refine),
+                               which=("integrative", "rct"))
+            pooled, trial_ws = fit.integrative.workspace, fit.rct.workspace
+            trial, p1 = desk_data.rows(1), model.p1
+            assert np.array_equal(trial_ws.grad, pooled.grad[trial, :p1])
+            assert np.array_equal(trial_ws.resid_design, pooled.resid_design[trial, :p1])
+            assert np.array_equal(trial_ws.base_resid, pooled.base_resid[trial])
+            assert np.array_equal(trial_ws.eps_a, pooled.eps_a[trial])
+            same_weights = np.array_equal(trial_ws.score_weight,
+                                          pooled.score_weight[trial])
+            assert same_weights == (refine == 0)

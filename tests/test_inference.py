@@ -203,9 +203,9 @@ class TestPrecisionGain:
             model = cfg.model()
             fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
             est_i = sandwich_covariance(data, model, fit.integrative.psi_hat,
-                                        fit.nuisances)
+                                        fit.integrative.workspace)
             est_r = sandwich_covariance(data, model, fit.rct.psi_hat,
-                                        fit.rct_nuisances, trial_only=True)
+                                        fit.rct.workspace, trial_only=True)
             out = precision_gain(est_i, est_r)
             assert np.abs(out.gain).max() < 1e-10
 
@@ -250,8 +250,8 @@ class TestGofTest:
         opts = FitOptions(knots=0, trial_known=0.5)
         fit = run_pipeline(data, model, opts)
         est = sandwich_covariance(data, model, fit.integrative.psi_hat,
-                                  fit.nuisances)
-        out = gof_test(data, model, est, fit.nuisances,
+                                  fit.integrative.workspace)
+        out = gof_test(data, model, est, fit.integrative.workspace,
                        BasisSpec((square_term(1),)), BasisSpec(()))
         assert out.p_value < 1e-4
 

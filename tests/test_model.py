@@ -1,5 +1,8 @@
 """Data containers, basis terms, and the pseudo-outcome transform."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,22 @@ class TestDataset:
             data.y[0] = 9.0
         with pytest.raises(AttributeError):
             data.y = np.zeros(3)
+
+    @pytest.mark.parametrize("clone", [lambda d: pickle.loads(pickle.dumps(d)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_round_trip(self, clone):
+        data = Dataset([1, 0, 0], [0, 1, 0], [1.0, 2.0, 3.0], X)
+        data.rows(1)  # a filled mask cache is not carried over
+        twin = clone(data)
+        assert isinstance(twin, Dataset) and twin is not data
+        for name in ("s", "a", "y", "x"):
+            col, want = getattr(twin, name), getattr(data, name)
+            assert np.array_equal(col, want) and col.dtype == want.dtype
+            assert not col.flags.writeable
+        assert twin.rows(1).tolist() == [True, False, False]
+        with pytest.raises(AttributeError):
+            twin.y = np.zeros(3)
 
     @pytest.mark.parametrize("s,a,y,x", [
         ([1, 2, 0], [0, 1, 0], [1.0, 2.0, 3.0], X),          # non-binary s

@@ -317,6 +317,19 @@ class TestFitVarianceFunction:
         scaled = fit_variance_function(data, model, psi, e, mu, spec, h=h, y_var=2.0)
         assert scaled.bounds == (2e-4, 2e4)
 
+    def test_singular_cell_fit_warning_names_its_cell(self):
+        data, model, psi, e, mu, _ = self._fitted()
+        dup = BasisSpec((constant_term(), linear_term(0), linear_term(0)))
+        with pytest.warns(UserWarning) as caught:
+            fit_variance_function(data, model, psi, e, mu, dup, ridge=0.0)
+            fit_conditional_outcomes(data, dup, ridge=0.0)
+            fit_outcome_mean(data, model, psi, e, dup, ridge=0.0)
+        messages = {str(w.message).split(":")[0] for w in caught}
+        cells = [(a, s) for s in (0, 1) for a in (0, 1)]
+        assert messages == ({f"variance fit (a={a}, s={s})" for a, s in cells}
+                            | {f"conditional-outcome fit (a={a}, s={s})" for a, s in cells}
+                            | {"outcome-mean fit (s=0)", "outcome-mean fit (s=1)"})
+
     def test_bounds_clamp_predictions(self):
         data, model, psi, e, mu, spec = self._fitted()
         fit = fit_variance_function(data, model, psi, e, mu, spec,
