@@ -27,17 +27,11 @@ from .model import (
 )
 from .nuisance import (
     AdditiveRegressor,
-    CellMeans,
-    KnownFunction,
-    NuisanceSet,
     NuisanceValues,
-    OutcomeMean,
     Propensity,
     VarianceFunction,
     build_spline_basis,
     fit_additive,
-    fit_conditional_outcomes,
-    fit_outcome_mean,
     fit_propensity,
     fit_variance_function,
 )
@@ -50,7 +44,6 @@ from .estimators import (
     mean_score,
     mean_score_jacobian,
     meta_estimate,
-    preliminary_estimate,
     run_pipeline,
     score_matrix,
     solve_integrative,

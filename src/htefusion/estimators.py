@@ -47,7 +47,6 @@ from .model import (
 )
 from .nuisance import (
     CellMeans,
-    NuisanceSet,
     NuisanceValues,
     Propensity,
     _solve_penalized,
@@ -118,7 +117,7 @@ class SolveReport:
     final_score_norm: float
     converged: bool
     fallback_used: bool
-    workspace: ScoreWorkspace | None = None
+    workspace: ScoreWorkspace
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,8 @@ class ScoreWorkspace:
     from the cached matrices without refitting anything.  In the
     workspace ``run_pipeline`` builds, both are residualized by the
     outcome-mean fit, so the centering moves with ``psi`` and the
-    Jacobian includes it.
+    Jacobian includes it.  A workspace without confounding columns
+    (``p2 == 0``) holds the trial-only equations; see :meth:`trial`.
     """
 
     grad: np.ndarray          # (n, p) stacked basis gradients
@@ -149,66 +149,51 @@ class ScoreWorkspace:
     def p(self) -> int:
         return self.p1 + self.p2
 
+    def trial(self, rows: np.ndarray) -> ScoreWorkspace:
+        """The trial-only equations: records ``rows`` (the trial mask of
+        the pooled workspace's data) and the effect columns.
 
-def build_workspace(data: Dataset, model: StructuralModel,
-                    nuis: NuisanceSet | NuisanceValues,
-                    trial_only: bool = False, *,
+        Every pooled piece is computed record by record and the effect
+        columns do not involve the cohort, so this equals the workspace
+        built from the trial records alone.
+        """
+        p1 = self.p1
+        return ScoreWorkspace(self.grad[rows, :p1], self.resid_design[rows, :p1],
+                              self.base_resid[rows], self.score_weight[rows],
+                              self.eps_a[rows], p1, 0)
+
+
+def build_workspace(data: Dataset, model: StructuralModel, values: NuisanceValues, *,
                     design: np.ndarray | None = None) -> ScoreWorkspace:
-    """Cache every score ingredient of the nuisances on ``data``.
+    """Cache every score ingredient of the pooled equations on ``data``.
 
-    ``nuis`` is a fitted set, evaluated here once, or its values already
-    evaluated on every record of ``data``.  ``design`` is
-    ``model.design(data.x)`` when the caller holds it.  With
-    ``trial_only`` the workspace is restricted to randomized records and
-    to the effect block, only the effect columns of ``design`` are read,
-    and it may hold only those; the result is identical whether or not
-    observational records are present in ``data``.
+    ``values`` holds the nuisances evaluated on every record of ``data``,
+    and ``design`` is ``model.design(data.x)`` when the caller holds it.
     """
-    values = nuis if isinstance(nuis, NuisanceValues) else None
-    if values is not None and values.e.shape != (data.n,):
+    if values.e.shape != (data.n,):
         raise ValidationError("nuisance values do not match the number of records")
-    p1 = model.p1
-    if design is not None:
-        _check_design(design, data.n, p1 if trial_only else model.p)
-    if trial_only:
-        if data.n_trial == 0:
-            raise ValidationError("trial-only workspace requires s=1 records")
-        if data.n_obs:
-            keep = data.rows(1)
-            if values is not None:
-                values = values.subset(keep)
-            if design is not None:
-                design = design[keep, :p1]
-            data = data.trial_only()
-    if values is None:
-        values = nuis.evaluate(data)
+    p1, p2 = model.p1, model.p2
+    if design is None:
+        design = model.design(data.x)
+    _check_design(design, data.n, model.p)
     e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
     a = data.a.astype(float)
     k = _score_weight(data.a, e, v1, v0)
-    if design is None:
-        design = model.tau_basis.design(data.x) if trial_only else model.design(data.x)
-    t_design = design[:, :p1]
-    if trial_only:
-        grad = np.ascontiguousarray(t_design)
-        resid_design = a[:, None] * t_design
-        p2 = 0
-    else:
-        # blocks are written in place: no stacked temporaries beside the result
-        p2 = model.p2
-        l_design = design[:, p1:p1 + p2]
-        obs = (1.0 - data.s)[:, None]
-        grad = np.empty((data.n, p1 + p2))
-        resid_design = np.empty((data.n, p1 + p2))
-        grad[:, :p1] = t_design
-        np.multiply(obs, l_design, out=grad[:, p1:])
-        np.multiply(a[:, None], t_design, out=resid_design[:, :p1])
-        np.multiply(obs * (a - e)[:, None], l_design, out=resid_design[:, p1:])
+    # blocks are written in place: no stacked temporaries beside the result
+    t_design, l_design = design[:, :p1], design[:, p1:p1 + p2]
+    obs = (1.0 - data.s)[:, None]
+    grad = np.empty((data.n, p1 + p2))
+    resid_design = np.empty((data.n, p1 + p2))
+    grad[:, :p1] = t_design
+    np.multiply(obs, l_design, out=grad[:, p1:])
+    np.multiply(a[:, None], t_design, out=resid_design[:, :p1])
+    np.multiply(obs * (a - e)[:, None], l_design, out=resid_design[:, p1:])
     base_resid = data.y - mu
     for name, arr in (("propensity", e), ("outcome mean", mu),
                       ("variance", v1), ("variance", v0)):
         if not np.isfinite(arr).all():
             raise NumericalError(f"non-finite {name} predictions in the workspace")
-    return ScoreWorkspace(grad, resid_design, base_resid, k, a - e, model.p1, p2)
+    return ScoreWorkspace(grad, resid_design, base_resid, k, a - e, p1, p2)
 
 
 def _score_weight(a: np.ndarray, e: np.ndarray, v1: np.ndarray,
@@ -219,14 +204,18 @@ def _score_weight(a: np.ndarray, e: np.ndarray, v1: np.ndarray,
     return (a - weighted_a) * own_w
 
 
-def _check_workspace(ws: ScoreWorkspace, data: Dataset, model: StructuralModel,
-                     trial_only: bool) -> ScoreWorkspace:
-    """``ws`` once it is shown to hold the equations of ``data`` and ``model``."""
+def _check_workspace(ws: ScoreWorkspace, data: Dataset, model: StructuralModel) -> bool:
+    """Whether ``ws`` holds the trial-only rather than the pooled equations
+    of ``data`` and ``model``; raises when it holds neither.
+
+    A model has at least one confounding column, so ``p2 == 0`` marks
+    the trial-only workspace unambiguously.
+    """
+    trial_only = ws.p2 == 0
     n = data.n_trial if trial_only else data.n
-    p2 = 0 if trial_only else model.p2
-    if (ws.n, ws.p1, ws.p2) != (n, model.p1, p2):
-        raise ValidationError("workspace does not match the data, model or trial_only")
-    return ws
+    if (ws.n, ws.p1) != (n, model.p1) or ws.p2 not in (0, model.p2):
+        raise ValidationError("workspace does not match the data and model")
+    return trial_only
 
 
 def residuals(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
@@ -311,14 +300,9 @@ def _linear_solve(ws: ScoreWorkspace, init: np.ndarray):
     return params, 1, norm_new, True, False
 
 
-def solve_integrative(data: Dataset, model: StructuralModel,
-                      nuis: NuisanceSet | NuisanceValues | ScoreWorkspace,
+def solve_integrative(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
                       psi_init: PsiVector) -> SolveReport:
-    """Solve the pooled estimating equations for all coefficients.
-
-    ``nuis`` is a fitted set or its values on ``data``, as for
-    :func:`build_workspace`, or the workspace built from them.
-    """
+    """Solve the pooled estimating equations ``ws`` for all coefficients."""
     if data.n_trial == 0 or data.n_obs == 0:
         raise ValidationError("integrative fitting needs records from both sources")
     for source in (0, 1):
@@ -326,10 +310,8 @@ def solve_integrative(data: Dataset, model: StructuralModel,
             raise ValidationError(
                 f"integrative fitting: source s={source} contains a single arm"
             )
-    if isinstance(nuis, ScoreWorkspace):
-        ws = _check_workspace(nuis, data, model, trial_only=False)
-    else:
-        ws = build_workspace(data, model, nuis)
+    if _check_workspace(ws, data, model):
+        raise ValidationError("integrative fitting needs the pooled workspace")
     init = psi_init.stacked
     if init.size != ws.p:
         raise ValidationError("starting values do not match the model dimension")
@@ -338,19 +320,17 @@ def solve_integrative(data: Dataset, model: StructuralModel,
                        converged, fallback, ws)
 
 
-def solve_rct(data: Dataset, model: StructuralModel,
-              nuis: NuisanceSet | NuisanceValues | ScoreWorkspace,
+def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
               phi_init: np.ndarray) -> SolveReport:
-    """Solve the trial-only equations for the effect coefficients.
+    """Solve the trial-only equations ``ws`` for the effect coefficients.
 
-    ``nuis`` is as for :func:`solve_integrative`.
+    ``ws`` is the trial-only workspace, :meth:`ScoreWorkspace.trial` of
+    the pooled one.
     """
     if np.unique(data.a[data.rows(1)]).size < 2:
         raise ValidationError("trial-only fitting: the trial contains a single arm")
-    if isinstance(nuis, ScoreWorkspace):
-        ws = _check_workspace(nuis, data, model, trial_only=True)
-    else:
-        ws = build_workspace(data, model, nuis, trial_only=True)
+    if not _check_workspace(ws, data, model):
+        raise ValidationError("trial-only fitting needs the trial-only workspace")
     init = np.asarray(phi_init, dtype=float)
     if init.size != model.p1:
         raise ValidationError("starting values do not match the effect dimension")
@@ -433,10 +413,8 @@ def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
             break
         psi = rep.psi_hat
         # the residual is the pseudo-outcome already centered at its mean
-        var_fit = fit_variance_function(data, model, psi, None, None, var_spec,
-                                        ridge=opts.ridge, mu_hat=0.0,
-                                        h=residuals(ws, psi.stacked),
-                                        designs=var_designs, y_var=y_var)
+        var_fit = fit_variance_function(data, residuals(ws, psi.stacked), var_spec,
+                                        opts.ridge, designs=var_designs, y_var=y_var)
         v1 = var_fit.predict(1, data.x, data.s, var_designs)
         v0 = var_fit.predict(0, data.x, data.s, var_designs)
         ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
@@ -492,12 +470,10 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
         if "rct" in which:
             if data.n_trial == 0:
                 raise ValidationError("trial-only fitting requires s=1 records")
-            trial, p1 = data.rows(1), model.p1
-            trial_ws = ScoreWorkspace(ws.grad[trial, :p1], ws.resid_design[trial, :p1],
-                                      ws.base_resid[trial], ws.score_weight[trial],
-                                      ws.eps_a[trial], p1, 0)
-            result.rct = _solve_weighted(data.trial_only(), model, trial_ws, e_hat[trial],
-                                         var_spec, {1: var_designs[1]}, y_var, opts)
+            trial = data.rows(1)
+            result.rct = _solve_weighted(data.trial_only(), model, ws.trial(trial),
+                                         e_hat[trial], var_spec, {1: var_designs[1]},
+                                         y_var, opts)
         if "integrative" in which:
             result.integrative = _solve_weighted(data, model, ws, e_hat, var_spec,
                                                  var_designs, y_var, opts)

@@ -11,13 +11,14 @@ from .errors import NumericalError, ValidationError
 from .estimators import (
     ScoreWorkspace,
     _check_workspace,
-    build_workspace,
     mean_score_jacobian,
     residuals,
     score_matrix,
 )
+# Not used here: bench/test_bench.py::test_tracer_restores_every_binding
+# checks that the tracer rewraps and restores this binding.
+from .estimators import build_workspace  # noqa: F401
 from .model import BasisSpec, Dataset, PsiVector, StructuralModel
-from .nuisance import NuisanceSet
 
 __all__ = [
     "PsiEstimate",
@@ -119,26 +120,18 @@ def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
-def _workspace(data: Dataset, model: StructuralModel, nuis: NuisanceSet | ScoreWorkspace,
-               trial_only: bool = False) -> ScoreWorkspace:
-    """The workspace a solve reported, or one built from a fitted set."""
-    if not isinstance(nuis, ScoreWorkspace):
-        return build_workspace(data, model, nuis, trial_only=trial_only)
-    return _check_workspace(nuis, data, model, trial_only)
-
-
 def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVector,
-                        nuis: NuisanceSet | ScoreWorkspace,
-                        trial_only: bool = False) -> PsiEstimate:
+                        ws: ScoreWorkspace) -> PsiEstimate:
     """Empirical sandwich covariance at the solved coefficients.
 
     The bread is the average analytic score Jacobian, the meat the
     average outer product of per-record scores; the covariance is
     bread-inverse times meat times bread-inverse-transpose over the
-    number of records entering the equations, symmetrized.  ``nuis`` is
-    the fitted set or the workspace its solve reported.
+    number of records entering the equations, symmetrized.  ``ws`` is
+    the workspace the solve reported; the trial-only one, without
+    confounding columns, gives the covariance of the effect block alone.
     """
-    ws = _workspace(data, model, nuis, trial_only)
+    trial_only = _check_workspace(ws, data, model)
     params = psi_hat.phi if trial_only else psi_hat.stacked
     params = np.asarray(params, dtype=float)
     if params.size != ws.p:
@@ -150,10 +143,7 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVecto
     half = np.linalg.solve(bread, meat)
     cov = np.linalg.solve(bread, half.T) / ws.n
     cov = (cov + cov.T) / 2.0
-    if trial_only:
-        kept = PsiVector(params, np.zeros(0))
-    else:
-        kept = PsiVector.from_stacked(params, model.p1)
+    kept = PsiVector.from_stacked(params, model.p1)  # no confounding block if trial-only
     # n_trial/n_obs describe the dataset the estimate came from, so that
     # precision comparisons between fits on the same data share a scale.
     return PsiEstimate(kept, cov, bread, meat, data.n_trial, data.n_obs)
@@ -212,8 +202,8 @@ def precision_gain(est_int: PsiEstimate, est_rct: PsiEstimate) -> GainReport:
     return GainReport(prec_int, prec_rct, gain, min_eig)
 
 
-def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate,
-             nuis: NuisanceSet | ScoreWorkspace, alt_tau: BasisSpec, alt_lambda: BasisSpec,
+def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreWorkspace,
+             alt_tau: BasisSpec, alt_lambda: BasisSpec,
              efficient_weight: bool = False) -> GofResult:
     """Score-type test of the working effect and confounding models.
 
@@ -224,12 +214,13 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate,
     centered treatment) times the centered pseudo-outcome; the averaged
     vector is compared against its estimation-adjusted covariance on a
     chi-square scale with one degree of freedom per alternative column.
-    ``nuis`` is the fitted set or the workspace its solve reported.
+    ``ws`` is the pooled workspace the solve reported.
     """
     q1, q2 = alt_tau.p, alt_lambda.p
     if q1 + q2 < 1:
         raise ValidationError("the specification test needs at least one alternative term")
-    ws = _workspace(data, model, nuis)
+    if _check_workspace(ws, data, model):
+        raise ValidationError("the specification test needs the pooled workspace")
     params = est.psi_hat.stacked
     if params.size != ws.p:
         raise ValidationError("coefficient vector does not match the workspace dimension")

@@ -100,6 +100,9 @@ class AnalysisConfig:
                            tuple(tuple(float(v) for v in row) for row in self.probes))
         if not self.covariates:
             raise ValidationError("config must list at least one covariate column")
+        repeated = sorted({c for c in self.covariates if self.covariates.count(c) > 1})
+        if repeated:
+            raise ValidationError(f"covariate columns listed more than once: {repeated}")
         if not self.tau_terms:
             raise ValidationError("config must define the effect basis (tau_terms)")
         if not self.lambda_terms:
@@ -282,7 +285,8 @@ def _coef_block(labels, values, ses) -> list:
 
 
 def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
-    """Load the data (unless provided), run the cascade, assemble results."""
+    """Load the data (unless provided), fit the requested estimators with
+    ``run_pipeline``, and assemble their inference into a result document."""
     if data is None:
         data = load_csv(cfg.data, cfg)
     if data.d != len(cfg.covariates):
@@ -304,8 +308,7 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
             if rep is None:
                 continue
             pooled = name == "integrative"
-            est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace,
-                                      trial_only=not pooled)
+            est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
             block = {"tau": _coef_block(model.tau_basis.labels(names),
                                         est.psi_hat.phi, est.se[:model.p1])}
             if pooled:

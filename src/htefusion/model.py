@@ -161,8 +161,7 @@ class BasisTerm:
     kind is one of "const", "linear", "square", "product", "spline".
     For spline terms, ``knots`` is the full (sorted) knot sequence for
     covariate ``j`` including the two boundary knots, and ``piece``
-    selects one of the ``len(knots) - 2`` nonlinear pieces.  ``degree``
-    3 gives a natural cubic piece; 1 gives a hinge ``(v - t)_+``.
+    selects one of the ``len(knots) - 2`` natural cubic pieces.
     """
 
     kind: str
@@ -170,14 +169,11 @@ class BasisTerm:
     k: int = 0
     knots: tuple = ()
     piece: int = 0
-    degree: int = 3
 
     def __post_init__(self):
         if self.kind not in ("const", "linear", "square", "product", "spline"):
             raise ValidationError(f"unknown basis term kind {self.kind!r}")
         if self.kind == "spline":
-            if self.degree not in (1, 3):
-                raise ValidationError("spline degree must be 1 or 3")
             if len(self.knots) < 3:
                 raise ValidationError("spline terms need at least 3 knots")
             if not 0 <= self.piece <= len(self.knots) - 3:
@@ -203,8 +199,6 @@ class BasisTerm:
             return v * v
         if self.kind == "product":
             return v * X[:, self.k]
-        if self.degree == 1:
-            return np.clip(v - self.knots[self.piece + 1], 0.0, None)
         return _natural_cubic_pieces(v, self.knots)[self.piece]
 
     def label(self, names: Sequence[str] | None = None) -> str:
@@ -238,8 +232,8 @@ def product_term(j: int, k: int) -> BasisTerm:
     return BasisTerm("product", j=j, k=k)
 
 
-def spline_term(j: int, knots: Sequence[float], piece: int, degree: int = 3) -> BasisTerm:
-    return BasisTerm("spline", j=j, knots=tuple(float(t) for t in knots), piece=piece, degree=degree)
+def spline_term(j: int, knots: Sequence[float], piece: int) -> BasisTerm:
+    return BasisTerm("spline", j=j, knots=tuple(float(t) for t in knots), piece=piece)
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,7 @@ class BasisSpec:
         out = np.empty((X.shape[0], self.p))
         shared_key, pieces = None, None
         for col, term in enumerate(self.terms):
-            if term.kind == "spline" and term.degree == 3:
+            if term.kind == "spline":
                 # the pieces of one covariate's spline share their cubes
                 if (term.j, term.knots) != shared_key:
                     shared_key = (term.j, term.knots)

@@ -10,8 +10,7 @@ the data and settings; refitting reproduces coefficients bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -31,12 +30,10 @@ from .model import (
 __all__ = [
     "build_spline_basis",
     "AdditiveRegressor",
-    "KnownFunction",
     "Propensity",
     "OutcomeMean",
     "CellMeans",
     "VarianceFunction",
-    "NuisanceSet",
     "NuisanceValues",
     "fit_additive",
     "fit_propensity",
@@ -46,7 +43,7 @@ __all__ = [
 ]
 
 
-def build_spline_basis(data: Dataset, knots_per_covariate: int = 4, degree: int = 3) -> BasisSpec:
+def build_spline_basis(data: Dataset, knots_per_covariate: int = 4) -> BasisSpec:
     """Additive spline basis over all covariates of a dataset.
 
     Each covariate contributes its linear term plus ``knots_per_covariate``
@@ -58,8 +55,6 @@ def build_spline_basis(data: Dataset, knots_per_covariate: int = 4, degree: int 
     """
     if knots_per_covariate < 0:
         raise ValidationError("knots_per_covariate must be >= 0")
-    if degree not in (1, 3):
-        raise ValidationError("spline degree must be 1 or 3")
     terms = [constant_term()]
     for j in range(data.d):
         col = data.x[:, j]
@@ -90,7 +85,7 @@ def build_spline_basis(data: Dataset, knots_per_covariate: int = 4, degree: int 
                 stacklevel=2,
             )
         for piece in range(knots.size - 2):
-            terms.append(spline_term(j, knots, piece, degree))
+            terms.append(spline_term(j, knots, piece))
     return BasisSpec(tuple(terms))
 
 
@@ -224,19 +219,6 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     )
 
 
-class KnownFunction:
-    """Adapter exposing a known nuisance surface through ``predict``."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self.fn = fn
-
-    def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
-        """``fn`` at ``X``; a known surface needs no ``design``."""
-        X = np.asarray(X, dtype=float)
-        out = np.asarray(self.fn(X), dtype=float)
-        return np.broadcast_to(out, (X.shape[0],)).copy()
-
-
 def _predict_component(component, X, design: np.ndarray | None = None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if np.isscalar(component) or isinstance(component, (int, float)):
@@ -359,36 +341,18 @@ class _SmearedLogVariance:
 
 @dataclass(frozen=True)
 class NuisanceValues:
-    """A nuisance set evaluated on every record of one dataset.
+    """The nuisances evaluated on every record of one dataset.
 
     ``e`` is the clipped propensity, ``mu`` the pseudo-outcome mean, and
     ``v1``/``v0`` the residual variances of the treated and untreated arm
-    at each record's covariates and source.
+    at each record's covariates and source.  Known surfaces enter the
+    estimating equations as their values here.
     """
 
     e: np.ndarray
     mu: np.ndarray
     v1: np.ndarray
     v0: np.ndarray
-
-    def subset(self, mask) -> "NuisanceValues":
-        return NuisanceValues(self.e[mask], self.mu[mask], self.v1[mask], self.v0[mask])
-
-
-@dataclass
-class NuisanceSet:
-    """All fitted nuisance components needed by the estimating equations."""
-
-    e: Propensity
-    mu: OutcomeMean
-    sigma2: VarianceFunction
-    cond_y: CellMeans | None = None
-
-    def evaluate(self, data: Dataset) -> NuisanceValues:
-        """Evaluate the components on every record through their ``predict``."""
-        x, s = data.x, data.s
-        return NuisanceValues(self.e.predict(x, s), self.mu.predict(x, s),
-                              self.sigma2.predict(1, x, s), self.sigma2.predict(0, x, s))
 
 
 def source_designs(data: Dataset, spec: BasisSpec) -> dict:
@@ -500,30 +464,23 @@ def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
     return OutcomeMean(by_source)
 
 
-def fit_variance_function(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
-                          e_fit: Propensity, mu_fit: OutcomeMean, spec: BasisSpec,
+def fit_variance_function(data: Dataset, resid: np.ndarray, spec: BasisSpec,
                           ridge: float = 1e-6, rel_bounds: tuple = (1e-4, 1e4), *,
-                          mu_hat: np.ndarray | None = None,
                           designs: dict | None = None,
-                          h: np.ndarray | None = None,
                           y_var: float | None = None) -> VarianceFunction:
     """Fit the residual variance surface per (a, s) cell.
 
-    Squared centered pseudo-outcomes are regressed on the log scale and
-    mapped back with the cell's empirical smearing factor, so that a
-    homoscedastic truth is recovered without retransformation bias.
-    Predictions are clamped to ``rel_bounds`` times ``y_var``, by default
-    the variance of the outcomes in ``data``; a fit on a subset passes
-    the pooled one.  ``mu_hat`` is ``mu_fit`` already evaluated on
-    ``data``, ``designs`` is ``source_designs(data, spec)``, and ``h`` is
-    the pseudo-outcome of every record at ``psi_pre`` and ``e_fit``, when
-    the caller holds them.
+    ``resid`` holds every record's centered pseudo-outcome.  Its squares
+    are regressed on the log scale and mapped back with the cell's
+    empirical smearing factor, so that a homoscedastic truth is recovered
+    without retransformation bias.  Predictions are clamped to
+    ``rel_bounds`` times ``y_var``, by default the variance of the
+    outcomes in ``data``; a fit on a subset passes the pooled one.
+    ``designs`` is ``source_designs(data, spec)`` when the caller holds it.
     """
-    if mu_hat is None:
-        mu_hat = mu_fit.predict(data.x, data.s)
-    if h is None:
-        h = pseudo_outcomes(model, psi_pre, data, e_fit.predict(data.x, data.s))
-    resid = h - mu_hat
+    resid = np.asarray(resid, dtype=float)
+    if resid.shape != (data.n,):
+        raise ValidationError("residuals do not match the number of records")
     if y_var is None:
         y_var = float(np.var(data.y))
     if y_var <= 0.0:

@@ -235,8 +235,7 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
         if report is None:
             continue
         out["fallback"] |= report.fallback_used
-        est = sandwich_covariance(data, model, report.psi_hat, report.workspace,
-                                  trial_only=name == "rct")
+        est = sandwich_covariance(data, model, report.psi_hat, report.workspace)
         pts = design @ est.psi_hat.phi
         ves = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
         ate = ate_estimate(data, model, est)

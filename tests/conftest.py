@@ -2,7 +2,7 @@
 
 Most tests run on small synthetic draws from the same data-generating
 process as the built-in study, either with library-fitted nuisances or
-with the known truth injected through the adapter types.
+with the known truth injected as its values on the records.
 """
 
 import numpy as np
@@ -11,12 +11,8 @@ from scipy.special import expit
 
 from htefusion import (
     Dataset,
-    KnownFunction,
-    NuisanceSet,
-    OutcomeMean,
-    Propensity,
+    NuisanceValues,
     SimConfig,
-    VarianceFunction,
     generate_replicate,
 )
 
@@ -38,8 +34,23 @@ def clean_data():
     return generate_replicate(make_config(beta=0.0, seed=3), 0)
 
 
-def true_nuisances(cfg: SimConfig) -> NuisanceSet:
-    """The generator's own nuisance surfaces wrapped for the equations.
+def by_source(data: Dataset, trial, obs) -> np.ndarray:
+    """``trial`` or ``obs`` evaluated on each source's covariate rows."""
+    out = np.empty(data.n)
+    for source, fn in ((1, trial), (0, obs)):
+        rows = data.rows(source)
+        if rows.any():
+            out[rows] = fn(data.x[rows])
+    return out
+
+
+def values_subset(values: NuisanceValues, mask) -> NuisanceValues:
+    """The values of the records ``mask`` selects."""
+    return NuisanceValues(values.e[mask], values.mu[mask], values.v1[mask], values.v0[mask])
+
+
+def true_values(cfg: SimConfig, data: Dataset) -> NuisanceValues:
+    """The generator's own nuisance surfaces on the records of ``data``.
 
     The pseudo-outcome at the true coefficients has conditional mean
     sum(x) on trial records and sum(x) + lam(x) * (e(x) - 1/2) on
@@ -52,20 +63,14 @@ def true_nuisances(cfg: SimConfig) -> NuisanceSet:
     def e_obs(X):
         return expit(-X.sum(axis=1))
 
-    def mu_trial(X):
-        return X.sum(axis=1)
-
     def mu_obs(X):
         lam = scale * (X @ beta)
         return X.sum(axis=1) + lam * (e_obs(X) - 0.5)
 
-    e = Propensity({1: 0.5, 0: KnownFunction(e_obs)}, clip=1e-12)
-    mu = OutcomeMean({1: KnownFunction(mu_trial), 0: KnownFunction(mu_obs)})
-    sigma2 = VarianceFunction(
-        {(a, s): 1.0 if s == 1 else 2.0 for a in (0, 1) for s in (0, 1)},
-        bounds=(1e-8, 1e8),
-    )
-    return NuisanceSet(e, mu, sigma2, cond_y=None)
+    e = np.clip(by_source(data, lambda X: 0.5, e_obs), 1e-12, 1.0 - 1e-12)
+    mu = by_source(data, lambda X: X.sum(axis=1), mu_obs)
+    v = by_source(data, lambda X: 1.0, lambda X: 2.0)
+    return NuisanceValues(e, mu, v, v)
 
 
 def true_psi(cfg: SimConfig):

@@ -14,14 +14,16 @@ import numpy as np
 
 from htefusion import (
     Dataset,
-    NuisanceSet,
+    NuisanceValues,
     PsiVector,
     StructuralModel,
     ValidationError,
-    fit_outcome_mean,
+    build_workspace,
+    pseudo_outcomes,
     solve_integrative,
     solve_rct,
 )
+from htefusion.nuisance import fit_outcome_mean
 
 
 @dataclass(frozen=True)
@@ -97,25 +99,29 @@ def score_jacobian(ws, params: np.ndarray, i: int) -> np.ndarray:
     return -ws.score_weight[i] * np.outer(ws.grad[i], ws.resid_design[i])
 
 
-def refit_outcome_mean(data: Dataset, model: StructuralModel, e_fit, sigma2, spec,
-                       ridge: float, trial_only: bool = False, tol: float = 1e-14,
-                       max_rounds: int = 200) -> np.ndarray:
+def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
+                       v: np.ndarray, spec, ridge: float, trial_only: bool = False,
+                       tol: float = 1e-14, max_rounds: int = 200) -> np.ndarray:
     """Solve the equations by explicit outcome-mean refits at fixed variances.
 
-    Starting from zero coefficients, each round refits the outcome mean
-    per source at the current coefficients (``fit_outcome_mean``) and
-    solves the equations with that plug-in, until the coefficients stop
-    moving.  Returns the stacked coefficients (the effect block alone
-    with ``trial_only``).
+    ``e_hat`` and ``v`` are the propensity and the residual variance of
+    both arms on every record.  Starting from zero coefficients, each
+    round refits the outcome mean per source at the current coefficients
+    (``fit_outcome_mean``) and solves the equations with that plug-in,
+    until the coefficients stop moving.  Returns the stacked coefficients
+    (the effect block alone with ``trial_only``).
     """
     psi = PsiVector(np.zeros(model.p1), np.zeros(model.p2))
     for _ in range(max_rounds):
-        mu = fit_outcome_mean(data, model, psi, e_fit, spec, ridge=ridge)
-        nuis = NuisanceSet(e_fit, mu, sigma2)
+        h = pseudo_outcomes(model, psi, data, e_hat)
+        mu = fit_outcome_mean(data, model, psi, None, spec, ridge=ridge, h=h)
+        ws = build_workspace(data, model,
+                             NuisanceValues(e_hat, mu.predict(data.x, data.s), v, v))
         if trial_only:
-            new = PsiVector(solve_rct(data, model, nuis, psi.phi).psi_hat.phi, psi.lam)
+            ws = ws.trial(data.rows(1))
+            new = PsiVector(solve_rct(data, model, ws, psi.phi).psi_hat.phi, psi.lam)
         else:
-            new = solve_integrative(data, model, nuis, psi).psi_hat
+            new = solve_integrative(data, model, ws, psi).psi_hat
         step = np.abs(new.stacked - psi.stacked).max()
         psi = new
         if step <= tol * (1.0 + np.abs(psi.stacked).max()):

@@ -27,21 +27,19 @@ import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
     FitOptions,
-    NuisanceSet,
+    NuisanceValues,
     SimConfig,
     build_spline_basis,
     build_workspace,
     constant_term,
     default_tau_basis,
-    fit_conditional_outcomes,
-    fit_outcome_mean,
     generate_replicate,
     linear_term,
     mean_score,
     mean_score_jacobian,
     precision_gain,
-    preliminary_estimate,
     product_term,
+    pseudo_outcomes,
     run_monte_carlo,
     run_pipeline,
     sandwich_covariance,
@@ -49,7 +47,9 @@ from htefusion import (
     solve_integrative,
     square_term,
 )
-from conftest import make_config, true_nuisances, true_psi
+from htefusion.estimators import preliminary_estimate
+from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean
+from conftest import make_config, true_psi, true_values
 
 
 def verdict(tag, ok, detail):
@@ -247,8 +247,7 @@ def test_criterion_7_no_gain_when_bases_coincide():
         fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
         est_i = sandwich_covariance(data, model, fit.integrative.psi_hat,
                                     fit.integrative.workspace)
-        est_r = sandwich_covariance(data, model, fit.rct.psi_hat,
-                                    fit.rct.workspace, trial_only=True)
+        est_r = sandwich_covariance(data, model, fit.rct.psi_hat, fit.rct.workspace)
         gains.append(precision_gain(est_i, est_r).gain)
     gains = np.array(gains)
     per_rep = np.abs(gains).max(axis=(1, 2))
@@ -268,7 +267,7 @@ def test_criterion_7_no_gain_when_bases_coincide():
 def test_criterion_8a_score_centered_at_truth():
     cfg = make_config(beta=1.0, n=50_000, m=50_000, seed=101)
     data = generate_replicate(cfg, 0)
-    ws = build_workspace(data, cfg.model(), true_nuisances(cfg))
+    ws = build_workspace(data, cfg.model(), true_values(cfg, data))
     scores = score_matrix(ws, true_psi(cfg).stacked)
     z = scores.mean(axis=0) / (scores.std(axis=0, ddof=1) / math.sqrt(ws.n))
     worst = np.abs(z).max()
@@ -281,7 +280,7 @@ def test_criterion_8a_score_centered_at_truth():
 def test_criterion_8b_jacobian_matches_finite_differences():
     cfg = make_config(beta=1.0, n=400, m=1200, seed=103)
     data = generate_replicate(cfg, 0)
-    ws = build_workspace(data, cfg.model(), true_nuisances(cfg))
+    ws = build_workspace(data, cfg.model(), true_values(cfg, data))
     jac = mean_score_jacobian(ws)
     psi0 = true_psi(cfg).stacked + 0.1
     h = 1e-6
@@ -297,21 +296,6 @@ def test_criterion_8b_jacobian_matches_finite_differences():
             f"relative error {rel:.1e} (limit 1e-6)")
 
 
-class _KnownPropensity:
-    """True treatment probabilities of the generator, both sources."""
-
-    def predict(self, X, s):
-        return np.where(np.asarray(s) == 1, 0.5,
-                        expit(-np.asarray(X, dtype=float).sum(axis=1)))
-
-
-class _KnownVariance:
-    """True residual variances of the generator: 1 in the trial, 2 outside."""
-
-    def predict(self, a, X, s):
-        return np.where(np.asarray(s) == 1, 1.0, 2.0)
-
-
 def test_criterion_8c_misspecified_fit_finds_the_projection():
     """Underspecified effect basis: the solver must land on the weighted
     least squares projection of the generating surface, with weights
@@ -325,18 +309,22 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
     cfg = SimConfig(n=n, m=m, beta=(0.0,) * 5, reps=reps, tau_terms=lin_tau,
                     seed=77)
     model = cfg.model()
-    e_true, v_true = _KnownPropensity(), _KnownVariance()
 
     draws = []
     for r in range(reps):
         data = generate_replicate(cfg, r)
-        spec0 = build_spline_basis(data, 0, 3)
+        # the generator's treatment probabilities and residual variances
+        e_true = np.where(data.s == 1, 0.5, expit(-data.x.sum(axis=1)))
+        v_true = np.where(data.s == 1, 1.0, 2.0)
+        spec0 = build_spline_basis(data, 0)
         cond_y = fit_conditional_outcomes(data, spec0, ridge=1e-6)
         psi = preliminary_estimate(data, model, cond_y)
         for _ in range(2):
-            mu = fit_outcome_mean(data, model, psi, e_true, spec0, ridge=1e-6)
-            nuis = NuisanceSet(e_true, mu, v_true, cond_y)
-            psi = solve_integrative(data, model, nuis, psi).psi_hat
+            h = pseudo_outcomes(model, psi, data, e_true)
+            mu = fit_outcome_mean(data, model, psi, None, spec0, ridge=1e-6, h=h)
+            values = NuisanceValues(e_true, mu.predict(data.x, data.s), v_true, v_true)
+            ws = build_workspace(data, model, values)
+            psi = solve_integrative(data, model, ws, psi).psi_hat
         draws.append(psi.stacked)
     draws = np.array(draws)
     mc_mean = draws.mean(axis=0)

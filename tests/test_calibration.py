@@ -44,8 +44,7 @@ def test_effect_coefficients_calibrated_with_spline_nuisances():
         fit = run_pipeline(data, model, opts, which=tuple(draws))
         for name, (phi, se) in draws.items():
             report = getattr(fit, name)
-            est = sandwich_covariance(data, model, report.psi_hat, report.workspace,
-                                      trial_only=name == "rct")
+            est = sandwich_covariance(data, model, report.psi_hat, report.workspace)
             phi.append(est.psi_hat.phi)
             se.append(est.se[:model.p1])
     truth = true_tau_coefficients(cfg.tau_form)

@@ -79,6 +79,16 @@ class TestFit:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_duplicate_covariates_are_rejected(self, data_csv, tmp_path, capsys):
+        flags = ["fit", "--data", str(data_csv), "--covariates", "age,age,bmi",
+                 "--tau", "1,age", "--lambda", "bmi", "--knots", "0"]
+        blob = tmp_path / "dup.json"
+        blob.write_text(json.dumps({"data": str(data_csv), "covariates": ["age", "bmi", "age"],
+                                    "tau_terms": ["1", "age"], "lambda_terms": ["bmi"]}))
+        for argv in (flags, ["fit", "--config", str(blob)]):
+            assert main(argv) == 2
+            assert "listed more than once: ['age']" in capsys.readouterr().err
+
     def test_degenerate_basis_is_a_numerical_error(self, data_csv, capsys):
         code = main([
             "fit", "--data", str(data_csv), "--covariates", "age,bmi,x3,x4,x5",

@@ -16,7 +16,7 @@ from htefusion import (
     BasisSpec,
     Dataset,
     FitOptions,
-    KnownFunction,
+    NuisanceValues,
     NumericalError,
     Propensity,
     PsiVector,
@@ -25,8 +25,6 @@ from htefusion import (
     build_spline_basis,
     build_workspace,
     constant_term,
-    fit_conditional_outcomes,
-    fit_outcome_mean,
     fit_propensity,
     fit_variance_function,
     generate_replicate,
@@ -34,7 +32,6 @@ from htefusion import (
     mean_score,
     mean_score_jacobian,
     meta_estimate,
-    preliminary_estimate,
     run_pipeline,
     sandwich_covariance,
     score_matrix,
@@ -44,9 +41,9 @@ from htefusion import (
 )
 import htefusion.estimators as estimators
 import htefusion.nuisance as nuisance
-from htefusion.estimators import residuals
-from htefusion.nuisance import VarianceFunction, source_designs
-from conftest import make_config, true_nuisances, true_psi
+from htefusion.estimators import preliminary_estimate, residuals
+from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
+from conftest import make_config, true_psi, true_values, values_subset
 from oracles import efficient_score, refit_outcome_mean, score_jacobian
 
 
@@ -54,16 +51,19 @@ from oracles import efficient_score, refit_outcome_mean, score_jacobian
 def fused_fixture():
     cfg = make_config(beta=1.0, n=400, m=1200, seed=11)
     data = generate_replicate(cfg, 0)
-    return cfg, data, cfg.model(), true_nuisances(cfg)
+    return cfg, data, cfg.model(), true_values(cfg, data)
+
+
+def trial_workspace(data, model, nuis):
+    """The trial-only equations of ``data``: the pooled workspace's trial slice."""
+    return build_workspace(data, model, nuis).trial(data.rows(1))
 
 
 class TestWorkspace:
     def test_score_weight_matches_definition(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
-        e = nuis.e.predict(data.x, data.s)
-        v1 = nuis.sigma2.predict(1, data.x, data.s)
-        v0 = nuis.sigma2.predict(0, data.x, data.s)
+        e, v1, v0 = nuis.e, nuis.v1, nuis.v0
         own = np.where(data.a == 1, 1.0 / v1, 1.0 / v0)
         pooled = (e / v1) / (e / v1 + (1.0 - e) / v0)
         assert np.allclose(ws.score_weight, (data.a - pooled) * own)
@@ -89,24 +89,28 @@ class TestWorkspace:
 
     def test_trial_only_restriction(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis, trial_only=True)
+        ws = trial_workspace(data, model, nuis)
         assert ws.n == data.n_trial and ws.p2 == 0
-        ws_sub = build_workspace(data.trial_only(), model, nuis, trial_only=True)
+        trial = data.trial_only()
+        ws_sub = trial_workspace(trial, model, values_subset(nuis, data.rows(1)))
         assert np.allclose(ws.base_resid, ws_sub.base_resid)
+        obs = data.subset(data.s == 0)
         with pytest.raises(ValidationError):
-            build_workspace(data.subset(data.s == 0), model, nuis, trial_only=True)
+            solve_rct(obs, model, trial_workspace(obs, model, values_subset(nuis, data.s == 0)),
+                      np.zeros(model.p1))
 
     def test_evaluated_values_give_the_same_workspace(self, fused_fixture):
-        cfg, data, model, nuis = fused_fixture
-        values = nuis.evaluate(data)
+        cfg, data, model, values = fused_fixture
         design = model.design(data.x)
-        for trial_only in (False, True):
-            direct = build_workspace(data, model, nuis, trial_only=trial_only)
-            for reused in (build_workspace(data, model, values, trial_only=trial_only),
-                           build_workspace(data, model, values, trial_only=trial_only,
-                                           design=design)):
-                for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
-                    assert np.array_equal(getattr(direct, name), getattr(reused, name))
+        trial = data.rows(1)
+        direct = build_workspace(data, model, values)
+        held = build_workspace(data, model, values, design=design)
+        # the trial slice equals the trial-only equations built from trial records
+        from_trial = trial_workspace(data.trial_only(), model, values_subset(values, trial))
+        for first, second in ((direct, held), (direct.trial(trial), held.trial(trial)),
+                              (direct.trial(trial), from_trial)):
+            for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
+                assert np.array_equal(getattr(first, name), getattr(second, name))
         with pytest.raises(ValidationError, match="do not match"):
             build_workspace(data.trial_only(), model, values)
         with pytest.raises(ValidationError, match="design does not match"):
@@ -114,18 +118,14 @@ class TestWorkspace:
 
     def test_solve_reports_its_workspace(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, model, nuis, true_psi(cfg))
+        rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
         assert rep.workspace.n == data.n and rep.workspace.p == model.p
-        rct = solve_rct(data, model, nuis, true_psi(cfg).phi)
+        rct = solve_rct(data, model, trial_workspace(data, model, nuis), true_psi(cfg).phi)
         assert rct.workspace.n == data.n_trial and rct.workspace.p2 == 0
 
     def test_nonfinite_nuisance_raises(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        from htefusion import NuisanceSet, OutcomeMean
-
-        bad_mu = OutcomeMean({0: KnownFunction(lambda X: np.nan),
-                              1: KnownFunction(lambda X: np.nan)})
-        bad = NuisanceSet(nuis.e, bad_mu, nuis.sigma2, None)
+        bad = NuisanceValues(nuis.e, np.full(data.n, np.nan), nuis.v1, nuis.v0)
         with pytest.raises(NumericalError, match="outcome mean"):
             build_workspace(data, model, bad)
 
@@ -162,7 +162,7 @@ class TestScoreIdentities:
     def test_score_mean_zero_at_truth(self):
         cfg = make_config(beta=1.0, n=10000, m=30000, seed=21)
         data = generate_replicate(cfg, 0)
-        ws = build_workspace(data, cfg.model(), true_nuisances(cfg))
+        ws = build_workspace(data, cfg.model(), true_values(cfg, data))
         mat = score_matrix(ws, true_psi(cfg).stacked)
         z = mat.mean(axis=0) / (mat.std(axis=0, ddof=1) / np.sqrt(ws.n))
         assert np.abs(z).max() < 4.0
@@ -185,7 +185,6 @@ class TestPreliminaryEstimate:
             BasisSpec((constant_term(), linear_term(0))),
             BasisSpec((linear_term(1),)),
         )
-        from htefusion import build_spline_basis, fit_conditional_outcomes
         cond = fit_conditional_outcomes(data, build_spline_basis(data, 0))
         psi = preliminary_estimate(data, model, cond)
         assert np.allclose(psi.phi, [1.0, 2.0], atol=1e-6)
@@ -193,7 +192,6 @@ class TestPreliminaryEstimate:
 
     def test_requires_trial_records(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        from htefusion import build_spline_basis, fit_conditional_outcomes
         obs = data.subset(data.s == 0)
         cond = fit_conditional_outcomes(obs, build_spline_basis(obs, 0))
         with pytest.raises(ValidationError):
@@ -203,7 +201,7 @@ class TestPreliminaryEstimate:
 class TestSolvers:
     def test_newton_reaches_an_exact_root(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, model, nuis, true_psi(cfg))
+        rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
         assert rep.converged and not rep.fallback_used
         assert rep.iterations == 1
         ws = build_workspace(data, model, nuis)
@@ -211,39 +209,42 @@ class TestSolvers:
 
     def test_solution_independent_of_start(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        a = solve_integrative(data, model, nuis, true_psi(cfg))
+        ws = build_workspace(data, model, nuis)
+        a = solve_integrative(data, model, ws, true_psi(cfg))
         far = PsiVector(np.full(model.p1, 7.0), np.full(model.p2, -4.0))
-        b = solve_integrative(data, model, nuis, far)
+        b = solve_integrative(data, model, ws, far)
         assert np.allclose(a.psi_hat.stacked, b.psi_hat.stacked, atol=1e-8)
 
     def test_estimates_sit_near_truth(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, model, nuis, true_psi(cfg))
+        rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
         want = true_psi(cfg).stacked
         assert np.abs(rep.psi_hat.stacked - want).max() < 0.5
 
     def test_trial_only_solve(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_rct(data, model, nuis, true_psi(cfg).phi)
+        ws = trial_workspace(data, model, nuis)
+        rep = solve_rct(data, model, ws, true_psi(cfg).phi)
         assert rep.converged
         assert rep.psi_hat.lam.size == 0
-        ws = build_workspace(data, model, nuis, trial_only=True)
         assert np.linalg.norm(mean_score(ws, rep.psi_hat.phi)) < 1e-10
 
     def test_source_and_arm_requirements(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
+        ws = build_workspace(data, model, nuis)
         with pytest.raises(ValidationError):
-            solve_integrative(data.trial_only(), model, nuis, true_psi(cfg))
+            solve_integrative(data.trial_only(), model, ws, true_psi(cfg))
         one_arm = data.subset((data.s == 0) | (data.a == 1))
         with pytest.raises(ValidationError, match="single arm"):
-            solve_integrative(one_arm, model, nuis, true_psi(cfg))
+            solve_integrative(one_arm, model, ws, true_psi(cfg))
 
     def test_dimension_mismatch(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         with pytest.raises(ValidationError):
-            solve_integrative(data, model, nuis, PsiVector([0.0], [0.0]))
+            solve_integrative(data, model, build_workspace(data, model, nuis),
+                              PsiVector([0.0], [0.0]))
         with pytest.raises(ValidationError):
-            solve_rct(data, model, nuis, np.zeros(2))
+            solve_rct(data, model, trial_workspace(data, model, nuis), np.zeros(2))
 
     def test_singular_equations_fall_back(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -253,7 +254,7 @@ class TestSolvers:
             model.lambda_basis,
         )
         init = PsiVector(np.zeros(5), np.zeros(model.p2))
-        rep = solve_integrative(data, dup, nuis, init)  # never an exception
+        rep = solve_integrative(data, dup, build_workspace(data, dup, nuis), init)  # no raise
         assert rep.fallback_used and not rep.converged
         assert rep.iterations == 1
         assert np.array_equal(rep.psi_hat.stacked, init.stacked)
@@ -278,8 +279,9 @@ class TestSolvers:
 class TestMetaEstimate:
     def test_matches_hand_rolled_weighted_regression(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        coef = meta_estimate(data, model, nuis.e)
-        e = nuis.e.predict_raw(data.x, data.s)
+        e_fit = fit_propensity(data, build_spline_basis(data, 0), trial_known=0.5)
+        coef = meta_estimate(data, model, e_fit)
+        e = e_fit.predict_raw(data.x, data.s)
         adj = data.a * data.y / e - (1 - data.a) * data.y / (1.0 - e)
         design = model.tau_basis.design(data.x)
         ref, *_ = np.linalg.lstsq(design, adj, rcond=None)
@@ -301,7 +303,7 @@ class TestMetaEstimate:
 
     def test_degenerate_propensity_raises(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        flat = Propensity({0: KnownFunction(lambda X: 0.0), 1: 0.5}, clip=0.01)
+        flat = Propensity({0: 0.0, 1: 0.5}, clip=0.01)
         with pytest.raises(NumericalError):
             meta_estimate(data, model, flat)
 
@@ -388,12 +390,10 @@ class TestPipeline:
         fits = [run_pipeline(d, model, opts, which=("integrative", "rct"))
                 for d in (desk_data, shuffled)]
         for name in ("integrative", "rct"):
-            trial_only = name == "rct"
             got = []
             for d, fit in zip((desk_data, shuffled), fits):
                 rep = getattr(fit, name)
-                est = sandwich_covariance(d, model, rep.psi_hat, rep.workspace,
-                                          trial_only=trial_only)
+                est = sandwich_covariance(d, model, rep.psi_hat, rep.workspace)
                 got.append((est.psi_hat.stacked, est.se))
             for first, second in zip(*got):
                 assert np.allclose(first, second, rtol=1e-10, atol=1e-10), name
@@ -410,15 +410,13 @@ class TestProfiledOutcomeMean:
         spec = build_spline_basis(desk_data, knots)
         e_fit = fit_propensity(desk_data, spec, trial_known=opts.trial_known,
                                clip=opts.clip_e, ridge=opts.ridge)
-        unit = VarianceFunction({(a, s): 1.0 for a in (0, 1) for s in (0, 1)},
-                                bounds=(1e-8, 1e8))
+        e_hat, unit = e_fit.predict(desk_data.x, desk_data.s), np.ones(desk_data.n)
         for name in ("integrative", "rct"):
             trial_only = name == "rct"
             rep = getattr(fit, name)
-            want = refit_outcome_mean(desk_data, model, e_fit, unit, spec, opts.ridge,
+            want = refit_outcome_mean(desk_data, model, e_hat, unit, spec, opts.ridge,
                                       trial_only=trial_only)
-            est = sandwich_covariance(desk_data, model, rep.psi_hat, rep.workspace,
-                                      trial_only=trial_only)
+            est = sandwich_covariance(desk_data, model, rep.psi_hat, rep.workspace)
             assert np.abs((est.psi_hat.stacked - want) / est.se).max() < 1e-8, name
 
 
@@ -446,8 +444,7 @@ class TestCachedDesigns:
         spec, _, e_fit, _ = self._fits(desk_data)
         var_spec = spec if var_knots == 4 else BasisSpec((constant_term(),))
         resid = residuals(first.workspace, first.psi_hat.stacked)
-        var_fit = fit_variance_function(desk_data, model, first.psi_hat, e_fit, None,
-                                        var_spec, mu_hat=0.0, h=resid)
+        var_fit = fit_variance_function(desk_data, resid, var_spec)
         x, s = desk_data.x, desk_data.s
         k = estimators._score_weight(desk_data.a, e_fit.predict(x, s),
                                      var_fit.predict(1, x, s), var_fit.predict(0, x, s))

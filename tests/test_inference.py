@@ -30,16 +30,19 @@ from htefusion import (
     square_term,
     tau_curve,
 )
-from conftest import make_config, true_nuisances, true_psi
+from conftest import make_config, true_psi, true_values, values_subset
 
 
 @pytest.fixture(scope="module")
 def solved():
+    """A pooled solve on the true nuisances; ``nuis`` is a fresh workspace
+    built from their values, the one ``rep.workspace`` was solved on."""
     cfg = make_config(beta=1.0, n=500, m=1500, seed=13)
     data = generate_replicate(cfg, 0)
     model = cfg.model()
-    nuis = true_nuisances(cfg)
-    rep = solve_integrative(data, model, nuis, true_psi(cfg))
+    values = true_values(cfg, data)
+    rep = solve_integrative(data, model, build_workspace(data, model, values), true_psi(cfg))
+    nuis = build_workspace(data, model, values)
     est = sandwich_covariance(data, model, rep.psi_hat, nuis)
     return cfg, data, model, nuis, rep, est
 
@@ -47,7 +50,7 @@ def solved():
 class TestSandwich:
     def test_matches_direct_formula(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        ws = build_workspace(data, model, nuis)
+        ws = nuis
         scores = score_matrix(ws, rep.psi_hat.stacked)
         bread = mean_score_jacobian(ws)
         meat = scores.T @ scores / ws.n
@@ -88,10 +91,12 @@ class TestSandwich:
 
     def test_trial_only_equals_trial_subset(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        rct = solve_rct(data, model, nuis, true_psi(cfg).phi)
-        full = sandwich_covariance(data, model, rct.psi_hat, nuis, trial_only=True)
-        sub = sandwich_covariance(data.trial_only(), model, rct.psi_hat, nuis,
-                                  trial_only=True)
+        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg).phi)
+        full = sandwich_covariance(data, model, rct.psi_hat, nuis.trial(data.rows(1)))
+        trial = data.trial_only()
+        values = values_subset(true_values(cfg, data), data.rows(1))
+        sub = sandwich_covariance(trial, model, rct.psi_hat,
+                                  build_workspace(trial, model, values).trial(trial.rows(1)))
         assert np.allclose(full.cov, sub.cov)
 
     def test_reported_workspace_gives_the_same_estimate(self, solved):
@@ -101,8 +106,6 @@ class TestSandwich:
         alt = BasisSpec((product_term(0, 1),))
         assert gof_test(data, model, est, rep.workspace, alt, BasisSpec(())) == \
             gof_test(data, model, est, nuis, alt, BasisSpec(()))
-        with pytest.raises(ValidationError, match="workspace does not match"):
-            sandwich_covariance(data, model, rep.psi_hat, rep.workspace, trial_only=True)
         with pytest.raises(ValidationError, match="workspace does not match"):
             sandwich_covariance(data.trial_only(), model, rep.psi_hat, rep.workspace)
 
@@ -119,8 +122,9 @@ class TestSandwich:
             model.lambda_basis,
         )
         psi = PsiVector(np.zeros(5), np.zeros(model.p2))
+        ws = build_workspace(data, dup, true_values(cfg, data))
         with pytest.raises(NumericalError, match="singular"):
-            sandwich_covariance(data, dup, psi, nuis)
+            sandwich_covariance(data, dup, psi, ws)
 
 
 class TestTauCurve:
@@ -172,8 +176,8 @@ class TestPrecisionGain:
 
     def test_pooling_tightens_effect_estimates(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        rct = solve_rct(data, model, nuis, true_psi(cfg).phi)
-        est_r = sandwich_covariance(data, model, rct.psi_hat, nuis, trial_only=True)
+        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg).phi)
+        est_r = sandwich_covariance(data, model, rct.psi_hat, rct.workspace)
         out = precision_gain(est, est_r)
         # the population gain is positive semidefinite; on one replicate we
         # only insist the total gain is clearly positive, any negative
@@ -204,8 +208,7 @@ class TestPrecisionGain:
             fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
             est_i = sandwich_covariance(data, model, fit.integrative.psi_hat,
                                         fit.integrative.workspace)
-            est_r = sandwich_covariance(data, model, fit.rct.psi_hat,
-                                        fit.rct.workspace, trial_only=True)
+            est_r = sandwich_covariance(data, model, fit.rct.psi_hat, fit.rct.workspace)
             out = precision_gain(est_i, est_r)
             assert np.abs(out.gain).max() < 1e-10
 
@@ -213,8 +216,9 @@ class TestPrecisionGain:
         cfg, data, model, nuis, rep, est = solved
         small = StructuralModel(BasisSpec((constant_term(),)),
                                 BasisSpec((linear_term(0),)))
-        rep2 = solve_rct(data, small, nuis, np.zeros(1))
-        est2 = sandwich_covariance(data, small, rep2.psi_hat, nuis, trial_only=True)
+        ws = build_workspace(data, small, true_values(cfg, data)).trial(data.rows(1))
+        rep2 = solve_rct(data, small, ws, np.zeros(1))
+        est2 = sandwich_covariance(data, small, rep2.psi_hat, rep2.workspace)
         with pytest.raises(ValidationError):
             precision_gain(est, est2)
 

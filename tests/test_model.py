@@ -143,29 +143,22 @@ class TestBasisTerms:
             spline_term(0, (0.0, 1.0, 1.0), 0)     # not increasing
         with pytest.raises(ValidationError):
             spline_term(0, (0.0, 0.5, 1.0), 1)     # piece out of range
-        with pytest.raises(ValidationError):
-            spline_term(0, (0.0, 0.5, 1.0), 0, degree=2)
 
     def test_natural_cubic_is_linear_in_the_tails(self):
-        term = spline_term(0, (-1.0, 0.0, 1.0), 0, degree=3)
+        term = spline_term(0, (-1.0, 0.0, 1.0), 0)
         for side in (np.linspace(-8, -1.5, 30), np.linspace(1.5, 8, 30)):
             col = term.column(side[:, None])
             second = np.diff(col, 2)
             assert np.abs(second).max() < 1e-9
 
     def test_natural_cubic_is_continuous_and_nonlinear_inside(self):
-        term = spline_term(0, (-1.0, 0.0, 1.0), 0, degree=3)
+        term = spline_term(0, (-1.0, 0.0, 1.0), 0)
         grid = np.linspace(-2, 2, 2001)[:, None]
         col = term.column(grid)
         assert np.abs(np.diff(col)).max() < 0.02      # no jumps on a fine grid
         inner = term.column(np.array([[-0.5], [0.0], [0.5]]))
         line = (inner[0] + inner[2]) / 2.0
         assert abs(inner[1] - line) > 1e-3            # curvature inside the knots
-
-    def test_hinge_spline(self):
-        term = spline_term(0, (-1.0, 0.25, 1.0), 0, degree=1)
-        got = term.column(np.array([[-0.5], [0.25], [1.0]]))
-        assert np.allclose(got, [0.0, 0.0, 0.75])
 
     def test_labels(self):
         assert constant_term().label() == "1"
@@ -190,7 +183,7 @@ class TestBasisSpec:
         other = (-1.0, 0.0, 1.0)
         spec = BasisSpec((spline_term(0, knots, 1), linear_term(1),
                           spline_term(0, knots, 0), spline_term(1, other, 0),
-                          spline_term(0, knots, 2), spline_term(0, knots, 2, degree=1)))
+                          spline_term(0, knots, 2)))
         x = np.random.default_rng(0).uniform(-2.0, 2.0, (200, 2))
 
         def piece(v, t, r):
@@ -202,8 +195,7 @@ class TestBasisSpec:
             return d(r) - d(L - 1)
 
         want = np.column_stack([piece(x[:, 0], knots, 1), x[:, 1], piece(x[:, 0], knots, 0),
-                                piece(x[:, 1], other, 0), piece(x[:, 0], knots, 2),
-                                np.clip(x[:, 0] - knots[3], 0.0, None)])
+                                piece(x[:, 1], other, 0), piece(x[:, 0], knots, 2)])
         assert np.array_equal(spec.design(x), want)
         for col, term in enumerate(spec.terms):
             assert np.array_equal(term.column(x), want[:, col])

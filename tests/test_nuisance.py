@@ -11,9 +11,9 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from htefusion import (
+    AdditiveRegressor,
     BasisSpec,
     Dataset,
-    KnownFunction,
     NumericalError,
     Propensity,
     PsiVector,
@@ -23,14 +23,13 @@ from htefusion import (
     build_spline_basis,
     constant_term,
     fit_additive,
-    fit_conditional_outcomes,
-    fit_outcome_mean,
     fit_propensity,
     fit_variance_function,
     linear_term,
+    pseudo_outcomes,
     square_term,
 )
-from htefusion.nuisance import source_designs
+from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
 
 
 class TestBuildSplineBasis:
@@ -65,8 +64,6 @@ class TestBuildSplineBasis:
     def test_validation(self, desk_data):
         with pytest.raises(ValidationError):
             build_spline_basis(desk_data, -1)
-        with pytest.raises(ValidationError):
-            build_spline_basis(desk_data, 4, degree=2)
 
 
 class TestFitAdditive:
@@ -126,14 +123,6 @@ class TestFitAdditive:
             fit_additive(np.zeros((3, 1)), np.zeros(3), spec, link="probit")
 
 
-class TestKnownFunction:
-    def test_wraps_and_broadcasts(self):
-        fn = KnownFunction(lambda X: X[:, 0] * 2.0)
-        assert fn.predict([[1.0], [3.0]]).tolist() == [2.0, 6.0]
-        const = KnownFunction(lambda X: 0.25)
-        assert const.predict(np.zeros((4, 2))).tolist() == [0.25] * 4
-
-
 class TestFitPropensity:
     def test_trial_known_short_circuits(self, desk_data):
         spec = build_spline_basis(desk_data, 0)
@@ -156,7 +145,8 @@ class TestFitPropensity:
         assert np.abs(got - want).max() < 0.03
 
     def test_clip_is_applied_symmetrically(self):
-        e = Propensity({0: KnownFunction(lambda X: X[:, 0])}, clip=0.1)
+        identity = AdditiveRegressor(BasisSpec((linear_term(0),)), np.array([1.0]))
+        e = Propensity({0: identity}, clip=0.1)
         x = np.array([[0.0], [0.5], [1.0]])
         assert e.predict(x, np.zeros(3, dtype=int)).tolist() == [0.1, 0.5, 0.9]
         assert e.predict_raw(x, np.zeros(3, dtype=int)).tolist() == [0.0, 0.5, 1.0]
@@ -244,16 +234,17 @@ class TestFitConditionalOutcomes:
 
 class TestFitOutcomeMean:
     def test_recovers_truth_at_true_coefficients(self):
-        from conftest import make_config, true_nuisances, true_psi
+        from conftest import make_config, true_psi, true_values
         from htefusion import generate_replicate
 
         cfg = make_config(beta=1.0, n=20000, m=20000, seed=9)
         data = generate_replicate(cfg, 0)
         model = cfg.model()
         psi = true_psi(cfg)
-        truth = true_nuisances(cfg)
+        truth = true_values(cfg, data)
         spec = build_spline_basis(data, 0)
-        fit = fit_outcome_mean(data, model, psi, truth.e, spec)
+        h = pseudo_outcomes(model, psi, data, truth.e)
+        fit = fit_outcome_mean(data, model, psi, None, spec, h=h)
         # the pseudo-outcome mean on trial records is sum(x), a linear surface
         grid = np.random.default_rng(0).standard_normal((100, 5))
         got = fit.predict(grid, np.ones(100, dtype=int))
@@ -275,13 +266,14 @@ class TestFitVarianceFunction:
         psi = PsiVector([0.0], [0.0])
         spec = build_spline_basis(data, 0)
         e = Propensity({0: 0.5, 1: 0.5})
-        from htefusion import fit_outcome_mean as fom
-        mu = fom(data, model, psi, e, spec)
-        return data, model, psi, e, mu, (var_spec or spec)
+        mu = fit_outcome_mean(data, model, psi, e, spec)
+        x, s = data.x, data.s
+        resid = pseudo_outcomes(model, psi, data, e.predict(x, s)) - mu.predict(x, s)
+        return data, model, psi, e, resid, (var_spec or spec)
 
     def test_recovers_homoscedastic_truth(self):
-        data, model, psi, e, mu, spec = self._fitted()
-        fit = fit_variance_function(data, model, psi, e, mu, spec)
+        data, model, psi, e, resid, spec = self._fitted()
+        fit = fit_variance_function(data, resid, spec)
         grid = np.random.default_rng(1).uniform(-1.5, 1.5, (50, 2))
         v_trial = fit.predict(1, grid, np.ones(50, dtype=int))
         v_obs = fit.predict(0, grid, np.zeros(50, dtype=int))
@@ -289,39 +281,35 @@ class TestFitVarianceFunction:
         assert np.abs(v_obs / 3.0 - 1.0).max() < 0.12
 
     def test_intercept_only_spec_gives_cell_constants(self):
-        data, model, psi, e, mu, _ = self._fitted(
+        data, model, psi, e, resid, _ = self._fitted(
             var_spec=BasisSpec((constant_term(),)))
-        fit = fit_variance_function(data, model, psi, e, mu,
-                                    BasisSpec((constant_term(),)))
+        fit = fit_variance_function(data, resid, BasisSpec((constant_term(),)))
         grid = np.random.default_rng(2).standard_normal((10, 2))
         vals = fit.predict(1, grid, np.ones(10, dtype=int))
         assert np.ptp(vals) == 0.0
         assert vals[0] == pytest.approx(1.0, rel=0.1)
 
     def test_held_pseudo_outcome_and_outcome_variance(self):
-        from htefusion import pseudo_outcomes
-
-        data, model, psi, e, mu, spec = self._fitted()
+        data, model, psi, e, resid, spec = self._fitted()
         h = pseudo_outcomes(model, psi, data, e.predict(data.x, data.s))
         plain = fit_outcome_mean(data, model, psi, e, spec)
         held = fit_outcome_mean(data, model, psi, e, spec, h=h)
         for source in (0, 1):
             assert np.array_equal(plain.by_source[source].coef, held.by_source[source].coef)
         grid = np.zeros((3, 2))
-        base = fit_variance_function(data, model, psi, e, mu, spec)
-        again = fit_variance_function(data, model, psi, e, mu, spec, h=h,
-                                      y_var=float(np.var(data.y)))
+        base = fit_variance_function(data, resid, spec)
+        again = fit_variance_function(data, resid, spec, y_var=float(np.var(data.y)))
         assert again.bounds == base.bounds
         assert np.array_equal(again.predict(1, grid, np.ones(3, dtype=int)),
                               base.predict(1, grid, np.ones(3, dtype=int)))
-        scaled = fit_variance_function(data, model, psi, e, mu, spec, h=h, y_var=2.0)
+        scaled = fit_variance_function(data, resid, spec, y_var=2.0)
         assert scaled.bounds == (2e-4, 2e4)
 
     def test_singular_cell_fit_warning_names_its_cell(self):
-        data, model, psi, e, mu, _ = self._fitted()
+        data, model, psi, e, resid, _ = self._fitted()
         dup = BasisSpec((constant_term(), linear_term(0), linear_term(0)))
         with pytest.warns(UserWarning) as caught:
-            fit_variance_function(data, model, psi, e, mu, dup, ridge=0.0)
+            fit_variance_function(data, resid, dup, ridge=0.0)
             fit_conditional_outcomes(data, dup, ridge=0.0)
             fit_outcome_mean(data, model, psi, e, dup, ridge=0.0)
         messages = {str(w.message).split(":")[0] for w in caught}
@@ -331,9 +319,8 @@ class TestFitVarianceFunction:
                             | {"outcome-mean fit (s=0)", "outcome-mean fit (s=1)"})
 
     def test_bounds_clamp_predictions(self):
-        data, model, psi, e, mu, spec = self._fitted()
-        fit = fit_variance_function(data, model, psi, e, mu, spec,
-                                    rel_bounds=(1e-9, 1e-8))
+        data, model, psi, e, resid, spec = self._fitted()
+        fit = fit_variance_function(data, resid, spec, rel_bounds=(1e-9, 1e-8))
         grid = np.zeros((5, 2))
         got = fit.predict(1, grid, np.ones(5, dtype=int))
         assert np.all(got <= 1e-8 * np.var(data.y) + 1e-20)
