@@ -76,42 +76,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# fit flag -> (config key, conversion); a flag left unset keeps the
+# config's default
+_FIT_FLAGS = {
+    "data": ("data", str), "covariates": ("covariates", _split),
+    "source_col": ("source_col", str), "treatment_col": ("treatment_col", str),
+    "outcome_col": ("outcome_col", str), "tau": ("tau_terms", _split),
+    "lambda_terms_flag": ("lambda_terms", _split), "estimators": ("estimators", _split),
+    "knots": ("knots", int), "ridge": ("ridge", float), "clip_e": ("clip_e", float),
+    "trial_known": ("trial_known", float),
+    "probe": ("probes", lambda flags: tuple(tuple(float(v) for v in _split(p))
+                                            for p in flags)),
+    "gof_tau": ("gof_tau_terms", _split), "gof_lambda": ("gof_lambda_terms", _split),
+    "gof_efficient_weight": ("gof_efficient_weight", bool),
+    "out": ("output", str), "curve_out": ("curve_output", str),
+}
+
+
 def _fit_config(args: argparse.Namespace) -> AnalysisConfig:
-    raw: dict = {}
-    if args.data is not None:
-        raw["data"] = args.data
-    if args.covariates is not None:
-        raw["covariates"] = _split(args.covariates)
-    if args.source_col is not None:
-        raw["source_col"] = args.source_col
-    if args.treatment_col is not None:
-        raw["treatment_col"] = args.treatment_col
-    if args.outcome_col is not None:
-        raw["outcome_col"] = args.outcome_col
-    if args.tau is not None:
-        raw["tau_terms"] = _split(args.tau)
-    if args.lambda_terms_flag is not None:
-        raw["lambda_terms"] = _split(args.lambda_terms_flag)
-    if args.estimators is not None:
-        raw["estimators"] = _split(args.estimators)
-    for key in ("knots", "ridge", "trial_known"):
-        val = getattr(args, key)
-        if val is not None:
-            raw[key] = val
-    if args.clip_e is not None:
-        raw["clip_e"] = args.clip_e
-    if args.probe is not None:
-        raw["probes"] = tuple(tuple(float(v) for v in _split(p)) for p in args.probe)
-    if args.gof_tau is not None:
-        raw["gof_tau_terms"] = _split(args.gof_tau)
-    if args.gof_lambda is not None:
-        raw["gof_lambda_terms"] = _split(args.gof_lambda)
-    if args.gof_efficient_weight is not None:
-        raw["gof_efficient_weight"] = args.gof_efficient_weight
-    if args.out is not None:
-        raw["output"] = args.out
-    if args.curve_out is not None:
-        raw["curve_output"] = args.curve_out
+    raw = {key: convert(getattr(args, flag)) for flag, (key, convert) in _FIT_FLAGS.items()
+           if getattr(args, flag) is not None}
     if args.config:
         # config file takes precedence over flags
         raw.update(_read_json_object(args.config, "config file"))
@@ -183,13 +167,9 @@ def _cmd_gof(args: argparse.Namespace) -> int:
             "the specification test needs at least one alternative term "
             "(--tau-alt or --lambda-alt)"
         )
-    raw = dict(doc.config)
-    raw["estimators"] = ("integrative",)
-    raw["gof_tau_terms"] = tau_alt
-    raw["gof_lambda_terms"] = lambda_alt
-    raw["gof_efficient_weight"] = bool(args.efficient_weight)
-    raw["output"] = None
-    raw["curve_output"] = None
+    raw = dict(doc.config, estimators=("integrative",), gof_tau_terms=tau_alt,
+               gof_lambda_terms=lambda_alt, gof_efficient_weight=bool(args.efficient_weight),
+               output=None, curve_output=None)
     new_doc = run_fit(AnalysisConfig.from_dict(raw))
     g = new_doc.results["integrative"]["gof"]
     print(f"specification test: T = {g['t_stat']:.4f} on {g['df']} df, "

@@ -43,6 +43,7 @@ from .model import (
     PsiVector,
     StructuralModel,
     _check_design,
+    _take_rows,
     constant_term,
 )
 from .nuisance import (
@@ -131,6 +132,8 @@ class ScoreWorkspace:
     outcome-mean fit, so the centering moves with ``psi`` and the
     Jacobian includes it.  A workspace without confounding columns
     (``p2 == 0``) holds the trial-only equations; see :meth:`trial`.
+    ``grad`` and ``resid_design`` are column-major, like the designs they
+    come from, so sums over records run down contiguous columns.
     """
 
     grad: np.ndarray          # (n, p) stacked basis gradients
@@ -158,7 +161,8 @@ class ScoreWorkspace:
         built from the trial records alone.
         """
         p1 = self.p1
-        return ScoreWorkspace(self.grad[rows, :p1], self.resid_design[rows, :p1],
+        return ScoreWorkspace(_take_rows(self.grad[:, :p1], rows),
+                              _take_rows(self.resid_design[:, :p1], rows),
                               self.base_resid[rows], self.score_weight[rows],
                               self.eps_a[rows], p1, 0)
 
@@ -182,8 +186,8 @@ def build_workspace(data: Dataset, model: StructuralModel, values: NuisanceValue
     # blocks are written in place: no stacked temporaries beside the result
     t_design, l_design = design[:, :p1], design[:, p1:p1 + p2]
     obs = (1.0 - data.s)[:, None]
-    grad = np.empty((data.n, p1 + p2))
-    resid_design = np.empty((data.n, p1 + p2))
+    grad = np.empty((data.n, p1 + p2), order="F")
+    resid_design = np.empty((data.n, p1 + p2), order="F")
     grad[:, :p1] = t_design
     np.multiply(obs, l_design, out=grad[:, p1:])
     np.multiply(a[:, None], t_design, out=resid_design[:, :p1])
@@ -228,7 +232,8 @@ def score_matrix(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
 
 
 def mean_score(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
-    return score_matrix(ws, params).mean(axis=0)
+    """Column means of ``score_matrix``, as one product over the records."""
+    return ws.grad.T @ (ws.score_weight * residuals(ws, params)) / ws.n
 
 
 def mean_score_jacobian(ws: ScoreWorkspace) -> np.ndarray:
@@ -306,7 +311,7 @@ def solve_integrative(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
     if data.n_trial == 0 or data.n_obs == 0:
         raise ValidationError("integrative fitting needs records from both sources")
     for source in (0, 1):
-        if np.unique(data.a[data.rows(source)]).size < 2:
+        if not (data.rows(source, 0).any() and data.rows(source, 1).any()):
             raise ValidationError(
                 f"integrative fitting: source s={source} contains a single arm"
             )
@@ -327,7 +332,7 @@ def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
     ``ws`` is the trial-only workspace, :meth:`ScoreWorkspace.trial` of
     the pooled one.
     """
-    if np.unique(data.a[data.rows(1)]).size < 2:
+    if not (data.rows(1, 0).any() and data.rows(1, 1).any()):
         raise ValidationError("trial-only fitting: the trial contains a single arm")
     if not _check_workspace(ws, data, model):
         raise ValidationError("trial-only fitting needs the trial-only workspace")
@@ -366,7 +371,7 @@ def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpe
     return build_spline_basis(data, opts.var_knots)
 
 
-# Rows per block of the residualization: its passes allocate no
+# Rows per block of the residualization's update: it allocates no
 # record-length temporaries beside the one stacked copy it solves on.
 _BLOCK = 8192
 
@@ -383,14 +388,14 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
     """
     for source, design in designs.items():
         rows = np.flatnonzero(data.rows(source))
-        blocks = [slice(i, i + _BLOCK) for i in range(0, rows.size, _BLOCK)]
-        z = np.empty((rows.size, ws.p + 1))
-        for b in blocks:
-            z[b, 0] = ws.base_resid[rows[b]]
-            z[b, 1:] = ws.resid_design[rows[b]]
+        # gathered into the column-major copy in place; the indices are in
+        # range, and mode="clip" spares take its bounds-checking buffer
+        z = np.empty((rows.size, ws.p + 1), order="F")
+        np.take(ws.base_resid, rows, out=z[:, 0], mode="clip")
+        np.take(ws.resid_design.T, rows, axis=1, out=z[:, 1:].T, mode="clip")
         coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})")
-        for b in blocks:
-            z[b] -= design[b] @ coef
+        for i in range(0, rows.size, _BLOCK):
+            z[i:i + _BLOCK] -= design[i:i + _BLOCK] @ coef
         ws.base_resid[rows] = z[:, 0]
         ws.resid_design[rows] = z[:, 1:]
 

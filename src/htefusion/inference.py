@@ -149,12 +149,16 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVecto
     return PsiEstimate(kept, cov, bread, meat, data.n_trial, data.n_obs)
 
 
-def tau_curve(model: StructuralModel, est: PsiEstimate, grid) -> TauCurve:
-    """Effect estimates with standard errors over covariate points."""
+def tau_curve(model: StructuralModel, est: PsiEstimate, grid, *,
+              design: np.ndarray | None = None) -> TauCurve:
+    """Effect estimates with standard errors over covariate points; ``design``
+    is ``model.tau_basis.design(grid)`` when the caller holds it."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[None, :]
-    design = model.tau_basis.design(grid)
+    design = model.tau_basis.design(grid) if design is None else design
+    if design.shape != (grid.shape[0], model.p1):
+        raise ValidationError("design does not match the grid and the effect basis")
     phi_cov = est.phi_cov
     estimate = design @ est.psi_hat.phi
     var = np.einsum("ij,jk,ik->i", design, phi_cov, design)
@@ -162,18 +166,21 @@ def tau_curve(model: StructuralModel, est: PsiEstimate, grid) -> TauCurve:
     return TauCurve(grid, estimate, se, estimate - _Z95 * se, estimate + _Z95 * se)
 
 
-def ate_estimate(data: Dataset, model: StructuralModel, est: PsiEstimate) -> AteEstimate:
+def ate_estimate(data: Dataset, model: StructuralModel, est: PsiEstimate, *,
+                 design: np.ndarray | None = None) -> AteEstimate:
     """Average the fitted effect curve over the observational sample.
 
     The variance combines the spread of the fitted curve over that
     sample with the coefficient uncertainty contracted against the
-    average effect-basis row.
+    average effect-basis row.  ``design`` is ``model.tau_basis.design``
+    of the observational records when the caller holds it.
     """
-    obs = data.s == 0
-    m = int(obs.sum())
+    m = data.n_obs
     if m == 0:
         raise ValidationError("average effect needs observational records")
-    design = model.tau_basis.design(data.x[obs])
+    design = model.tau_basis.design(data.x[data.rows(0)]) if design is None else design
+    if design.shape != (m, model.p1):
+        raise ValidationError("design does not match the records and the effect basis")
     tau_vals = design @ est.psi_hat.phi
     grad0 = design.mean(axis=0)
     tau0 = float(tau_vals.mean())

@@ -303,6 +303,10 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = run_pipeline(data, model, opts, which=cfg.estimators)
+        # the effect designs every estimator's summaries read, built once
+        obs_design = model.tau_basis.design(data.x[data.rows(0)]) if data.n_obs else None
+        probes = np.array(cfg.probes)
+        probe_design = model.tau_basis.design(probes) if cfg.probes else None
 
         for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
             if rep is None:
@@ -315,12 +319,12 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
                 block["lambda"] = _coef_block(model.lambda_basis.labels(names),
                                               est.psi_hat.lam, est.se[model.p1:])
             if data.n_obs > 0:
-                ate = ate_estimate(data, model, est)
+                ate = ate_estimate(data, model, est, design=obs_design)
                 block["ate"] = {"estimate": ate.tau0_hat, "se": ate.se,
                                 "lower": ate.lower, "upper": ate.upper,
                                 "pi0": ate.pi0_hat}
             if cfg.probes:
-                curve = tau_curve(model, est, np.array(cfg.probes))
+                curve = tau_curve(model, est, probes, design=probe_design)
                 block["curve"] = [
                     {"x": _plain(curve.grid[i]), "estimate": float(curve.estimate[i]),
                      "se": float(curve.se[i]), "lower": float(curve.lower[i]),
@@ -348,8 +352,7 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
                                                 fit.meta_coef)
             }}
             if data.n_obs > 0:
-                obs_tau = model.tau(fit.meta_coef, data.x[data.s == 0])
-                block["ate"] = {"estimate": float(obs_tau.mean())}
+                block["ate"] = {"estimate": float((obs_design @ fit.meta_coef).mean())}
             results["meta"] = block
 
     diagnostics["warnings"] = sorted({str(w.message) for w in caught})

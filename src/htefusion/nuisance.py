@@ -21,6 +21,7 @@ from .model import (
     Dataset,
     PsiVector,
     StructuralModel,
+    _take_rows,
     constant_term,
     linear_term,
     pseudo_outcomes,
@@ -108,10 +109,16 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
     pen = ridge * scale
-    eye = np.eye(design.shape[1])
+    p = design.shape[1]
+    eye = np.eye(p)
     first = 0
-    if pen == 0.0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
+    if pen == 0.0 and np.linalg.matrix_rank(gram) < p:
         first, pen = 1, 1e-10 * scale  # the first escalation below
+        # collinear columns split evenly only if their right-hand sides are
+        # equal, which one symmetric product over [design, target] ensures
+        aug = np.column_stack((design, target))
+        full = aug.T @ aug
+        gram, rhs = full[:p, :p], full[:p, p:].reshape(rhs.shape)
     for attempt in range(first, 3):
         try:
             coef = np.linalg.solve(gram + pen * eye, rhs)
@@ -141,7 +148,8 @@ class AdditiveRegressor:
 
     def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
         """Fitted values at ``X``; ``design`` is ``basis.design(X)`` when the
-        caller already holds it."""
+        caller already holds it, and ``X`` is then read for its row count
+        only (it may be the design itself)."""
         X = np.asarray(X, dtype=float)
         if design is None:
             design = self.basis.design(X)
@@ -159,7 +167,8 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
                  what: str = "additive regression") -> AdditiveRegressor:
     """Fit an additive regression by penalized LS (identity) or IRLS (logit).
 
-    ``design`` is ``basis.design(X)`` when the caller already holds it.
+    ``design`` is ``basis.design(X)`` when the caller already holds it;
+    ``X`` is then read for its row count only, and may be the design itself.
     ``what`` names the fit in its warnings and errors.
     """
     X = np.asarray(X, dtype=float)
@@ -176,8 +185,9 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     if link != "logit":
         raise ValidationError(f"unknown link {link!r}")
 
-    # IRLS with step halving on the penalized deviance.
-    scale = float(np.mean(np.sum(design * design, axis=0)))
+    # IRLS with step halving on the penalized deviance; the penalty scales
+    # with the mean squared column norm.
+    scale = float(np.linalg.norm(design) ** 2 / basis.p)
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
     pen = ridge * scale
@@ -185,32 +195,33 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     def deviance(c):
         eta = design @ c
         # log(1 + exp(eta)) - y * eta, computed stably
-        return 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta)) + pen * float(c @ c)
+        dev = 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta)) + pen * float(c @ c)
+        return dev, eta
 
     coef = np.zeros(basis.p)
-    dev = deviance(coef)
+    dev, eta = deviance(coef)
     eye = np.eye(basis.p)
+    r = np.empty_like(design)  # the one weighted copy of the design
     for _ in range(max_iter):
-        eta = design @ coef
         prob = expit(eta)
         w = np.clip(prob * (1.0 - prob), 1e-10, None)
         z = eta + (y - prob) / w
-        try:
-            new = np.linalg.solve(design.T @ (w[:, None] * design) + pen * eye,
-                                  design.T @ (w * z))
+        np.multiply(design, np.sqrt(w)[:, None], out=r)
+        try:  # r.T @ r is one symmetric product: the weighted Gram
+            new = np.linalg.solve(r.T @ r + pen * eye, design.T @ (w * z))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{what}: IRLS update produced a singular system: {exc}")
         step = new - coef
         t = 1.0
         for _ in range(30):
             cand = coef + t * step
-            dev_new = deviance(cand)
+            dev_new, eta_new = deviance(cand)
             if np.isfinite(dev_new) and dev_new <= dev + 1e-12:
                 break
             t *= 0.5
         else:
             raise NumericalError(f"{what}: IRLS step halving failed to reduce the deviance")
-        coef = cand
+        coef, eta = cand, eta_new  # the accepted candidate's eta starts the next step
         if abs(dev - dev_new) < tol * (abs(dev) + 1.0):
             return AdditiveRegressor(basis, coef, "logit", ridge)
         dev = dev_new
@@ -234,7 +245,7 @@ def _source_rows(designs: dict, sources: np.ndarray, source: int,
     if design is None or design.shape[0] != np.count_nonzero(in_source):
         raise ValidationError(f"design does not match the records of source s={source}")
     rows = mask[in_source]
-    return design if rows.all() else design[rows]
+    return design if rows.all() else _take_rows(design, rows)
 
 
 def _predict_cells(components: dict, X, labels: tuple, missing: str,
@@ -246,7 +257,7 @@ def _predict_cells(components: dict, X, labels: tuple, missing: str,
     mask per key; a row that no key matches raises ``missing`` filled
     with its labels.  ``designs`` maps each source to the components'
     design over that source's records, in order, when the caller holds
-    it; each component then reads its own rows of it.
+    it; each component then reads its own rows of it, not of ``X``.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -262,7 +273,8 @@ def _predict_cells(components: dict, X, labels: tuple, missing: str,
             design = None
             if designs is not None:
                 design = _source_rows(designs, labels[-1], key[-1], mask)
-            out[mask] = _predict_component(component, X[mask], design)
+            out[mask] = _predict_component(
+                component, X[mask] if design is None else design, design)
             covered |= mask
     if not covered.all():
         row = int(np.argmin(covered))
@@ -365,17 +377,19 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
             for src in (0, 1) if data.rows(src).any()}
 
 
-def _stage_design(designs: dict | None, data: Dataset, source: int,
-                  arm: int | None = None) -> np.ndarray | None:
-    """Rows of the held designs for one source, or for one (arm, source) cell."""
+def _stage_inputs(designs: dict | None, data: Dataset, source: int,
+                  arm: int | None = None) -> tuple:
+    """(X, design) of one source's records, or of one (arm, source) cell;
+    with held ``designs`` the design's rows stand in for the uncopied X."""
+    mask = data.rows(source, arm)
     if designs is None:
-        return None
-    return _source_rows(designs, data.s, source, data.rows(source, arm))
+        return data.x[mask], None
+    design = _source_rows(designs, data.s, source, mask)
+    return design, design
 
 
 def _require_both_arms(data: Dataset, source: int, context: str):
-    arms = np.unique(data.a[data.rows(source)])
-    if arms.size < 2:
+    if not (data.rows(source, 0).any() and data.rows(source, 1).any()):
         raise ValidationError(
             f"{context}: source s={source} contains a single treatment arm"
         )
@@ -405,10 +419,10 @@ def fit_propensity(data: Dataset, spec: BasisSpec, trial_known: float | None = N
             by_source[1] = float(trial_known)
             continue
         _require_both_arms(data, source, "propensity fit")
+        X, design = _stage_inputs(designs, data, source)
         by_source[source] = fit_additive(
-            data.x[mask], data.a[mask].astype(float), spec, link="logit", ridge=ridge,
-            design=_stage_design(designs, data, source),
-            what=f"propensity fit (s={source})",
+            X, data.a[mask].astype(float), spec, link="logit", ridge=ridge,
+            design=design, what=f"propensity fit (s={source})",
         )
     if not by_source:
         raise ValidationError("propensity fit: dataset has no usable source")
@@ -427,9 +441,9 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
             mask = data.rows(s_val, a_val)
             if not mask.any():
                 continue
+            X, design = _stage_inputs(designs, data, s_val, a_val)
             by_cell[(a_val, s_val)] = fit_additive(
-                data.x[mask], data.y[mask], spec, link="identity", ridge=ridge,
-                design=_stage_design(designs, data, s_val, a_val),
+                X, data.y[mask], spec, link="identity", ridge=ridge, design=design,
                 what=f"conditional-outcome fit (a={a_val}, s={s_val})",
             )
     if not by_cell:
@@ -456,9 +470,9 @@ def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
         mask = data.rows(source)
         if not mask.any():
             continue
+        X, design = _stage_inputs(designs, data, source)
         by_source[source] = fit_additive(
-            data.x[mask], h[mask], spec, link="identity", ridge=ridge,
-            design=_stage_design(designs, data, source),
+            X, h[mask], spec, link="identity", ridge=ridge, design=design,
             what=f"outcome-mean fit (s={source})",
         )
     return OutcomeMean(by_source)
@@ -495,10 +509,10 @@ def fit_variance_function(data: Dataset, resid: np.ndarray, spec: BasisSpec,
             r2 = resid[mask] ** 2
             floor = 1e-12 * (float(r2.mean()) + 1e-300)
             z = np.log(r2 + floor)
-            design = _stage_design(designs, data, s_val, a_val)
+            X, design = _stage_inputs(designs, data, s_val, a_val)
             if design is None:
-                design = spec.design(data.x[mask])
-            reg = fit_additive(data.x[mask], z, spec, link="identity", ridge=ridge,
+                design = spec.design(X)
+            reg = fit_additive(X, z, spec, link="identity", ridge=ridge,
                                design=design, what=f"variance fit (a={a_val}, s={s_val})")
             smear = float(np.mean(np.exp(z - design @ reg.coef)))
             by_cell[(a_val, s_val)] = _SmearedLogVariance(reg, smear)

@@ -221,6 +221,7 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
     opts = FitOptions(knots=cfg.knots, trial_known=cfg.trial_known)
     fit = run_pipeline(data, model, opts, which=cfg.estimators)
     design = model.tau_basis.design(_probe_points(cfg))
+    obs_design = model.tau_basis.design(data.x[data.rows(0)])  # read by every average
     labels = [probe_label(pr) for pr in cfg.probes]
     out = {"fallback": False, "estimates": {}, "gof_p": None}
 
@@ -238,7 +239,7 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
         est = sandwich_covariance(data, model, report.psi_hat, report.workspace)
         pts = design @ est.psi_hat.phi
         ves = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
-        ate = ate_estimate(data, model, est)
+        ate = ate_estimate(data, model, est, design=obs_design)
         record(name, pts, ves, (ate.tau0_hat, ate.se ** 2))
         if name == "integrative" and cfg.gof_enabled:
             gof = gof_test(data, model, est, report.workspace,
@@ -248,8 +249,8 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
             out["gof_p"] = gof.p_value
     if fit.meta_coef is not None:
         pts = design @ fit.meta_coef
-        obs_tau = model.tau(fit.meta_coef, data.x[data.s == 0])
-        record("meta", pts, [None] * len(labels), (float(obs_tau.mean()), None))
+        ate = float((obs_design @ fit.meta_coef).mean())
+        record("meta", pts, [None] * len(labels), (ate, None))
     return out
 
 

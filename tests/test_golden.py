@@ -5,7 +5,11 @@ The stored files hold the result document and curve CSV of one
 of a 20-replicate setting-2 study at knots 0 and at knots 4 with the
 specification test on.  Every number must match at a relative tolerance
 of 1e-10, so a refactor that is meant to leave the estimates alone is
-checked against the numbers of the code before it.
+checked against the numbers of the code before it.  The one exception is
+each solve's ``final_score_norm``: it is the rounding residual of an exact
+linear solve (about 1e-17), whose digits follow the BLAS kernels and the
+summation order rather than the estimates, so it is checked against a
+fixed bound instead.
 
 Regenerate the files only for an intended change of the estimates:
 
@@ -36,6 +40,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-10
 NAMES = ("x1", "x2", "x3", "x4", "x5")
 PATH_KEYS = ("data", "output", "curve_output")
+# rounding residuals, checked as 0 <= value <= RESIDUAL_BOUND
+RESIDUAL_FIELDS = ("fit.json/diagnostics/integrative/final_score_norm",
+                   "fit.json/diagnostics/rct/final_score_norm")
+RESIDUAL_BOUND = 1e-12
 
 
 def _write_study_csv(path):
@@ -83,6 +91,9 @@ def _close(got, want, where=""):
         assert isinstance(got, list) and len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
             _close(g, w, f"{where}[{i}]")
+    elif where in RESIDUAL_FIELDS:
+        assert isinstance(got, float) and 0.0 <= got <= RESIDUAL_BOUND, (
+            f"{where}: {got!r} is not within [0, {RESIDUAL_BOUND}]")
     elif isinstance(want, float) and not isinstance(got, bool):
         assert isinstance(got, (int, float)), where
         assert math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0), (
