@@ -38,13 +38,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import (
-    BasisSpec,
     Dataset,
     PsiVector,
     StructuralModel,
-    _check_design,
     _take_rows,
-    constant_term,
 )
 from .nuisance import (
     CellMeans,
@@ -83,17 +80,11 @@ class FitOptions:
     variances on the estimator's own residuals at its current solution
     and solves again with the new score weights.  Any positive variances
     keep the equations unbiased, so the rounds buy efficiency only.
-    ``var_knots`` controls the basis of the log-variance regressions.
-    ``None``, the default, fits one constant per (arm, source) cell:
-    the variance enters only through inverse weights, and fitting a
-    covariate-dependent surface on a few hundred records per cell puts
-    enough noise into the weights to visibly deflate the variance
-    estimator.  Pass an integer to use a spline basis with that many
-    interior knots instead (0 gives intercept plus linear terms).
+    A round's variance is one mean square per (arm, source) cell; see
+    :func:`fit_variance_function`.
     """
 
     knots: int = 4
-    var_knots: int | None = None
     ridge: float = 1e-6
     clip_e: float = 0.01
     trial_known: float | None = None
@@ -167,19 +158,16 @@ class ScoreWorkspace:
                               self.eps_a[rows], p1, 0)
 
 
-def build_workspace(data: Dataset, model: StructuralModel, values: NuisanceValues, *,
-                    design: np.ndarray | None = None) -> ScoreWorkspace:
+def build_workspace(data: Dataset, model: StructuralModel,
+                    values: NuisanceValues) -> ScoreWorkspace:
     """Cache every score ingredient of the pooled equations on ``data``.
 
-    ``values`` holds the nuisances evaluated on every record of ``data``,
-    and ``design`` is ``model.design(data.x)`` when the caller holds it.
+    ``values`` holds the nuisances evaluated on every record of ``data``.
     """
     if values.e.shape != (data.n,):
         raise ValidationError("nuisance values do not match the number of records")
     p1, p2 = model.p1, model.p2
-    if design is None:
-        design = model.design(data.x)
-    _check_design(design, data.n, model.p)
+    design = model.design(data.x)
     e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
     a = data.a.astype(float)
     k = _score_weight(data.a, e, v1, v0)
@@ -363,14 +351,6 @@ def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity,
     return _solve_penalized(model.tau_basis.design(data.x), adj, 0.0, "meta comparator fit")
 
 
-def _variance_spec(data: Dataset, spec: BasisSpec, opts: FitOptions) -> BasisSpec:
-    if opts.var_knots is None:
-        return BasisSpec((constant_term(),))
-    if opts.var_knots == opts.knots:
-        return spec
-    return build_spline_basis(data, opts.var_knots)
-
-
 # Rows per block of the residualization's update: it allocates no
 # record-length temporaries beside the one stacked copy it solves on.
 _BLOCK = 8192
@@ -401,10 +381,9 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
 
 
 def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
-                    e_hat: np.ndarray, var_spec: BasisSpec, var_designs: dict,
-                    y_var: float, opts: FitOptions) -> SolveReport:
-    """Solve one estimator's equations, then run ``opts.refine`` variance
-    rounds on the records ``data`` holds, whose workspace is ``ws``.
+                    e_hat: np.ndarray, y_var: float, refine: int) -> SolveReport:
+    """Solve one estimator's equations, then run ``refine`` variance rounds
+    on the records ``data`` holds, whose workspace is ``ws``.
 
     A round fits sigma2 per cell to the residuals at the current
     solution, recomputes only the score weight and solves again.
@@ -413,15 +392,14 @@ def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
     solve = solve_rct if trial_only else solve_integrative
     psi = PsiVector(np.zeros(model.p1), np.zeros(ws.p2))
     rep = solve(data, model, ws, psi.phi if trial_only else psi)
-    for _ in range(max(0, opts.refine)):
+    for _ in range(max(0, refine)):
         if rep.fallback_used:
             break
         psi = rep.psi_hat
         # the residual is the pseudo-outcome already centered at its mean
-        var_fit = fit_variance_function(data, residuals(ws, psi.stacked), var_spec,
-                                        opts.ridge, designs=var_designs, y_var=y_var)
-        v1 = var_fit.predict(1, data.x, data.s, var_designs)
-        v0 = var_fit.predict(0, data.x, data.s, var_designs)
+        var_fit = fit_variance_function(data, residuals(ws, psi.stacked), y_var=y_var)
+        v1 = var_fit.predict(1, data.x, data.s)
+        v0 = var_fit.predict(0, data.x, data.s)
         ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
         rep = solve(data, model, ws, psi.phi if trial_only else psi)
     return rep
@@ -468,18 +446,15 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
         unit = np.ones(data.n)
         ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
         _profile_outcome_mean(ws, data, designs, opts.ridge)
-        var_spec = _variance_spec(data, spec, opts)
-        var_designs = designs if var_spec is spec else source_designs(data, var_spec)
-        del designs  # not held through the solves, which read var_designs alone
+        del designs  # not held through the solves, which read the workspace alone
         y_var = float(np.var(data.y))
         if "rct" in which:
             if data.n_trial == 0:
                 raise ValidationError("trial-only fitting requires s=1 records")
             trial = data.rows(1)
             result.rct = _solve_weighted(data.trial_only(), model, ws.trial(trial),
-                                         e_hat[trial], var_spec, {1: var_designs[1]},
-                                         y_var, opts)
+                                         e_hat[trial], y_var, opts.refine)
         if "integrative" in which:
-            result.integrative = _solve_weighted(data, model, ws, e_hat, var_spec,
-                                                 var_designs, y_var, opts)
+            result.integrative = _solve_weighted(data, model, ws, e_hat, y_var,
+                                                 opts.refine)
     return result

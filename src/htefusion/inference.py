@@ -244,7 +244,9 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
     # derivative of the averaged test vector in the coefficients
     g_jac = -(alt * weight[:, None]).T @ ws.resid_design / ws.n
     adjust = _solve_square(est.bread.T, g_jac.T, "estimating-equation bread").T
-    corrected = g_mat - score_matrix(ws, params) @ adjust.T
+    # the scores' projection without the (n, p) score matrix: each score
+    # row is its gradient row times one scalar
+    corrected = g_mat - (ws.grad @ adjust.T) * (ws.score_weight * eps)[:, None]
     sigma = corrected.T @ corrected / ws.n
     t_stat = float(ws.n * g_mean @ _solve_square(sigma, g_mean, "test covariance"))
     df = q1 + q2

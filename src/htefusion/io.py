@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -118,6 +118,8 @@ class AnalysisConfig:
                     "each probe must list one value per covariate "
                     f"({len(self.covariates)} expected, got {len(row)})"
                 )
+        if self.curve_output and not (self.probes and "integrative" in self.estimators):
+            raise ValidationError("curve_output needs a probe and the integrative estimator")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
@@ -361,7 +363,7 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write(doc.to_json() + "\n")
-    if cfg.curve_output and "integrative" in results and "curve" in results["integrative"]:
+    if cfg.curve_output:
         with open(cfg.curve_output, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([*names, "estimate", "se", "lower", "upper"])

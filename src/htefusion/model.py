@@ -374,28 +374,18 @@ def _take_rows(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.compress(mask, mat.T, axis=1).T
 
 
-def _check_design(design: np.ndarray, n: int, cols: int) -> None:
-    """Reject a held design without ``n`` rows and at least ``cols`` columns."""
-    if design.ndim != 2 or design.shape[0] != n or design.shape[1] < cols:
-        raise ValidationError("design does not match the records and the model")
-
-
-def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset, e_hat,
-                    design: np.ndarray | None = None) -> np.ndarray:
+def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset,
+                    e_hat) -> np.ndarray:
     """Outcome purged of the modeled effect and confounding terms.
 
     H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for every record,
     with ``e_hat`` aligned with the records.  On trial records the
     confounding term vanishes, so H does not depend on ``e_hat`` or on
     the confounding coefficients there, and on a dataset of trial records
-    only it is not evaluated.  ``design`` is ``model.design(data.x)`` when
-    the caller holds it; without observational records only its effect
-    columns are read, and it may hold only those.
+    only it is not evaluated.
     """
     obs = data.n_obs > 0
-    if design is None:
-        design = model.design(data.x) if obs else model.tau_basis.design(data.x)
-    _check_design(design, data.n, model.p if obs else model.p1)
+    design = model.design(data.x) if obs else model.tau_basis.design(data.x)
     p1 = model.p1
     h = data.y - (design[:, :p1] @ model._coef(model.tau_basis, psi.phi)) * data.a
     if not obs:

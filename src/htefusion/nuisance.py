@@ -1,10 +1,11 @@
 """Nuisance-function estimation.
 
-All nuisance surfaces (propensity scores, outcome means, residual
-variances) are fitted as additive natural cubic spline regressions with
-a small ridge penalty: penalized least squares for identity links and
-penalized IRLS for the logistic link.  The fits are deterministic given
-the data and settings; refitting reproduces coefficients bit for bit.
+The propensity scores and outcome means are fitted as additive natural
+cubic spline regressions with a small ridge penalty: penalized least
+squares for identity links and penalized IRLS for the logistic link.
+The residual variance is one mean square per (arm, source) cell.  The
+fits are deterministic given the data and settings; refitting
+reproduces coefficients bit for bit.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ class AdditiveRegressor:
     basis: BasisSpec
     coef: np.ndarray
     link: str = "identity"
-    ridge: float = 1e-6
 
     def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
         """Fitted values at ``X``; ``design`` is ``basis.design(X)`` when the
@@ -161,8 +161,13 @@ class AdditiveRegressor:
         return eta
 
 
+# IRLS stops when a step changes the penalized deviance by less than
+# _IRLS_TOL relative to it, and fails after _IRLS_MAX_ITER steps.
+_IRLS_MAX_ITER = 100
+_IRLS_TOL = 1e-10
+
+
 def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 1e-6,
-                 max_iter: int = 100, tol: float = 1e-10,
                  design: np.ndarray | None = None,
                  what: str = "additive regression") -> AdditiveRegressor:
     """Fit an additive regression by penalized LS (identity) or IRLS (logit).
@@ -181,7 +186,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         raise ValidationError("design does not match X and the basis")
     if link == "identity":
         coef = _solve_penalized(design, y, ridge, what)
-        return AdditiveRegressor(basis, coef, "identity", ridge)
+        return AdditiveRegressor(basis, coef, "identity")
     if link != "logit":
         raise ValidationError(f"unknown link {link!r}")
 
@@ -202,7 +207,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     dev, eta = deviance(coef)
     eye = np.eye(basis.p)
     r = np.empty_like(design)  # the one weighted copy of the design
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         prob = expit(eta)
         w = np.clip(prob * (1.0 - prob), 1e-10, None)
         z = eta + (y - prob) / w
@@ -222,19 +227,12 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         else:
             raise NumericalError(f"{what}: IRLS step halving failed to reduce the deviance")
         coef, eta = cand, eta_new  # the accepted candidate's eta starts the next step
-        if abs(dev - dev_new) < tol * (abs(dev) + 1.0):
-            return AdditiveRegressor(basis, coef, "logit", ridge)
+        if abs(dev - dev_new) < _IRLS_TOL * (abs(dev) + 1.0):
+            return AdditiveRegressor(basis, coef, "logit")
         dev = dev_new
     raise NumericalError(
-        f"{what}: IRLS did not converge in {max_iter} iterations (last deviance {dev:.6g})"
+        f"{what}: IRLS did not converge in {_IRLS_MAX_ITER} iterations (last deviance {dev:.6g})"
     )
-
-
-def _predict_component(component, X, design: np.ndarray | None = None) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if np.isscalar(component) or isinstance(component, (int, float)):
-        return np.full(X.shape[0], float(component))
-    return np.asarray(component.predict(X, design), dtype=float)
 
 
 def _source_rows(designs: dict, sources: np.ndarray, source: int,
@@ -255,9 +253,10 @@ def _predict_cells(components: dict, X, labels: tuple, missing: str,
     ``labels`` holds one per-record column per key part: the source, or
     the arm and the source, which comes last.  Rows are selected with one
     mask per key; a row that no key matches raises ``missing`` filled
-    with its labels.  ``designs`` maps each source to the components'
-    design over that source's records, in order, when the caller holds
-    it; each component then reads its own rows of it, not of ``X``.
+    with its labels.  A constant component reads no covariates.
+    ``designs`` maps each source to the components' design over that
+    source's records, in order, when the caller holds it; each fitted
+    component then reads its own rows of it, not of ``X``.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -269,13 +268,16 @@ def _predict_cells(components: dict, X, labels: tuple, missing: str,
         mask = labels[0] == key[0]
         for col, part in zip(labels[1:], key[1:]):
             mask &= col == part
-        if mask.any():
+        if not mask.any():
+            continue
+        if np.isscalar(component):
+            out[mask] = component
+        else:
             design = None
             if designs is not None:
                 design = _source_rows(designs, labels[-1], key[-1], mask)
-            out[mask] = _predict_component(
-                component, X[mask] if design is None else design, design)
-            covered |= mask
+            out[mask] = component.predict(X[mask] if design is None else design, design)
+        covered |= mask
     if not covered.all():
         row = int(np.argmin(covered))
         raise ValidationError(missing.format(*(int(col[row]) for col in labels)))
@@ -324,7 +326,7 @@ class CellMeans:
         key = (int(a), int(s))
         if key not in self.by_cell:
             raise ValidationError(f"no conditional-outcome fit for cell (a={a}, s={s})")
-        return _predict_component(self.by_cell[key], X, design)
+        return self.by_cell[key].predict(X, design)
 
 
 @dataclass
@@ -334,21 +336,11 @@ class VarianceFunction:
     by_cell: dict
     bounds: tuple
 
-    def predict(self, a, X, s, designs: dict | None = None) -> np.ndarray:
+    def predict(self, a, X, s) -> np.ndarray:
+        """Each record's cell variance; ``X`` is read for its row count."""
         out = _predict_cells(self.by_cell, X, (a, s),
-                             "no variance fit for cell (a={}, s={})", designs)
+                             "no variance fit for cell (a={}, s={})")
         return np.clip(out, self.bounds[0], self.bounds[1])
-
-
-class _SmearedLogVariance:
-    """exp of a log-scale fit times a smearing factor, evaluated lazily."""
-
-    def __init__(self, reg: AdditiveRegressor, smear: float):
-        self.reg = reg
-        self.smear = float(smear)
-
-    def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
-        return np.exp(self.reg.predict(X, design)) * self.smear
 
 
 @dataclass(frozen=True)
@@ -478,19 +470,17 @@ def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
     return OutcomeMean(by_source)
 
 
-def fit_variance_function(data: Dataset, resid: np.ndarray, spec: BasisSpec,
-                          ridge: float = 1e-6, rel_bounds: tuple = (1e-4, 1e4), *,
-                          designs: dict | None = None,
+def fit_variance_function(data: Dataset, resid: np.ndarray,
+                          rel_bounds: tuple = (1e-4, 1e4), *,
                           y_var: float | None = None) -> VarianceFunction:
-    """Fit the residual variance surface per (a, s) cell.
+    """The residual variance of each (a, s) cell: its mean squared residual.
 
-    ``resid`` holds every record's centered pseudo-outcome.  Its squares
-    are regressed on the log scale and mapped back with the cell's
-    empirical smearing factor, so that a homoscedastic truth is recovered
-    without retransformation bias.  Predictions are clamped to
-    ``rel_bounds`` times ``y_var``, by default the variance of the
-    outcomes in ``data``; a fit on a subset passes the pooled one.
-    ``designs`` is ``source_designs(data, spec)`` when the caller holds it.
+    ``resid`` holds every record's centered pseudo-outcome.  One constant
+    per cell suffices: any positive variances keep the equations unbiased,
+    and a covariate-dependent fit on a few hundred records per cell puts
+    noise into the weights.  Predictions are clamped to ``rel_bounds``
+    times ``y_var``, by default the variance of the outcomes in ``data``;
+    a fit on a subset passes the pooled one.
     """
     resid = np.asarray(resid, dtype=float)
     if resid.shape != (data.n,):
@@ -504,18 +494,8 @@ def fit_variance_function(data: Dataset, resid: np.ndarray, spec: BasisSpec,
     for s_val in (0, 1):
         for a_val in (0, 1):
             mask = data.rows(s_val, a_val)
-            if not mask.any():
-                continue
-            r2 = resid[mask] ** 2
-            floor = 1e-12 * (float(r2.mean()) + 1e-300)
-            z = np.log(r2 + floor)
-            X, design = _stage_inputs(designs, data, s_val, a_val)
-            if design is None:
-                design = spec.design(X)
-            reg = fit_additive(X, z, spec, link="identity", ridge=ridge,
-                               design=design, what=f"variance fit (a={a_val}, s={s_val})")
-            smear = float(np.mean(np.exp(z - design @ reg.coef)))
-            by_cell[(a_val, s_val)] = _SmearedLogVariance(reg, smear)
+            if mask.any():
+                by_cell[(a_val, s_val)] = float(np.mean(resid[mask] ** 2))
     if not by_cell:
         raise ValidationError("variance fit: no non-empty cells")
     return VarianceFunction(by_cell, bounds)

@@ -69,6 +69,18 @@ class TestFit:
         assert "[meta]" in text and "[integrative]" not in text
         assert "age^2" not in text
 
+    @pytest.mark.parametrize("extra", [[], ["--estimators", "rct,meta",
+                                            "--probe", "0,0,0,0,0"]],
+                             ids=["no-probe", "no-integrative"])
+    def test_curve_output_without_a_curve_is_rejected(self, data_csv, tmp_path, capsys,
+                                                      extra):
+        curve = tmp_path / "curve.csv"
+        code = main(FIT_FLAGS + ["--data", str(data_csv), "--curve-out", str(curve),
+                                 *extra])
+        assert code == 2
+        assert "curve_output" in capsys.readouterr().err
+        assert not curve.exists()
+
     def test_missing_required_settings(self, capsys):
         code = main(["fit", "--covariates", "age"])
         assert code == 2

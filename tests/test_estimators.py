@@ -101,20 +101,15 @@ class TestWorkspace:
 
     def test_evaluated_values_give_the_same_workspace(self, fused_fixture):
         cfg, data, model, values = fused_fixture
-        design = model.design(data.x)
         trial = data.rows(1)
         direct = build_workspace(data, model, values)
-        held = build_workspace(data, model, values, design=design)
         # the trial slice equals the trial-only equations built from trial records
         from_trial = trial_workspace(data.trial_only(), model, values_subset(values, trial))
-        for first, second in ((direct, held), (direct.trial(trial), held.trial(trial)),
-                              (direct.trial(trial), from_trial)):
-            for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
-                assert np.array_equal(getattr(first, name), getattr(second, name))
+        for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
+            assert np.array_equal(getattr(direct.trial(trial), name),
+                                  getattr(from_trial, name))
         with pytest.raises(ValidationError, match="do not match"):
             build_workspace(data.trial_only(), model, values)
-        with pytest.raises(ValidationError, match="design does not match"):
-            build_workspace(data, model, values, design=design[:, :model.p1])
 
     def test_solve_reports_its_workspace(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -318,13 +313,6 @@ class TestPipeline:
         a = data.a[data.rows(1)]
         assert [np.ptp(ws.score_weight[a == arm]) for arm in (0, 1)] == [0.0, 0.0]
 
-    def test_var_knots_zero_gives_covariate_dependence(self, fused_fixture):
-        cfg, data, model, _ = fused_fixture
-        opts = FitOptions(knots=0, trial_known=0.5, var_knots=0)
-        ws = run_pipeline(data, model, opts, which=("rct",)).rct.workspace
-        a = data.a[data.rows(1)]
-        assert min(np.ptp(ws.score_weight[a == arm]) for arm in (0, 1)) > 0.0
-
     def test_requested_estimators_all_present(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
         opts = FitOptions(knots=0, trial_known=0.5)
@@ -434,17 +422,15 @@ class TestCachedDesigns:
         e_fit = fit_propensity(data, spec, designs=designs)
         return spec, designs, e_fit, fit_conditional_outcomes(data, spec, designs=designs)
 
-    @pytest.mark.parametrize("var_knots", [None, 4])
-    def test_base_values_equal_design_free_evaluation(self, desk_data, model, var_knots):
+    def test_base_values_equal_design_free_evaluation(self, desk_data, model):
         # a variance round's score weight, rebuilt from design-free fits and
         # predictions at the previous solution
-        opts = FitOptions(knots=4, var_knots=var_knots, refine=0)
+        opts = FitOptions(knots=4, refine=0)
         first = run_pipeline(desk_data, model, opts).integrative
         second = run_pipeline(desk_data, model, replace(opts, refine=1)).integrative
-        spec, _, e_fit, _ = self._fits(desk_data)
-        var_spec = spec if var_knots == 4 else BasisSpec((constant_term(),))
+        _, _, e_fit, _ = self._fits(desk_data)
         resid = residuals(first.workspace, first.psi_hat.stacked)
-        var_fit = fit_variance_function(desk_data, resid, var_spec)
+        var_fit = fit_variance_function(desk_data, resid)
         x, s = desk_data.x, desk_data.s
         k = estimators._score_weight(desk_data.a, e_fit.predict(x, s),
                                      var_fit.predict(1, x, s), var_fit.predict(0, x, s))
@@ -527,23 +513,29 @@ class TestTrialOnlyRefits:
 
     def test_refine_round_fits_trial_rows_only(self, desk_data, model, monkeypatch):
         opts = FitOptions(knots=4)
-        fitted = []
+        fitted, rounds = [], []
         fit_additive = nuisance.fit_additive
+        fit_variance = estimators.fit_variance_function
 
         def counting(X, *args, **kwargs):
             fitted.append(np.shape(X)[0])
             return fit_additive(X, *args, **kwargs)
 
+        def capture(data, *args, **kwargs):
+            rounds.append((data.n, len(fitted)))
+            var_fit = fit_variance(data, *args, **kwargs)
+            rounds[-1] += (set(var_fit.by_cell),)
+            return var_fit
+
         monkeypatch.setattr(nuisance, "fit_additive", counting)
+        monkeypatch.setattr(estimators, "fit_variance_function", capture)
         fit_propensity(desk_data, build_spline_basis(desk_data, opts.knots))
-        propensity_rows = list(fitted)
-        fitted.clear()
+        propensity_fits = len(fitted)
         fit = run_pipeline(desk_data, model, opts, which=("rct",))
-        assert fitted[:len(propensity_rows)] == propensity_rows
-        trial = desk_data.rows(1)
-        cells = [int((trial & desk_data.rows(1, arm)).sum()) for arm in (0, 1)]
-        # after the propensities, two variance cells, both on trial records
-        assert sorted(fitted[len(propensity_rows):]) == sorted(cells)
+        # one variance round, on the trial's two cells; no regression runs
+        # after the propensity fits
+        assert rounds == [(desk_data.n_trial, 2 * propensity_fits, {(0, 1), (1, 1)})]
+        assert len(fitted) == 2 * propensity_fits
         assert fit.rct.workspace.n == desk_data.n_trial
 
     @pytest.mark.parametrize("knots", [0, 4])

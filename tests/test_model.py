@@ -303,28 +303,14 @@ class TestPseudoOutcome:
             for i, rec in enumerate(records(data))
         ]
         assert np.allclose(vec, one_by_one)
-
-    def test_held_designs_give_the_same_pseudo_outcomes(self):
-        rng = np.random.default_rng(6)
-        data = Dataset(
-            rng.integers(0, 2, 20), rng.integers(0, 2, 20),
-            rng.standard_normal(20), rng.standard_normal((20, 2)),
-        )
-        e_hat = rng.uniform(0.2, 0.8, 20)
-        design = self.model.design(data.x)
-        assert np.array_equal(design, np.hstack([self.model.tau_basis.design(data.x),
-                                                 self.model.lambda_basis.design(data.x)]))
-        assert np.array_equal(pseudo_outcomes(self.model, self.psi, data, e_hat, design),
-                              pseudo_outcomes(self.model, self.psi, data, e_hat))
-        with pytest.raises(ValidationError, match="design does not match"):
-            pseudo_outcomes(self.model, self.psi, data, e_hat, design[:-1])
-        # without observational records only the effect columns are read
-        trial = data.trial_only()
-        effect = design[data.s == 1, :self.model.p1]
-        assert np.array_equal(pseudo_outcomes(self.model, self.psi, trial, 0.5, effect),
-                              pseudo_outcomes(self.model, self.psi, trial, 0.5))
-        with pytest.raises(ValidationError, match="design does not match"):
-            pseudo_outcomes(self.model, self.psi, data, e_hat, design[:, :self.model.p1])
+        # without observational records only the effect basis is evaluated
+        trial = data.rows(1)
+        assert np.array_equal(
+            pseudo_outcomes(self.model, self.psi, data.trial_only(), 0.5), vec[trial])
+        assert np.array_equal(
+            self.model.design(data.x),
+            np.hstack([self.model.tau_basis.design(data.x),
+                       self.model.lambda_basis.design(data.x)]))
 
     def test_residual_centers_the_pseudo_outcome(self):
         rec = UnitRecord(1, 1, 10.0, [0.5, -1.0])

@@ -2,7 +2,8 @@
 
 The identity-link fits are compared with plain least squares, the
 logistic fit with a scipy minimizer of the same penalized deviance, and
-the variance fit with the known homoscedastic truth of a synthetic draw.
+the cell variances with the mean squared residuals and the known
+homoscedastic truth of a synthetic draw.
 """
 
 import numpy as np
@@ -253,7 +254,7 @@ class TestFitOutcomeMean:
 
 class TestFitVarianceFunction:
     @staticmethod
-    def _fitted(seed=6, var_spec=None):
+    def _fitted(seed=6):
         rng = np.random.default_rng(seed)
         n = 20000
         x = rng.standard_normal((n, 2))
@@ -269,11 +270,11 @@ class TestFitVarianceFunction:
         mu = fit_outcome_mean(data, model, psi, e, spec)
         x, s = data.x, data.s
         resid = pseudo_outcomes(model, psi, data, e.predict(x, s)) - mu.predict(x, s)
-        return data, model, psi, e, resid, (var_spec or spec)
+        return data, model, psi, e, resid, spec
 
     def test_recovers_homoscedastic_truth(self):
         data, model, psi, e, resid, spec = self._fitted()
-        fit = fit_variance_function(data, resid, spec)
+        fit = fit_variance_function(data, resid)
         grid = np.random.default_rng(1).uniform(-1.5, 1.5, (50, 2))
         v_trial = fit.predict(1, grid, np.ones(50, dtype=int))
         v_obs = fit.predict(0, grid, np.zeros(50, dtype=int))
@@ -281,13 +282,17 @@ class TestFitVarianceFunction:
         assert np.abs(v_obs / 3.0 - 1.0).max() < 0.12
 
     def test_intercept_only_spec_gives_cell_constants(self):
-        data, model, psi, e, resid, _ = self._fitted(
-            var_spec=BasisSpec((constant_term(),)))
-        fit = fit_variance_function(data, resid, BasisSpec((constant_term(),)))
+        # each cell's variance is the intercept-only fit of the squared
+        # residuals: their mean
+        data, model, psi, e, resid, _ = self._fitted()
+        fit = fit_variance_function(data, resid)
+        assert set(fit.by_cell) == {(a, s) for a in (0, 1) for s in (0, 1)}
+        for (a, s), var in fit.by_cell.items():
+            assert var == np.mean(resid[data.rows(s, a)] ** 2)
+            assert var == pytest.approx(1.0 if s == 1 else 3.0, rel=0.12)
         grid = np.random.default_rng(2).standard_normal((10, 2))
         vals = fit.predict(1, grid, np.ones(10, dtype=int))
-        assert np.ptp(vals) == 0.0
-        assert vals[0] == pytest.approx(1.0, rel=0.1)
+        assert np.all(vals == fit.by_cell[(1, 1)])
 
     def test_held_pseudo_outcome_and_outcome_variance(self):
         data, model, psi, e, resid, spec = self._fitted()
@@ -297,30 +302,28 @@ class TestFitVarianceFunction:
         for source in (0, 1):
             assert np.array_equal(plain.by_source[source].coef, held.by_source[source].coef)
         grid = np.zeros((3, 2))
-        base = fit_variance_function(data, resid, spec)
-        again = fit_variance_function(data, resid, spec, y_var=float(np.var(data.y)))
+        base = fit_variance_function(data, resid)
+        again = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
         assert again.bounds == base.bounds
         assert np.array_equal(again.predict(1, grid, np.ones(3, dtype=int)),
                               base.predict(1, grid, np.ones(3, dtype=int)))
-        scaled = fit_variance_function(data, resid, spec, y_var=2.0)
+        scaled = fit_variance_function(data, resid, y_var=2.0)
         assert scaled.bounds == (2e-4, 2e4)
 
     def test_singular_cell_fit_warning_names_its_cell(self):
         data, model, psi, e, resid, _ = self._fitted()
         dup = BasisSpec((constant_term(), linear_term(0), linear_term(0)))
         with pytest.warns(UserWarning) as caught:
-            fit_variance_function(data, resid, dup, ridge=0.0)
             fit_conditional_outcomes(data, dup, ridge=0.0)
             fit_outcome_mean(data, model, psi, e, dup, ridge=0.0)
         messages = {str(w.message).split(":")[0] for w in caught}
         cells = [(a, s) for s in (0, 1) for a in (0, 1)]
-        assert messages == ({f"variance fit (a={a}, s={s})" for a, s in cells}
-                            | {f"conditional-outcome fit (a={a}, s={s})" for a, s in cells}
+        assert messages == ({f"conditional-outcome fit (a={a}, s={s})" for a, s in cells}
                             | {"outcome-mean fit (s=0)", "outcome-mean fit (s=1)"})
 
     def test_bounds_clamp_predictions(self):
         data, model, psi, e, resid, spec = self._fitted()
-        fit = fit_variance_function(data, resid, spec, rel_bounds=(1e-9, 1e-8))
+        fit = fit_variance_function(data, resid, rel_bounds=(1e-9, 1e-8))
         grid = np.zeros((5, 2))
         got = fit.predict(1, grid, np.ones(5, dtype=int))
         assert np.all(got <= 1e-8 * np.var(data.y) + 1e-20)

@@ -2,8 +2,10 @@
 
 Small studies are drawn from the built-in generator with random seeds
 and sample sizes.  Both estimators must be equivariant in the outcome
-scale, and duplicating every record must leave the coefficients alone
-and halve their covariance.  Duplication is checked with linear nuisance
+scale, duplicating every record must leave the coefficients alone and
+halve their covariance, and reordering the terms of either basis must
+leave the fitted curve, the average effect and their standard errors
+alone.  Duplication is checked with linear nuisance
 surfaces only: spline knots sit at interpolated sample quantiles, which
 move when every record appears twice.  The outcome-shift invariance is
 left out: the ridge penalty of the nuisance smoothers still reaches the
@@ -14,11 +16,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from htefusion import (
+    BasisSpec,
     Dataset,
     FitOptions,
+    StructuralModel,
+    ate_estimate,
     generate_replicate,
     run_pipeline,
     sandwich_covariance,
+    tau_curve,
 )
 from conftest import make_config
 
@@ -36,17 +42,22 @@ def _draw(study):
     return cfg, generate_replicate(cfg, 0)
 
 
-def _fits(data, model, knots):
-    """Each estimator's coefficients and sandwich covariance."""
+def _estimates(data, model, knots):
+    """Each estimator's coefficients with their sandwich covariance."""
     fit = run_pipeline(data, model, FitOptions(knots=knots, trial_known=0.5),
                        which=("integrative", "rct"))
     out = {}
     for name in ("integrative", "rct"):
         rep = getattr(fit, name)
         assert rep.converged, name
-        est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
-        out[name] = (est.psi_hat.stacked, est.cov)
+        out[name] = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
     return out
+
+
+def _fits(data, model, knots):
+    """Each estimator's coefficients and sandwich covariance."""
+    return {name: (est.psi_hat.stacked, est.cov)
+            for name, est in _estimates(data, model, knots).items()}
 
 
 def _close(got, want):
@@ -81,3 +92,27 @@ def test_duplicating_records_halves_the_covariance(study):
         (coef, cov), (coef_d, cov_d) = base[name], doubled[name]
         assert _close(coef_d, coef), name
         assert _close(cov_d, cov / 2.0), name
+
+
+@settings(max_examples=10, deadline=None)
+@given(study=studies, knots=st.sampled_from((0, 4)),
+       tau_order=st.permutations(range(1, 5)), lambda_order=st.permutations(range(5)))
+def test_reordering_basis_terms_leaves_the_curve_and_average(study, knots, tau_order,
+                                                              lambda_order):
+    cfg, data = _draw(study)
+    model = cfg.model()
+    tau_terms, lambda_terms = model.tau_basis.terms, model.lambda_basis.terms
+    assert (len(tau_terms), len(lambda_terms)) == (5, 5)
+    reordered = StructuralModel(
+        BasisSpec((tau_terms[0],) + tuple(tau_terms[i] for i in tau_order)),
+        BasisSpec(tuple(lambda_terms[i] for i in lambda_order)))
+    grid = np.random.default_rng(study["seed"]).standard_normal((6, 5))
+    base, moved = ({name: (est, tau_curve(m, est, grid), ate_estimate(data, m, est))
+                    for name, est in _estimates(data, m, knots).items()}
+                   for m in (model, reordered))
+    for name in base:
+        (_, curve, ate), (_, curve_r, ate_r) = base[name], moved[name]
+        assert _close(curve_r.estimate, curve.estimate), name
+        assert _close(curve_r.se, curve.se), name
+        assert _close(np.array([ate_r.tau0_hat, ate_r.se]),
+                      np.array([ate.tau0_hat, ate.se])), name

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import htefusion.inference as inference
 import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
@@ -226,6 +227,20 @@ class TestRunReplicate:
                 else:
                     assert ve > 0.0
         assert 0.0 <= out["gof_p"] <= 1.0
+
+    def test_one_score_matrix_per_estimator(self, small_cfg, monkeypatch):
+        # the specification test builds no score matrix beside the sandwiches'
+        calls = []
+        score_matrix = inference.score_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return score_matrix(*args)
+
+        monkeypatch.setattr(inference, "score_matrix", counting)
+        out = run_replicate(small_cfg, 0)
+        assert out["gof_p"] is not None
+        assert len(calls) == 2
 
     def test_gof_skipped_without_alternative(self):
         cfg = make_config(beta=0.0, n=200, m=600, seed=9,
