@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import NumericalError, ValidationError
 from .estimators import (
@@ -250,4 +250,29 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
     sigma = corrected.T @ corrected / ws.n
     t_stat = float(ws.n * g_mean @ _solve_square(sigma, g_mean, "test covariance"))
     df = q1 + q2
-    return GofResult(t_stat, df, float(stats.chi2.sf(t_stat, df)))
+    return GofResult(t_stat, df, _chi2_sf(t_stat, df))
+
+
+def _chi2_sf(t: float, df: int) -> float:
+    """Upper tail probability of a chi-square with integer ``df`` at ``t``.
+
+    This is the regularized upper incomplete gamma Q(df/2, t/2), summed as
+    positive terms so that nothing cancels.  With x = t/2 and k = df/2,
+    Q = sum_{j<k} e^-x x^j / j! for even df, and Q = erfc(sqrt x) +
+    sum_{j<k-1/2} e^-x x^(j+1/2) / Gamma(j+3/2) for odd df.
+    """
+    if math.isnan(t):
+        return math.nan
+    if t <= 0.0:
+        return 1.0
+    if math.isinf(t):
+        return 0.0
+    x = t / 2.0
+    log_x = math.log(x)
+    if df % 2 == 0:
+        terms = [math.exp(-x + j * log_x - math.lgamma(j + 1.0)) for j in range(df // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(x))]
+        terms += [math.exp(-x + (j + 0.5) * log_x - math.lgamma(j + 1.5))
+                  for j in range(df // 2)]
+    return math.fsum(terms)

@@ -219,11 +219,15 @@ def load_csv(path: str, cfg: AnalysisConfig) -> Dataset:
         if header is None:
             raise ValidationError(f"data file {path} is empty")
         header_lines = reader.line_num
-    index = {name: i for i, name in enumerate(header)}  # last duplicate wins
+    index = {name: i for i, name in enumerate(header)}
     needed = [cfg.source_col, cfg.treatment_col, cfg.outcome_col, *cfg.covariates]
     missing = [c for c in needed if c not in index]
     if missing:
         raise ValidationError(f"data file {path} is missing columns: {missing}")
+    # a repeated column the config does not read is harmless
+    repeated = sorted({c for c in needed if header.count(c) > 1})
+    if repeated:
+        raise ValidationError(f"data file {path} has more than one column named: {repeated}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty body is reported below

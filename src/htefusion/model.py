@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _expit(x):
+    """The logistic function ``1 / (1 + exp(-x))``, exactly 0 and 1 in the
+    tails; ``exp`` overflowing to inf there is expected, not an error."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _check_binary(v, name):
     arr = np.asarray(v)
     if not np.isin(arr, (0, 1)).all():

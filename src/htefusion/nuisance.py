@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalError, ValidationError
 from .model import (
@@ -22,6 +21,7 @@ from .model import (
     Dataset,
     PsiVector,
     StructuralModel,
+    _expit,
     _take_rows,
     constant_term,
     linear_term,
@@ -157,7 +157,7 @@ class AdditiveRegressor:
             raise ValidationError("design does not match X and the basis")
         eta = design @ self.coef
         if self.link == "logit":
-            return expit(eta)
+            return _expit(eta)
         return eta
 
 
@@ -208,7 +208,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     eye = np.eye(basis.p)
     r = np.empty_like(design)  # the one weighted copy of the design
     for _ in range(_IRLS_MAX_ITER):
-        prob = expit(eta)
+        prob = _expit(eta)
         w = np.clip(prob * (1.0 - prob), 1e-10, None)
         z = eta + (y - prob) / w
         np.multiply(design, np.sqrt(w)[:, None], out=r)

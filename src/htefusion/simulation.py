@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalError, ValidationError
 from .estimators import FitOptions, run_pipeline
@@ -28,6 +27,7 @@ from .model import (
     BasisSpec,
     Dataset,
     StructuralModel,
+    _expit,
     constant_term,
     linear_term,
     square_term,
@@ -194,7 +194,7 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     y_t = a_t * true_tau(cfg, x_t) + x_t.sum(axis=1) + rng.standard_normal(cfg.n)
 
     x_o = rng.standard_normal((cfg.m, N_COVARIATES))
-    a_o = (rng.random(cfg.m) < expit(-x_o.sum(axis=1))).astype(np.int8)
+    a_o = (rng.random(cfg.m) < _expit(-x_o.sum(axis=1))).astype(np.int8)
     u_o = rng.normal((2.0 * a_o - 1.0) * half_scale * (x_o @ beta), 1.0)
     y_o = a_o * true_tau(cfg, x_o) + x_o.sum(axis=1) + u_o + rng.standard_normal(cfg.m)
 

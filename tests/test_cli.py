@@ -11,7 +11,14 @@ from types import ModuleType
 import pytest
 
 import htefusion
-from htefusion import __version__, generate_replicate
+from htefusion import (
+    BasisSpec,
+    SimConfig,
+    __version__,
+    generate_replicate,
+    run_monte_carlo,
+    square_term,
+)
 from htefusion.cli import main
 from conftest import make_config
 
@@ -101,6 +108,14 @@ class TestFit:
             assert main(argv) == 2
             assert "listed more than once: ['age']" in capsys.readouterr().err
 
+    def test_repeated_data_column_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "repeated.csv"
+        path.write_text("s,a,y,x,x\n1,0,1.0,0.5,9.0\n0,1,2.0,0.7,8.0\n")
+        code = main(["fit", "--data", str(path), "--covariates", "x", "--tau", "1",
+                     "--lambda", "x", "--knots", "0"])
+        assert code == 2
+        assert "more than one column named: ['x']" in capsys.readouterr().err
+
     def test_degenerate_basis_is_a_numerical_error(self, data_csv, capsys):
         code = main([
             "fit", "--data", str(data_csv), "--covariates", "age,bmi,x3,x4,x5",
@@ -189,6 +204,15 @@ class TestGof:
         assert "alternative" in capsys.readouterr().err
 
 
+def _run_child(args):
+    """Run the interpreter with ``args``; the child imports the package from
+    where this process found it, which need not be an installed copy."""
+    src = str(Path(htefusion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -205,12 +229,37 @@ class TestEntryPoint:
         assert "FitOptions" in namespace
 
     def test_console_script(self):
-        # the child imports the package from where this process found it,
-        # which need not be an installed copy
-        src = str(Path(htefusion.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "htefusion.cli", "--version"],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = _run_child(["-m", "htefusion.cli", "--version"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
+
+    def test_runs_without_scipy(self, data_csv, tmp_path):
+        """A fit and a Monte Carlo study in a child where importing scipy
+        fails give the documents this process computes."""
+        out, curve, mc_out = (tmp_path / name for name in ("fit.json", "curve.csv",
+                                                             "summary.json"))
+        argv = FIT_FLAGS + ["--data", str(data_csv), "--estimators", "integrative,rct,meta",
+                            "--probe", "0,0,0,0,0", "--gof-tau", "age*bmi",
+                            "--out", str(out), "--curve-out", str(curve)]
+        study = dict(n=120, m=400, reps=2, seed=5, knots=4, beta=(1.0,) * 5)
+        script = "\n".join([
+            "import json, sys",
+            "sys.modules['scipy'] = None",  # any scipy import raises ImportError
+            "from htefusion import BasisSpec, SimConfig, run_monte_carlo, square_term",
+            "from htefusion.cli import main",
+            f"code = main({argv!r})",
+            f"cfg = SimConfig(**{study!r}, gof_alt_tau=BasisSpec((square_term(0),)))",
+            "summary = run_monte_carlo(cfg).to_dict()",
+            f"open({str(mc_out)!r}, 'w').write(json.dumps(summary, sort_keys=True))",
+            "assert 'scipy' not in {m.partition('.')[0] for m, v in sys.modules.items() if v}",
+            "sys.exit(code)",
+        ])
+        proc = _run_child(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        child = [p.read_text() for p in (out, curve, mc_out)]
+
+        assert main(argv) == 0
+        cfg = SimConfig(**study, gof_alt_tau=BasisSpec((square_term(0),)))
+        want = run_monte_carlo(cfg).to_dict()
+        assert [out.read_text(), curve.read_text()] == child[:2]
+        assert json.dumps(want, sort_keys=True) == child[2]

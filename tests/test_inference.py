@@ -30,6 +30,7 @@ from htefusion import (
     square_term,
     tau_curve,
 )
+from htefusion.inference import _chi2_sf
 from conftest import make_config, true_psi, true_values, values_subset
 
 
@@ -221,6 +222,21 @@ class TestPrecisionGain:
         est2 = sandwich_covariance(data, small, rep2.psi_hat, rep2.workspace)
         with pytest.raises(ValidationError):
             precision_gain(est, est2)
+
+
+class TestChi2Sf:
+    @pytest.mark.parametrize("df", range(1, 61))
+    def test_matches_scipy(self, df):
+        t = np.geomspace(1e-12, 1400.0, 400)
+        got = np.array([_chi2_sf(float(v), df) for v in t])
+        np.testing.assert_allclose(got, stats.chi2.sf(t, df), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 8])
+    def test_edge_values(self, df):
+        assert _chi2_sf(0.0, df) == 1.0
+        assert _chi2_sf(-1.0, df) == 1.0
+        assert _chi2_sf(np.inf, df) == 0.0
+        assert np.isnan(_chi2_sf(np.nan, df))
 
 
 class TestGofTest:

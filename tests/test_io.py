@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,25 @@ class TestLoadCsv:
         cfg = base_config(path)
         with pytest.raises(ValidationError, match="missing columns"):
             load_csv(str(path), cfg)
+
+    @pytest.mark.parametrize("header, repeated", [
+        ("s,a,y,x,x", "['x']"),  # a covariate
+        ("s,a,y,x,s", "['s']"),  # the source flag
+    ])
+    def test_repeated_needed_column(self, tmp_path, header, repeated):
+        path = tmp_path / "repeated.csv"
+        path.write_text(header + "\n1,0,1.0,0.5,0\n0,1,2.0,0.7,0\n")
+        cfg = base_config(path, covariates=("x",), tau_terms=("1",), lambda_terms=("x",))
+        needle = re.escape(f"more than one column named: {repeated}")
+        with pytest.raises(ValidationError, match=needle):
+            load_csv(str(path), cfg)
+
+    def test_repeated_unread_column_is_allowed(self, tmp_path):
+        path = tmp_path / "repeated.csv"
+        path.write_text("s,a,y,x,note,note\n1,0,1.0,0.5,p,q\n0,1,2.0,0.7,r,t\n")
+        cfg = base_config(path, covariates=("x",), tau_terms=("1",), lambda_terms=("x",))
+        loaded = load_csv(str(path), cfg)
+        assert loaded.s.tolist() == [1, 0] and loaded.x[:, 0].tolist() == [0.5, 0.7]
 
     def test_cell_errors_carry_line_numbers(self, tmp_path):
         head = "s,a,y," + ",".join(NAMES) + "\n"

@@ -2,9 +2,11 @@
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from htefusion import (
     BasisSpec,
@@ -20,11 +22,26 @@ from htefusion import (
     spline_term,
     square_term,
 )
+from htefusion.model import _expit
 from oracles import UnitRecord, from_records, pseudo_outcome, records, residual_eps_h
 
 X = np.array([[0.5, -1.0, 2.0],
               [1.5, 0.0, -0.5],
               [-2.0, 3.0, 1.0]])
+
+
+class TestExpit:
+    def test_matches_scipy_and_saturates_without_warning(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 2_100_001), [-np.inf, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expit(x)
+        # scipy also computes 1 / (1 + exp(-x)), with its own exp: each side is
+        # up to 4.5e-16 from a long-double reference, and up to 4.9e-16 (near
+        # x = -37) from the other
+        np.testing.assert_allclose(got, special.expit(x), rtol=6e-16, atol=0.0)
+        assert got[0] == 0.0 and got[-3] == 1.0  # x = -800 and 800
+        assert got[-2] == 0.0 and got[-1] == 1.0  # x = -inf and inf
 
 
 class TestUnitRecord:

@@ -2,12 +2,13 @@
 
 Small studies are drawn from the built-in generator with random seeds
 and sample sizes.  Both estimators must be equivariant in the outcome
-scale, duplicating every record must leave the coefficients alone and
-halve their covariance, and reordering the terms of either basis must
-leave the fitted curve, the average effect and their standard errors
-alone.  Duplication is checked with linear nuisance
-surfaces only: spline knots sit at interpolated sample quantiles, which
-move when every record appears twice.  The outcome-shift invariance is
+scale, permuting the records must leave the coefficients and their
+standard errors alone, duplicating every record must leave the
+coefficients alone and halve their covariance, and reordering the terms
+of either basis must leave the fitted curve, the average effect and
+their standard errors alone.  Duplication is checked with linear
+nuisance surfaces only: spline knots sit at interpolated sample
+quantiles, which move when every record appears twice.  The outcome-shift invariance is
 left out: the ridge penalty of the nuisance smoothers still reaches the
 intercept.
 """
@@ -77,6 +78,20 @@ def test_scaling_the_outcome_scales_coefficients_and_ses(study, knots, c):
         (coef, cov), (coef_c, cov_c) = base[name], moved[name]
         assert _close(coef_c, c * coef), name
         assert _close(np.sqrt(np.diag(cov_c)), abs(c) * np.sqrt(np.diag(cov))), name
+
+
+@settings(max_examples=10, deadline=None)
+@given(study=studies, knots=st.sampled_from((0, 4)))
+def test_permuting_records_leaves_coefficients_and_ses(study, knots):
+    cfg, data = _draw(study)
+    model = cfg.model()
+    order = np.random.default_rng(study["seed"]).permutation(data.n)
+    shuffled = Dataset(data.s[order], data.a[order], data.y[order], data.x[order])
+    base, moved = _fits(data, model, knots), _fits(shuffled, model, knots)
+    for name in base:
+        (coef, cov), (coef_p, cov_p) = base[name], moved[name]
+        assert _close(coef_p, coef), name
+        assert _close(np.sqrt(np.diag(cov_p)), np.sqrt(np.diag(cov))), name
 
 
 @settings(max_examples=10, deadline=None)
