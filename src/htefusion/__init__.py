@@ -21,7 +21,6 @@ from .model import (
     constant_term,
     linear_term,
     product_term,
-    pseudo_outcomes,
     spline_term,
     square_term,
 )

@@ -48,6 +48,7 @@ from .nuisance import (
     NuisanceValues,
     Propensity,
     _solve_penalized,
+    _source_rows,
     build_spline_basis,
     fit_propensity,
     fit_variance_function,
@@ -232,7 +233,7 @@ def mean_score_jacobian(ws: ScoreWorkspace) -> np.ndarray:
 
 
 def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans,
-                         designs: dict | None = None) -> PsiVector:
+                         designs: dict) -> PsiVector:
     """Least-squares starting values from cell-mean differences.
 
     The effect coefficients regress the trial arm-mean difference on the
@@ -240,25 +241,22 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
     regress the observational arm-mean difference minus the fitted
     effect curve on the confounding basis over observational records.
     With exact cell means and representable curves both steps are exact.
-    ``designs`` is the cell means' ``source_designs`` of ``data`` when
-    the caller holds it.
+    ``designs`` is the cell means' ``source_designs`` of ``data``.
     """
     trial = data.rows(1)
     if not trial.any():
         raise ValidationError("preliminary estimate requires trial records")
-    xt = data.x[trial]
-    dt = designs[1] if designs is not None else None  # rows of xt
-    delta_trial = cond_y.predict(1, 1, xt, dt) - cond_y.predict(0, 1, xt, dt)
-    phi = _solve_penalized(model.tau_basis.design(xt), delta_trial, 0.0,
+    dt = _source_rows(designs, data.s, 1, trial)
+    delta_trial = cond_y.predict(1, 1, dt) - cond_y.predict(0, 1, dt)
+    phi = _solve_penalized(model.tau_basis.design(data.x[trial]), delta_trial, 0.0,
                            "preliminary effect fit")
     obs = data.rows(0)
     if not obs.any():
         return PsiVector(phi, np.zeros(model.p2))
-    xo = data.x[obs]
-    dobs = designs[0] if designs is not None else None  # rows of xo
-    delta_obs = cond_y.predict(1, 0, xo, dobs) - cond_y.predict(0, 0, xo, dobs)
-    resid = delta_obs - model.tau(phi, xo)
-    lam = _solve_penalized(model.lambda_basis.design(xo), resid, 0.0,
+    dobs = _source_rows(designs, data.s, 0, obs)
+    delta_obs = cond_y.predict(1, 0, dobs) - cond_y.predict(0, 0, dobs)
+    both = model.design(data.x[obs])
+    lam = _solve_penalized(both[:, model.p1:], delta_obs - both[:, :model.p1] @ phi, 0.0,
                            "preliminary confounding fit")
     return PsiVector(phi, lam)
 
@@ -332,7 +330,7 @@ def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
 
 
 def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity,
-                  designs: dict | None = None) -> np.ndarray:
+                  designs: dict) -> np.ndarray:
     """Pooled inverse-propensity comparator for the effect coefficients.
 
     Regresses ``a*y/e - (1-a)*y/(1-e)`` on the effect basis over the
@@ -341,9 +339,9 @@ def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity,
     fitted probabilities rather than the clipped ones; the instability
     of plain inverse weighting near extreme propensities is part of
     what the benchmark is meant to show.  ``designs`` is the propensity
-    fits' ``source_designs`` of ``data`` when the caller holds it.
+    fits' ``source_designs`` of ``data``.
     """
-    e = e_fit.predict_raw(data.x, data.s, designs)
+    e = e_fit.predict_raw(data.s, designs)
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise NumericalError("meta comparator: fitted propensities reached 0 or 1")
     a = data.a.astype(float)
@@ -398,8 +396,8 @@ def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
         psi = rep.psi_hat
         # the residual is the pseudo-outcome already centered at its mean
         var_fit = fit_variance_function(data, residuals(ws, psi.stacked), y_var=y_var)
-        v1 = var_fit.predict(1, data.x, data.s)
-        v0 = var_fit.predict(0, data.x, data.s)
+        v1 = var_fit.predict(1, data.s)
+        v0 = var_fit.predict(0, data.s)
         ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
         rep = solve(data, model, ws, psi.phi if trial_only else psi)
     return rep
@@ -436,13 +434,13 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
         raise ValidationError(f"unknown estimators requested: {sorted(unknown)}")
     spec = build_spline_basis(data, opts.knots)
     designs = source_designs(data, spec)
-    e_fit = fit_propensity(data, spec, trial_known=opts.trial_known,
-                           clip=opts.clip_e, ridge=opts.ridge, designs=designs)
+    e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
+                           clip=opts.clip_e, ridge=opts.ridge)
     result = PipelineResult()
     if "meta" in which:
         result.meta_coef = meta_estimate(data, model, e_fit, designs)
     if "integrative" in which or "rct" in which:
-        e_hat = e_fit.predict(data.x, data.s, designs)
+        e_hat = e_fit.predict(data.s, designs)
         unit = np.ones(data.n)
         ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
         _profile_outcome_mean(ws, data, designs, opts.ridge)

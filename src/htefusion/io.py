@@ -103,6 +103,11 @@ class AnalysisConfig:
         repeated = sorted({c for c in self.covariates if self.covariates.count(c) > 1})
         if repeated:
             raise ValidationError(f"covariate columns listed more than once: {repeated}")
+        roles = {self.source_col: "source", self.treatment_col: "treatment",
+                 self.outcome_col: "outcome"}
+        for col in self.covariates:
+            if col in roles:
+                raise ValidationError(f"covariate {col!r} is also the {roles[col]} column")
         if not self.tau_terms:
             raise ValidationError("config must define the effect basis (tau_terms)")
         if not self.lambda_terms:

@@ -28,7 +28,6 @@ __all__ = [
     "square_term",
     "product_term",
     "spline_term",
-    "pseudo_outcomes",
 ]
 
 
@@ -282,13 +281,6 @@ class BasisSpec:
                 out[:, col] = term.column(X)
         return out
 
-    def row(self, x) -> np.ndarray:
-        """Evaluate all terms on a single covariate vector, returning (p,)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValidationError("row expects a 1-d covariate vector")
-        return self.design(x[None, :])[0]
-
 
 @dataclass(frozen=True)
 class PsiVector:
@@ -351,52 +343,7 @@ class StructuralModel:
         the first ``p1`` columns are ``b_tau(x)`` and the rest ``b_lam(x)``."""
         return BasisSpec(self.tau_basis.terms + self.lambda_basis.terms).design(x)
 
-    @staticmethod
-    def _coef(basis: BasisSpec, coef) -> np.ndarray:
-        coef = np.asarray(coef, dtype=float)
-        if coef.shape != (basis.p,):
-            raise ValidationError(
-                f"coefficient length {coef.shape} does not match basis size {basis.p}"
-            )
-        return coef
-
-    def _eval(self, basis: BasisSpec, coef, x):
-        coef = self._coef(basis, coef)
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(basis.row(x) @ coef)
-        return basis.design(x) @ coef
-
-    def tau(self, phi, x):
-        """Treatment-effect curve at one covariate vector or a matrix of them."""
-        return self._eval(self.tau_basis, phi, x)
-
-    def lam(self, lam_coef, x):
-        """Confounding curve at one covariate vector or a matrix of them."""
-        return self._eval(self.lambda_basis, lam_coef, x)
-
 
 def _take_rows(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Rows ``mask`` of a record-by-column matrix, column-major like a design."""
     return np.compress(mask, mat.T, axis=1).T
-
-
-def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset,
-                    e_hat) -> np.ndarray:
-    """Outcome purged of the modeled effect and confounding terms.
-
-    H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for every record,
-    with ``e_hat`` aligned with the records.  On trial records the
-    confounding term vanishes, so H does not depend on ``e_hat`` or on
-    the confounding coefficients there, and on a dataset of trial records
-    only it is not evaluated.
-    """
-    obs = data.n_obs > 0
-    design = model.design(data.x) if obs else model.tau_basis.design(data.x)
-    p1 = model.p1
-    h = data.y - (design[:, :p1] @ model._coef(model.tau_basis, psi.phi)) * data.a
-    if not obs:
-        return h
-    e_hat = np.broadcast_to(np.asarray(e_hat, dtype=float), (data.n,))
-    lam_vals = design[:, p1:model.p] @ model._coef(model.lambda_basis, psi.lam)
-    return h - (1 - data.s) * lam_vals * (data.a - e_hat)

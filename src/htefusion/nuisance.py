@@ -19,13 +19,10 @@ from .errors import NumericalError, ValidationError
 from .model import (
     BasisSpec,
     Dataset,
-    PsiVector,
-    StructuralModel,
     _expit,
     _take_rows,
     constant_term,
     linear_term,
-    pseudo_outcomes,
     spline_term,
 )
 
@@ -146,15 +143,11 @@ class AdditiveRegressor:
     coef: np.ndarray
     link: str = "identity"
 
-    def predict(self, X, design: np.ndarray | None = None) -> np.ndarray:
-        """Fitted values at ``X``; ``design`` is ``basis.design(X)`` when the
-        caller already holds it, and ``X`` is then read for its row count
-        only (it may be the design itself)."""
-        X = np.asarray(X, dtype=float)
-        if design is None:
-            design = self.basis.design(X)
-        elif design.shape != (X.shape[0], self.basis.p):
-            raise ValidationError("design does not match X and the basis")
+    def predict(self, design: np.ndarray) -> np.ndarray:
+        """Fitted values on the rows of ``design``, the basis's design of
+        the points to predict at."""
+        if design.ndim != 2 or design.shape[1] != self.basis.p:
+            raise ValidationError("design does not match the basis")
         eta = design @ self.coef
         if self.link == "logit":
             return _expit(eta)
@@ -168,22 +161,16 @@ _IRLS_TOL = 1e-10
 
 
 def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 1e-6,
-                 design: np.ndarray | None = None,
                  what: str = "additive regression") -> AdditiveRegressor:
     """Fit an additive regression by penalized LS (identity) or IRLS (logit).
 
-    ``design`` is ``basis.design(X)`` when the caller already holds it;
-    ``X`` is then read for its row count only, and may be the design itself.
+    ``X`` is ``basis``'s design of the records, one row per entry of ``y``.
     ``what`` names the fit in its warnings and errors.
     """
-    X = np.asarray(X, dtype=float)
+    design = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError("X and y must have the same number of rows")
-    if design is None:
-        design = basis.design(X)
-    elif design.shape != (X.shape[0], basis.p):
-        raise ValidationError("design does not match X and the basis")
+    if design.shape != (y.shape[0], basis.p):
+        raise ValidationError("design does not match y and the basis")
     if link == "identity":
         coef = _solve_penalized(design, y, ridge, what)
         return AdditiveRegressor(basis, coef, "identity")
@@ -246,41 +233,23 @@ def _source_rows(designs: dict, sources: np.ndarray, source: int,
     return design if rows.all() else _take_rows(design, rows)
 
 
-def _predict_cells(components: dict, X, labels: tuple, missing: str,
-                   designs: dict | None = None) -> np.ndarray:
-    """Evaluate each component on the rows whose labels equal its key.
-
-    ``labels`` holds one per-record column per key part: the source, or
-    the arm and the source, which comes last.  Rows are selected with one
-    mask per key; a row that no key matches raises ``missing`` filled
-    with its labels.  A constant component reads no covariates.
-    ``designs`` maps each source to the components' design over that
-    source's records, in order, when the caller holds it; each fitted
-    component then reads its own rows of it, not of ``X``.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    labels = [np.broadcast_to(np.asarray(col), (n,)) for col in labels]
-    out = np.empty(n)
-    covered = np.zeros(n, dtype=bool)
-    for key, component in components.items():
-        key = key if isinstance(key, tuple) else (key,)
-        mask = labels[0] == key[0]
-        for col, part in zip(labels[1:], key[1:]):
-            mask &= col == part
+def _predict_sources(components: dict, s, designs: dict, missing: str) -> np.ndarray:
+    """Each source's component on that source's records in ``s``, read
+    from ``designs``, their ``source_designs``; a constant reads none."""
+    s = np.asarray(s)
+    out = np.empty(s.shape[0])
+    covered = np.zeros(s.shape[0], dtype=bool)
+    for source, component in components.items():
+        mask = s == source
         if not mask.any():
             continue
         if np.isscalar(component):
             out[mask] = component
         else:
-            design = None
-            if designs is not None:
-                design = _source_rows(designs, labels[-1], key[-1], mask)
-            out[mask] = component.predict(X[mask] if design is None else design, design)
+            out[mask] = component.predict(_source_rows(designs, s, source, mask))
         covered |= mask
     if not covered.all():
-        row = int(np.argmin(covered))
-        raise ValidationError(missing.format(*(int(col[row]) for col in labels)))
+        raise ValidationError(missing.format(int(s[np.argmin(covered)])))
     return out
 
 
@@ -291,16 +260,16 @@ class Propensity:
     by_source: dict
     clip: float = 0.01
 
-    def predict(self, X, s, designs: dict | None = None) -> np.ndarray:
-        """Clipped probabilities; ``designs`` is ``source_designs`` of the
-        records when the caller holds it."""
-        return np.clip(self.predict_raw(X, s, designs), self.clip, 1.0 - self.clip)
+    def predict(self, s, designs: dict) -> np.ndarray:
+        """Clipped probabilities of records with sources ``s``; ``designs``
+        is their ``source_designs``."""
+        return np.clip(self.predict_raw(s, designs), self.clip, 1.0 - self.clip)
 
-    def predict_raw(self, X, s, designs: dict | None = None) -> np.ndarray:
+    def predict_raw(self, s, designs: dict) -> np.ndarray:
         """Fitted probabilities without the clip, for callers that want the
         raw inverse weights (the pooled comparator deliberately does)."""
-        return _predict_cells(self.by_source, X, (s,),
-                              "no propensity component for source s={}", designs)
+        return _predict_sources(self.by_source, s, designs,
+                                "no propensity component for source s={}")
 
 
 @dataclass
@@ -309,9 +278,9 @@ class OutcomeMean:
 
     by_source: dict
 
-    def predict(self, X, s, designs: dict | None = None) -> np.ndarray:
-        return _predict_cells(self.by_source, X, (s,),
-                              "no outcome-mean component for source s={}", designs)
+    def predict(self, s, designs: dict) -> np.ndarray:
+        return _predict_sources(self.by_source, s, designs,
+                                "no outcome-mean component for source s={}")
 
 
 @dataclass
@@ -320,13 +289,13 @@ class CellMeans:
 
     by_cell: dict
 
-    def predict(self, a: int, s: int, X, design: np.ndarray | None = None) -> np.ndarray:
-        """The cell's mean at ``X``; ``design`` is the basis design of ``X``
-        when the caller holds it."""
+    def predict(self, a: int, s: int, design: np.ndarray) -> np.ndarray:
+        """The cell's mean on the rows of ``design``, the basis design of
+        the points to predict at."""
         key = (int(a), int(s))
         if key not in self.by_cell:
             raise ValidationError(f"no conditional-outcome fit for cell (a={a}, s={s})")
-        return self.by_cell[key].predict(X, design)
+        return self.by_cell[key].predict(design)
 
 
 @dataclass
@@ -336,10 +305,10 @@ class VarianceFunction:
     by_cell: dict
     bounds: tuple
 
-    def predict(self, a, X, s) -> np.ndarray:
-        """Each record's cell variance; ``X`` is read for its row count."""
-        out = _predict_cells(self.by_cell, X, (a, s),
-                             "no variance fit for cell (a={}, s={})")
+    def predict(self, a: int, s) -> np.ndarray:
+        """The arm-``a`` cell variance of records with sources ``s``."""
+        cells = {source: var for (arm, source), var in self.by_cell.items() if arm == a}
+        out = _predict_sources(cells, s, {}, f"no variance fit for cell (a={a}, s={{}})")
         return np.clip(out, self.bounds[0], self.bounds[1])
 
 
@@ -369,34 +338,16 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
             for src in (0, 1) if data.rows(src).any()}
 
 
-def _stage_inputs(designs: dict | None, data: Dataset, source: int,
-                  arm: int | None = None) -> tuple:
-    """(X, design) of one source's records, or of one (arm, source) cell;
-    with held ``designs`` the design's rows stand in for the uncopied X."""
-    mask = data.rows(source, arm)
-    if designs is None:
-        return data.x[mask], None
-    design = _source_rows(designs, data.s, source, mask)
-    return design, design
-
-
-def _require_both_arms(data: Dataset, source: int, context: str):
-    if not (data.rows(source, 0).any() and data.rows(source, 1).any()):
-        raise ValidationError(
-            f"{context}: source s={source} contains a single treatment arm"
-        )
-
-
-def fit_propensity(data: Dataset, spec: BasisSpec, trial_known: float | None = None,
-                   clip: float = 0.01, ridge: float = 1e-6,
-                   designs: dict | None = None) -> Propensity:
+def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
+                   trial_known: float | None = None, clip: float = 0.01,
+                   ridge: float = 1e-6) -> Propensity:
     """Fit per-source logistic propensities on the spline basis.
 
     ``trial_known`` short-circuits the trial fit with a known constant
     randomization probability.  Each fitted source must contain both
     treatment arms; otherwise the logistic fit is hopeless (separation)
     and a validation error is raised.  ``designs`` is
-    ``source_designs(data, spec)`` when the caller holds it.
+    ``source_designs(data, spec)``.
     """
     if not 0.0 < clip < 0.5:
         raise ValidationError("clip must lie in (0, 0.5)")
@@ -410,22 +361,23 @@ def fit_propensity(data: Dataset, spec: BasisSpec, trial_known: float | None = N
                 raise ValidationError("trial_known must lie in (0, 1)")
             by_source[1] = float(trial_known)
             continue
-        _require_both_arms(data, source, "propensity fit")
-        X, design = _stage_inputs(designs, data, source)
+        if not (data.rows(source, 0).any() and data.rows(source, 1).any()):
+            raise ValidationError(
+                f"propensity fit: source s={source} contains a single treatment arm")
         by_source[source] = fit_additive(
-            X, data.a[mask].astype(float), spec, link="logit", ridge=ridge,
-            design=design, what=f"propensity fit (s={source})",
+            _source_rows(designs, data.s, source, mask), data.a[mask].astype(float),
+            spec, link="logit", ridge=ridge, what=f"propensity fit (s={source})",
         )
     if not by_source:
         raise ValidationError("propensity fit: dataset has no usable source")
     return Propensity(by_source, clip=clip)
 
 
-def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6,
-                             designs: dict | None = None) -> CellMeans:
+def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, designs: dict,
+                             ridge: float = 1e-6) -> CellMeans:
     """Regress the raw outcome on the spline basis within each (a, s) cell.
 
-    ``designs`` is ``source_designs(data, spec)`` when the caller holds it.
+    ``designs`` is ``source_designs(data, spec)``.
     """
     by_cell = {}
     for s_val in (0, 1):
@@ -433,9 +385,8 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
             mask = data.rows(s_val, a_val)
             if not mask.any():
                 continue
-            X, design = _stage_inputs(designs, data, s_val, a_val)
             by_cell[(a_val, s_val)] = fit_additive(
-                X, data.y[mask], spec, link="identity", ridge=ridge, design=design,
+                _source_rows(designs, data.s, s_val, mask), data.y[mask], spec, ridge=ridge,
                 what=f"conditional-outcome fit (a={a_val}, s={s_val})",
             )
     if not by_cell:
@@ -443,29 +394,23 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, ridge: float = 1e-6
     return CellMeans(by_cell)
 
 
-def fit_outcome_mean(data: Dataset, model: StructuralModel, psi_pre: PsiVector,
-                     e_fit: Propensity, spec: BasisSpec, ridge: float = 1e-6, *,
-                     designs: dict | None = None,
-                     h: np.ndarray | None = None) -> OutcomeMean:
-    """Regress the pseudo-outcome at ``psi_pre`` on X per source.
+def fit_outcome_mean(data: Dataset, h: np.ndarray, spec: BasisSpec, designs: dict,
+                     ridge: float = 1e-6) -> OutcomeMean:
+    """Regress the pseudo-outcome ``h`` of every record on X per source.
 
     ``run_pipeline`` does not call this: the fit is one linear smoother
     per source, which the pipeline applies to the outcome and the
     coefficient design once instead.  ``designs`` is
-    ``source_designs(data, spec)``, and ``h`` is the pseudo-outcome of
-    every record at ``psi_pre`` and ``e_fit``, when the caller holds them.
+    ``source_designs(data, spec)``.
     """
-    if h is None:
-        h = pseudo_outcomes(model, psi_pre, data, e_fit.predict(data.x, data.s))
     by_source = {}
     for source in (0, 1):
         mask = data.rows(source)
         if not mask.any():
             continue
-        X, design = _stage_inputs(designs, data, source)
         by_source[source] = fit_additive(
-            X, h[mask], spec, link="identity", ridge=ridge, design=design,
-            what=f"outcome-mean fit (s={source})",
+            _source_rows(designs, data.s, source, mask), h[mask], spec,
+            link="identity", ridge=ridge, what=f"outcome-mean fit (s={source})",
         )
     return OutcomeMean(by_source)
 

@@ -5,6 +5,14 @@ process as the built-in study, either with library-fitted nuisances or
 with the known truth injected as its values on the records.
 """
 
+import os
+
+# Each process runs BLAS on one thread: the Monte Carlo fixtures run one
+# worker per core, and the suite's small products gain nothing from more.
+# Set before numpy loads its BLAS; a value set by the caller is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 from scipy.special import expit

@@ -2,9 +2,10 @@
 
 The package works on whole columns; these scalar versions restate the
 defining formulas one record at a time, so tests can check the
-vectorized pseudo-outcomes, scores and Jacobians against them.  The
-explicit outcome-mean refits are the reference for the pipeline's
-profiled solve.
+vectorized scores and Jacobians against them.  The pseudo-outcome of
+every record, checked against the one-record version, feeds the
+explicit outcome-mean refits, which are the reference for the
+pipeline's profiled solve.
 """
 
 from dataclasses import dataclass
@@ -19,11 +20,10 @@ from htefusion import (
     StructuralModel,
     ValidationError,
     build_workspace,
-    pseudo_outcomes,
     solve_integrative,
     solve_rct,
 )
-from htefusion.nuisance import fit_outcome_mean
+from htefusion.nuisance import fit_outcome_mean, source_designs
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,31 @@ def from_records(recs: Iterable[UnitRecord]) -> Dataset:
 def pseudo_outcome(model: StructuralModel, psi: PsiVector, rec: UnitRecord,
                    e_hat: float) -> float:
     """H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for one record."""
-    h = rec.y - model.tau(psi.phi, rec.x) * rec.a
+    x = rec.x[None, :]
+    h = rec.y - float(model.tau_basis.design(x)[0] @ psi.phi) * rec.a
     if rec.s == 0:
-        h -= model.lam(psi.lam, rec.x) * (rec.a - float(e_hat))
+        h -= float(model.lambda_basis.design(x)[0] @ psi.lam) * (rec.a - float(e_hat))
     return float(h)
+
+
+def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset,
+                    e_hat) -> np.ndarray:
+    """H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for every record,
+    with ``e_hat`` aligned with the records.
+
+    On trial records the confounding term vanishes, so H does not depend
+    on ``e_hat`` or on the confounding coefficients there, and on a
+    dataset of trial records only it is not evaluated.
+    """
+    obs = data.n_obs > 0
+    design = model.design(data.x) if obs else model.tau_basis.design(data.x)
+    p1 = model.p1
+    h = data.y - (design[:, :p1] @ psi.phi) * data.a
+    if not obs:
+        return h
+    e_hat = np.broadcast_to(np.asarray(e_hat, dtype=float), (data.n,))
+    lam_vals = design[:, p1:model.p] @ psi.lam
+    return h - (1 - data.s) * lam_vals * (data.a - e_hat)
 
 
 def residual_eps_h(model: StructuralModel, psi: PsiVector, rec: UnitRecord,
@@ -112,11 +133,12 @@ def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
     (the effect block alone with ``trial_only``).
     """
     psi = PsiVector(np.zeros(model.p1), np.zeros(model.p2))
+    designs = source_designs(data, spec)
     for _ in range(max_rounds):
         h = pseudo_outcomes(model, psi, data, e_hat)
-        mu = fit_outcome_mean(data, model, psi, None, spec, ridge=ridge, h=h)
+        mu = fit_outcome_mean(data, h, spec, designs, ridge=ridge)
         ws = build_workspace(data, model,
-                             NuisanceValues(e_hat, mu.predict(data.x, data.s), v, v))
+                             NuisanceValues(e_hat, mu.predict(data.s, designs), v, v))
         if trial_only:
             ws = ws.trial(data.rows(1))
             new = PsiVector(solve_rct(data, model, ws, psi.phi).psi_hat.phi, psi.lam)

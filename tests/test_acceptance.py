@@ -17,6 +17,7 @@ approaches the window width).
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from htefusion import (
     mean_score_jacobian,
     precision_gain,
     product_term,
-    pseudo_outcomes,
     run_monte_carlo,
     run_pipeline,
     sandwich_covariance,
@@ -48,8 +48,9 @@ from htefusion import (
     square_term,
 )
 from htefusion.estimators import preliminary_estimate
-from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean
+from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
 from conftest import make_config, true_psi, true_values
+from oracles import pseudo_outcomes
 
 
 def verdict(tag, ok, detail):
@@ -59,28 +60,34 @@ def verdict(tag, ok, detail):
 
 # ---------------------------------------------------------------- fixtures
 
+# The studies run on every core: results do not depend on the worker count
+# (criterion 8d), and forked workers keep the warning filters, so a
+# RuntimeWarning in a replicate still fails the run.
+JOBS = os.cpu_count() or 1
+
+
 @pytest.fixture(scope="session")
 def desk_s1():
     """Desk-scale study without unmeasured confounding, all estimators."""
-    return run_monte_carlo(SimConfig(beta=(0.0,) * 5, reps=200))
+    return run_monte_carlo(SimConfig(beta=(0.0,) * 5, reps=200, jobs=JOBS))
 
 
 @pytest.fixture(scope="session")
 def desk_s2():
     """Desk-scale study with unit confounding loadings, all estimators."""
-    return run_monte_carlo(SimConfig(beta=(1.0,) * 5, reps=200))
+    return run_monte_carlo(SimConfig(beta=(1.0,) * 5, reps=200, jobs=JOBS))
 
 
 @pytest.fixture(scope="session")
 def calib_s1():
     return run_monte_carlo(
-        SimConfig(beta=(0.0,) * 5, reps=2000, estimators=("integrative",)))
+        SimConfig(beta=(0.0,) * 5, reps=2000, estimators=("integrative",), jobs=JOBS))
 
 
 @pytest.fixture(scope="session")
 def calib_s2():
     return run_monte_carlo(
-        SimConfig(beta=(1.0,) * 5, reps=2000, estimators=("integrative",)))
+        SimConfig(beta=(1.0,) * 5, reps=2000, estimators=("integrative",), jobs=JOBS))
 
 
 # Pooled-estimator cells pinned from a 2000-replicate reference study of
@@ -317,12 +324,13 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
         e_true = np.where(data.s == 1, 0.5, expit(-data.x.sum(axis=1)))
         v_true = np.where(data.s == 1, 1.0, 2.0)
         spec0 = build_spline_basis(data, 0)
-        cond_y = fit_conditional_outcomes(data, spec0, ridge=1e-6)
-        psi = preliminary_estimate(data, model, cond_y)
+        designs = source_designs(data, spec0)
+        cond_y = fit_conditional_outcomes(data, spec0, designs, ridge=1e-6)
+        psi = preliminary_estimate(data, model, cond_y, designs)
         for _ in range(2):
             h = pseudo_outcomes(model, psi, data, e_true)
-            mu = fit_outcome_mean(data, model, psi, None, spec0, ridge=1e-6, h=h)
-            values = NuisanceValues(e_true, mu.predict(data.x, data.s), v_true, v_true)
+            mu = fit_outcome_mean(data, h, spec0, designs, ridge=1e-6)
+            values = NuisanceValues(e_true, mu.predict(data.s, designs), v_true, v_true)
             ws = build_workspace(data, model, values)
             psi = solve_integrative(data, model, ws, psi).psi_hat
         draws.append(psi.stacked)

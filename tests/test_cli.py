@@ -108,6 +108,19 @@ class TestFit:
             assert main(argv) == 2
             assert "listed more than once: ['age']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("col, role", [("s", "source"), ("a", "treatment"),
+                                           ("y", "outcome")])
+    def test_covariate_named_like_a_role_column_is_rejected(self, data_csv, tmp_path,
+                                                           capsys, col, role):
+        flags = ["fit", "--data", str(data_csv), "--covariates", f"age,{col}",
+                 "--tau", "1,age", "--lambda", "age", "--knots", "0"]
+        blob = tmp_path / "role.json"
+        blob.write_text(json.dumps({"data": str(data_csv), "covariates": ["age", col],
+                                    "tau_terms": ["1", "age"], "lambda_terms": ["age"]}))
+        for argv in (flags, ["fit", "--config", str(blob)]):
+            assert main(argv) == 2
+            assert f"covariate '{col}' is also the {role} column" in capsys.readouterr().err
+
     def test_repeated_data_column_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "repeated.csv"
         path.write_text("s,a,y,x,x\n1,0,1.0,0.5,9.0\n0,1,2.0,0.7,8.0\n")

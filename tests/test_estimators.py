@@ -7,7 +7,6 @@ comparator against a hand-rolled weighted regression.
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from htefusion import (
     build_workspace,
     constant_term,
     fit_propensity,
-    fit_variance_function,
     generate_replicate,
     linear_term,
     mean_score,
@@ -44,7 +42,7 @@ import htefusion.nuisance as nuisance
 from htefusion.estimators import preliminary_estimate, residuals
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
 from conftest import make_config, true_psi, true_values, values_subset
-from oracles import efficient_score, refit_outcome_mean, score_jacobian
+from oracles import efficient_score, pseudo_outcomes, refit_outcome_mean, score_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -180,17 +178,21 @@ class TestPreliminaryEstimate:
             BasisSpec((constant_term(), linear_term(0))),
             BasisSpec((linear_term(1),)),
         )
-        cond = fit_conditional_outcomes(data, build_spline_basis(data, 0))
-        psi = preliminary_estimate(data, model, cond)
+        spec = build_spline_basis(data, 0)
+        designs = source_designs(data, spec)
+        psi = preliminary_estimate(data, model, fit_conditional_outcomes(data, spec, designs),
+                                   designs)
         assert np.allclose(psi.phi, [1.0, 2.0], atol=1e-6)
         assert np.allclose(psi.lam, [-0.5], atol=1e-6)
 
     def test_requires_trial_records(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         obs = data.subset(data.s == 0)
-        cond = fit_conditional_outcomes(obs, build_spline_basis(obs, 0))
+        spec = build_spline_basis(obs, 0)
+        designs = source_designs(obs, spec)
+        cond = fit_conditional_outcomes(obs, spec, designs)
         with pytest.raises(ValidationError):
-            preliminary_estimate(obs, model, cond)
+            preliminary_estimate(obs, model, cond, designs)
 
 
 class TestSolvers:
@@ -274,9 +276,11 @@ class TestSolvers:
 class TestMetaEstimate:
     def test_matches_hand_rolled_weighted_regression(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        e_fit = fit_propensity(data, build_spline_basis(data, 0), trial_known=0.5)
-        coef = meta_estimate(data, model, e_fit)
-        e = e_fit.predict_raw(data.x, data.s)
+        spec = build_spline_basis(data, 0)
+        designs = source_designs(data, spec)
+        e_fit = fit_propensity(data, spec, designs, trial_known=0.5)
+        coef = meta_estimate(data, model, e_fit, designs)
+        e = e_fit.predict_raw(data.s, designs)
         adj = data.a * data.y / e - (1 - data.a) * data.y / (1.0 - e)
         design = model.tau_basis.design(data.x)
         ref, *_ = np.linalg.lstsq(design, adj, rcond=None)
@@ -300,7 +304,7 @@ class TestMetaEstimate:
         cfg, data, model, nuis = fused_fixture
         flat = Propensity({0: 0.0, 1: 0.5}, clip=0.01)
         with pytest.raises(NumericalError):
-            meta_estimate(data, model, flat)
+            meta_estimate(data, model, flat, {})
 
 
 class TestPipeline:
@@ -396,9 +400,10 @@ class TestProfiledOutcomeMean:
         opts = FitOptions(knots=knots, refine=0)  # unit variances throughout
         fit = run_pipeline(desk_data, model, opts, which=("integrative", "rct"))
         spec = build_spline_basis(desk_data, knots)
-        e_fit = fit_propensity(desk_data, spec, trial_known=opts.trial_known,
+        designs = source_designs(desk_data, spec)
+        e_fit = fit_propensity(desk_data, spec, designs, trial_known=opts.trial_known,
                                clip=opts.clip_e, ridge=opts.ridge)
-        e_hat, unit = e_fit.predict(desk_data.x, desk_data.s), np.ones(desk_data.n)
+        e_hat, unit = e_fit.predict(desk_data.s, designs), np.ones(desk_data.n)
         for name in ("integrative", "rct"):
             trial_only = name == "rct"
             rep = getattr(fit, name)
@@ -409,55 +414,32 @@ class TestProfiledOutcomeMean:
 
 
 class TestCachedDesigns:
-    """The pipeline's held spline designs give the design-free values."""
+    """The pipeline builds each design once and checks the designs it is given."""
 
     @pytest.fixture(scope="class")
     def model(self):
         return make_config(beta=1.0, seed=3).model()
 
-    @staticmethod
-    def _fits(data, knots=4):
-        spec = build_spline_basis(data, knots)
-        designs = source_designs(data, spec)
-        e_fit = fit_propensity(data, spec, designs=designs)
-        return spec, designs, e_fit, fit_conditional_outcomes(data, spec, designs=designs)
-
-    def test_base_values_equal_design_free_evaluation(self, desk_data, model):
-        # a variance round's score weight, rebuilt from design-free fits and
-        # predictions at the previous solution
-        opts = FitOptions(knots=4, refine=0)
-        first = run_pipeline(desk_data, model, opts).integrative
-        second = run_pipeline(desk_data, model, replace(opts, refine=1)).integrative
-        _, _, e_fit, _ = self._fits(desk_data)
-        resid = residuals(first.workspace, first.psi_hat.stacked)
-        var_fit = fit_variance_function(desk_data, resid)
-        x, s = desk_data.x, desk_data.s
-        k = estimators._score_weight(desk_data.a, e_fit.predict(x, s),
-                                     var_fit.predict(1, x, s), var_fit.predict(0, x, s))
-        assert np.array_equal(second.workspace.score_weight, k)
-
-    def test_estimates_equal_design_free_estimates(self, desk_data, model):
-        _, designs, e_fit, cond_y = self._fits(desk_data)
-        assert np.array_equal(preliminary_estimate(desk_data, model, cond_y).stacked,
-                              preliminary_estimate(desk_data, model, cond_y,
-                                                   designs).stacked)
-        assert np.array_equal(meta_estimate(desk_data, model, e_fit),
-                              meta_estimate(desk_data, model, e_fit, designs))
-
     def test_mismatched_design_raises(self, desk_data, model):
-        spec, designs, e_fit, cond_y = self._fits(desk_data)
+        spec = build_spline_basis(desk_data, 4)
+        designs = source_designs(desk_data, spec)
+        e_fit = fit_propensity(desk_data, spec, designs)
+        cond_y = fit_conditional_outcomes(desk_data, spec, designs)
         psi = preliminary_estimate(desk_data, model, cond_y, designs)
-        mu = fit_outcome_mean(desk_data, model, psi, e_fit, spec, designs=designs)
-        x, s = desk_data.x, desk_data.s
+        h = pseudo_outcomes(model, psi, desk_data, e_fit.predict(desk_data.s, designs))
+        mu = fit_outcome_mean(desk_data, h, spec, designs)
+        s = desk_data.s
         short = {0: designs[0][:-1], 1: designs[1]}
         with pytest.raises(ValidationError, match="design does not match"):
-            e_fit.predict(x, s, short)
+            e_fit.predict(s, short)
         with pytest.raises(ValidationError, match="design does not match"):
-            mu.predict(x, s, {1: designs[1]})
+            mu.predict(s, {1: designs[1]})
         with pytest.raises(ValidationError, match="design does not match"):
-            cond_y.predict(1, 1, x[s == 1], designs[1][:, :-1])
+            cond_y.predict(1, 1, designs[1][:, :-1])
         with pytest.raises(ValidationError, match="design does not match"):
             preliminary_estimate(desk_data, model, cond_y, {0: designs[0], 1: designs[0]})
+        with pytest.raises(ValidationError, match="design does not match"):
+            fit_propensity(desk_data, spec, short)
 
     def test_one_spline_design_per_source(self, desk_data, model, monkeypatch):
         built, rows = [], []
@@ -529,7 +511,8 @@ class TestTrialOnlyRefits:
 
         monkeypatch.setattr(nuisance, "fit_additive", counting)
         monkeypatch.setattr(estimators, "fit_variance_function", capture)
-        fit_propensity(desk_data, build_spline_basis(desk_data, opts.knots))
+        spec = build_spline_basis(desk_data, opts.knots)
+        fit_propensity(desk_data, spec, source_designs(desk_data, spec))
         propensity_fits = len(fitted)
         fit = run_pipeline(desk_data, model, opts, which=("rct",))
         # one variance round, on the trial's two cells; no regression runs

@@ -134,7 +134,7 @@ class TestTauCurve:
         grid = np.zeros((3, 5))
         grid[:, 0] = [-1.0, 0.0, 1.0]
         curve = tau_curve(model, est, grid)
-        want = model.tau(rep.psi_hat.phi, grid)
+        want = model.tau_basis.design(grid) @ rep.psi_hat.phi
         assert np.allclose(curve.estimate, want)
         design = model.tau_basis.design(grid)
         want_se = np.sqrt(np.diag(design @ est.phi_cov @ design.T))
@@ -153,7 +153,7 @@ class TestAteEstimate:
         cfg, data, model, nuis, rep, est = solved
         ate = ate_estimate(data, model, est)
         obs_x = data.x[data.s == 0]
-        vals = model.tau(rep.psi_hat.phi, obs_x)
+        vals = model.tau_basis.design(obs_x) @ rep.psi_hat.phi
         assert ate.tau0_hat == pytest.approx(vals.mean())
         grad = model.tau_basis.design(obs_x).mean(axis=0)
         pi0 = obs_x.shape[0] / data.n

@@ -57,7 +57,7 @@ class TestParseTerms:
     def test_all_forms(self):
         spec = parse_terms(("1", "bmi", "age^2", "age*bmi", " x3 "), NAMES)
         assert spec.labels(list(NAMES)) == ["1", "bmi", "age^2", "age*bmi", "x3"]
-        row = spec.row(np.array([2.0, 3.0, 5.0, 7.0, 11.0]))
+        row = spec.design(np.array([[2.0, 3.0, 5.0, 7.0, 11.0]]))[0]
         assert np.allclose(row, [1.0, 3.0, 4.0, 6.0, 5.0])
 
     @pytest.mark.parametrize("expr", ["", "height", "height^2", "age*height",

@@ -25,7 +25,7 @@ from htefusion import (
     tau_curve,
 )
 from htefusion.io import AnalysisConfig, run_fit
-from htefusion.nuisance import _stage_inputs, source_designs
+from htefusion.nuisance import _source_rows, source_designs
 import htefusion.simulation as simulation
 from conftest import make_config, true_psi, true_values
 
@@ -58,9 +58,10 @@ class TestColumnMajor:
     def test_held_cell_rows_equal_a_fresh_design(self, study, source, arm):
         cfg, data, model = study
         spec = build_spline_basis(data, 4)
-        X, design = _stage_inputs(source_designs(data, spec), data, source, arm)
-        assert X is design and design.flags.f_contiguous
-        assert np.array_equal(design, spec.design(data.x[data.rows(source, arm)]))
+        mask = data.rows(source, arm)
+        design = _source_rows(source_designs(data, spec), data.s, source, mask)
+        assert design.flags.f_contiguous
+        assert np.array_equal(design, spec.design(data.x[mask]))
 
 
 class TestKernels:
@@ -88,7 +89,7 @@ class TestKernels:
             return solve(mat, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        fit_additive(data.x, data.a.astype(float), spec, link="logit")
+        fit_additive(spec.design(data.x), data.a.astype(float), spec, link="logit")
         assert len(grams) > 1
         assert all(np.array_equal(g, g.T) for g in grams)
 
@@ -100,9 +101,8 @@ class TestKernels:
         spec = BasisSpec(build_spline_basis(data, 0).terms + (square_term(0), square_term(1)))
         y = data.a.astype(float) if link == "logit" else data.y
         design = spec.design(data.x)
-        fortran = fit_additive(data.x, y, spec, link=link, design=design)
-        c_order = fit_additive(data.x, y, spec, link=link,
-                               design=np.ascontiguousarray(design))
+        fortran = fit_additive(design, y, spec, link=link)
+        c_order = fit_additive(np.ascontiguousarray(design), y, spec, link=link)
         np.testing.assert_allclose(c_order.coef, fortran.coef, rtol=1e-12, atol=0.0)
 
 

@@ -1,4 +1,4 @@
-"""Data containers, basis terms, and the pseudo-outcome transform."""
+"""Data containers, basis terms, and the pseudo-outcome oracles."""
 
 import copy
 import pickle
@@ -18,12 +18,18 @@ from htefusion import (
     constant_term,
     linear_term,
     product_term,
-    pseudo_outcomes,
     spline_term,
     square_term,
 )
 from htefusion.model import _expit
-from oracles import UnitRecord, from_records, pseudo_outcome, records, residual_eps_h
+from oracles import (
+    UnitRecord,
+    from_records,
+    pseudo_outcome,
+    pseudo_outcomes,
+    records,
+    residual_eps_h,
+)
 
 X = np.array([[0.5, -1.0, 2.0],
               [1.5, 0.0, -0.5],
@@ -191,7 +197,7 @@ class TestBasisSpec:
         design = spec.design(X)
         assert design.shape == (3, 3)
         for i in range(3):
-            assert np.array_equal(spec.row(X[i]), design[i])
+            assert np.array_equal(spec.design(X[i:i + 1])[0], design[i])
 
     def test_spline_design_matches_the_piece_formula(self):
         # pieces of one covariate share cubes inside design(); interleaving
@@ -229,8 +235,6 @@ class TestBasisSpec:
         with pytest.raises(ValidationError):
             spec.design(X[0])
         with pytest.raises(ValidationError):
-            spec.row(X)
-        with pytest.raises(ValidationError):
             BasisSpec((constant_term(), "x1"))
 
 
@@ -265,9 +269,10 @@ class TestStructuralModel:
         phi, lam = np.array([1.0, 2.0, -1.0]), np.array([0.5, -0.5])
         want_tau = 1.0 + 2.0 * X[:, 0] - X[:, 1] ** 2
         want_lam = 0.5 * X[:, 0] - 0.5 * X[:, 2]
-        assert np.allclose(self.model.tau(phi, X), want_tau)
-        assert np.allclose(self.model.lam(lam, X), want_lam)
-        assert self.model.tau(phi, X[1]) == pytest.approx(want_tau[1])
+        design = self.model.design(X)
+        assert np.allclose(design[:, :3] @ phi, want_tau)
+        assert np.allclose(design[:, 3:] @ lam, want_lam)
+        assert np.allclose(self.model.tau_basis.design(X) @ phi, want_tau)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -277,8 +282,6 @@ class TestStructuralModel:
         with pytest.raises(ValidationError):
             StructuralModel(
                 BasisSpec((constant_term(),)), BasisSpec(()))
-        with pytest.raises(ValidationError):
-            self.model.tau([1.0], X)
 
 
 class TestPseudoOutcome:

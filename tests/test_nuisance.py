@@ -27,10 +27,10 @@ from htefusion import (
     fit_propensity,
     fit_variance_function,
     linear_term,
-    pseudo_outcomes,
     square_term,
 )
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
+from oracles import pseudo_outcomes
 
 
 class TestBuildSplineBasis:
@@ -73,10 +73,10 @@ class TestFitAdditive:
         x = rng.standard_normal((200, 2))
         y = 1.0 + 2.0 * x[:, 0] - 0.5 * x[:, 1] + rng.standard_normal(200)
         spec = BasisSpec((constant_term(), linear_term(0), linear_term(1)))
-        fit = fit_additive(x, y, spec, ridge=1e-12)
+        fit = fit_additive(spec.design(x), y, spec, ridge=1e-12)
         ref, *_ = np.linalg.lstsq(spec.design(x), y, rcond=None)
         assert np.allclose(fit.coef, ref, atol=1e-6)
-        assert np.allclose(fit.predict(x), spec.design(x) @ ref, atol=1e-6)
+        assert np.allclose(fit.predict(spec.design(x)), spec.design(x) @ ref, atol=1e-6)
 
     def test_logit_matches_scipy_minimizer(self):
         rng = np.random.default_rng(2)
@@ -85,7 +85,7 @@ class TestFitAdditive:
         y = (rng.random(500) < p).astype(float)
         spec = BasisSpec((constant_term(), linear_term(0), linear_term(1)))
         ridge = 1e-6
-        fit = fit_additive(x, y, spec, link="logit", ridge=ridge)
+        fit = fit_additive(spec.design(x), y, spec, link="logit", ridge=ridge)
 
         design = spec.design(x)
         pen = ridge * float(np.mean(np.sum(design * design, axis=0)))
@@ -104,7 +104,7 @@ class TestFitAdditive:
         x[:, 1] = x[:, 0]
         y = x[:, 0] + rng.standard_normal(50)
         spec = BasisSpec((constant_term(), linear_term(0), linear_term(1)))
-        fit = fit_additive(x, y, spec, ridge=1e-8)
+        fit = fit_additive(spec.design(x), y, spec, ridge=1e-8)
         assert np.isfinite(fit.coef).all()
 
     def test_unpenalized_singular_fit_warns_and_splits_evenly(self):
@@ -113,13 +113,11 @@ class TestFitAdditive:
         y = x[:, 0] + rng.standard_normal(50)
         spec = BasisSpec((constant_term(), linear_term(0), linear_term(0)))
         with pytest.warns(UserWarning, match="toy fit: singular normal equations"):
-            fit = fit_additive(x, y, spec, ridge=0.0, what="toy fit")
+            fit = fit_additive(spec.design(x), y, spec, ridge=0.0, what="toy fit")
         assert fit.coef[1] == pytest.approx(fit.coef[2], rel=1e-6)
 
     def test_validation(self):
         spec = BasisSpec((constant_term(),))
-        with pytest.raises(ValidationError):
-            fit_additive(np.zeros((3, 1)), np.zeros(2), spec)
         with pytest.raises(ValidationError):
             fit_additive(np.zeros((3, 1)), np.zeros(3), spec, link="probit")
 
@@ -127,8 +125,10 @@ class TestFitAdditive:
 class TestFitPropensity:
     def test_trial_known_short_circuits(self, desk_data):
         spec = build_spline_basis(desk_data, 0)
-        fit = fit_propensity(desk_data, spec, trial_known=0.5)
-        on_trial = fit.predict(desk_data.x[:5], np.ones(5, dtype=int))
+        fit = fit_propensity(desk_data, spec, source_designs(desk_data, spec),
+                             trial_known=0.5)
+        # a known probability reads no design
+        on_trial = fit.predict(np.ones(5, dtype=int), {})
         assert np.all(on_trial == 0.5)
 
     def test_observational_fit_tracks_truth(self):
@@ -139,31 +139,32 @@ class TestFitPropensity:
         a[:2] = [0, 1]
         data = Dataset(np.zeros(20000, dtype=int), a, np.zeros(20000), x)
         spec = build_spline_basis(data, 0)
-        fit = fit_propensity(data, spec, clip=0.01)
+        fit = fit_propensity(data, spec, source_designs(data, spec), clip=0.01)
         grid = rng.standard_normal((200, 3))
-        got = fit.predict_raw(grid, np.zeros(200, dtype=int))
+        got = fit.predict_raw(np.zeros(200, dtype=int), {0: spec.design(grid)})
         want = expit(-grid.sum(axis=1))
         assert np.abs(got - want).max() < 0.03
 
     def test_clip_is_applied_symmetrically(self):
         identity = AdditiveRegressor(BasisSpec((linear_term(0),)), np.array([1.0]))
         e = Propensity({0: identity}, clip=0.1)
-        x = np.array([[0.0], [0.5], [1.0]])
-        assert e.predict(x, np.zeros(3, dtype=int)).tolist() == [0.1, 0.5, 0.9]
-        assert e.predict_raw(x, np.zeros(3, dtype=int)).tolist() == [0.0, 0.5, 1.0]
+        designs = {0: identity.basis.design(np.array([[0.0], [0.5], [1.0]]))}
+        assert e.predict(np.zeros(3, dtype=int), designs).tolist() == [0.1, 0.5, 0.9]
+        assert e.predict_raw(np.zeros(3, dtype=int), designs).tolist() == [0.0, 0.5, 1.0]
 
     def test_single_arm_source_raises(self):
         data = Dataset([0, 0, 1, 1], [1, 1, 0, 1], np.zeros(4),
                        np.random.default_rng(0).standard_normal((4, 2)))
         spec = BasisSpec((constant_term(),))
         with pytest.raises(ValidationError, match="single treatment arm"):
-            fit_propensity(data, spec)
+            fit_propensity(data, spec, source_designs(data, spec))
 
     def test_unknown_source_prediction_raises(self, desk_data):
         spec = build_spline_basis(desk_data, 0)
-        fit = fit_propensity(desk_data.subset(desk_data.s == 0), spec)
-        with pytest.raises(ValidationError):
-            fit.predict(desk_data.x[:3], np.ones(3, dtype=int))
+        obs = desk_data.subset(desk_data.s == 0)
+        fit = fit_propensity(obs, spec, source_designs(obs, spec))
+        with pytest.raises(ValidationError, match="no propensity component for source s=1"):
+            fit.predict(np.ones(3, dtype=int), {1: spec.design(desk_data.x[:3])})
 
     def test_irls_failure_names_the_fit_and_source(self, desk_data, monkeypatch):
         spec = build_spline_basis(desk_data, 0)
@@ -172,18 +173,20 @@ class TestFitPropensity:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
+        designs = source_designs(desk_data, spec)
         with pytest.raises(NumericalError,
                            match=r"^propensity fit \(s=0\): IRLS update produced"):
-            fit_propensity(desk_data, spec, trial_known=0.5)
+            fit_propensity(desk_data, spec, designs, trial_known=0.5)
         with pytest.raises(NumericalError, match=r"^propensity fit \(s=1\): IRLS"):
-            fit_propensity(desk_data.trial_only(), spec)
+            fit_propensity(desk_data.trial_only(), spec, {1: designs[1]})
 
     def test_validation(self, desk_data):
         spec = build_spline_basis(desk_data, 0)
+        designs = source_designs(desk_data, spec)
         with pytest.raises(ValidationError):
-            fit_propensity(desk_data, spec, clip=0.6)
+            fit_propensity(desk_data, spec, designs, clip=0.6)
         with pytest.raises(ValidationError):
-            fit_propensity(desk_data, spec, trial_known=1.5)
+            fit_propensity(desk_data, spec, designs, trial_known=1.5)
 
 
 class TestSharedDesigns:
@@ -192,21 +195,29 @@ class TestSharedDesigns:
         designs = source_designs(desk_data, spec)
         assert {src: d.shape for src, d in designs.items()} == {
             0: (desk_data.n_obs, spec.p), 1: (desk_data.n_trial, spec.p)}
-        pairs = [
-            (fit_propensity(desk_data, spec).by_source,
-             fit_propensity(desk_data, spec, designs=designs).by_source),
-            (fit_conditional_outcomes(desk_data, spec).by_cell,
-             fit_conditional_outcomes(desk_data, spec, designs=designs).by_cell),
-        ]
-        for plain, shared in pairs:
-            assert plain.keys() == shared.keys()
-            for key in plain:
-                assert np.array_equal(plain[key].coef, shared[key].coef)
+        x, a, y = desk_data.x, desk_data.a, desk_data.y
+        propensity = fit_propensity(desk_data, spec, designs).by_source
+        for source in (0, 1):
+            rows = desk_data.rows(source)
+            fresh = fit_additive(spec.design(x[rows]), a[rows], spec, link="logit")
+            assert np.array_equal(propensity[source].coef, fresh.coef)
+        cells = fit_conditional_outcomes(desk_data, spec, designs).by_cell
+        assert set(cells) == {(a_val, s_val) for a_val in (0, 1) for s_val in (0, 1)}
+        for (a_val, s_val), fit in cells.items():
+            rows = desk_data.rows(s_val, a_val)
+            assert np.array_equal(fit.coef, fit_additive(spec.design(x[rows]), y[rows], spec).coef)
 
     def test_design_shape_is_checked(self):
         spec = BasisSpec((constant_term(), linear_term(0)))
-        with pytest.raises(ValidationError, match="design does not match"):
-            fit_additive(np.zeros((3, 1)), np.zeros(3), spec, design=np.zeros((3, 1)))
+        for design in (np.ones((3, 2)), np.ones((4, 1)), np.ones((4, 3)), np.ones(4)):
+            with pytest.raises(ValidationError, match="design does not match y and the basis"):
+                fit_additive(design, np.zeros(4), spec)
+        x = np.arange(4.0)[:, None]
+        fit = fit_additive(spec.design(x), x[:, 0], spec)
+        for design in (np.ones((4, 1)), np.ones((4, 3)), np.ones(2)):
+            with pytest.raises(ValidationError, match="design does not match the basis"):
+                fit.predict(design)
+        assert np.allclose(fit.predict(spec.design(x[:2])), [0.0, 1.0], atol=1e-4)
 
 
 class TestFitConditionalOutcomes:
@@ -219,8 +230,8 @@ class TestFitConditionalOutcomes:
         y = 2.0 * a * s + x[:, 0] * (1 + a) + 0.01 * rng.standard_normal(n)
         data = Dataset(s, a, y, x)
         spec = build_spline_basis(data, 0)
-        fit = fit_conditional_outcomes(data, spec)
-        probe = np.array([[1.0, 0.0]])
+        fit = fit_conditional_outcomes(data, spec, source_designs(data, spec))
+        probe = spec.design(np.array([[1.0, 0.0]]))
         assert fit.predict(1, 1, probe)[0] == pytest.approx(4.0, abs=0.1)
         assert fit.predict(0, 1, probe)[0] == pytest.approx(1.0, abs=0.1)
         assert fit.predict(1, 0, probe)[0] == pytest.approx(2.0, abs=0.1)
@@ -228,9 +239,10 @@ class TestFitConditionalOutcomes:
     def test_missing_cell_raises_on_predict(self):
         data = Dataset([1, 1, 1, 1], [0, 1, 0, 1], [0.0, 1.0, 0.0, 1.0],
                        np.random.default_rng(1).standard_normal((4, 1)))
-        fit = fit_conditional_outcomes(data, BasisSpec((constant_term(),)))
-        with pytest.raises(ValidationError):
-            fit.predict(1, 0, np.zeros((1, 1)))
+        spec = BasisSpec((constant_term(),))
+        fit = fit_conditional_outcomes(data, spec, source_designs(data, spec))
+        with pytest.raises(ValidationError, match=r"cell \(a=1, s=0\)"):
+            fit.predict(1, 0, np.ones((1, 1)))
 
 
 class TestFitOutcomeMean:
@@ -245,10 +257,10 @@ class TestFitOutcomeMean:
         truth = true_values(cfg, data)
         spec = build_spline_basis(data, 0)
         h = pseudo_outcomes(model, psi, data, truth.e)
-        fit = fit_outcome_mean(data, model, psi, None, spec, h=h)
+        fit = fit_outcome_mean(data, h, spec, source_designs(data, spec))
         # the pseudo-outcome mean on trial records is sum(x), a linear surface
         grid = np.random.default_rng(0).standard_normal((100, 5))
-        got = fit.predict(grid, np.ones(100, dtype=int))
+        got = fit.predict(np.ones(100, dtype=int), {1: spec.design(grid)})
         assert np.abs(got - grid.sum(axis=1)).max() < 0.15
 
 
@@ -266,18 +278,17 @@ class TestFitVarianceFunction:
                                 BasisSpec((linear_term(0),)))
         psi = PsiVector([0.0], [0.0])
         spec = build_spline_basis(data, 0)
+        designs = source_designs(data, spec)
         e = Propensity({0: 0.5, 1: 0.5})
-        mu = fit_outcome_mean(data, model, psi, e, spec)
-        x, s = data.x, data.s
-        resid = pseudo_outcomes(model, psi, data, e.predict(x, s)) - mu.predict(x, s)
+        h = pseudo_outcomes(model, psi, data, e.predict(data.s, designs))
+        resid = h - fit_outcome_mean(data, h, spec, designs).predict(data.s, designs)
         return data, model, psi, e, resid, spec
 
     def test_recovers_homoscedastic_truth(self):
         data, model, psi, e, resid, spec = self._fitted()
         fit = fit_variance_function(data, resid)
-        grid = np.random.default_rng(1).uniform(-1.5, 1.5, (50, 2))
-        v_trial = fit.predict(1, grid, np.ones(50, dtype=int))
-        v_obs = fit.predict(0, grid, np.zeros(50, dtype=int))
+        v_trial = fit.predict(1, np.ones(50, dtype=int))
+        v_obs = fit.predict(0, np.zeros(50, dtype=int))
         assert np.abs(v_trial / 1.0 - 1.0).max() < 0.12
         assert np.abs(v_obs / 3.0 - 1.0).max() < 0.12
 
@@ -290,32 +301,33 @@ class TestFitVarianceFunction:
         for (a, s), var in fit.by_cell.items():
             assert var == np.mean(resid[data.rows(s, a)] ** 2)
             assert var == pytest.approx(1.0 if s == 1 else 3.0, rel=0.12)
-        grid = np.random.default_rng(2).standard_normal((10, 2))
-        vals = fit.predict(1, grid, np.ones(10, dtype=int))
+        vals = fit.predict(1, np.ones(10, dtype=int))
         assert np.all(vals == fit.by_cell[(1, 1)])
 
     def test_held_pseudo_outcome_and_outcome_variance(self):
         data, model, psi, e, resid, spec = self._fitted()
-        h = pseudo_outcomes(model, psi, data, e.predict(data.x, data.s))
-        plain = fit_outcome_mean(data, model, psi, e, spec)
-        held = fit_outcome_mean(data, model, psi, e, spec, h=h)
+        designs = source_designs(data, spec)
+        h = pseudo_outcomes(model, psi, data, e.predict(data.s, designs))
+        held = fit_outcome_mean(data, h, spec, designs)
         for source in (0, 1):
-            assert np.array_equal(plain.by_source[source].coef, held.by_source[source].coef)
-        grid = np.zeros((3, 2))
+            rows = data.rows(source)
+            fresh = fit_additive(spec.design(data.x[rows]), h[rows], spec)
+            assert np.array_equal(held.by_source[source].coef, fresh.coef)
         base = fit_variance_function(data, resid)
         again = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
         assert again.bounds == base.bounds
-        assert np.array_equal(again.predict(1, grid, np.ones(3, dtype=int)),
-                              base.predict(1, grid, np.ones(3, dtype=int)))
+        assert np.array_equal(again.predict(1, np.ones(3, dtype=int)),
+                              base.predict(1, np.ones(3, dtype=int)))
         scaled = fit_variance_function(data, resid, y_var=2.0)
         assert scaled.bounds == (2e-4, 2e4)
 
     def test_singular_cell_fit_warning_names_its_cell(self):
         data, model, psi, e, resid, _ = self._fitted()
         dup = BasisSpec((constant_term(), linear_term(0), linear_term(0)))
+        designs = source_designs(data, dup)
         with pytest.warns(UserWarning) as caught:
-            fit_conditional_outcomes(data, dup, ridge=0.0)
-            fit_outcome_mean(data, model, psi, e, dup, ridge=0.0)
+            fit_conditional_outcomes(data, dup, designs, ridge=0.0)
+            fit_outcome_mean(data, resid, dup, designs, ridge=0.0)
         messages = {str(w.message).split(":")[0] for w in caught}
         cells = [(a, s) for s in (0, 1) for a in (0, 1)]
         assert messages == ({f"conditional-outcome fit (a={a}, s={s})" for a, s in cells}
@@ -324,15 +336,13 @@ class TestFitVarianceFunction:
     def test_bounds_clamp_predictions(self):
         data, model, psi, e, resid, spec = self._fitted()
         fit = fit_variance_function(data, resid, rel_bounds=(1e-9, 1e-8))
-        grid = np.zeros((5, 2))
-        got = fit.predict(1, grid, np.ones(5, dtype=int))
+        got = fit.predict(1, np.ones(5, dtype=int))
         assert np.all(got <= 1e-8 * np.var(data.y) + 1e-20)
 
     def test_variance_function_scalar_components(self):
         vf = VarianceFunction({(0, 0): 2.0, (1, 0): 2.0, (0, 1): 1.0, (1, 1): 1.0},
                               bounds=(1e-8, 1e8))
-        x = np.zeros((4, 2))
-        got = vf.predict([0, 1, 0, 1], x, [0, 0, 1, 1])
-        assert got.tolist() == [2.0, 2.0, 1.0, 1.0]
-        with pytest.raises(ValidationError):
-            vf.predict(0, x, 2 * np.ones(4, dtype=int))
+        assert vf.predict(0, [0, 0, 1, 1]).tolist() == [2.0, 2.0, 1.0, 1.0]
+        assert vf.predict(1, [1, 0]).tolist() == [1.0, 2.0]
+        with pytest.raises(ValidationError, match=r"cell \(a=0, s=2\)"):
+            vf.predict(0, 2 * np.ones(4, dtype=int))

@@ -4,9 +4,10 @@ Small studies are drawn from the built-in generator with random seeds
 and sample sizes.  Both estimators must be equivariant in the outcome
 scale, permuting the records must leave the coefficients and their
 standard errors alone, duplicating every record must leave the
-coefficients alone and halve their covariance, and reordering the terms
+coefficients alone and halve their covariance, reordering the terms
 of either basis must leave the fitted curve, the average effect and
-their standard errors alone.  Duplication is checked with linear
+their standard errors alone, and permuting the cohort's outcomes and
+arms among its records must leave the trial-only fit alone.  Duplication is checked with linear
 nuisance surfaces only: spline knots sit at interpolated sample
 quantiles, which move when every record appears twice.  The outcome-shift invariance is
 left out: the ridge penalty of the nuisance smoothers still reaches the
@@ -14,6 +15,7 @@ intercept.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from htefusion import (
@@ -131,3 +133,24 @@ def test_reordering_basis_terms_leaves_the_curve_and_average(study, knots, tau_o
         assert _close(curve_r.se, curve.se), name
         assert _close(np.array([ate_r.tau0_hat, ate_r.se]),
                       np.array([ate.tau0_hat, ate.se])), name
+
+
+@pytest.mark.parametrize("trial_known", [0.5, None])
+@pytest.mark.parametrize("knots", [0, 4])
+@settings(max_examples=5, deadline=None)
+@given(study=studies)
+def test_cohort_outcomes_and_arms_leave_the_trial_fit(study, knots, trial_known):
+    cfg, data = _draw(study)
+    model = cfg.model()
+    obs = np.flatnonzero(data.rows(0))
+    rng = np.random.default_rng(study["seed"])
+    y, a = data.y.copy(), data.a.copy()
+    y[obs], a[obs] = y[rng.permutation(obs)], a[rng.permutation(obs)]
+    moved = Dataset(data.s, a, y, data.x)
+    opts = FitOptions(knots=knots, trial_known=trial_known)
+    base, other = (run_pipeline(d, model, opts, which=("rct",)).rct for d in (data, moved))
+    assert base.converged and other.converged
+    est, est_m = (sandwich_covariance(d, model, rep.psi_hat, rep.workspace)
+                  for d, rep in ((data, base), (moved, other)))
+    assert _close(est_m.psi_hat.phi, est.psi_hat.phi)
+    assert _close(est_m.se, est.se)
