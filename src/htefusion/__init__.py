@@ -16,7 +16,6 @@ from .model import (
     BasisSpec,
     BasisTerm,
     Dataset,
-    PsiVector,
     StructuralModel,
     constant_term,
     linear_term,

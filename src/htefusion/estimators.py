@@ -37,12 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import (
-    Dataset,
-    PsiVector,
-    StructuralModel,
-    _take_rows,
-)
+from .model import Dataset, StructuralModel, _take_rows
 from .nuisance import (
     CellMeans,
     NuisanceValues,
@@ -91,11 +86,17 @@ class FitOptions:
     trial_known: float | None = None
     refine: int = 1
 
+    def __post_init__(self):
+        if not 0.0 <= self.ridge < np.inf:  # also rejects NaN
+            raise ValidationError(f"ridge must be finite and non-negative, got {self.ridge}")
+
 
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of the linear solve of the estimating equations.
 
+    ``psi_hat`` stacks the effect coefficients, then the confounding ones
+    (none for the trial-only equations), as the workspace's columns do.
     ``iterations`` is 1 for a solve and 0 when the start was already a
     root.  When the Jacobian is singular or the solution leaves a mean
     score above the tolerance, ``fallback_used`` is set, ``converged``
@@ -105,7 +106,7 @@ class SolveReport:
     specification test to reuse.
     """
 
-    psi_hat: PsiVector
+    psi_hat: np.ndarray
     iterations: int
     final_score_norm: float
     converged: bool
@@ -233,7 +234,7 @@ def mean_score_jacobian(ws: ScoreWorkspace) -> np.ndarray:
 
 
 def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans,
-                         designs: dict) -> PsiVector:
+                         designs: dict) -> np.ndarray:
     """Least-squares starting values from cell-mean differences.
 
     The effect coefficients regress the trial arm-mean difference on the
@@ -252,13 +253,13 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
                            "preliminary effect fit")
     obs = data.rows(0)
     if not obs.any():
-        return PsiVector(phi, np.zeros(model.p2))
+        return np.concatenate([phi, np.zeros(model.p2)])
     dobs = _source_rows(designs, data.s, 0, obs)
     delta_obs = cond_y.predict(1, 0, dobs) - cond_y.predict(0, 0, dobs)
     both = model.design(data.x[obs])
     lam = _solve_penalized(both[:, model.p1:], delta_obs - both[:, :model.p1] @ phi, 0.0,
                            "preliminary confounding fit")
-    return PsiVector(phi, lam)
+    return np.concatenate([phi, lam])
 
 
 # A solve is accepted when it cuts the mean score to this fraction of its
@@ -268,32 +269,41 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
 _SOLVE_RTOL = 1e-10
 
 
-def _linear_solve(ws: ScoreWorkspace, init: np.ndarray):
-    """One Newton step from ``init``, exact for the linear equations.
+def _coefficients(values, p: int, what: str) -> np.ndarray:
+    """``values`` as a float vector of ``p`` finite coefficients."""
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (p,):
+        raise ValidationError(f"{what} must be a vector of {p} coefficients, "
+                              f"got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"{what} must be finite")
+    return vec
 
-    Returns (params, iterations, final score norm, converged, fallback).
-    """
+
+def _linear_solve(ws: ScoreWorkspace, init: np.ndarray) -> SolveReport:
+    """One Newton step from ``init``, exact for the linear equations."""
     f = mean_score(ws, init)
     if not np.isfinite(f).all():
         raise NumericalError("mean score is not finite at the starting values")
     norm = float(np.linalg.norm(f))
     if norm == 0.0:
-        return init.copy(), 0, 0.0, True, False
+        return SolveReport(init.copy(), 0, 0.0, True, False, ws)
     jac = mean_score_jacobian(ws)
     try:
         params = init + np.linalg.solve(jac, -f)
     except np.linalg.LinAlgError:
-        return init.copy(), 1, norm, False, True
+        return SolveReport(init.copy(), 1, norm, False, True, ws)
     norm_new = float(np.linalg.norm(mean_score(ws, params)))
     floor = np.finfo(float).eps * np.linalg.norm(jac) * np.linalg.norm(params)
     if not norm_new <= max(_SOLVE_RTOL * norm, floor):  # also rejects NaN
-        return init.copy(), 1, norm, False, True
-    return params, 1, norm_new, True, False
+        return SolveReport(init.copy(), 1, norm, False, True, ws)
+    return SolveReport(params, 1, norm_new, True, False, ws)
 
 
 def solve_integrative(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
-                      psi_init: PsiVector) -> SolveReport:
-    """Solve the pooled estimating equations ``ws`` for all coefficients."""
+                      psi_init: np.ndarray) -> SolveReport:
+    """Solve the pooled estimating equations ``ws`` for all coefficients,
+    from the stacked starting values ``psi_init``."""
     if data.n_trial == 0 or data.n_obs == 0:
         raise ValidationError("integrative fitting needs records from both sources")
     for source in (0, 1):
@@ -303,12 +313,7 @@ def solve_integrative(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
             )
     if _check_workspace(ws, data, model):
         raise ValidationError("integrative fitting needs the pooled workspace")
-    init = psi_init.stacked
-    if init.size != ws.p:
-        raise ValidationError("starting values do not match the model dimension")
-    params, its, norm, converged, fallback = _linear_solve(ws, init)
-    return SolveReport(PsiVector.from_stacked(params, model.p1), its, norm,
-                       converged, fallback, ws)
+    return _linear_solve(ws, _coefficients(psi_init, ws.p, "starting values"))
 
 
 def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
@@ -322,11 +327,7 @@ def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
         raise ValidationError("trial-only fitting: the trial contains a single arm")
     if not _check_workspace(ws, data, model):
         raise ValidationError("trial-only fitting needs the trial-only workspace")
-    init = np.asarray(phi_init, dtype=float)
-    if init.size != model.p1:
-        raise ValidationError("starting values do not match the effect dimension")
-    params, its, norm, converged, fallback = _linear_solve(ws, init)
-    return SolveReport(PsiVector(params, np.zeros(0)), its, norm, converged, fallback, ws)
+    return _linear_solve(ws, _coefficients(phi_init, ws.p, "starting values"))
 
 
 def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity,
@@ -386,20 +387,17 @@ def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
     A round fits sigma2 per cell to the residuals at the current
     solution, recomputes only the score weight and solves again.
     """
-    trial_only = ws.p2 == 0
-    solve = solve_rct if trial_only else solve_integrative
-    psi = PsiVector(np.zeros(model.p1), np.zeros(ws.p2))
-    rep = solve(data, model, ws, psi.phi if trial_only else psi)
+    solve = solve_rct if ws.p2 == 0 else solve_integrative
+    rep = solve(data, model, ws, np.zeros(ws.p))
     for _ in range(max(0, refine)):
         if rep.fallback_used:
             break
-        psi = rep.psi_hat
         # the residual is the pseudo-outcome already centered at its mean
-        var_fit = fit_variance_function(data, residuals(ws, psi.stacked), y_var=y_var)
+        var_fit = fit_variance_function(data, residuals(ws, rep.psi_hat), y_var=y_var)
         v1 = var_fit.predict(1, data.s)
         v0 = var_fit.predict(0, data.s)
         ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
-        rep = solve(data, model, ws, psi.phi if trial_only else psi)
+        rep = solve(data, model, ws, rep.psi_hat)
     return rep
 
 

@@ -11,6 +11,7 @@ from .errors import NumericalError, ValidationError
 from .estimators import (
     ScoreWorkspace,
     _check_workspace,
+    _coefficients,
     mean_score_jacobian,
     residuals,
     score_matrix,
@@ -18,7 +19,7 @@ from .estimators import (
 # Not used here: bench/test_bench.py::test_tracer_restores_every_binding
 # checks that the tracer rewraps and restores this binding.
 from .estimators import build_workspace  # noqa: F401
-from .model import BasisSpec, Dataset, PsiVector, StructuralModel
+from .model import BasisSpec, Dataset, StructuralModel
 
 __all__ = [
     "PsiEstimate",
@@ -38,9 +39,14 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class PsiEstimate:
-    """Coefficients with their sandwich covariance and its two factors."""
+    """Coefficients with their sandwich covariance and its two factors.
 
-    psi_hat: PsiVector
+    ``psi_hat`` stacks the ``p1`` effect coefficients, then the
+    confounding ones (none for the trial-only fit).
+    """
+
+    psi_hat: np.ndarray
+    p1: int
     cov: np.ndarray
     bread: np.ndarray
     meat: np.ndarray
@@ -56,9 +62,16 @@ class PsiEstimate:
         return np.sqrt(np.diag(self.cov))
 
     @property
+    def phi(self) -> np.ndarray:
+        return self.psi_hat[:self.p1]
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self.psi_hat[self.p1:]
+
+    @property
     def phi_cov(self) -> np.ndarray:
-        p1 = self.psi_hat.phi.size
-        return self.cov[:p1, :p1]
+        return self.cov[:self.p1, :self.p1]
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,6 @@ class AteEstimate:
     tau0_hat: float
     se: float
     pi0_hat: float
-    psi0_grad: np.ndarray
 
     @property
     def lower(self) -> float:
@@ -120,7 +132,7 @@ def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
-def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVector,
+def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: np.ndarray,
                         ws: ScoreWorkspace) -> PsiEstimate:
     """Empirical sandwich covariance at the solved coefficients.
 
@@ -128,14 +140,12 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVecto
     average outer product of per-record scores; the covariance is
     bread-inverse times meat times bread-inverse-transpose over the
     number of records entering the equations, symmetrized.  ``ws`` is
-    the workspace the solve reported; the trial-only one, without
-    confounding columns, gives the covariance of the effect block alone.
+    the workspace the solve reported and ``psi_hat`` its solution; the
+    trial-only workspace, without confounding columns, gives the
+    covariance of the effect block alone.
     """
-    trial_only = _check_workspace(ws, data, model)
-    params = psi_hat.phi if trial_only else psi_hat.stacked
-    params = np.asarray(params, dtype=float)
-    if params.size != ws.p:
-        raise ValidationError("coefficient vector does not match the workspace dimension")
+    _check_workspace(ws, data, model)
+    params = _coefficients(psi_hat, ws.p, "coefficient vector")
     scores = score_matrix(ws, params)
     bread = mean_score_jacobian(ws)
     meat = scores.T @ scores / ws.n
@@ -143,10 +153,9 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: PsiVecto
     half = np.linalg.solve(bread, meat)
     cov = np.linalg.solve(bread, half.T) / ws.n
     cov = (cov + cov.T) / 2.0
-    kept = PsiVector.from_stacked(params, model.p1)  # no confounding block if trial-only
     # n_trial/n_obs describe the dataset the estimate came from, so that
     # precision comparisons between fits on the same data share a scale.
-    return PsiEstimate(kept, cov, bread, meat, data.n_trial, data.n_obs)
+    return PsiEstimate(params, ws.p1, cov, bread, meat, data.n_trial, data.n_obs)
 
 
 def tau_curve(model: StructuralModel, est: PsiEstimate, grid, *,
@@ -159,10 +168,12 @@ def tau_curve(model: StructuralModel, est: PsiEstimate, grid, *,
     design = model.tau_basis.design(grid) if design is None else design
     if design.shape != (grid.shape[0], model.p1):
         raise ValidationError("design does not match the grid and the effect basis")
-    phi_cov = est.phi_cov
-    estimate = design @ est.psi_hat.phi
-    var = np.einsum("ij,jk,ik->i", design, phi_cov, design)
+    estimate = design @ est.phi
+    var = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
     se = np.sqrt(np.clip(var, 0.0, None))
+    if not (np.isfinite(estimate).all() and np.isfinite(se).all()):
+        raise NumericalError("the effect curve or its standard error is not finite "
+                             "at a probe point")
     return TauCurve(grid, estimate, se, estimate - _Z95 * se, estimate + _Z95 * se)
 
 
@@ -181,13 +192,13 @@ def ate_estimate(data: Dataset, model: StructuralModel, est: PsiEstimate, *,
     design = model.tau_basis.design(data.x[data.rows(0)]) if design is None else design
     if design.shape != (m, model.p1):
         raise ValidationError("design does not match the records and the effect basis")
-    tau_vals = design @ est.psi_hat.phi
+    tau_vals = design @ est.phi
     grad0 = design.mean(axis=0)
     tau0 = float(tau_vals.mean())
     pi0 = m / data.n
     spread = float(np.var(tau_vals, ddof=1)) if m > 1 else 0.0
     var = spread / (pi0 * data.n) + float(grad0 @ est.phi_cov @ grad0)
-    return AteEstimate(tau0, float(np.sqrt(max(var, 0.0))), pi0, grad0)
+    return AteEstimate(tau0, float(np.sqrt(max(var, 0.0))), pi0)
 
 
 def precision_gain(est_int: PsiEstimate, est_rct: PsiEstimate) -> GainReport:
@@ -198,8 +209,8 @@ def precision_gain(est_int: PsiEstimate, est_rct: PsiEstimate) -> GainReport:
     give an exact zero matrix; a positive semidefinite gain reflects the
     efficiency of pooling the observational records.
     """
-    p1 = est_int.psi_hat.phi.size
-    if est_rct.psi_hat.phi.size != p1:
+    p1 = est_int.p1
+    if est_rct.p1 != p1:
         raise ValidationError("effect blocks have different dimensions")
     eye = np.eye(p1)
     prec_int = _solve_square(est_int.n * est_int.phi_cov, eye, "integrative covariance")
@@ -228,9 +239,7 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
         raise ValidationError("the specification test needs at least one alternative term")
     if _check_workspace(ws, data, model):
         raise ValidationError("the specification test needs the pooled workspace")
-    params = est.psi_hat.stacked
-    if params.size != ws.p:
-        raise ValidationError("coefficient vector does not match the workspace dimension")
+    params = _coefficients(est.psi_hat, ws.p, "coefficient vector")
     blocks = []
     if q1:
         blocks.append(alt_tau.design(data.x))

@@ -123,6 +123,8 @@ class AnalysisConfig:
                     "each probe must list one value per covariate "
                     f"({len(self.covariates)} expected, got {len(row)})"
                 )
+            if not np.isfinite(row).all():
+                raise ValidationError(f"probes must be finite, got {list(row)}")
         if self.curve_output and not (self.probes and "integrative" in self.estimators):
             raise ValidationError("curve_output needs a probe and the integrative estimator")
 
@@ -325,10 +327,10 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
             pooled = name == "integrative"
             est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
             block = {"tau": _coef_block(model.tau_basis.labels(names),
-                                        est.psi_hat.phi, est.se[:model.p1])}
+                                        est.phi, est.se[:model.p1])}
             if pooled:
                 block["lambda"] = _coef_block(model.lambda_basis.labels(names),
-                                              est.psi_hat.lam, est.se[model.p1:])
+                                              est.lam, est.se[model.p1:])
             if data.n_obs > 0:
                 ate = ate_estimate(data, model, est, design=obs_design)
                 block["ate"] = {"estimate": ate.tau0_hat, "se": ate.se,

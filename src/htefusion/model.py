@@ -22,7 +22,6 @@ __all__ = [
     "BasisTerm",
     "BasisSpec",
     "StructuralModel",
-    "PsiVector",
     "constant_term",
     "linear_term",
     "square_term",
@@ -280,35 +279,6 @@ class BasisSpec:
             else:
                 out[:, col] = term.column(X)
         return out
-
-
-@dataclass(frozen=True)
-class PsiVector:
-    """Stacked parameter vector: effect coefficients then confounding ones."""
-
-    phi: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        for name in ("phi", "lam"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.ndim != 1:
-                raise ValidationError(f"{name} must be a 1-d coefficient vector")
-            if not np.isfinite(v).all():
-                raise ValidationError(f"{name} must be finite")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.phi, self.lam])
-
-    @classmethod
-    def from_stacked(cls, vec, p1: int) -> "PsiVector":
-        vec = np.asarray(vec, dtype=float)
-        if not 0 <= p1 <= vec.size:
-            raise ValidationError("p1 out of range for stacked vector")
-        return cls(vec[:p1], vec[p1:])
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,7 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
             continue
         out["fallback"] |= report.fallback_used
         est = sandwich_covariance(data, model, report.psi_hat, report.workspace)
-        pts = design @ est.psi_hat.phi
+        pts = design @ est.phi
         ves = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
         ate = ate_estimate(data, model, est, design=obs_design)
         record(name, pts, ves, (ate.tau0_hat, ate.se ** 2))

@@ -81,15 +81,15 @@ def true_values(cfg: SimConfig, data: Dataset) -> NuisanceValues:
     return NuisanceValues(e, mu, v, v)
 
 
-def true_psi(cfg: SimConfig):
-    """Coefficients of the generating curves on the default bases."""
-    from htefusion import PsiVector
+def true_psi(cfg: SimConfig) -> np.ndarray:
+    """Stacked coefficients of the generating curves on the default bases:
+    the effect block, then the confounding block."""
     from htefusion.simulation import true_tau_coefficients
 
     phi = true_tau_coefficients(cfg.tau_form)
     scale = 1.0 if cfg.confounding_form == "unit" else 2.0
     lam = scale * np.asarray(cfg.beta, dtype=float)
-    return PsiVector(phi, lam)
+    return np.concatenate([phi, lam])
 
 
 def toy_dataset(seed=0, n=40, d=3, trial_frac=0.5):

@@ -16,7 +16,6 @@ import numpy as np
 from htefusion import (
     Dataset,
     NuisanceValues,
-    PsiVector,
     StructuralModel,
     ValidationError,
     build_workspace,
@@ -69,37 +68,40 @@ def from_records(recs: Iterable[UnitRecord]) -> Dataset:
                    np.vstack([r.x for r in recs]))
 
 
-def pseudo_outcome(model: StructuralModel, psi: PsiVector, rec: UnitRecord,
+def pseudo_outcome(model: StructuralModel, psi: np.ndarray, rec: UnitRecord,
                    e_hat: float) -> float:
-    """H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for one record."""
+    """H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for one record,
+    with ``psi`` the stacked effect and confounding coefficients."""
     x = rec.x[None, :]
-    h = rec.y - float(model.tau_basis.design(x)[0] @ psi.phi) * rec.a
+    h = rec.y - float(model.tau_basis.design(x)[0] @ psi[:model.p1]) * rec.a
     if rec.s == 0:
-        h -= float(model.lambda_basis.design(x)[0] @ psi.lam) * (rec.a - float(e_hat))
+        lam = float(model.lambda_basis.design(x)[0] @ psi[model.p1:])
+        h -= lam * (rec.a - float(e_hat))
     return float(h)
 
 
-def pseudo_outcomes(model: StructuralModel, psi: PsiVector, data: Dataset,
+def pseudo_outcomes(model: StructuralModel, psi: np.ndarray, data: Dataset,
                     e_hat) -> np.ndarray:
     """H = y - tau(x) * a - (1 - s) * lam(x) * (a - e_hat) for every record,
     with ``e_hat`` aligned with the records.
 
     On trial records the confounding term vanishes, so H does not depend
     on ``e_hat`` or on the confounding coefficients there, and on a
-    dataset of trial records only it is not evaluated.
+    dataset of trial records only it is not evaluated: ``psi`` may then
+    hold the effect block alone.
     """
     obs = data.n_obs > 0
     design = model.design(data.x) if obs else model.tau_basis.design(data.x)
     p1 = model.p1
-    h = data.y - (design[:, :p1] @ psi.phi) * data.a
+    h = data.y - (design[:, :p1] @ psi[:p1]) * data.a
     if not obs:
         return h
     e_hat = np.broadcast_to(np.asarray(e_hat, dtype=float), (data.n,))
-    lam_vals = design[:, p1:model.p] @ psi.lam
+    lam_vals = design[:, p1:model.p] @ psi[p1:]
     return h - (1 - data.s) * lam_vals * (data.a - e_hat)
 
 
-def residual_eps_h(model: StructuralModel, psi: PsiVector, rec: UnitRecord,
+def residual_eps_h(model: StructuralModel, psi: np.ndarray, rec: UnitRecord,
                    e_hat: float, mu_hat: float) -> float:
     """Pseudo-outcome centered at its source-specific conditional mean."""
     return pseudo_outcome(model, psi, rec, e_hat) - float(mu_hat)
@@ -132,8 +134,9 @@ def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
     until the coefficients stop moving.  Returns the stacked coefficients
     (the effect block alone with ``trial_only``).
     """
-    psi = PsiVector(np.zeros(model.p1), np.zeros(model.p2))
+    psi = np.zeros(model.p)
     designs = source_designs(data, spec)
+    solve = solve_rct if trial_only else solve_integrative
     for _ in range(max_rounds):
         h = pseudo_outcomes(model, psi, data, e_hat)
         mu = fit_outcome_mean(data, h, spec, designs, ridge=ridge)
@@ -141,11 +144,10 @@ def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
                              NuisanceValues(e_hat, mu.predict(data.s, designs), v, v))
         if trial_only:
             ws = ws.trial(data.rows(1))
-            new = PsiVector(solve_rct(data, model, ws, psi.phi).psi_hat.phi, psi.lam)
-        else:
-            new = solve_integrative(data, model, ws, psi).psi_hat
-        step = np.abs(new.stacked - psi.stacked).max()
+        new = psi.copy()
+        new[:ws.p] = solve(data, model, ws, psi[:ws.p]).psi_hat
+        step = np.abs(new - psi).max()
         psi = new
-        if step <= tol * (1.0 + np.abs(psi.stacked).max()):
-            return psi.phi if trial_only else psi.stacked
+        if step <= tol * (1.0 + np.abs(psi).max()):
+            return psi[:ws.p]
     raise AssertionError(f"outcome-mean refits did not converge in {max_rounds} rounds")

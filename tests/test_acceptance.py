@@ -17,7 +17,10 @@ approaches the window width).
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -275,7 +278,7 @@ def test_criterion_8a_score_centered_at_truth():
     cfg = make_config(beta=1.0, n=50_000, m=50_000, seed=101)
     data = generate_replicate(cfg, 0)
     ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-    scores = score_matrix(ws, true_psi(cfg).stacked)
+    scores = score_matrix(ws, true_psi(cfg))
     z = scores.mean(axis=0) / (scores.std(axis=0, ddof=1) / math.sqrt(ws.n))
     worst = np.abs(z).max()
     verdict("8a", worst <= 3.0,
@@ -289,7 +292,7 @@ def test_criterion_8b_jacobian_matches_finite_differences():
     data = generate_replicate(cfg, 0)
     ws = build_workspace(data, cfg.model(), true_values(cfg, data))
     jac = mean_score_jacobian(ws)
-    psi0 = true_psi(cfg).stacked + 0.1
+    psi0 = true_psi(cfg) + 0.1
     h = 1e-6
     fd = np.empty_like(jac)
     for j in range(len(psi0)):
@@ -301,6 +304,26 @@ def test_criterion_8b_jacobian_matches_finite_differences():
     verdict("8b", rel <= 1e-6,
             f"analytic equation Jacobian agrees with central differences to "
             f"relative error {rel:.1e} (limit 1e-6)")
+
+
+def _projection_draw(cfg, r):
+    """Replicate ``r`` of criterion 8c: the solve at the generator's
+    propensities and variances, with two explicit outcome-mean refits."""
+    data = generate_replicate(cfg, r)
+    model = cfg.model()
+    e_true = np.where(data.s == 1, 0.5, expit(-data.x.sum(axis=1)))
+    v_true = np.where(data.s == 1, 1.0, 2.0)
+    spec0 = build_spline_basis(data, 0)
+    designs = source_designs(data, spec0)
+    cond_y = fit_conditional_outcomes(data, spec0, designs, ridge=1e-6)
+    psi = preliminary_estimate(data, model, cond_y, designs)
+    for _ in range(2):
+        h = pseudo_outcomes(model, psi, data, e_true)
+        mu = fit_outcome_mean(data, h, spec0, designs, ridge=1e-6)
+        values = NuisanceValues(e_true, mu.predict(data.s, designs), v_true, v_true)
+        ws = build_workspace(data, model, values)
+        psi = solve_integrative(data, model, ws, psi).psi_hat
+    return psi
 
 
 def test_criterion_8c_misspecified_fit_finds_the_projection():
@@ -315,49 +338,40 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
     lin_tau = BasisSpec((constant_term(), linear_term(0), linear_term(1)))
     cfg = SimConfig(n=n, m=m, beta=(0.0,) * 5, reps=reps, tau_terms=lin_tau,
                     seed=77)
-    model = cfg.model()
 
-    draws = []
-    for r in range(reps):
-        data = generate_replicate(cfg, r)
-        # the generator's treatment probabilities and residual variances
-        e_true = np.where(data.s == 1, 0.5, expit(-data.x.sum(axis=1)))
-        v_true = np.where(data.s == 1, 1.0, 2.0)
-        spec0 = build_spline_basis(data, 0)
-        designs = source_designs(data, spec0)
-        cond_y = fit_conditional_outcomes(data, spec0, designs, ridge=1e-6)
-        psi = preliminary_estimate(data, model, cond_y, designs)
-        for _ in range(2):
-            h = pseudo_outcomes(model, psi, data, e_true)
-            mu = fit_outcome_mean(data, h, spec0, designs, ridge=1e-6)
-            values = NuisanceValues(e_true, mu.predict(data.s, designs), v_true, v_true)
-            ws = build_workspace(data, model, values)
-            psi = solve_integrative(data, model, ws, psi).psi_hat
-        draws.append(psi.stacked)
-    draws = np.array(draws)
+    # Replicates are independent and deterministic, so the draws do not
+    # depend on the worker count.  They run while this process minimizes
+    # the oracle, the larger share of the work.  Spawned workers start
+    # from a fresh import, so each is given the suite's RuntimeWarning filter.
+    with ProcessPoolExecutor(JOBS, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=warnings.simplefilter,
+                             initargs=("error", RuntimeWarning)) as pool:
+        pending = pool.map(_projection_draw, [cfg] * reps, range(reps),
+                           chunksize=max(1, reps // (4 * JOBS)))
+
+        rng = np.random.default_rng(424242)
+        X = rng.standard_normal((1_000_000, 5))
+        surface = 1.0 + X[:, 0] + X[:, 0] ** 2 - X[:, 1] - X[:, 1] ** 2
+        d_tau = np.column_stack([np.ones(len(X)), X[:, 0], X[:, 1]])
+        d_lam = X
+        pi1 = n / (n + m)
+        w_trial = pi1 * 1.0 * 0.25  # variance weight 1, arm balance 1/4
+        e_obs = expit(-X.sum(axis=1))
+        w_obs = (1.0 - pi1) * 0.5 * e_obs * (1.0 - e_obs)
+
+        def risk(theta, sl=slice(None)):
+            miss = surface[sl] - d_tau[sl] @ theta[:3]
+            return np.mean(w_trial * miss ** 2
+                           + w_obs[sl] * (miss - d_lam[sl] @ theta[3:]) ** 2)
+
+        best = minimize(risk, np.zeros(8), method="BFGS", options={"gtol": 1e-10})
+        shards = [minimize(risk, best.x, args=(slice(k * 250_000, (k + 1) * 250_000),),
+                           method="BFGS", options={"gtol": 1e-9}).x
+                  for k in range(4)]
+        oracle_se = np.array(shards).std(axis=0, ddof=1) / 2.0
+        draws = np.array(list(pending))
     mc_mean = draws.mean(axis=0)
     mc_se = draws.std(axis=0, ddof=1) / math.sqrt(reps)
-
-    rng = np.random.default_rng(424242)
-    X = rng.standard_normal((1_000_000, 5))
-    surface = 1.0 + X[:, 0] + X[:, 0] ** 2 - X[:, 1] - X[:, 1] ** 2
-    d_tau = np.column_stack([np.ones(len(X)), X[:, 0], X[:, 1]])
-    d_lam = X
-    pi1 = n / (n + m)
-    w_trial = pi1 * 1.0 * 0.25  # variance weight 1, arm balance 1/4
-    e_obs = expit(-X.sum(axis=1))
-    w_obs = (1.0 - pi1) * 0.5 * e_obs * (1.0 - e_obs)
-
-    def risk(theta, sl=slice(None)):
-        miss = surface[sl] - d_tau[sl] @ theta[:3]
-        return np.mean(w_trial * miss ** 2
-                       + w_obs[sl] * (miss - d_lam[sl] @ theta[3:]) ** 2)
-
-    best = minimize(risk, np.zeros(8), method="BFGS", options={"gtol": 1e-10})
-    shards = [minimize(risk, best.x, args=(slice(k * 250_000, (k + 1) * 250_000),),
-                       method="BFGS", options={"gtol": 1e-9}).x
-              for k in range(4)]
-    oracle_se = np.array(shards).std(axis=0, ddof=1) / 2.0
 
     z = (mc_mean - best.x) / np.sqrt(mc_se ** 2 + oracle_se ** 2)
     worst = np.abs(z).max()

@@ -45,7 +45,7 @@ def test_effect_coefficients_calibrated_with_spline_nuisances():
         for name, (phi, se) in draws.items():
             report = getattr(fit, name)
             est = sandwich_covariance(data, model, report.psi_hat, report.workspace)
-            phi.append(est.psi_hat.phi)
+            phi.append(est.phi)
             se.append(est.se[:model.p1])
     truth = true_tau_coefficients(cfg.tau_form)
     failures = []

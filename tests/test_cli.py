@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import htefusion
@@ -25,16 +27,24 @@ from conftest import make_config
 NAMES = ("age", "bmi", "x3", "x4", "x5")
 
 
-@pytest.fixture(scope="module")
-def data_csv(tmp_path_factory):
-    data = generate_replicate(make_config(beta=1.0, n=150, m=450, seed=25), 0)
-    path = tmp_path_factory.mktemp("cli") / "study.csv"
+def write_csv(path, s, a, y, x):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "y", *NAMES])
-        for s, a, y, x in zip(data.s, data.a, data.y, data.x):
-            writer.writerow([int(s), int(a), float(y), *(float(v) for v in x)])
+        for si, ai, yi, xi in zip(s, a, y, x):
+            writer.writerow([int(si), int(ai), float(yi), *(float(v) for v in xi)])
     return path
+
+
+@pytest.fixture(scope="module")
+def study():
+    return generate_replicate(make_config(beta=1.0, n=150, m=450, seed=25), 0)
+
+
+@pytest.fixture(scope="module")
+def data_csv(study, tmp_path_factory):
+    return write_csv(tmp_path_factory.mktemp("cli") / "study.csv",
+                     study.s, study.a, study.y, study.x)
 
 
 FIT_FLAGS = [
@@ -44,7 +54,70 @@ FIT_FLAGS = [
 ]
 
 
+def _single_arm_cohort(s, a, y, x):
+    a[s == 0] = 1
+
+
+def _separated_cohort(s, a, y, x):
+    a[s == 0] = x[s == 0, 0] > 0
+
+
+def _tied_first_covariate(s, a, y, x):
+    x[:, 0] = np.clip(np.round(x[:, 0]), -1.0, 1.0)
+
+
+def _finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(_finite(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_finite(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+# Bad or degenerate input: (id, change to the study's columns, extra fit
+# flags, exit code, text in stderr, or in diagnostics.warnings on success)
+HOSTILE = [
+    ("single-arm-cohort", _single_arm_cohort, [], 2,
+     "source s=0 contains a single treatment arm"),
+    ("separated-cohort", _separated_cohort, ["--estimators", "integrative,rct"], 0, None),
+    ("separated-cohort-meta", _separated_cohort, ["--estimators", "meta"], 3,
+     "meta comparator: fitted propensities reached 0 or 1"),
+    ("tied-quantile-knots", _tied_first_covariate, ["--knots", "4"], 0,
+     "tied quantiles reduced its spline terms to 1"),
+    ("duplicate-tau-term", None, ["--tau", "1,age,age,bmi"], 3,
+     "sandwich bread is numerically singular"),
+    ("duplicate-lambda-term", None, ["--lambda", "age,age,bmi"], 3,
+     "sandwich bread is numerically singular"),
+    ("far-probe", None, ["--probe", "1e6,0,0,0,0"], 0, None),
+    ("overflowing-probe", None, ["--probe", "1e160,0,0,0,0"], 3, "effect curve"),
+    ("nan-probe", None, ["--probe", "nan,0,0,0,0"], 2, "probes"),
+    ("inf-probe", None, ["--probe", "inf,0,0,0,0"], 2, "probes"),
+    ("negative-ridge", None, ["--ridge", "-1"], 2, "ridge"),
+    ("nan-ridge", None, ["--ridge", "nan"], 2, "ridge"),
+    ("inf-ridge", None, ["--ridge", "inf"], 2, "ridge"),
+]
+
+
 class TestFit:
+    @pytest.mark.parametrize("mutate, flags, code, text", [row[1:] for row in HOSTILE],
+                             ids=[row[0] for row in HOSTILE])
+    def test_hostile_input(self, study, tmp_path, capsys, mutate, flags, code, text):
+        cols = [np.array(c) for c in (study.s, study.a, study.y, study.x)]
+        if mutate is not None:
+            mutate(*cols)
+        path = write_csv(tmp_path / "hostile.csv", *cols)
+        out = tmp_path / "fit.json"
+        got = main(FIT_FLAGS + ["--data", str(path), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert got == code, err
+        if code != 0:
+            assert text in err
+            return
+        doc = json.loads(out.read_text())
+        assert _finite(doc["results"])
+        if text is not None:
+            assert any(text in w for w in doc["diagnostics"]["warnings"])
+
     def test_end_to_end(self, data_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
         code = main(FIT_FLAGS + [

@@ -18,7 +18,6 @@ from htefusion import (
     NuisanceValues,
     NumericalError,
     Propensity,
-    PsiVector,
     StructuralModel,
     ValidationError,
     build_spline_basis,
@@ -113,7 +112,8 @@ class TestWorkspace:
         cfg, data, model, nuis = fused_fixture
         rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
         assert rep.workspace.n == data.n and rep.workspace.p == model.p
-        rct = solve_rct(data, model, trial_workspace(data, model, nuis), true_psi(cfg).phi)
+        rct = solve_rct(data, model, trial_workspace(data, model, nuis),
+                        true_psi(cfg)[:model.p1])
         assert rct.workspace.n == data.n_trial and rct.workspace.p2 == 0
 
     def test_nonfinite_nuisance_raises(self, fused_fixture):
@@ -127,7 +127,7 @@ class TestScoreIdentities:
     def test_per_record_score_matches_matrix(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
-        psi = true_psi(cfg).stacked
+        psi = true_psi(cfg)
         mat = score_matrix(ws, psi)
         for i in (0, 5, data.n - 1):
             assert np.allclose(efficient_score(ws, psi, i), mat[i])
@@ -136,7 +136,7 @@ class TestScoreIdentities:
     def test_jacobian_matches_finite_differences(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
-        psi = true_psi(cfg).stacked
+        psi = true_psi(cfg)
         jac = mean_score_jacobian(ws)
         h = 1e-6
         for col in range(ws.p):
@@ -148,7 +148,7 @@ class TestScoreIdentities:
     def test_per_record_jacobian_sums_to_mean(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
-        psi = true_psi(cfg).stacked
+        psi = true_psi(cfg)
         total = sum(score_jacobian(ws, psi, i) for i in range(ws.n))
         assert np.allclose(total / ws.n, mean_score_jacobian(ws))
 
@@ -156,7 +156,7 @@ class TestScoreIdentities:
         cfg = make_config(beta=1.0, n=10000, m=30000, seed=21)
         data = generate_replicate(cfg, 0)
         ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-        mat = score_matrix(ws, true_psi(cfg).stacked)
+        mat = score_matrix(ws, true_psi(cfg))
         z = mat.mean(axis=0) / (mat.std(axis=0, ddof=1) / np.sqrt(ws.n))
         assert np.abs(z).max() < 4.0
 
@@ -182,8 +182,7 @@ class TestPreliminaryEstimate:
         designs = source_designs(data, spec)
         psi = preliminary_estimate(data, model, fit_conditional_outcomes(data, spec, designs),
                                    designs)
-        assert np.allclose(psi.phi, [1.0, 2.0], atol=1e-6)
-        assert np.allclose(psi.lam, [-0.5], atol=1e-6)
+        assert np.allclose(psi, [1.0, 2.0, -0.5], atol=1e-6)
 
     def test_requires_trial_records(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -202,29 +201,29 @@ class TestSolvers:
         assert rep.converged and not rep.fallback_used
         assert rep.iterations == 1
         ws = build_workspace(data, model, nuis)
-        assert np.linalg.norm(mean_score(ws, rep.psi_hat.stacked)) < 1e-10
+        assert np.linalg.norm(mean_score(ws, rep.psi_hat)) < 1e-10
 
     def test_solution_independent_of_start(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
         a = solve_integrative(data, model, ws, true_psi(cfg))
-        far = PsiVector(np.full(model.p1, 7.0), np.full(model.p2, -4.0))
+        far = np.concatenate([np.full(model.p1, 7.0), np.full(model.p2, -4.0)])
         b = solve_integrative(data, model, ws, far)
-        assert np.allclose(a.psi_hat.stacked, b.psi_hat.stacked, atol=1e-8)
+        assert np.allclose(a.psi_hat, b.psi_hat, atol=1e-8)
 
     def test_estimates_sit_near_truth(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
-        want = true_psi(cfg).stacked
-        assert np.abs(rep.psi_hat.stacked - want).max() < 0.5
+        want = true_psi(cfg)
+        assert np.abs(rep.psi_hat - want).max() < 0.5
 
     def test_trial_only_solve(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = trial_workspace(data, model, nuis)
-        rep = solve_rct(data, model, ws, true_psi(cfg).phi)
+        rep = solve_rct(data, model, ws, true_psi(cfg)[:model.p1])
         assert rep.converged
-        assert rep.psi_hat.lam.size == 0
-        assert np.linalg.norm(mean_score(ws, rep.psi_hat.phi)) < 1e-10
+        assert rep.psi_hat.shape == (model.p1,)
+        assert np.linalg.norm(mean_score(ws, rep.psi_hat)) < 1e-10
 
     def test_source_and_arm_requirements(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -239,9 +238,24 @@ class TestSolvers:
         cfg, data, model, nuis = fused_fixture
         with pytest.raises(ValidationError):
             solve_integrative(data, model, build_workspace(data, model, nuis),
-                              PsiVector([0.0], [0.0]))
+                              np.zeros(2))
         with pytest.raises(ValidationError):
             solve_rct(data, model, trial_workspace(data, model, nuis), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", ["matrix", "wrong-length", "nan"])
+    @pytest.mark.parametrize("call", [solve_integrative, solve_rct, sandwich_covariance],
+                             ids=lambda f: f.__name__)
+    def test_malformed_coefficients_are_rejected(self, fused_fixture, call, bad):
+        # coefficients are a 1-d vector with one finite entry per workspace column
+        cfg, data, model, nuis = fused_fixture
+        ws = build_workspace(data, model, nuis)
+        if call is solve_rct:
+            ws = ws.trial(data.rows(1))
+        vec = {"matrix": np.zeros((1, ws.p)), "wrong-length": np.zeros(ws.p + 1),
+               "nan": np.r_[np.nan, np.zeros(ws.p - 1)]}[bad]
+        args = (vec, ws) if call is sandwich_covariance else (ws, vec)
+        with pytest.raises(ValidationError, match="must be"):
+            call(data, model, *args)
 
     def test_singular_equations_fall_back(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -250,11 +264,11 @@ class TestSolvers:
                        square_term(0), linear_term(1))),
             model.lambda_basis,
         )
-        init = PsiVector(np.zeros(5), np.zeros(model.p2))
+        init = np.zeros(5 + model.p2)
         rep = solve_integrative(data, dup, build_workspace(data, dup, nuis), init)  # no raise
         assert rep.fallback_used and not rep.converged
         assert rep.iterations == 1
-        assert np.array_equal(rep.psi_hat.stacked, init.stacked)
+        assert np.array_equal(rep.psi_hat, init)
 
     def test_many_variance_rounds_converge_without_fallback(self, desk_data):
         # each round starts next to the root, where the mean score is at
@@ -267,9 +281,9 @@ class TestSolvers:
         for rep in (fits[20].integrative, fits[20].rct):
             assert rep.converged and not rep.fallback_used
         # the rounds approach a fixed point
-        assert np.allclose(fits[20].integrative.psi_hat.stacked,
-                           fits[8].integrative.psi_hat.stacked, rtol=0, atol=1e-8)
-        assert np.allclose(fits[20].rct.psi_hat.phi, fits[8].rct.psi_hat.phi,
+        assert np.allclose(fits[20].integrative.psi_hat, fits[8].integrative.psi_hat,
+                           rtol=0, atol=1e-8)
+        assert np.allclose(fits[20].rct.psi_hat, fits[8].rct.psi_hat,
                            rtol=0, atol=1e-8)
 
 
@@ -354,14 +368,13 @@ class TestPipeline:
         fit0 = run_pipeline(data, model, opts0)
         fit1 = run_pipeline(data, model, opts1)
         # the variance round moves the solution through the score weight alone
-        assert not np.allclose(fit0.integrative.psi_hat.stacked,
-                               fit1.integrative.psi_hat.stacked)
+        assert not np.allclose(fit0.integrative.psi_hat, fit1.integrative.psi_hat)
         ws0, ws1 = fit0.integrative.workspace, fit1.integrative.workspace
         for name in ("grad", "resid_design", "base_resid", "eps_a"):
             assert np.array_equal(getattr(ws0, name), getattr(ws1, name)), name
         assert not np.array_equal(ws0.score_weight, ws1.score_weight)
         # the profiled residuals stay centered at the solution
-        resid = residuals(ws1, fit1.integrative.psi_hat.stacked)
+        resid = residuals(ws1, fit1.integrative.psi_hat)
         on_trial = data.s == 1
         assert abs(resid[on_trial].mean()) < 0.05
 
@@ -370,8 +383,7 @@ class TestPipeline:
         opts = FitOptions(knots=0, trial_known=0.5)
         a = run_pipeline(data, model, opts, which=("integrative",))
         b = run_pipeline(data, model, opts, which=("integrative",))
-        assert np.array_equal(a.integrative.psi_hat.stacked,
-                              b.integrative.psi_hat.stacked)
+        assert np.array_equal(a.integrative.psi_hat, b.integrative.psi_hat)
 
     def test_row_order_does_not_matter(self, desk_data):
         model = make_config(beta=1.0, seed=3).model()
@@ -386,7 +398,7 @@ class TestPipeline:
             for d, fit in zip((desk_data, shuffled), fits):
                 rep = getattr(fit, name)
                 est = sandwich_covariance(d, model, rep.psi_hat, rep.workspace)
-                got.append((est.psi_hat.stacked, est.se))
+                got.append((est.psi_hat, est.se))
             for first, second in zip(*got):
                 assert np.allclose(first, second, rtol=1e-10, atol=1e-10), name
 
@@ -410,7 +422,7 @@ class TestProfiledOutcomeMean:
             want = refit_outcome_mean(desk_data, model, e_hat, unit, spec, opts.ridge,
                                       trial_only=trial_only)
             est = sandwich_covariance(desk_data, model, rep.psi_hat, rep.workspace)
-            assert np.abs((est.psi_hat.stacked - want) / est.se).max() < 1e-8, name
+            assert np.abs((est.psi_hat - want) / est.se).max() < 1e-8, name
 
 
 class TestCachedDesigns:
@@ -530,9 +542,8 @@ class TestTrialOnlyRefits:
         opts = FitOptions(knots=knots)
         fits = [run_pipeline(d, model, opts, which=("integrative", "rct"))
                 for d in (desk_data, other)]
-        assert np.array_equal(fits[0].rct.psi_hat.phi, fits[1].rct.psi_hat.phi)
-        assert not np.array_equal(fits[0].integrative.psi_hat.stacked,
-                                  fits[1].integrative.psi_hat.stacked)
+        assert np.array_equal(fits[0].rct.psi_hat, fits[1].rct.psi_hat)
+        assert not np.array_equal(fits[0].integrative.psi_hat, fits[1].integrative.psi_hat)
 
     def test_trial_fit_equals_the_pooled_round_on_trial_rows(self, desk_data, model):
         # the trial-only workspace is the pooled one's trial rows and effect

@@ -8,7 +8,6 @@ from htefusion import (
     BasisSpec,
     FitOptions,
     NumericalError,
-    PsiVector,
     SimConfig,
     StructuralModel,
     ValidationError,
@@ -52,7 +51,7 @@ class TestSandwich:
     def test_matches_direct_formula(self, solved):
         cfg, data, model, nuis, rep, est = solved
         ws = nuis
-        scores = score_matrix(ws, rep.psi_hat.stacked)
+        scores = score_matrix(ws, rep.psi_hat)
         bread = mean_score_jacobian(ws)
         meat = scores.T @ scores / ws.n
         binv = np.linalg.inv(bread)
@@ -92,7 +91,7 @@ class TestSandwich:
 
     def test_trial_only_equals_trial_subset(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg).phi)
+        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg)[:model.p1])
         full = sandwich_covariance(data, model, rct.psi_hat, nuis.trial(data.rows(1)))
         trial = data.trial_only()
         values = values_subset(true_values(cfg, data), data.rows(1))
@@ -113,7 +112,7 @@ class TestSandwich:
     def test_dimension_check(self, solved):
         cfg, data, model, nuis, rep, est = solved
         with pytest.raises(ValidationError):
-            sandwich_covariance(data, model, PsiVector([1.0], [0.0]), nuis)
+            sandwich_covariance(data, model, np.array([1.0, 0.0]), nuis)
 
     def test_singular_bread_raises(self, solved):
         cfg, data, model, nuis, rep, est = solved
@@ -122,7 +121,7 @@ class TestSandwich:
                        square_term(0), linear_term(1))),
             model.lambda_basis,
         )
-        psi = PsiVector(np.zeros(5), np.zeros(model.p2))
+        psi = np.zeros(5 + model.p2)
         ws = build_workspace(data, dup, true_values(cfg, data))
         with pytest.raises(NumericalError, match="singular"):
             sandwich_covariance(data, dup, psi, ws)
@@ -134,7 +133,7 @@ class TestTauCurve:
         grid = np.zeros((3, 5))
         grid[:, 0] = [-1.0, 0.0, 1.0]
         curve = tau_curve(model, est, grid)
-        want = model.tau_basis.design(grid) @ rep.psi_hat.phi
+        want = model.tau_basis.design(grid) @ rep.psi_hat[:model.p1]
         assert np.allclose(curve.estimate, want)
         design = model.tau_basis.design(grid)
         want_se = np.sqrt(np.diag(design @ est.phi_cov @ design.T))
@@ -153,7 +152,7 @@ class TestAteEstimate:
         cfg, data, model, nuis, rep, est = solved
         ate = ate_estimate(data, model, est)
         obs_x = data.x[data.s == 0]
-        vals = model.tau_basis.design(obs_x) @ rep.psi_hat.phi
+        vals = model.tau_basis.design(obs_x) @ rep.psi_hat[:model.p1]
         assert ate.tau0_hat == pytest.approx(vals.mean())
         grad = model.tau_basis.design(obs_x).mean(axis=0)
         pi0 = obs_x.shape[0] / data.n
@@ -177,7 +176,7 @@ class TestPrecisionGain:
 
     def test_pooling_tightens_effect_estimates(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg).phi)
+        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg)[:model.p1])
         est_r = sandwich_covariance(data, model, rct.psi_hat, rct.workspace)
         out = precision_gain(est, est_r)
         # the population gain is positive semidefinite; on one replicate we

@@ -68,7 +68,7 @@ class TestKernels:
     def test_mean_score_equals_the_score_matrix_means(self, study):
         cfg, data, model = study
         ws = build_workspace(data, model, true_values(cfg, data))
-        psi = true_psi(cfg).stacked
+        psi = true_psi(cfg)
         for params in (psi, np.zeros(ws.p), psi + 0.3):
             np.testing.assert_allclose(mean_score(ws, params),
                                        score_matrix(ws, params).mean(axis=0),

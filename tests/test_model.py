@@ -12,7 +12,6 @@ from htefusion import (
     BasisSpec,
     BasisTerm,
     Dataset,
-    PsiVector,
     StructuralModel,
     ValidationError,
     constant_term,
@@ -238,23 +237,6 @@ class TestBasisSpec:
             BasisSpec((constant_term(), "x1"))
 
 
-class TestPsiVector:
-    def test_stack_roundtrip(self):
-        psi = PsiVector([1.0, 2.0], [3.0, 4.0, 5.0])
-        assert psi.stacked.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        again = PsiVector.from_stacked(psi.stacked, 2)
-        assert np.array_equal(again.phi, psi.phi)
-        assert np.array_equal(again.lam, psi.lam)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            PsiVector([[1.0]], [2.0])
-        with pytest.raises(ValidationError):
-            PsiVector([np.nan], [2.0])
-        with pytest.raises(ValidationError):
-            PsiVector.from_stacked([1.0, 2.0], 3)
-
-
 class TestStructuralModel:
     def setup_method(self):
         self.model = StructuralModel(
@@ -290,7 +272,7 @@ class TestPseudoOutcome:
             BasisSpec((constant_term(), linear_term(0))),
             BasisSpec((linear_term(1),)),
         )
-        self.psi = PsiVector([1.0, 2.0], [3.0])
+        self.psi = np.array([1.0, 2.0, 3.0])  # effect block, then confounding
 
     def test_trial_record_ignores_confounding_curve(self):
         rec = UnitRecord(1, 1, 10.0, [0.5, -1.0])

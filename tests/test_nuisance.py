@@ -17,7 +17,6 @@ from htefusion import (
     Dataset,
     NumericalError,
     Propensity,
-    PsiVector,
     StructuralModel,
     ValidationError,
     VarianceFunction,
@@ -276,7 +275,7 @@ class TestFitVarianceFunction:
         data = Dataset(s, a, y, x)
         model = StructuralModel(BasisSpec((constant_term(),)),
                                 BasisSpec((linear_term(0),)))
-        psi = PsiVector([0.0], [0.0])
+        psi = np.zeros(2)
         spec = build_spline_basis(data, 0)
         designs = source_designs(data, spec)
         e = Propensity({0: 0.5, 1: 0.5})

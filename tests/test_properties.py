@@ -6,7 +6,10 @@ scale, permuting the records must leave the coefficients and their
 standard errors alone, duplicating every record must leave the
 coefficients alone and halve their covariance, reordering the terms
 of either basis must leave the fitted curve, the average effect and
-their standard errors alone, and permuting the cohort's outcomes and
+their standard errors alone, and so must rescaling a covariate, without
+a ridge penalty: the penalty is one multiple of the mean Gram diagonal
+for every column, so a ridge makes the fit depend on the covariates'
+units.  Permuting the cohort's outcomes and
 arms among its records must leave the trial-only fit alone.  Duplication is checked with linear
 nuisance surfaces only: spline knots sit at interpolated sample
 quantiles, which move when every record appears twice.  The outcome-shift invariance is
@@ -45,9 +48,9 @@ def _draw(study):
     return cfg, generate_replicate(cfg, 0)
 
 
-def _estimates(data, model, knots):
+def _estimates(data, model, knots, ridge=FitOptions.ridge):
     """Each estimator's coefficients with their sandwich covariance."""
-    fit = run_pipeline(data, model, FitOptions(knots=knots, trial_known=0.5),
+    fit = run_pipeline(data, model, FitOptions(knots=knots, ridge=ridge, trial_known=0.5),
                        which=("integrative", "rct"))
     out = {}
     for name in ("integrative", "rct"):
@@ -59,7 +62,7 @@ def _estimates(data, model, knots):
 
 def _fits(data, model, knots):
     """Each estimator's coefficients and sandwich covariance."""
-    return {name: (est.psi_hat.stacked, est.cov)
+    return {name: (est.psi_hat, est.cov)
             for name, est in _estimates(data, model, knots).items()}
 
 
@@ -135,6 +138,26 @@ def test_reordering_basis_terms_leaves_the_curve_and_average(study, knots, tau_o
                       np.array([ate.tau0_hat, ate.se])), name
 
 
+@settings(max_examples=10, deadline=None)
+@given(study=studies, knots=st.sampled_from((0, 4)), c=st.sampled_from((0.25, 3.0, 10.0)))
+def test_rescaling_a_covariate_leaves_the_curve_and_average(study, knots, c):
+    cfg, data = _draw(study)
+    model = cfg.model()
+    scale = np.ones(data.d)
+    scale[0] = c
+    scaled = Dataset(data.s, data.a, data.y, data.x * scale)
+    grid = np.random.default_rng(study["seed"]).standard_normal((6, 5))
+    base, moved = ({name: (tau_curve(model, est, g), ate_estimate(d, model, est))
+                    for name, est in _estimates(d, model, knots, ridge=0.0).items()}
+                   for d, g in ((data, grid), (scaled, grid * scale)))
+    for name in base:
+        (curve, ate), (curve_c, ate_c) = base[name], moved[name]
+        assert _close(curve_c.estimate, curve.estimate), name
+        assert _close(curve_c.se, curve.se), name
+        assert _close(np.array([ate_c.tau0_hat, ate_c.se]),
+                      np.array([ate.tau0_hat, ate.se])), name
+
+
 @pytest.mark.parametrize("trial_known", [0.5, None])
 @pytest.mark.parametrize("knots", [0, 4])
 @settings(max_examples=5, deadline=None)
@@ -152,5 +175,5 @@ def test_cohort_outcomes_and_arms_leave_the_trial_fit(study, knots, trial_known)
     assert base.converged and other.converged
     est, est_m = (sandwich_covariance(d, model, rep.psi_hat, rep.workspace)
                   for d, rep in ((data, base), (moved, other)))
-    assert _close(est_m.psi_hat.phi, est.psi_hat.phi)
+    assert _close(est_m.phi, est.phi)
     assert _close(est_m.se, est.se)
