@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from ._version import __version__
 from .errors import NumericalError, ValidationError
 from .io import AnalysisConfig, ResultDocument, _read_json_object, run_fit, run_simulate
-from .simulation import SimConfig, summarize
+from .simulation import N_COVARIATES, SimConfig, summarize
 
 
 def _split(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _numbers(text: str) -> tuple:
+    try:
+        return tuple(float(part) for part in _split(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,44 +35,49 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit the effect and confounding models to a CSV")
     fit.add_argument("--config", help="JSON config file; its keys override flags")
     fit.add_argument("--data", help="CSV with source, treatment, outcome, covariates")
-    fit.add_argument("--covariates", help="comma-separated covariate column names")
-    fit.add_argument("--source-col", default=None)
-    fit.add_argument("--treatment-col", default=None)
-    fit.add_argument("--outcome-col", default=None)
-    fit.add_argument("--tau", help="comma-separated effect basis terms, e.g. '1,age,age^2'")
-    fit.add_argument("--lambda", dest="lambda_terms_flag",
+    fit.add_argument("--covariates", type=_split,
+                     help="comma-separated covariate column names")
+    fit.add_argument("--source-col")
+    fit.add_argument("--treatment-col")
+    fit.add_argument("--outcome-col")
+    fit.add_argument("--tau", dest="tau_terms", type=_split,
+                     help="comma-separated effect basis terms, e.g. '1,age,age^2'")
+    fit.add_argument("--lambda", dest="lambda_terms", type=_split,
                      help="comma-separated confounding basis terms")
-    fit.add_argument("--estimators", default=None,
+    fit.add_argument("--estimators", type=_split,
                      help="comma-separated subset of integrative,rct,meta")
-    fit.add_argument("--knots", type=int, default=None)
-    fit.add_argument("--ridge", type=float, default=None)
-    fit.add_argument("--clip-e", type=float, default=None)
-    fit.add_argument("--trial-known", type=float, default=None,
+    fit.add_argument("--knots", type=int)
+    fit.add_argument("--ridge", type=float)
+    fit.add_argument("--clip-e", type=float)
+    fit.add_argument("--trial-known", type=float,
                      help="known trial randomization probability")
-    fit.add_argument("--probe", action="append", default=None,
+    fit.add_argument("--probe", dest="probes", type=_numbers, action="append",
                      help="covariate point 'v1,v2,...' to evaluate the effect at "
                           "(repeatable)")
-    fit.add_argument("--gof-tau", default=None,
+    fit.add_argument("--gof-tau", dest="gof_tau_terms", type=_split,
                      help="alternative effect terms for the specification test")
-    fit.add_argument("--gof-lambda", default=None,
+    fit.add_argument("--gof-lambda", dest="gof_lambda_terms", type=_split,
                      help="alternative confounding terms for the specification test")
     fit.add_argument("--gof-efficient-weight", action="store_true", default=None)
-    fit.add_argument("--out", help="path for the JSON result document")
-    fit.add_argument("--curve-out", help="path for a CSV of the probed effect curve")
+    fit.add_argument("--out", dest="output", help="path for the JSON result document")
+    fit.add_argument("--curve-out", dest="curve_output",
+                     help="path for a CSV of the probed effect curve")
 
+    # defaults of None leave SimConfig's own in place
     sim = sub.add_parser("simulate", help="run the built-in Monte Carlo study")
     sim.add_argument("--setting", choices=["1", "2", "custom"], default="1",
                      help="1: no confounding; 2: unit beta; custom: supply --beta")
-    sim.add_argument("--beta", help="comma-separated confounding loadings (custom)")
-    sim.add_argument("--n", type=int, default=300)
-    sim.add_argument("--m", type=int, default=5000)
-    sim.add_argument("--reps", type=int, default=200)
-    sim.add_argument("--seed", type=int, default=20260815)
-    sim.add_argument("--jobs", type=int, default=1)
-    sim.add_argument("--knots", type=int, default=0)
-    sim.add_argument("--tau-form", choices=["opposed", "aligned"], default="opposed")
-    sim.add_argument("--confounding-form", choices=["unit", "double"], default="unit")
-    sim.add_argument("--estimators", default="integrative,rct,meta")
+    sim.add_argument("--beta", type=_numbers,
+                     help="comma-separated confounding loadings (custom)")
+    sim.add_argument("--n", type=int)
+    sim.add_argument("--m", type=int)
+    sim.add_argument("--reps", type=int)
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--jobs", type=int)
+    sim.add_argument("--knots", type=int)
+    sim.add_argument("--tau-form", choices=["opposed", "aligned"])
+    sim.add_argument("--confounding-form", choices=["unit", "double"])
+    sim.add_argument("--estimators", type=_split)
     sim.add_argument("--out", help="path for the JSON summary")
     sim.add_argument("--quiet", action="store_true", help="suppress the text table")
 
@@ -76,26 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# fit flag -> (config key, conversion); a flag left unset keeps the
-# config's default
-_FIT_FLAGS = {
-    "data": ("data", str), "covariates": ("covariates", _split),
-    "source_col": ("source_col", str), "treatment_col": ("treatment_col", str),
-    "outcome_col": ("outcome_col", str), "tau": ("tau_terms", _split),
-    "lambda_terms_flag": ("lambda_terms", _split), "estimators": ("estimators", _split),
-    "knots": ("knots", int), "ridge": ("ridge", float), "clip_e": ("clip_e", float),
-    "trial_known": ("trial_known", float),
-    "probe": ("probes", lambda flags: tuple(tuple(float(v) for v in _split(p))
-                                            for p in flags)),
-    "gof_tau": ("gof_tau_terms", _split), "gof_lambda": ("gof_lambda_terms", _split),
-    "gof_efficient_weight": ("gof_efficient_weight", bool),
-    "out": ("output", str), "curve_out": ("curve_output", str),
-}
+def _given(args: argparse.Namespace, cls) -> dict:
+    """The options set on the command line whose dest names a field of ``cls``."""
+    names = {f.name for f in fields(cls)}
+    return {key: val for key, val in vars(args).items() if key in names and val is not None}
 
 
 def _fit_config(args: argparse.Namespace) -> AnalysisConfig:
-    raw = {key: convert(getattr(args, flag)) for flag, (key, convert) in _FIT_FLAGS.items()
-           if getattr(args, flag) is not None}
+    raw = _given(args, AnalysisConfig)
     if args.config:
         # config file takes precedence over flags
         raw.update(_read_json_object(args.config, "config file"))
@@ -133,24 +134,18 @@ def _print_fit(doc: ResultDocument) -> None:
 def _cmd_fit(args: argparse.Namespace) -> int:
     doc = run_fit(_fit_config(args))
     _print_fit(doc)
-    if args.out:
-        print(f"result document written to {args.out}")
+    if args.output:
+        print(f"result document written to {args.output}")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.setting == "1":
-        beta = (0.0,) * 5
-    elif args.setting == "2":
-        beta = (1.0,) * 5
-    else:
-        if not args.beta:
-            raise ValidationError("--setting custom requires --beta")
-        beta = tuple(float(v) for v in _split(args.beta))
-    cfg = SimConfig(n=args.n, m=args.m, beta=beta, reps=args.reps, seed=args.seed,
-                    estimators=tuple(_split(args.estimators)), tau_form=args.tau_form,
-                    confounding_form=args.confounding_form, knots=args.knots,
-                    jobs=args.jobs)
+    given = _given(args, SimConfig)
+    if args.setting != "custom":  # the setting fixes the loadings
+        given["beta"] = (1.0 if args.setting == "2" else 0.0,) * N_COVARIATES
+    elif args.beta is None:
+        raise ValidationError("--setting custom requires --beta")
+    cfg = SimConfig(**given)
     mc = run_simulate(cfg, out=args.out)
     if not args.quiet:
         print(summarize(mc))

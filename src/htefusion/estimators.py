@@ -66,6 +66,10 @@ __all__ = [
     "run_pipeline",
 ]
 
+# what ``run_pipeline`` can fit: the pooled solve, the trial-only solve and
+# the inverse-weighting comparator
+ESTIMATOR_NAMES = ("integrative", "rct", "meta")
+
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -427,7 +431,7 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     columns, and its variance rounds fit trial records only; its spline
     knots and variance bounds come from the pooled sample.
     """
-    unknown = set(which) - {"integrative", "rct", "meta"}
+    unknown = set(which) - set(ESTIMATOR_NAMES)
     if unknown:
         raise ValidationError(f"unknown estimators requested: {sorted(unknown)}")
     spec = build_spline_basis(data, opts.knots)

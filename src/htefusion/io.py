@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .estimators import FitOptions, run_pipeline
+from .estimators import ESTIMATOR_NAMES, FitOptions, run_pipeline
 from .inference import _Z95, ate_estimate, gof_test, sandwich_covariance, tau_curve
 from .model import (
     BasisSpec,
@@ -69,6 +70,24 @@ def parse_terms(exprs, names) -> BasisSpec:
     return BasisSpec(tuple(terms))
 
 
+# by field annotation: what a config value must be, and its type or its entries' kind
+_KINDS = {"str": ("a string", str), "int": ("an integer", numbers.Integral),
+          "float": ("a number", numbers.Real), "bool": ("true or false", bool),
+          "tuple": ("a list of strings", "str"), "probes": ("a list of number lists", "row"),
+          "row": ("a list of numbers", "float")}
+
+
+def _typed(key: str, val, kind: str, outer: str | None = None):
+    """Check config value ``val`` of ``key`` against ``kind``; lists become tuples."""
+    want = _KINDS[kind][1]
+    if isinstance(want, str):
+        if isinstance(val, (list, tuple)):
+            return tuple(_typed(key, v, want, outer or kind) for v in val)
+    elif isinstance(val, want) and (want is bool) == isinstance(val, bool):
+        return float(val) if want is numbers.Real else val
+    raise ValidationError(f"config key {key!r} must be {_KINDS[outer or kind][0]}, got {val!r}")
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Everything needed to run one fit on a CSV file."""
@@ -93,11 +112,11 @@ class AnalysisConfig:
     curve_output: str | None = None
 
     def __post_init__(self):
-        for name in ("covariates", "tau_terms", "lambda_terms", "estimators",
-                     "gof_tau_terms", "gof_lambda_terms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "probes",
-                           tuple(tuple(float(v) for v in row) for row in self.probes))
+        for f in fields(self):
+            kind, _, optional = ("probes" if f.name == "probes" else f.type).partition(" | ")
+            val = getattr(self, f.name)
+            if not (optional and val is None):
+                object.__setattr__(self, f.name, _typed(f.name, val, kind))
         if not self.covariates:
             raise ValidationError("config must list at least one covariate column")
         repeated = sorted({c for c in self.covariates if self.covariates.count(c) > 1})
@@ -114,7 +133,7 @@ class AnalysisConfig:
             raise ValidationError(
                 "config must define at least one confounding basis term (lambda_terms)"
             )
-        unknown = set(self.estimators) - {"integrative", "rct", "meta"}
+        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValidationError(f"unknown estimators: {sorted(unknown)}")
         for row in self.probes:
@@ -285,16 +304,9 @@ class ResultDocument:
 
 
 def _coef_block(labels, values, ses) -> list:
-    block = []
-    for lab, val, se in zip(labels, values, ses):
-        block.append({
-            "term": lab,
-            "estimate": float(val),
-            "se": float(se),
-            "lower": float(val - _Z95 * se),
-            "upper": float(val + _Z95 * se),
-        })
-    return block
+    return [{"term": lab, "estimate": float(val), "se": float(se),
+             "lower": float(val - _Z95 * se), "upper": float(val + _Z95 * se)}
+            for lab, val, se in zip(labels, values, ses)]
 
 
 def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:

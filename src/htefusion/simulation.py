@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimators import FitOptions, run_pipeline
-from .inference import _Z95, ate_estimate, gof_test, sandwich_covariance
+from .estimators import ESTIMATOR_NAMES, FitOptions, run_pipeline
+from .inference import _Z95, ate_estimate, gof_test, sandwich_covariance, tau_curve
 from .model import (
     BasisSpec,
     Dataset,
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 N_COVARIATES = 5
-ESTIMATOR_NAMES = ("integrative", "rct", "meta")
 
 
 def default_tau_basis() -> BasisSpec:
@@ -220,7 +219,8 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
     model = cfg.model()
     opts = FitOptions(knots=cfg.knots, trial_known=cfg.trial_known)
     fit = run_pipeline(data, model, opts, which=cfg.estimators)
-    design = model.tau_basis.design(_probe_points(cfg))
+    grid = _probe_points(cfg)
+    design = model.tau_basis.design(grid)
     obs_design = model.tau_basis.design(data.x[data.rows(0)])  # read by every average
     labels = [probe_label(pr) for pr in cfg.probes]
     out = {"fallback": False, "estimates": {}, "gof_p": None}
@@ -237,10 +237,9 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
             continue
         out["fallback"] |= report.fallback_used
         est = sandwich_covariance(data, model, report.psi_hat, report.workspace)
-        pts = design @ est.phi
-        ves = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
+        curve = tau_curve(model, est, grid, design=design)
         ate = ate_estimate(data, model, est, design=obs_design)
-        record(name, pts, ves, (ate.tau0_hat, ate.se ** 2))
+        record(name, curve.estimate, curve.se ** 2, (ate.tau0_hat, ate.se ** 2))
         if name == "integrative" and cfg.gof_enabled:
             gof = gof_test(data, model, est, report.workspace,
                            cfg.gof_alt_tau or BasisSpec(()),
@@ -294,19 +293,12 @@ class McSummary:
 
 
 def _config_echo(cfg: SimConfig) -> dict:
-    echo = {
-        "n": cfg.n, "m": cfg.m, "beta": list(cfg.beta), "reps": cfg.reps,
-        "seed": cfg.seed, "probes": [list(p) for p in cfg.probes],
-        "estimators": list(cfg.estimators), "tau_form": cfg.tau_form,
-        "confounding_form": cfg.confounding_form, "knots": cfg.knots,
-        "trial_known": cfg.trial_known, "jobs": cfg.jobs,
-        "tau_terms": cfg.tau_terms.labels() if cfg.tau_terms else None,
-        "lambda_terms": cfg.lambda_terms.labels() if cfg.lambda_terms else None,
-        "gof_alt_tau": cfg.gof_alt_tau.labels() if cfg.gof_alt_tau else None,
-        "gof_alt_lambda": cfg.gof_alt_lambda.labels() if cfg.gof_alt_lambda else None,
-        "gof_efficient_weight": cfg.gof_efficient_weight,
-    }
-    return echo
+    """Every setting of ``cfg`` as JSON: a basis by its term labels, tuples as lists."""
+    def plain(val):
+        if isinstance(val, BasisSpec):
+            return val.labels()
+        return [plain(v) for v in val] if isinstance(val, tuple) else val
+    return {f.name: plain(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def _worker(args) -> dict:

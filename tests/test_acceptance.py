@@ -360,13 +360,16 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
         w_obs = (1.0 - pi1) * 0.5 * e_obs * (1.0 - e_obs)
 
         def risk(theta, sl=slice(None)):
+            """The weighted risk and its gradient in both coefficient blocks."""
             miss = surface[sl] - d_tau[sl] @ theta[:3]
-            return np.mean(w_trial * miss ** 2
-                           + w_obs[sl] * (miss - d_lam[sl] @ theta[3:]) ** 2)
+            resid = miss - d_lam[sl] @ theta[3:]
+            obs = w_obs[sl] * resid
+            grad = np.concatenate([d_tau[sl].T @ (w_trial * miss + obs), d_lam[sl].T @ obs])
+            return np.mean(w_trial * miss ** 2 + obs * resid), -2.0 * grad / len(miss)
 
-        best = minimize(risk, np.zeros(8), method="BFGS", options={"gtol": 1e-10})
+        best = minimize(risk, np.zeros(8), jac=True, method="BFGS", options={"gtol": 1e-10})
         shards = [minimize(risk, best.x, args=(slice(k * 250_000, (k + 1) * 250_000),),
-                           method="BFGS", options={"gtol": 1e-9}).x
+                           jac=True, method="BFGS", options={"gtol": 1e-9}).x
                   for k in range(4)]
         oracle_se = np.array(shards).std(axis=0, ddof=1) / 2.0
         draws = np.array(list(pending))

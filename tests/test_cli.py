@@ -1,6 +1,8 @@
 """End-to-end runs of the command line interface."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import pytest
 
 import htefusion
 from htefusion import (
+    AnalysisConfig,
     BasisSpec,
     SimConfig,
     __version__,
@@ -21,7 +24,7 @@ from htefusion import (
     run_monte_carlo,
     square_term,
 )
-from htefusion.cli import main
+from htefusion.cli import _build_parser, main
 from conftest import make_config
 
 NAMES = ("age", "bmi", "x3", "x4", "x5")
@@ -74,8 +77,17 @@ def _finite(node) -> bool:
     return not isinstance(node, float) or math.isfinite(node)
 
 
+def _exit_code(argv) -> int:
+    """``main(argv)``, with a flag that argparse rejects giving its exit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # Bad or degenerate input: (id, change to the study's columns, extra fit
-# flags, exit code, text in stderr, or in diagnostics.warnings on success)
+# flags, exit code, text in stderr, or in diagnostics.warnings on success).
+# A dict in place of the flags is written to a file and passed as --config.
 HOSTILE = [
     ("single-arm-cohort", _single_arm_cohort, [], 2,
      "source s=0 contains a single treatment arm"),
@@ -95,6 +107,18 @@ HOSTILE = [
     ("negative-ridge", None, ["--ridge", "-1"], 2, "ridge"),
     ("nan-ridge", None, ["--ridge", "nan"], 2, "ridge"),
     ("inf-ridge", None, ["--ridge", "inf"], 2, "ridge"),
+    ("unparsable-probe", None, ["--probe", "abc,0,0,0,0"], 2, "argument --probe"),
+    ("config-knots-string", None, {"knots": "4"}, 2, "'knots' must be an integer"),
+    ("config-ridge-string", None, {"ridge": "x"}, 2, "'ridge' must be a number"),
+    ("config-clip-null", None, {"clip_e": None}, 2, "'clip_e' must be a number"),
+    ("config-probe-text", None, {"probes": [["a", 0, 0, 0, 0]]}, 2,
+     "'probes' must be a list of number lists"),
+    ("config-probe-flat", None, {"probes": [1, 2]}, 2,
+     "'probes' must be a list of number lists"),
+    ("config-covariates-string", None, {"covariates": "x1"}, 2,
+     "'covariates' must be a list of strings"),
+    ("config-estimators-string", None, {"estimators": "integrative"}, 2,
+     "'estimators' must be a list of strings"),
 ]
 
 
@@ -107,7 +131,11 @@ class TestFit:
             mutate(*cols)
         path = write_csv(tmp_path / "hostile.csv", *cols)
         out = tmp_path / "fit.json"
-        got = main(FIT_FLAGS + ["--data", str(path), "--out", str(out), *flags])
+        if isinstance(flags, dict):
+            blob = tmp_path / "cfg.json"
+            blob.write_text(json.dumps(flags))
+            flags = ["--config", str(blob)]
+        got = _exit_code(FIT_FLAGS + ["--data", str(path), "--out", str(out), *flags])
         err = capsys.readouterr().err
         assert got == code, err
         if code != 0:
@@ -248,6 +276,12 @@ class TestSimulate:
         assert code == 2
         assert "requires --beta" in capsys.readouterr().err
 
+    def test_custom_beta_must_be_numbers(self, capsys):
+        code = _exit_code(["simulate", "--setting", "custom", "--beta", "a,b",
+                           "--reps", "1"])
+        assert code == 2
+        assert "argument --beta" in capsys.readouterr().err
+
     def test_custom_beta_parsed(self, tmp_path):
         out = tmp_path / "mc.json"
         code = main(["simulate", "--setting", "custom", "--beta", "1,0,0,0,-1",
@@ -297,6 +331,27 @@ def _run_child(args):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def _dests(command: str) -> dict:
+    """Each option of a subcommand: its dest and its default."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.default for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+class TestFlagsNameFields:
+    def test_fit_flags_set_config_keys(self):
+        keys = {f.name for f in dataclasses.fields(AnalysisConfig)}
+        assert set(_dests("fit")) - {"config"} <= keys
+
+    def test_simulate_flags_default_to_the_config(self):
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        dests = _dests("simulate")
+        for name in ("setting", "beta", "out", "quiet"):
+            dests.pop(name)
+        assert set(dests) <= fields
+        assert set(dests.values()) == {None}
 
 
 class TestEntryPoint:

@@ -89,6 +89,21 @@ class TestAnalysisConfig:
         with pytest.raises(ValidationError, match="probe"):
             base_config(tmp_path / "d.csv", probes=((1.0, 2.0),))
 
+    def test_values_of_the_declared_types_are_accepted(self, tmp_path):
+        cfg = base_config(tmp_path / "d.csv", covariates=list(NAMES), ridge=1,
+                          probes=[[0, 1, 2, 3, 4]], trial_known=None, output=None)
+        assert cfg.covariates == NAMES
+        assert cfg.ridge == 1.0 and isinstance(cfg.ridge, float)
+        assert cfg.probes == ((0.0, 1.0, 2.0, 3.0, 4.0),)
+        assert cfg.trial_known is None and cfg.output is None
+
+    @pytest.mark.parametrize("key, value", [("knots", 4.0), ("knots", True), ("ridge", False),
+                                            ("gof_efficient_weight", 1), ("data", None),
+                                            ("tau_terms", ["1", 2])])
+    def test_values_of_other_types_are_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValidationError, match=f"config key '{key}' must be"):
+            base_config(tmp_path / "d.csv", **{key: value})
+
     def test_from_file_and_roundtrip(self, tmp_path):
         cfg = base_config(tmp_path / "d.csv", probes=((0.0,) * 5,))
         blob = tmp_path / "cfg.json"
