@@ -437,7 +437,7 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     spec = build_spline_basis(data, opts.knots)
     designs = source_designs(data, spec)
     e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
-                           clip=opts.clip_e, ridge=opts.ridge)
+                           clip_e=opts.clip_e, ridge=opts.ridge)
     result = PipelineResult()
     if "meta" in which:
         result.meta_coef = meta_estimate(data, model, e_fit, designs)

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .estimators import (
+    PipelineResult,
     ScoreWorkspace,
     _check_workspace,
     _coefficients,
@@ -93,9 +94,8 @@ class AteEstimate:
 
 @dataclass(frozen=True)
 class TauCurve:
-    """Pointwise effect estimates with Wald 95% bands over a grid."""
+    """Pointwise effect estimates with Wald 95% bands at covariate points."""
 
-    grid: np.ndarray
     estimate: np.ndarray
     se: np.ndarray
     lower: np.ndarray
@@ -158,46 +158,39 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: np.ndarr
     return PsiEstimate(params, ws.p1, cov, bread, meat, data.n_trial, data.n_obs)
 
 
-def tau_curve(model: StructuralModel, est: PsiEstimate, grid, *,
-              design: np.ndarray | None = None) -> TauCurve:
-    """Effect estimates with standard errors over covariate points; ``design``
-    is ``model.tau_basis.design(grid)`` when the caller holds it."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim == 1:
-        grid = grid[None, :]
-    design = model.tau_basis.design(grid) if design is None else design
-    if design.shape != (grid.shape[0], model.p1):
-        raise ValidationError("design does not match the grid and the effect basis")
+def tau_curve(est: PsiEstimate, design: np.ndarray) -> TauCurve:
+    """Effect estimates with standard errors at covariate points, from their
+    effect-basis rows ``design`` (``model.tau_basis.design(points)``)."""
+    if design.shape[1:] != (est.p1,):
+        raise ValidationError("design does not match the effect basis")
     estimate = design @ est.phi
     var = np.einsum("ij,jk,ik->i", design, est.phi_cov, design)
     se = np.sqrt(np.clip(var, 0.0, None))
     if not (np.isfinite(estimate).all() and np.isfinite(se).all()):
         raise NumericalError("the effect curve or its standard error is not finite "
                              "at a probe point")
-    return TauCurve(grid, estimate, se, estimate - _Z95 * se, estimate + _Z95 * se)
+    return TauCurve(estimate, se, estimate - _Z95 * se, estimate + _Z95 * se)
 
 
-def ate_estimate(data: Dataset, model: StructuralModel, est: PsiEstimate, *,
-                 design: np.ndarray | None = None) -> AteEstimate:
+def ate_estimate(est: PsiEstimate, design: np.ndarray) -> AteEstimate:
     """Average the fitted effect curve over the observational sample.
 
     The variance combines the spread of the fitted curve over that
     sample with the coefficient uncertainty contracted against the
     average effect-basis row.  ``design`` is ``model.tau_basis.design``
-    of the observational records when the caller holds it.
+    of the observational records of the data ``est`` was fitted on.
     """
-    m = data.n_obs
+    m = est.n_obs
     if m == 0:
         raise ValidationError("average effect needs observational records")
-    design = model.tau_basis.design(data.x[data.rows(0)]) if design is None else design
-    if design.shape != (m, model.p1):
+    if design.shape != (m, est.p1):
         raise ValidationError("design does not match the records and the effect basis")
     tau_vals = design @ est.phi
     grad0 = design.mean(axis=0)
     tau0 = float(tau_vals.mean())
-    pi0 = m / data.n
+    pi0 = m / est.n
     spread = float(np.var(tau_vals, ddof=1)) if m > 1 else 0.0
-    var = spread / (pi0 * data.n) + float(grad0 @ est.phi_cov @ grad0)
+    var = spread / (pi0 * est.n) + float(grad0 @ est.phi_cov @ grad0)
     return AteEstimate(tau0, float(np.sqrt(max(var, 0.0))), pi0)
 
 
@@ -260,6 +253,35 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
     t_stat = float(ws.n * g_mean @ _solve_square(sigma, g_mean, "test covariance"))
     df = q1 + q2
     return GofResult(t_stat, df, _chi2_sf(t_stat, df))
+
+
+def _summaries(data: Dataset, model: StructuralModel, fit: PipelineResult, points: np.ndarray,
+               alt_tau: BasisSpec, alt_lambda: BasisSpec, efficient_weight: bool) -> dict:
+    """Each estimator in ``fit`` mapped to its summaries, over effect designs built once.
+
+    The integrative and trial-only fits get ``est``, ``curve`` at the ``points``
+    rows, ``ate`` when there are cohort records and, for the integrative fit given
+    an alternative term, ``gof``.  The comparator gets its values alone: ``curve``
+    as an array and ``ate`` as a float.
+    """
+    probe = model.tau_basis.design(points)
+    obs = model.tau_basis.design(data.x[data.rows(0)]) if data.n_obs else None
+    out = {}
+    for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
+        if rep is None:
+            continue
+        est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
+        out[name] = got = {"est": est, "curve": tau_curve(est, probe)}
+        if obs is not None:
+            got["ate"] = ate_estimate(est, obs)
+        if name == "integrative" and alt_tau.p + alt_lambda.p:
+            got["gof"] = gof_test(data, model, est, rep.workspace, alt_tau, alt_lambda,
+                                  efficient_weight=efficient_weight)
+    if fit.meta_coef is not None:
+        out["meta"] = got = {"curve": probe @ fit.meta_coef}
+        if obs is not None:
+            got["ate"] = float((obs @ fit.meta_coef).mean())
+    return out
 
 
 def _chi2_sf(t: float, df: int) -> float:

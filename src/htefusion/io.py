@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -13,11 +12,12 @@ import numpy as np
 from ._version import __version__
 from .errors import ValidationError
 from .estimators import ESTIMATOR_NAMES, FitOptions, run_pipeline
-from .inference import _Z95, ate_estimate, gof_test, sandwich_covariance, tau_curve
+from .inference import _Z95, _summaries
 from .model import (
     BasisSpec,
     Dataset,
     StructuralModel,
+    _check_fields,
     constant_term,
     linear_term,
     product_term,
@@ -70,53 +70,31 @@ def parse_terms(exprs, names) -> BasisSpec:
     return BasisSpec(tuple(terms))
 
 
-# by field annotation: what a config value must be, and its type or its entries' kind
-_KINDS = {"str": ("a string", str), "int": ("an integer", numbers.Integral),
-          "float": ("a number", numbers.Real), "bool": ("true or false", bool),
-          "tuple": ("a list of strings", "str"), "probes": ("a list of number lists", "row"),
-          "row": ("a list of numbers", "float")}
-
-
-def _typed(key: str, val, kind: str, outer: str | None = None):
-    """Check config value ``val`` of ``key`` against ``kind``; lists become tuples."""
-    want = _KINDS[kind][1]
-    if isinstance(want, str):
-        if isinstance(val, (list, tuple)):
-            return tuple(_typed(key, v, want, outer or kind) for v in val)
-    elif isinstance(val, want) and (want is bool) == isinstance(val, bool):
-        return float(val) if want is numbers.Real else val
-    raise ValidationError(f"config key {key!r} must be {_KINDS[outer or kind][0]}, got {val!r}")
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Everything needed to run one fit on a CSV file."""
 
     data: str
-    covariates: tuple
-    tau_terms: tuple
-    lambda_terms: tuple
+    covariates: tuple[str, ...]
+    tau_terms: tuple[str, ...]
+    lambda_terms: tuple[str, ...]
     source_col: str = "s"
     treatment_col: str = "a"
     outcome_col: str = "y"
-    estimators: tuple = ("integrative",)
+    estimators: tuple[str, ...] = ("integrative",)
     knots: int = 4
     ridge: float = 1e-6
     clip_e: float = 0.01
     trial_known: float | None = None
-    probes: tuple = ()
-    gof_tau_terms: tuple = ()
-    gof_lambda_terms: tuple = ()
+    probes: tuple[tuple[float, ...], ...] = ()
+    gof_tau_terms: tuple[str, ...] = ()
+    gof_lambda_terms: tuple[str, ...] = ()
     gof_efficient_weight: bool = False
     output: str | None = None
     curve_output: str | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, _, optional = ("probes" if f.name == "probes" else f.type).partition(" | ")
-            val = getattr(self, f.name)
-            if not (optional and val is None):
-                object.__setattr__(self, f.name, _typed(f.name, val, kind))
+        _check_fields(self)
         if not self.covariates:
             raise ValidationError("config must list at least one covariate column")
         repeated = sorted({c for c in self.covariates if self.covariates.count(c) > 1})
@@ -303,10 +281,10 @@ class ResultDocument:
         return cls.from_dict(json.loads(text))
 
 
-def _coef_block(labels, values, ses) -> list:
-    return [{"term": lab, "estimate": float(val), "se": float(se),
-             "lower": float(val - _Z95 * se), "upper": float(val + _Z95 * se)}
-            for lab, val, se in zip(labels, values, ses)]
+def _interval(val, se) -> dict:
+    """An estimate with its standard error and Wald 95% interval."""
+    return {"estimate": float(val), "se": float(se),
+            "lower": float(val - _Z95 * se), "upper": float(val + _Z95 * se)}
 
 
 def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
@@ -328,57 +306,35 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = run_pipeline(data, model, opts, which=cfg.estimators)
-        # the effect designs every estimator's summaries read, built once
-        obs_design = model.tau_basis.design(data.x[data.rows(0)]) if data.n_obs else None
-        probes = np.array(cfg.probes)
-        probe_design = model.tau_basis.design(probes) if cfg.probes else None
-
-        for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
-            if rep is None:
-                continue
-            pooled = name == "integrative"
-            est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
-            block = {"tau": _coef_block(model.tau_basis.labels(names),
-                                        est.phi, est.se[:model.p1])}
-            if pooled:
-                block["lambda"] = _coef_block(model.lambda_basis.labels(names),
-                                              est.lam, est.se[model.p1:])
-            if data.n_obs > 0:
-                ate = ate_estimate(data, model, est, design=obs_design)
-                block["ate"] = {"estimate": ate.tau0_hat, "se": ate.se,
-                                "lower": ate.lower, "upper": ate.upper,
-                                "pi0": ate.pi0_hat}
-            if cfg.probes:
-                curve = tau_curve(model, est, probes, design=probe_design)
-                block["curve"] = [
-                    {"x": _plain(curve.grid[i]), "estimate": float(curve.estimate[i]),
-                     "se": float(curve.se[i]), "lower": float(curve.lower[i]),
-                     "upper": float(curve.upper[i])}
-                    for i in range(curve.grid.shape[0])
-                ]
-            if pooled and (cfg.gof_tau_terms or cfg.gof_lambda_terms):
-                gof = gof_test(data, model, est, rep.workspace,
+        summaries = _summaries(data, model, fit, np.reshape(cfg.probes, (-1, data.d)),
                                parse_terms(cfg.gof_tau_terms, names),
                                parse_terms(cfg.gof_lambda_terms, names),
-                               efficient_weight=cfg.gof_efficient_weight)
-                block["gof"] = {"t_stat": gof.t_stat, "df": gof.df,
-                                "p_value": gof.p_value}
-            results[name] = block
-            diagnostics[name] = {
-                "iterations": rep.iterations,
-                "final_score_norm": rep.final_score_norm,
-                "converged": rep.converged,
-                "fallback_used": rep.fallback_used,
-            }
+                               cfg.gof_efficient_weight)
 
-        if fit.meta_coef is not None:
-            block = {"tau_coefficients": {
-                lab: float(v) for lab, v in zip(model.tau_basis.labels(names),
-                                                fit.meta_coef)
-            }}
-            if data.n_obs > 0:
-                block["ate"] = {"estimate": float((obs_design @ fit.meta_coef).mean())}
-            results["meta"] = block
+    tau_labels = model.tau_basis.labels(names)
+    for name, got in summaries.items():
+        if name == "meta":
+            results[name] = {"tau_coefficients": dict(zip(tau_labels, fit.meta_coef))}
+            if "ate" in got:
+                results[name]["ate"] = {"estimate": got["ate"]}
+            continue
+        est, rep = got["est"], getattr(fit, name)
+        coefs = [{"term": lab, **_interval(v, se)} for lab, v, se in
+                 zip(tau_labels + model.lambda_basis.labels(names), est.psi_hat, est.se)]
+        results[name] = block = {"tau": coefs[:model.p1]}
+        if name == "integrative":
+            block["lambda"] = coefs[model.p1:]
+        if "ate" in got:
+            ate = got["ate"]
+            block["ate"] = {**_interval(ate.tau0_hat, ate.se), "pi0": ate.pi0_hat}
+        if cfg.probes:
+            curve = got["curve"]
+            block["curve"] = [{"x": list(x), **_interval(v, se)}
+                              for x, v, se in zip(cfg.probes, curve.estimate, curve.se)]
+        if "gof" in got:
+            block["gof"] = asdict(got["gof"])
+        diagnostics[name] = {key: getattr(rep, key) for key in
+                             ("iterations", "final_score_norm", "converged", "fallback_used")}
 
     diagnostics["warnings"] = sorted({str(w.message) for w in caught})
     doc = ResultDocument(__version__, cfg.to_dict(), _plain(results),

@@ -10,7 +10,8 @@ covariates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -279,6 +280,36 @@ class BasisSpec:
             else:
                 out[:, col] = term.column(X)
         return out
+
+
+# by field annotation: what a config value must be, and its type or its entries' kind;
+# here because both config classes (io's and simulation's) import this module
+_KINDS = {"str": ("a string", str), "int": ("an integer", numbers.Integral),
+          "float": ("a number", numbers.Real), "bool": ("true or false", bool),
+          "BasisSpec": ("a basis", BasisSpec), "tuple[str, ...]": ("a list of strings", "str"),
+          "tuple[float, ...]": ("a list of numbers", "float"),
+          "tuple[tuple[float, ...], ...]": ("a list of number lists", "tuple[float, ...]")}
+
+
+def _typed(key: str, val, kind: str, outer: str | None = None):
+    """Check config value ``val`` of ``key`` against ``kind``; lists become tuples."""
+    want = _KINDS[kind][1]
+    if isinstance(want, str):
+        if isinstance(val, (list, tuple)):
+            return tuple(_typed(key, v, want, outer or kind) for v in val)
+    elif isinstance(val, want) and (want is bool) == isinstance(val, bool):
+        return float(val) if want is numbers.Real else val
+    raise ValidationError(f"config key {key!r} must be {_KINDS[outer or kind][0]}, got {val!r}")
+
+
+def _check_fields(cfg) -> None:
+    """Check each field of the frozen dataclass ``cfg`` against its annotation,
+    where ``| None`` also admits None, and store the checked values."""
+    for f in fields(cfg):
+        kind, _, optional = f.type.partition(" | ")
+        val = getattr(cfg, f.name)
+        if not (optional and val is None):
+            object.__setattr__(cfg, f.name, _typed(f.name, val, kind))
 
 
 @dataclass(frozen=True)

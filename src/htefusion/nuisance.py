@@ -42,18 +42,18 @@ __all__ = [
 ]
 
 
-def build_spline_basis(data: Dataset, knots_per_covariate: int = 4) -> BasisSpec:
+def build_spline_basis(data: Dataset, knots: int = 4) -> BasisSpec:
     """Additive spline basis over all covariates of a dataset.
 
-    Each covariate contributes its linear term plus ``knots_per_covariate``
-    nonlinear pieces with interior knots at equally spaced quantiles and
-    boundary knots at the observed minimum and maximum, for a total of
-    ``1 + d * (knots_per_covariate + 1)`` columns.  With zero knots the
-    basis degenerates to intercept plus linear terms.  A constant
-    covariate keeps only its linear term and a warning is recorded.
+    Each covariate contributes its linear term plus ``knots`` nonlinear
+    pieces with interior knots at equally spaced quantiles and boundary
+    knots at the observed minimum and maximum, for a total of
+    ``1 + d * (knots + 1)`` columns.  With zero knots the basis
+    degenerates to intercept plus linear terms.  A constant covariate
+    keeps only its linear term and a warning is recorded.
     """
-    if knots_per_covariate < 0:
-        raise ValidationError("knots_per_covariate must be >= 0")
+    if knots < 0:
+        raise ValidationError(f"knots must be >= 0, got {knots}")
     terms = [constant_term()]
     for j in range(data.d):
         col = data.x[:, j]
@@ -66,25 +66,25 @@ def build_spline_basis(data: Dataset, knots_per_covariate: int = 4) -> BasisSpec
             terms.append(linear_term(j))
             continue
         terms.append(linear_term(j))
-        if knots_per_covariate == 0:
+        if knots == 0:
             continue
-        qs = np.arange(1, knots_per_covariate + 1) / (knots_per_covariate + 1)
+        qs = np.arange(1, knots + 1) / (knots + 1)
         interior = np.quantile(col, qs)
-        knots = np.unique(np.concatenate([[lo], interior, [hi]]))
-        if knots.size < 3:
+        edges = np.unique(np.concatenate([[lo], interior, [hi]]))
+        if edges.size < 3:
             warnings.warn(
                 f"covariate {j + 1} has too few distinct values for spline terms",
                 stacklevel=2,
             )
             continue
-        if knots.size - 2 < knots_per_covariate:
+        if edges.size - 2 < knots:
             warnings.warn(
                 f"covariate {j + 1}: tied quantiles reduced its spline terms "
-                f"to {knots.size - 2}",
+                f"to {edges.size - 2}",
                 stacklevel=2,
             )
-        for piece in range(knots.size - 2):
-            terms.append(spline_term(j, knots, piece))
+        for piece in range(edges.size - 2):
+            terms.append(spline_term(j, edges, piece))
     return BasisSpec(tuple(terms))
 
 
@@ -339,7 +339,7 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
 
 
 def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
-                   trial_known: float | None = None, clip: float = 0.01,
+                   trial_known: float | None = None, clip_e: float = 0.01,
                    ridge: float = 1e-6) -> Propensity:
     """Fit per-source logistic propensities on the spline basis.
 
@@ -349,8 +349,8 @@ def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
     and a validation error is raised.  ``designs`` is
     ``source_designs(data, spec)``.
     """
-    if not 0.0 < clip < 0.5:
-        raise ValidationError("clip must lie in (0, 0.5)")
+    if not 0.0 < clip_e < 0.5:
+        raise ValidationError(f"clip_e must lie in (0, 0.5), got {clip_e}")
     by_source = {}
     for source in (0, 1):
         mask = data.rows(source)
@@ -370,7 +370,7 @@ def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
         )
     if not by_source:
         raise ValidationError("propensity fit: dataset has no usable source")
-    return Propensity(by_source, clip=clip)
+    return Propensity(by_source, clip=clip_e)
 
 
 def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, designs: dict,

@@ -22,11 +22,12 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .estimators import ESTIMATOR_NAMES, FitOptions, run_pipeline
-from .inference import _Z95, ate_estimate, gof_test, sandwich_covariance, tau_curve
+from .inference import _Z95, _summaries
 from .model import (
     BasisSpec,
     Dataset,
     StructuralModel,
+    _check_fields,
     _expit,
     constant_term,
     linear_term,
@@ -95,11 +96,11 @@ class SimConfig:
 
     n: int = 300
     m: int = 5000
-    beta: tuple = (0.0,) * N_COVARIATES
+    beta: tuple[float, ...] = (0.0,) * N_COVARIATES
     reps: int = 200
     seed: int = 20260815
-    probes: tuple = field(default_factory=default_probes)
-    estimators: tuple = ESTIMATOR_NAMES
+    probes: tuple[tuple[float, ...], ...] = field(default_factory=default_probes)
+    estimators: tuple[str, ...] = ESTIMATOR_NAMES
     tau_form: str = "opposed"
     confounding_form: str = "unit"
     knots: int = 0
@@ -112,6 +113,7 @@ class SimConfig:
     gof_efficient_weight: bool = False
 
     def __post_init__(self):
+        _check_fields(self)
         if self.n < 2 or self.m < 2:
             raise ValidationError("both samples need at least two records")
         if self.reps < 1:
@@ -219,38 +221,22 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
     model = cfg.model()
     opts = FitOptions(knots=cfg.knots, trial_known=cfg.trial_known)
     fit = run_pipeline(data, model, opts, which=cfg.estimators)
-    grid = _probe_points(cfg)
-    design = model.tau_basis.design(grid)
-    obs_design = model.tau_basis.design(data.x[data.rows(0)])  # read by every average
-    labels = [probe_label(pr) for pr in cfg.probes]
-    out = {"fallback": False, "estimates": {}, "gof_p": None}
-
-    def record(name, points, ves, ate_row):
-        cells = {}
-        for lab, pt, ve in zip(labels, points, ves):
-            cells[lab] = (float(pt), None if ve is None else float(ve))
-        cells["ate"] = ate_row
-        out["estimates"][name] = cells
-
-    for name, report in (("integrative", fit.integrative), ("rct", fit.rct)):
-        if report is None:
-            continue
-        out["fallback"] |= report.fallback_used
-        est = sandwich_covariance(data, model, report.psi_hat, report.workspace)
-        curve = tau_curve(model, est, grid, design=design)
-        ate = ate_estimate(data, model, est, design=obs_design)
-        record(name, curve.estimate, curve.se ** 2, (ate.tau0_hat, ate.se ** 2))
-        if name == "integrative" and cfg.gof_enabled:
-            gof = gof_test(data, model, est, report.workspace,
-                           cfg.gof_alt_tau or BasisSpec(()),
-                           cfg.gof_alt_lambda or BasisSpec(()),
-                           efficient_weight=cfg.gof_efficient_weight)
-            out["gof_p"] = gof.p_value
-    if fit.meta_coef is not None:
-        pts = design @ fit.meta_coef
-        ate = float((obs_design @ fit.meta_coef).mean())
-        record("meta", pts, [None] * len(labels), (ate, None))
-    return out
+    summaries = _summaries(data, model, fit, _probe_points(cfg),
+                           cfg.gof_alt_tau or BasisSpec(()), cfg.gof_alt_lambda or BasisSpec(()),
+                           cfg.gof_efficient_weight)
+    labels = [probe_label(pr) for pr in cfg.probes] + ["ate"]
+    estimates = {}
+    for name, got in summaries.items():
+        if name == "meta":  # point values without variances
+            cells = [(pt, None) for pt in (*got["curve"], got["ate"])]
+        else:
+            curve, ate = got["curve"], got["ate"]
+            cells = zip((*curve.estimate, ate.tau0_hat), (*curve.se ** 2, ate.se ** 2))
+        estimates[name] = {lab: (float(pt), None if ve is None else float(ve))
+                           for lab, (pt, ve) in zip(labels, cells)}
+    gof = summaries.get("integrative", {}).get("gof")
+    return {"fallback": any(r.fallback_used for r in (fit.integrative, fit.rct) if r),
+            "estimates": estimates, "gof_p": None if gof is None else gof.p_value}
 
 
 @dataclass(frozen=True)

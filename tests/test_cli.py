@@ -108,6 +108,8 @@ HOSTILE = [
     ("nan-ridge", None, ["--ridge", "nan"], 2, "ridge"),
     ("inf-ridge", None, ["--ridge", "inf"], 2, "ridge"),
     ("unparsable-probe", None, ["--probe", "abc,0,0,0,0"], 2, "argument --probe"),
+    ("negative-knots", None, ["--knots", "-1"], 2, "knots must be >= 0"),
+    ("clip-above-half", None, ["--clip-e", "0.7"], 2, "clip_e must lie in (0, 0.5)"),
     ("config-knots-string", None, {"knots": "4"}, 2, "'knots' must be an integer"),
     ("config-ridge-string", None, {"ridge": "x"}, 2, "'ridge' must be a number"),
     ("config-clip-null", None, {"clip_e": None}, 2, "'clip_e' must be a number"),

@@ -414,7 +414,7 @@ class TestProfiledOutcomeMean:
         spec = build_spline_basis(desk_data, knots)
         designs = source_designs(desk_data, spec)
         e_fit = fit_propensity(desk_data, spec, designs, trial_known=opts.trial_known,
-                               clip=opts.clip_e, ridge=opts.ridge)
+                               clip_e=opts.clip_e, ridge=opts.ridge)
         e_hat, unit = e_fit.predict(desk_data.s, designs), np.ones(desk_data.n)
         for name in ("integrative", "rct"):
             trial_only = name == "rct"

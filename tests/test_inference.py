@@ -1,5 +1,7 @@
 """Sandwich covariance, effect summaries, precision gain, and the test."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -132,29 +134,33 @@ class TestTauCurve:
         cfg, data, model, nuis, rep, est = solved
         grid = np.zeros((3, 5))
         grid[:, 0] = [-1.0, 0.0, 1.0]
-        curve = tau_curve(model, est, grid)
-        want = model.tau_basis.design(grid) @ rep.psi_hat[:model.p1]
-        assert np.allclose(curve.estimate, want)
         design = model.tau_basis.design(grid)
+        curve = tau_curve(est, design)
+        want = design @ rep.psi_hat[:model.p1]
+        assert np.allclose(curve.estimate, want)
         want_se = np.sqrt(np.diag(design @ est.phi_cov @ design.T))
         assert np.allclose(curve.se, want_se)
         assert np.all(curve.lower < curve.estimate)
         assert np.all(curve.upper > curve.estimate)
 
     def test_single_point_input(self, solved):
+        # one point is one design row; a bare basis row is not a design
         cfg, data, model, nuis, rep, est = solved
-        curve = tau_curve(model, est, np.zeros(5))
-        assert curve.estimate.shape == (1,)
+        row = model.tau_basis.design(np.zeros((1, 5)))
+        assert tau_curve(est, row).estimate.shape == (1,)
+        with pytest.raises(ValidationError, match="design does not match"):
+            tau_curve(est, row[0])
 
 
 class TestAteEstimate:
     def test_matches_manual_decomposition(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        ate = ate_estimate(data, model, est)
         obs_x = data.x[data.s == 0]
-        vals = model.tau_basis.design(obs_x) @ rep.psi_hat[:model.p1]
+        design = model.tau_basis.design(obs_x)
+        ate = ate_estimate(est, design)
+        vals = design @ rep.psi_hat[:model.p1]
         assert ate.tau0_hat == pytest.approx(vals.mean())
-        grad = model.tau_basis.design(obs_x).mean(axis=0)
+        grad = design.mean(axis=0)
         pi0 = obs_x.shape[0] / data.n
         want_var = vals.var(ddof=1) / (pi0 * data.n) + grad @ est.phi_cov @ grad
         assert ate.se == pytest.approx(np.sqrt(want_var))
@@ -163,8 +169,9 @@ class TestAteEstimate:
 
     def test_needs_observational_records(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        with pytest.raises(ValidationError):
-            ate_estimate(data.trial_only(), model, est)
+        trial_only = dataclasses.replace(est, n_trial=data.n_trial, n_obs=0)
+        with pytest.raises(ValidationError, match="observational records"):
+            ate_estimate(trial_only, np.empty((0, model.p1)))
 
 
 class TestPrecisionGain:

@@ -138,7 +138,7 @@ class TestFitPropensity:
         a[:2] = [0, 1]
         data = Dataset(np.zeros(20000, dtype=int), a, np.zeros(20000), x)
         spec = build_spline_basis(data, 0)
-        fit = fit_propensity(data, spec, source_designs(data, spec), clip=0.01)
+        fit = fit_propensity(data, spec, source_designs(data, spec), clip_e=0.01)
         grid = rng.standard_normal((200, 3))
         got = fit.predict_raw(np.zeros(200, dtype=int), {0: spec.design(grid)})
         want = expit(-grid.sum(axis=1))
@@ -183,7 +183,7 @@ class TestFitPropensity:
         spec = build_spline_basis(desk_data, 0)
         designs = source_designs(desk_data, spec)
         with pytest.raises(ValidationError):
-            fit_propensity(desk_data, spec, designs, clip=0.6)
+            fit_propensity(desk_data, spec, designs, clip_e=0.6)
         with pytest.raises(ValidationError):
             fit_propensity(desk_data, spec, designs, trial_known=1.5)
 

@@ -66,6 +66,12 @@ def _fits(data, model, knots):
             for name, est in _estimates(data, model, knots).items()}
 
 
+def _curve_and_average(data, model, est, grid):
+    """The effect curve of ``est`` at ``grid`` and its cohort-average effect."""
+    return (tau_curve(est, model.tau_basis.design(grid)),
+            ate_estimate(est, model.tau_basis.design(data.x[data.rows(0)])))
+
+
 def _close(got, want):
     """Agreement to ``RTOL`` relative to the largest entry of ``want``."""
     return np.abs(got - want).max() <= RTOL * np.abs(want).max()
@@ -127,11 +133,11 @@ def test_reordering_basis_terms_leaves_the_curve_and_average(study, knots, tau_o
         BasisSpec((tau_terms[0],) + tuple(tau_terms[i] for i in tau_order)),
         BasisSpec(tuple(lambda_terms[i] for i in lambda_order)))
     grid = np.random.default_rng(study["seed"]).standard_normal((6, 5))
-    base, moved = ({name: (est, tau_curve(m, est, grid), ate_estimate(data, m, est))
+    base, moved = ({name: _curve_and_average(data, m, est, grid)
                     for name, est in _estimates(data, m, knots).items()}
                    for m in (model, reordered))
     for name in base:
-        (_, curve, ate), (_, curve_r, ate_r) = base[name], moved[name]
+        (curve, ate), (curve_r, ate_r) = base[name], moved[name]
         assert _close(curve_r.estimate, curve.estimate), name
         assert _close(curve_r.se, curve.se), name
         assert _close(np.array([ate_r.tau0_hat, ate_r.se]),
@@ -147,7 +153,7 @@ def test_rescaling_a_covariate_leaves_the_curve_and_average(study, knots, c):
     scale[0] = c
     scaled = Dataset(data.s, data.a, data.y, data.x * scale)
     grid = np.random.default_rng(study["seed"]).standard_normal((6, 5))
-    base, moved = ({name: (tau_curve(model, est, g), ate_estimate(d, model, est))
+    base, moved = ({name: _curve_and_average(d, model, est, g)
                     for name, est in _estimates(d, model, knots, ridge=0.0).items()}
                    for d, g in ((data, grid), (scaled, grid * scale)))
     for name in base:

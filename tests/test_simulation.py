@@ -22,6 +22,7 @@ from htefusion import (
     generate_replicate,
     linear_term,
     probe_label,
+    product_term,
     replicate_rng,
     run_monte_carlo,
     run_replicate,
@@ -31,6 +32,7 @@ from htefusion import (
     true_tau,
     true_tau_coefficients,
 )
+from htefusion.io import AnalysisConfig, run_fit
 from conftest import make_config
 
 
@@ -96,6 +98,16 @@ class TestConfig:
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ValidationError):
             make_config(**bad)
+
+    @pytest.mark.parametrize("bad, text", [
+        ({"beta": "12345"}, "'beta' must be a list of numbers"),
+        ({"n": "300"}, "'n' must be an integer"),
+        ({"estimators": "meta"}, "'estimators' must be a list of strings"),
+        ({"tau_terms": ("1", "x1")}, "'tau_terms' must be a basis"),
+    ])
+    def test_rejects_values_of_the_wrong_type(self, bad, text):
+        with pytest.raises(ValidationError, match=text):
+            SimConfig(**bad)
 
     def test_jobs_capped_at_cpu_count(self):
         # constructing the config starts no worker process
@@ -241,6 +253,35 @@ class TestRunReplicate:
         out = run_replicate(small_cfg, 0)
         assert out["gof_p"] is not None
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    def test_numbers_equal_those_of_a_fit_on_the_same_data(self, monkeypatch, knots):
+        # a replicate and ``htefusion fit`` share one summary path, so on the
+        # same records they report the same numbers, variances as squared SEs
+        cfg = make_config(beta=1.0, n=150, m=450, seed=5, knots=knots,
+                          gof_alt_tau=BasisSpec((product_term(0, 1),)))
+        data = generate_replicate(cfg, 0)
+        monkeypatch.setattr(simulation, "generate_replicate", lambda cfg, rep: data)
+        out = run_replicate(cfg, 0)
+        names = [f"x{j + 1}" for j in range(5)]
+        points = simulation._probe_points(cfg)
+        doc = run_fit(AnalysisConfig(
+            data="unused.csv", covariates=names, tau_terms=("1", "x1", "x1^2", "x2", "x2^2"),
+            lambda_terms=names, estimators=("integrative", "rct", "meta"), knots=knots,
+            trial_known=cfg.trial_known, probes=tuple(map(tuple, points)),
+            gof_tau_terms=("x1*x2",)), data).results
+        labels = [probe_label(p) for p in cfg.probes]
+        for name in ("integrative", "rct"):
+            want = {lab: (row["estimate"], row["se"] ** 2)
+                    for lab, row in zip(labels, doc[name]["curve"])}
+            want["ate"] = (doc[name]["ate"]["estimate"], doc[name]["ate"]["se"] ** 2)
+            assert out["estimates"][name] == want, name
+        coef = [doc["meta"]["tau_coefficients"][lab] for lab in cfg.model().tau_basis.labels()]
+        want = dict(zip(labels, ((float(v), None)
+                                 for v in cfg.model().tau_basis.design(points) @ coef)))
+        want["ate"] = (doc["meta"]["ate"]["estimate"], None)
+        assert out["estimates"]["meta"] == want
+        assert out["gof_p"] == doc["integrative"]["gof"]["p_value"]
 
     def test_gof_skipped_without_alternative(self):
         cfg = make_config(beta=0.0, n=200, m=600, seed=9,
