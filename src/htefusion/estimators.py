@@ -71,24 +71,24 @@ __all__ = [
 ESTIMATOR_NAMES = ("integrative", "rct", "meta")
 
 
+def _check_estimators(names: tuple) -> None:
+    """Raise unless ``names`` lists one or more of ``ESTIMATOR_NAMES``, and no other."""
+    unknown = set(names) - set(ESTIMATOR_NAMES)
+    if unknown:
+        raise ValidationError(f"unknown estimators: {sorted(unknown)}")
+    if not names:
+        raise ValidationError(f"estimators must list at least one of {list(ESTIMATOR_NAMES)}")
+
+
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings of the nuisance fits and of the variance rounds.
-
-    ``refine`` is the number of variance rounds.  Each estimator first
-    solves with unit residual variances; each round then refits the
-    variances on the estimator's own residuals at its current solution
-    and solves again with the new score weights.  Any positive variances
-    keep the equations unbiased, so the rounds buy efficiency only.
-    A round's variance is one mean square per (arm, source) cell; see
-    :func:`fit_variance_function`.
-    """
+    """Settings of the nuisance fits: spline knots per covariate, the
+    ridge penalty, the propensity clip and a known trial propensity."""
 
     knots: int = 4
     ridge: float = 1e-6
     clip_e: float = 0.01
     trial_known: float | None = None
-    refine: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.ridge < np.inf:  # also rejects NaN
@@ -384,25 +384,24 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
 
 
 def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
-                    e_hat: np.ndarray, y_var: float, refine: int) -> SolveReport:
-    """Solve one estimator's equations, then run ``refine`` variance rounds
-    on the records ``data`` holds, whose workspace is ``ws``.
-
-    A round fits sigma2 per cell to the residuals at the current
-    solution, recomputes only the score weight and solves again.
+                    e_hat: np.ndarray, y_var: float) -> SolveReport:
+    """The paper's two steps on the records ``data`` holds, whose
+    workspace ``ws`` is at unit residual variances: solve, then fit sigma2
+    per cell to the residuals at that solution, recompute only the score
+    weight and solve once more.  A first solve that fell back is returned.
+    Any positive variances keep the equations unbiased, so the second step
+    buys efficiency only.
     """
     solve = solve_rct if ws.p2 == 0 else solve_integrative
     rep = solve(data, model, ws, np.zeros(ws.p))
-    for _ in range(max(0, refine)):
-        if rep.fallback_used:
-            break
-        # the residual is the pseudo-outcome already centered at its mean
-        var_fit = fit_variance_function(data, residuals(ws, rep.psi_hat), y_var=y_var)
-        v1 = var_fit.predict(1, data.s)
-        v0 = var_fit.predict(0, data.s)
-        ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
-        rep = solve(data, model, ws, rep.psi_hat)
-    return rep
+    if rep.fallback_used:
+        return rep
+    # the residual is the pseudo-outcome already centered at its mean
+    var_fit = fit_variance_function(data, residuals(ws, rep.psi_hat), y_var=y_var)
+    v1 = var_fit.predict(1, data.s)
+    v0 = var_fit.predict(0, data.s)
+    ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
+    return solve(data, model, ws, rep.psi_hat)
 
 
 @dataclass
@@ -425,15 +424,13 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
 
     Fits the propensities and builds one workspace whose pseudo-outcome
     is centered at its per-source outcome-mean fit at every coefficient
-    vector, then solves each estimator from unit residual variances
-    followed by ``opts.refine`` variance rounds (default one).  The
+    vector, then solves each estimator in two steps: at unit residual
+    variances, then with per-cell variances fitted at that solution.  The
     trial-only estimator reads the workspace's trial records and effect
-    columns, and its variance rounds fit trial records only; its spline
-    knots and variance bounds come from the pooled sample.
+    columns, and its variances are fitted on trial records only; its
+    spline knots and variance bounds come from the pooled sample.
     """
-    unknown = set(which) - set(ESTIMATOR_NAMES)
-    if unknown:
-        raise ValidationError(f"unknown estimators requested: {sorted(unknown)}")
+    _check_estimators(which)
     spec = build_spline_basis(data, opts.knots)
     designs = source_designs(data, spec)
     e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
@@ -453,8 +450,7 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
                 raise ValidationError("trial-only fitting requires s=1 records")
             trial = data.rows(1)
             result.rct = _solve_weighted(data.trial_only(), model, ws.trial(trial),
-                                         e_hat[trial], y_var, opts.refine)
+                                         e_hat[trial], y_var)
         if "integrative" in which:
-            result.integrative = _solve_weighted(data, model, ws, e_hat, y_var,
-                                                 opts.refine)
+            result.integrative = _solve_weighted(data, model, ws, e_hat, y_var)
     return result

@@ -11,13 +11,14 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .estimators import ESTIMATOR_NAMES, FitOptions, run_pipeline
+from .estimators import FitOptions, _check_estimators, run_pipeline
 from .inference import _Z95, _summaries
 from .model import (
     BasisSpec,
     Dataset,
     StructuralModel,
     _check_fields,
+    _check_probes,
     constant_term,
     linear_term,
     product_term,
@@ -111,17 +112,8 @@ class AnalysisConfig:
             raise ValidationError(
                 "config must define at least one confounding basis term (lambda_terms)"
             )
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
-        if unknown:
-            raise ValidationError(f"unknown estimators: {sorted(unknown)}")
-        for row in self.probes:
-            if len(row) != len(self.covariates):
-                raise ValidationError(
-                    "each probe must list one value per covariate "
-                    f"({len(self.covariates)} expected, got {len(row)})"
-                )
-            if not np.isfinite(row).all():
-                raise ValidationError(f"probes must be finite, got {list(row)}")
+        _check_estimators(self.estimators)
+        _check_probes(self.probes, len(self.covariates), "one per covariate")
         if self.curve_output and not (self.probes and "integrative" in self.estimators):
             raise ValidationError("curve_output needs a probe and the integrative estimator")
 
@@ -192,7 +184,7 @@ def _locate_bad_cell(path: str, needed: list, index: dict) -> str | None:
     Runs only after the bulk parse has failed or rejected a value, to name
     the physical line (blank lines included) and the column.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -214,7 +206,8 @@ def load_csv(path: str, cfg: AnalysisConfig) -> Dataset:
     bad cell by physical line and column.
     """
     try:
-        fh = open(path, newline="")
+        # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise ValidationError(f"data file not found: {path}")
     with fh:

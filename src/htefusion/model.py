@@ -312,6 +312,14 @@ def _check_fields(cfg) -> None:
             object.__setattr__(cfg, f.name, _typed(f.name, val, kind))
 
 
+def _check_probes(probes: tuple, width: int, what: str) -> None:
+    """Raise unless each of a config's ``probes`` is ``width`` finite numbers."""
+    for row in probes:
+        if len(row) != width or not np.isfinite(row).all():
+            raise ValidationError(f"probes must each be {width} finite numbers ({what}), "
+                                  f"got {list(row)}")
+
+
 @dataclass(frozen=True)
 class StructuralModel:
     """Parametric working models for the effect and confounding curves."""

@@ -300,16 +300,14 @@ class CellMeans:
 
 @dataclass
 class VarianceFunction:
-    """Residual variance by (a, s) cell, clamped to fixed bounds."""
+    """Residual variance by (a, s) cell."""
 
     by_cell: dict
-    bounds: tuple
 
     def predict(self, a: int, s) -> np.ndarray:
         """The arm-``a`` cell variance of records with sources ``s``."""
         cells = {source: var for (arm, source), var in self.by_cell.items() if arm == a}
-        out = _predict_sources(cells, s, {}, f"no variance fit for cell (a={a}, s={{}})")
-        return np.clip(out, self.bounds[0], self.bounds[1])
+        return _predict_sources(cells, s, {}, f"no variance fit for cell (a={a}, s={{}})")
 
 
 @dataclass(frozen=True)
@@ -415,32 +413,29 @@ def fit_outcome_mean(data: Dataset, h: np.ndarray, spec: BasisSpec, designs: dic
     return OutcomeMean(by_source)
 
 
-def fit_variance_function(data: Dataset, resid: np.ndarray,
-                          rel_bounds: tuple = (1e-4, 1e4), *,
-                          y_var: float | None = None) -> VarianceFunction:
+def fit_variance_function(data: Dataset, resid: np.ndarray, *,
+                          y_var: float) -> VarianceFunction:
     """The residual variance of each (a, s) cell: its mean squared residual.
 
     ``resid`` holds every record's centered pseudo-outcome.  One constant
     per cell suffices: any positive variances keep the equations unbiased,
     and a covariate-dependent fit on a few hundred records per cell puts
-    noise into the weights.  Predictions are clamped to ``rel_bounds``
-    times ``y_var``, by default the variance of the outcomes in ``data``;
-    a fit on a subset passes the pooled one.
+    noise into the weights.  Each cell is clamped to 1e-4 to 1e4 times
+    ``y_var`` (1 when it is not positive), the pooled outcome variance
+    even when ``data`` is a subset.
     """
     resid = np.asarray(resid, dtype=float)
     if resid.shape != (data.n,):
         raise ValidationError("residuals do not match the number of records")
-    if y_var is None:
-        y_var = float(np.var(data.y))
     if y_var <= 0.0:
         y_var = 1.0
-    bounds = (rel_bounds[0] * y_var, rel_bounds[1] * y_var)
     by_cell = {}
     for s_val in (0, 1):
         for a_val in (0, 1):
             mask = data.rows(s_val, a_val)
             if mask.any():
-                by_cell[(a_val, s_val)] = float(np.mean(resid[mask] ** 2))
+                by_cell[(a_val, s_val)] = float(
+                    np.clip(np.mean(resid[mask] ** 2), 1e-4 * y_var, 1e4 * y_var))
     if not by_cell:
         raise ValidationError("variance fit: no non-empty cells")
-    return VarianceFunction(by_cell, bounds)
+    return VarianceFunction(by_cell)

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimators import ESTIMATOR_NAMES, FitOptions, run_pipeline
+from .estimators import ESTIMATOR_NAMES, FitOptions, _check_estimators, run_pipeline
 from .inference import _Z95, _summaries
 from .model import (
     BasisSpec,
     Dataset,
     StructuralModel,
     _check_fields,
+    _check_probes,
     _expit,
     constant_term,
     linear_term,
@@ -128,9 +129,8 @@ class SimConfig:
             raise ValidationError("jobs must be at least 1")
         # more workers than cores only adds processes
         object.__setattr__(self, "jobs", min(self.jobs, os.cpu_count() or 1))
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
-        if unknown:
-            raise ValidationError(f"unknown estimators: {sorted(unknown)}")
+        _check_estimators(self.estimators)
+        _check_probes(self.probes, 2, "x1 and x2")
 
     @property
     def gof_enabled(self) -> bool:

@@ -121,6 +121,7 @@ HOSTILE = [
      "'covariates' must be a list of strings"),
     ("config-estimators-string", None, {"estimators": "integrative"}, 2,
      "'estimators' must be a list of strings"),
+    ("no-estimators", None, ["--estimators", ","], 2, "estimators must list at least one"),
 ]
 
 

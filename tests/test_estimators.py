@@ -7,6 +7,7 @@ comparator against a hand-rolled weighted regression.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from htefusion import (
     build_workspace,
     constant_term,
     fit_propensity,
+    fit_variance_function,
     generate_replicate,
     linear_term,
     mean_score,
@@ -54,6 +56,44 @@ def fused_fixture():
 def trial_workspace(data, model, nuis):
     """The trial-only equations of ``data``: the pooled workspace's trial slice."""
     return build_workspace(data, model, nuis).trial(data.rows(1))
+
+
+def fitted_propensities(data, opts):
+    """The clipped propensities ``run_pipeline`` fits to ``data`` with ``opts``."""
+    spec = build_spline_basis(data, opts.knots)
+    designs = source_designs(data, spec)
+    e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
+                           clip_e=opts.clip_e, ridge=opts.ridge)
+    return e_fit.predict(data.s, designs)
+
+
+def weighted_by_hand(data, model, ws, e_hat, y_var, rounds=1):
+    """The pipeline's weighting spelled out on the profiled workspace ``ws``
+    of ``data``: solve at unit variances, then ``rounds`` times fit the cell
+    variances at the current solution, replace the weight and solve again."""
+    solve = solve_rct if ws.p2 == 0 else solve_integrative
+    ws = replace(ws, score_weight=estimators._score_weight(data.a, e_hat, 1, 1))
+    rep = solve(data, model, ws, np.zeros(ws.p))
+    for _ in range(rounds):
+        var_fit = fit_variance_function(data, residuals(ws, rep.psi_hat), y_var=y_var)
+        weight = estimators._score_weight(data.a, e_hat, var_fit.predict(1, data.s),
+                                          var_fit.predict(0, data.s))
+        ws = replace(ws, score_weight=weight)
+        rep = solve(data, model, ws, rep.psi_hat)
+    return rep
+
+
+def by_hand_per_estimator(data, model, opts, rounds=1):
+    """``run_pipeline``'s integrative and trial-only fits, and the same two
+    estimators weighted by hand on the pipeline's workspaces."""
+    fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
+    e_hat, y_var, trial = fitted_propensities(data, opts), float(np.var(data.y)), data.rows(1)
+    return fit, {
+        "integrative": weighted_by_hand(data, model, fit.integrative.workspace, e_hat,
+                                        y_var, rounds),
+        "rct": weighted_by_hand(data.trial_only(), model, fit.rct.workspace, e_hat[trial],
+                                y_var, rounds),
+    }
 
 
 class TestWorkspace:
@@ -274,17 +314,24 @@ class TestSolvers:
         # each round starts next to the root, where the mean score is at
         # rounding level; the solve must still be accepted there
         model = make_config(beta=1.0, seed=3).model()
-        fits = {refine: run_pipeline(desk_data, model,
-                                     FitOptions(knots=0, trial_known=0.5, refine=refine),
-                                     which=("integrative", "rct"))
-                for refine in (8, 20)}
-        for rep in (fits[20].integrative, fits[20].rct):
+        opts = FitOptions(knots=0, trial_known=0.5)
+        fits = {rounds: by_hand_per_estimator(desk_data, model, opts, rounds)[1]
+                for rounds in (8, 20)}
+        for rep in fits[20].values():
             assert rep.converged and not rep.fallback_used
         # the rounds approach a fixed point
-        assert np.allclose(fits[20].integrative.psi_hat, fits[8].integrative.psi_hat,
-                           rtol=0, atol=1e-8)
-        assert np.allclose(fits[20].rct.psi_hat, fits[8].rct.psi_hat,
-                           rtol=0, atol=1e-8)
+        for name in ("integrative", "rct"):
+            assert np.allclose(fits[20][name].psi_hat, fits[8][name].psi_hat,
+                               rtol=0, atol=1e-8), name
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    def test_pipeline_is_the_two_step_estimator(self, desk_data, knots):
+        # a solve at unit variances, then one solve with the cell variances
+        # fitted at that solution, bit for bit
+        model = make_config(beta=1.0, seed=3).model()
+        fit, by_hand = by_hand_per_estimator(desk_data, model, FitOptions(knots=knots))
+        for name, rep in by_hand.items():
+            assert np.array_equal(getattr(fit, name).psi_hat, rep.psi_hat), name
 
 
 class TestMetaEstimate:
@@ -363,13 +410,17 @@ class TestPipeline:
 
     def test_refinement_refits_at_the_solution(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
-        opts0 = FitOptions(knots=0, trial_known=0.5, refine=0)
-        opts1 = FitOptions(knots=0, trial_known=0.5, refine=1)
-        fit0 = run_pipeline(data, model, opts0)
-        fit1 = run_pipeline(data, model, opts1)
-        # the variance round moves the solution through the score weight alone
-        assert not np.allclose(fit0.integrative.psi_hat, fit1.integrative.psi_hat)
-        ws0, ws1 = fit0.integrative.workspace, fit1.integrative.workspace
+        opts = FitOptions(knots=0, trial_known=0.5)
+        fit1 = run_pipeline(data, model, opts)
+        # the same workspace at unit weight, built and profiled afresh
+        spec = build_spline_basis(data, opts.knots)
+        unit, e_hat = np.ones(data.n), fitted_propensities(data, opts)
+        ws0 = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
+        estimators._profile_outcome_mean(ws0, data, source_designs(data, spec), opts.ridge)
+        first = solve_integrative(data, model, ws0, np.zeros(ws0.p))
+        # the variance step moves the solution through the score weight alone
+        assert not np.allclose(first.psi_hat, fit1.integrative.psi_hat)
+        ws1 = fit1.integrative.workspace
         for name in ("grad", "resid_design", "base_resid", "eps_a"):
             assert np.array_equal(getattr(ws0, name), getattr(ws1, name)), name
         assert not np.array_equal(ws0.score_weight, ws1.score_weight)
@@ -409,19 +460,20 @@ class TestProfiledOutcomeMean:
     @pytest.mark.parametrize("knots", [0, 4])
     def test_equals_explicit_outcome_mean_refits(self, desk_data, knots):
         model = make_config(beta=1.0, seed=3).model()
-        opts = FitOptions(knots=knots, refine=0)  # unit variances throughout
+        opts = FitOptions(knots=knots)
         fit = run_pipeline(desk_data, model, opts, which=("integrative", "rct"))
         spec = build_spline_basis(desk_data, knots)
-        designs = source_designs(desk_data, spec)
-        e_fit = fit_propensity(desk_data, spec, designs, trial_known=opts.trial_known,
-                               clip_e=opts.clip_e, ridge=opts.ridge)
-        e_hat, unit = e_fit.predict(desk_data.s, designs), np.ones(desk_data.n)
-        for name in ("integrative", "rct"):
+        e_hat, unit = fitted_propensities(desk_data, opts), np.ones(desk_data.n)
+        for name, solve in (("integrative", solve_integrative), ("rct", solve_rct)):
             trial_only = name == "rct"
-            rep = getattr(fit, name)
+            # the pipeline's workspace at unit variances throughout
+            rows = desk_data.rows(1) if trial_only else slice(None)
+            weight = estimators._score_weight(desk_data.a[rows], e_hat[rows], 1, 1)
+            ws = replace(getattr(fit, name).workspace, score_weight=weight)
+            rep = solve(desk_data, model, ws, np.zeros(ws.p))
             want = refit_outcome_mean(desk_data, model, e_hat, unit, spec, opts.ridge,
                                       trial_only=trial_only)
-            est = sandwich_covariance(desk_data, model, rep.psi_hat, rep.workspace)
+            est = sandwich_covariance(desk_data, model, rep.psi_hat, ws)
             assert np.abs((est.psi_hat - want) / est.se).max() < 1e-8, name
 
 
@@ -491,7 +543,7 @@ class TestCachedDesigns:
         run_pipeline(desk_data, model, FitOptions(knots=4),
                      which=("integrative", "rct", "meta"))
         # one effect and confounding design for the one workspace of the fit,
-        # which both estimators and every variance round read; the effect
+        # which both estimators and both steps of each read; the effect
         # design is the comparator's
         assert rows["both"] == [desk_data.n]
         assert rows["tau"] == [desk_data.n]
@@ -499,7 +551,7 @@ class TestCachedDesigns:
 
 
 class TestTrialOnlyRefits:
-    """The trial-only estimator's variance rounds read trial records only."""
+    """The trial-only estimator's variance step reads trial records only."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -527,7 +579,7 @@ class TestTrialOnlyRefits:
         fit_propensity(desk_data, spec, source_designs(desk_data, spec))
         propensity_fits = len(fitted)
         fit = run_pipeline(desk_data, model, opts, which=("rct",))
-        # one variance round, on the trial's two cells; no regression runs
+        # one variance fit, on the trial's two cells; no regression runs
         # after the propensity fits
         assert rounds == [(desk_data.n_trial, 2 * propensity_fits, {(0, 1), (1, 1)})]
         assert len(fitted) == 2 * propensity_fits
@@ -547,16 +599,13 @@ class TestTrialOnlyRefits:
 
     def test_trial_fit_equals_the_pooled_round_on_trial_rows(self, desk_data, model):
         # the trial-only workspace is the pooled one's trial rows and effect
-        # columns; only its variance rounds differ
-        for refine in (0, 1):
-            fit = run_pipeline(desk_data, model, FitOptions(knots=4, refine=refine),
-                               which=("integrative", "rct"))
-            pooled, trial_ws = fit.integrative.workspace, fit.rct.workspace
-            trial, p1 = desk_data.rows(1), model.p1
-            assert np.array_equal(trial_ws.grad, pooled.grad[trial, :p1])
-            assert np.array_equal(trial_ws.resid_design, pooled.resid_design[trial, :p1])
-            assert np.array_equal(trial_ws.base_resid, pooled.base_resid[trial])
-            assert np.array_equal(trial_ws.eps_a, pooled.eps_a[trial])
-            same_weights = np.array_equal(trial_ws.score_weight,
-                                          pooled.score_weight[trial])
-            assert same_weights == (refine == 0)
+        # columns; only its fitted variances differ
+        fit = run_pipeline(desk_data, model, FitOptions(knots=4),
+                           which=("integrative", "rct"))
+        pooled, trial_ws = fit.integrative.workspace, fit.rct.workspace
+        trial, p1 = desk_data.rows(1), model.p1
+        assert np.array_equal(trial_ws.grad, pooled.grad[trial, :p1])
+        assert np.array_equal(trial_ws.resid_design, pooled.resid_design[trial, :p1])
+        assert np.array_equal(trial_ws.base_resid, pooled.base_resid[trial])
+        assert np.array_equal(trial_ws.eps_a, pooled.eps_a[trial])
+        assert not np.array_equal(trial_ws.score_weight, pooled.score_weight[trial])

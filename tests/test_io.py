@@ -135,6 +135,21 @@ class TestLoadCsv:
         assert np.allclose(loaded.y, data.y)
         assert np.allclose(loaded.x, data.x)
 
+    def test_byte_order_mark_is_ignored(self, csv_fixture, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with the UTF-8 mark
+        path, _ = csv_fixture
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        cfg = base_config(path)
+        want, got = load_csv(str(path), cfg), load_csv(str(marked), cfg)
+        for name in ("s", "a", "y", "x"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # and a bad cell after it is still located by line and column
+        marked.write_bytes(b"\xef\xbb\xbf" + b"s,a,y," + ",".join(NAMES).encode()
+                           + b"\n1,0,1.0,0.1,0.2,0.3,0.4,0.5\n1,0,x,0.1,0.2,0.3,0.4,0.5\n")
+        with pytest.raises(ValidationError, match="line 3, column 'y'"):
+            load_csv(str(marked), cfg)
+
     def test_missing_file(self, tmp_path):
         cfg = base_config(tmp_path / "absent.csv")
         with pytest.raises(ValidationError, match="not found"):

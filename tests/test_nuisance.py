@@ -285,7 +285,7 @@ class TestFitVarianceFunction:
 
     def test_recovers_homoscedastic_truth(self):
         data, model, psi, e, resid, spec = self._fitted()
-        fit = fit_variance_function(data, resid)
+        fit = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
         v_trial = fit.predict(1, np.ones(50, dtype=int))
         v_obs = fit.predict(0, np.zeros(50, dtype=int))
         assert np.abs(v_trial / 1.0 - 1.0).max() < 0.12
@@ -295,7 +295,7 @@ class TestFitVarianceFunction:
         # each cell's variance is the intercept-only fit of the squared
         # residuals: their mean
         data, model, psi, e, resid, _ = self._fitted()
-        fit = fit_variance_function(data, resid)
+        fit = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
         assert set(fit.by_cell) == {(a, s) for a in (0, 1) for s in (0, 1)}
         for (a, s), var in fit.by_cell.items():
             assert var == np.mean(resid[data.rows(s, a)] ** 2)
@@ -312,13 +312,14 @@ class TestFitVarianceFunction:
             rows = data.rows(source)
             fresh = fit_additive(spec.design(data.x[rows]), h[rows], spec)
             assert np.array_equal(held.by_source[source].coef, fresh.coef)
-        base = fit_variance_function(data, resid)
-        again = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
-        assert again.bounds == base.bounds
-        assert np.array_equal(again.predict(1, np.ones(3, dtype=int)),
-                              base.predict(1, np.ones(3, dtype=int)))
-        scaled = fit_variance_function(data, resid, y_var=2.0)
-        assert scaled.bounds == (2e-4, 2e4)
+        # the outcome variance only bounds the cells: any that brackets
+        # their mean squares, or none (y_var <= 0 reads as 1), leaves them be
+        base = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
+        for y_var in (2.0, 0.0, -1.0):
+            again = fit_variance_function(data, resid, y_var=y_var)
+            assert again.by_cell == base.by_cell
+            assert np.array_equal(again.predict(1, np.ones(3, dtype=int)),
+                                  base.predict(1, np.ones(3, dtype=int)))
 
     def test_singular_cell_fit_warning_names_its_cell(self):
         data, model, psi, e, resid, _ = self._fitted()
@@ -334,13 +335,14 @@ class TestFitVarianceFunction:
 
     def test_bounds_clamp_predictions(self):
         data, model, psi, e, resid, spec = self._fitted()
-        fit = fit_variance_function(data, resid, rel_bounds=(1e-9, 1e-8))
-        got = fit.predict(1, np.ones(5, dtype=int))
-        assert np.all(got <= 1e-8 * np.var(data.y) + 1e-20)
+        # a tiny outcome variance caps every cell, a huge one floors it
+        for y_var, bound in ((1e-9, 1e4 * 1e-9), (1e9, 1e-4 * 1e9)):
+            fit = fit_variance_function(data, resid, y_var=y_var)
+            assert np.all(fit.predict(1, np.ones(5, dtype=int)) == bound)
+            assert set(fit.by_cell.values()) == {bound}
 
     def test_variance_function_scalar_components(self):
-        vf = VarianceFunction({(0, 0): 2.0, (1, 0): 2.0, (0, 1): 1.0, (1, 1): 1.0},
-                              bounds=(1e-8, 1e8))
+        vf = VarianceFunction({(0, 0): 2.0, (1, 0): 2.0, (0, 1): 1.0, (1, 1): 1.0})
         assert vf.predict(0, [0, 0, 1, 1]).tolist() == [2.0, 2.0, 1.0, 1.0]
         assert vf.predict(1, [1, 0]).tolist() == [1.0, 2.0]
         with pytest.raises(ValidationError, match=r"cell \(a=0, s=2\)"):

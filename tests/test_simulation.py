@@ -93,11 +93,18 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"n": 1}, {"m": 1}, {"reps": 0}, {"jobs": 0},
         {"tau_form": "mixed"}, {"confounding_form": "triple"},
-        {"estimators": ("integrative", "oracle")},
+        {"estimators": ("integrative", "oracle")}, {"estimators": ()},
     ])
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ValidationError):
             make_config(**bad)
+
+    @pytest.mark.parametrize("probes", [
+        ((1.0, 2.0, 3.0),), ((1.0,),), ((float("nan"), 0.0),), ((0.0, 0.0), (0.0, float("inf"))),
+    ])
+    def test_rejects_probes_that_are_not_finite_pairs(self, probes):
+        with pytest.raises(ValidationError, match="probes must each be 2 finite numbers"):
+            make_config(probes=probes)
 
     @pytest.mark.parametrize("bad, text", [
         ({"beta": "12345"}, "'beta' must be a list of numbers"),
