@@ -33,6 +33,7 @@ and ``R`` once, and one linear solve finds the root of the equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +132,9 @@ class ScoreWorkspace:
     (``p2 == 0``) holds the trial-only equations; see :meth:`trial`.
     ``grad`` and ``resid_design`` are column-major, like the designs they
     come from, so sums over records run down contiguous columns.
+    ``jacobian`` is computed once, on first use, and shared by the solve
+    and the sandwich; a workspace made by ``dataclasses.replace`` computes
+    its own.
     """
 
     grad: np.ndarray          # (n, p) stacked basis gradients
@@ -148,6 +152,16 @@ class ScoreWorkspace:
     @property
     def p(self) -> int:
         return self.p1 + self.p2
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """Average derivative of the score in the coefficients (constant),
+        read-only."""
+        # negate the (p, p) product, not the (n, p) factor: the same numbers
+        # without a second record-length temporary
+        jac = -((self.grad * self.score_weight[:, None]).T @ self.resid_design) / self.n
+        jac.flags.writeable = False
+        return jac
 
     def trial(self, rows: np.ndarray) -> ScoreWorkspace:
         """The trial-only equations: records ``rows`` (the trial mask of
@@ -231,10 +245,9 @@ def mean_score(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
 
 
 def mean_score_jacobian(ws: ScoreWorkspace) -> np.ndarray:
-    """Average derivative of the score in the coefficients (constant)."""
-    # negate the (p, p) product, not the (n, p) factor: the same numbers
-    # without a second record-length temporary
-    return -((ws.grad * ws.score_weight[:, None]).T @ ws.resid_design) / ws.n
+    """Average derivative of the score in the coefficients (constant): the
+    workspace's ``jacobian``."""
+    return ws.jacobian
 
 
 def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans,
@@ -369,6 +382,7 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
     ``(I - S) y`` and ``(I - S) R`` in place, from one solve per source
     on ``designs``, that source's held spline design.
     """
+    vars(ws).pop("jacobian", None)  # a Jacobian taken before is of the old pieces
     for source, design in designs.items():
         rows = np.flatnonzero(data.rows(source))
         # gathered into the column-major copy in place; the indices are in

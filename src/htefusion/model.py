@@ -38,6 +38,19 @@ def _expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(x))`` into ``out``, branch-free, as
+    ``max(x, 0) + log1p(exp(-|x|))``: ``np.logaddexp(0, x)`` to within
+    2 ulp, without its per-element branches.  ``exp`` never overflows, and
+    +-inf and NaN map as ``logaddexp`` maps them."""
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
+
+
 def _check_binary(v, name):
     arr = np.asarray(v)
     if not np.isin(arr, (0, 1)).all():
@@ -156,7 +169,7 @@ def _natural_cubic_pieces(v: np.ndarray, knots: Sequence[float]) -> list:
     # by all L - 1 pieces.
     t = np.asarray(knots, dtype=float)
     L = t.size - 1
-    cube = [r * r * r for r in (np.clip(v - tj, 0.0, None) for tj in t)]
+    cube = [r * r * r for r in (np.maximum(v - tj, 0.0) for tj in t)]
     d = [(cube[j] - cube[L]) / (t[L] - t[j]) for j in range(L)]
     return [d[r] - d[L - 1] for r in range(L - 1)]
 

@@ -20,6 +20,7 @@ from .model import (
     BasisSpec,
     Dataset,
     _expit,
+    _softplus,
     _take_rows,
     constant_term,
     linear_term,
@@ -184,10 +185,13 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         scale = 1.0
     pen = ridge * scale
 
+    loss, y_eta = np.empty_like(y), np.empty_like(y)
+
     def deviance(c):
         eta = design @ c
-        # log(1 + exp(eta)) - y * eta, computed stably
-        dev = 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta)) + pen * float(c @ c)
+        # log(1 + exp(eta)) - y * eta, computed stably in the held buffers
+        np.subtract(_softplus(eta, loss), np.multiply(y, eta, out=y_eta), out=loss)
+        dev = 2.0 * float(np.sum(loss)) + pen * float(c @ c)
         return dev, eta
 
     coef = np.zeros(basis.p)
@@ -196,7 +200,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     r = np.empty_like(design)  # the one weighted copy of the design
     for _ in range(_IRLS_MAX_ITER):
         prob = _expit(eta)
-        w = np.clip(prob * (1.0 - prob), 1e-10, None)
+        w = np.maximum(prob * (1.0 - prob), 1e-10)
         z = eta + (y - prob) / w
         np.multiply(design, np.sqrt(w)[:, None], out=r)
         try:  # r.T @ r is one symmetric product: the weighted Gram

@@ -14,6 +14,7 @@ is byte-identical for any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -292,6 +293,28 @@ def _worker(args) -> dict:
     return run_replicate(cfg, rep)
 
 
+def _one_blas_thread() -> None:
+    """Set this process's BLAS to one thread, if it is numpy's bundled OpenBLAS.
+
+    Workers with several BLAS threads each oversubscribe the cores.  The
+    setter is found through ``_multiarray_umath``, which links the bundled
+    OpenBLAS; on other BLAS builds, or a numpy without ``np._core``, this
+    does nothing.
+    """
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        setter = blas.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """``jobs`` worker processes, each running BLAS on one thread."""
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread)
+
+
 def run_monte_carlo(cfg: SimConfig) -> McSummary:
     """Run all replicates and fold the results in replicate order.
 
@@ -299,7 +322,7 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
     below that, the count is reported in the summary.
     """
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with _worker_pool(cfg.jobs) as pool:
             results = list(pool.map(_worker, [(cfg, r) for r in range(cfg.reps)],
                                     chunksize=max(1, cfg.reps // (4 * cfg.jobs))))
     else:

@@ -368,8 +368,46 @@ class TestMetaEstimate:
             meta_estimate(data, model, flat, {})
 
 
+class TestSharedJacobian:
+    """Each workspace computes its score Jacobian once."""
+
+    def test_solve_and_sandwich_share_one_jacobian(self, fused_fixture):
+        cfg, data, model, _ = fused_fixture
+        fit = run_pipeline(data, model, FitOptions(knots=0, trial_known=0.5),
+                           which=("integrative", "rct"))
+        for name, d in (("integrative", data), ("rct", data.trial_only())):
+            rep = getattr(fit, name)
+            ws = rep.workspace
+            assert "jacobian" in vars(ws), name  # taken by the final solve
+            jac = ws.jacobian
+            est = sandwich_covariance(d, model, rep.psi_hat, ws)
+            assert est.bread is jac and mean_score_jacobian(ws) is jac, name
+            assert not jac.flags.writeable
+            want = -((ws.grad * ws.score_weight[:, None]).T @ ws.resid_design) / ws.n
+            assert np.array_equal(jac, want), name
+
+    def test_replaced_workspace_computes_its_own(self, fused_fixture):
+        cfg, data, model, nuis = fused_fixture
+        ws = build_workspace(data, model, nuis)
+        jac = ws.jacobian
+        doubled = replace(ws, score_weight=2.0 * ws.score_weight)
+        assert doubled.jacobian is not jac
+        assert np.array_equal(doubled.jacobian, 2.0 * jac)  # doubling is exact
+        assert ws.jacobian is jac
+
+    def test_profiling_drops_a_jacobian_taken_before(self, fused_fixture):
+        cfg, data, model, nuis = fused_fixture
+        ws = build_workspace(data, model, nuis)
+        stale = ws.jacobian
+        spec = build_spline_basis(data, 0)
+        estimators._profile_outcome_mean(ws, data, source_designs(data, spec), 1e-6)
+        fresh = -((ws.grad * ws.score_weight[:, None]).T @ ws.resid_design) / ws.n
+        assert np.array_equal(ws.jacobian, fresh)
+        assert not np.allclose(fresh, stale)
+
+
 class TestPipeline:
-    def test_var_knots_default_gives_cell_constant_weights(self, fused_fixture):
+    def test_cell_constant_weights(self, fused_fixture):
         # with a known trial propensity the score weight of a trial record
         # varies only through its arm's residual variance
         cfg, data, model, _ = fused_fixture
@@ -557,7 +595,7 @@ class TestTrialOnlyRefits:
     def model(self):
         return make_config(beta=1.0, seed=3).model()
 
-    def test_refine_round_fits_trial_rows_only(self, desk_data, model, monkeypatch):
+    def test_variance_fit_reads_trial_cells_only(self, desk_data, model, monkeypatch):
         opts = FitOptions(knots=4)
         fitted, rounds = [], []
         fit_additive = nuisance.fit_additive

@@ -20,7 +20,7 @@ from htefusion import (
     spline_term,
     square_term,
 )
-from htefusion.model import _expit
+from htefusion.model import _expit, _softplus
 from oracles import (
     UnitRecord,
     from_records,
@@ -47,6 +47,29 @@ class TestExpit:
         np.testing.assert_allclose(got, special.expit(x), rtol=6e-16, atol=0.0)
         assert got[0] == 0.0 and got[-3] == 1.0  # x = -800 and 800
         assert got[-2] == 0.0 and got[-1] == 1.0  # x = -inf and inf
+
+
+class TestSoftplus:
+    def test_matches_logaddexp_without_warning(self):
+        x = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 745.0, -745.0,
+                      1e4, -1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softplus(x, np.empty_like(x))
+            special_values = _softplus(np.array([-np.inf, np.inf, np.nan]), np.empty(3))
+        want = np.logaddexp(0.0, x)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))  # within 2 ulp
+        with np.errstate(invalid="ignore"):  # logaddexp itself warns on NaN
+            want_special = np.logaddexp(0.0, [-np.inf, np.inf, np.nan])
+        np.testing.assert_array_equal(special_values, want_special)
+
+    def test_writes_into_out_and_leaves_x(self):
+        x = np.linspace(-50.0, 50.0, 101)
+        before, out = x.copy(), np.empty_like(x)
+        assert _softplus(x, out) is out
+        assert np.array_equal(x, before)
+        want = np.logaddexp(0.0, x)
+        assert np.all(np.abs(out - want) <= 2 * np.spacing(want))
 
 
 class TestUnitRecord:

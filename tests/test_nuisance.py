@@ -29,7 +29,7 @@ from htefusion import (
     square_term,
 )
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
-from oracles import pseudo_outcomes
+from oracles import logit_irls, pseudo_outcomes
 
 
 class TestBuildSplineBasis:
@@ -96,6 +96,15 @@ class TestFitAdditive:
         ref = minimize(deviance, np.zeros(3), method="BFGS",
                        options={"gtol": 1e-12}).x
         assert np.allclose(fit.coef, ref, atol=1e-5)
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    def test_logit_matches_reference_irls(self, desk_data, knots):
+        spec = build_spline_basis(desk_data, knots)
+        for source, design in source_designs(desk_data, spec).items():
+            y = desk_data.a[desk_data.rows(source)].astype(float)
+            fit = fit_additive(design, y, spec, link="logit", ridge=1e-6)
+            np.testing.assert_allclose(fit.coef, logit_irls(design, y, 1e-6),
+                                       rtol=1e-12, atol=0.0)
 
     def test_collinear_design_warns_but_fits(self):
         rng = np.random.default_rng(3)

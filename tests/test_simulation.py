@@ -1,5 +1,6 @@
 """The synthetic study: generator moments, replicate analysis, aggregation."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -304,6 +305,13 @@ class TestRunReplicate:
         assert set(out["estimates"]) == {"rct", "meta"}
 
 
+def _blas_threads() -> int:
+    """The bundled OpenBLAS's thread count in the calling process."""
+    get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
 class TestRunMonteCarlo:
     def test_summary_layout(self, tiny_study):
         cfg, mc = tiny_study
@@ -346,6 +354,25 @@ class TestRunMonteCarlo:
         assert a.pop("config")["jobs"] == 1
         assert b.pop("config")["jobs"] == 2
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_workers_run_blas_on_one_thread(self):
+        try:
+            blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            get, set_ = (blas.scipy_openblas_get_num_threads64_,
+                         blas.scipy_openblas_set_num_threads64_)
+        except (AttributeError, OSError):
+            pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        before = get()
+        set_(2)  # the suite pins this process to one thread; a worker would inherit it
+        try:
+            assert get() == 2
+            with simulation._worker_pool(1) as pool:
+                assert pool.submit(_blas_threads).result() == 1
+        finally:
+            set_(before)
+        assert get() == before
 
     def test_excess_fallbacks_abort(self, monkeypatch, tiny_study):
         cfg, _ = tiny_study
