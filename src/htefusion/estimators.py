@@ -42,7 +42,6 @@ from .model import Dataset, StructuralModel, _take_rows
 from .nuisance import (
     CellMeans,
     NuisanceValues,
-    Propensity,
     _solve_penalized,
     _source_rows,
     build_spline_basis,
@@ -191,15 +190,15 @@ def build_workspace(data: Dataset, model: StructuralModel,
     e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
     a = data.a.astype(float)
     k = _score_weight(data.a, e, v1, v0)
-    # blocks are written in place: no stacked temporaries beside the result
+    # blocks are written in place: no stacked temporaries beside the result;
+    # the design becomes ``grad`` once ``resid_design`` has read it
     t_design, l_design = design[:, :p1], design[:, p1:p1 + p2]
     obs = (1.0 - data.s)[:, None]
-    grad = np.empty((data.n, p1 + p2), order="F")
     resid_design = np.empty((data.n, p1 + p2), order="F")
-    grad[:, :p1] = t_design
-    np.multiply(obs, l_design, out=grad[:, p1:])
     np.multiply(a[:, None], t_design, out=resid_design[:, :p1])
     np.multiply(obs * (a - e)[:, None], l_design, out=resid_design[:, p1:])
+    grad = design
+    np.multiply(obs, l_design, out=l_design)
     base_resid = data.y - mu
     for name, arr in (("propensity", e), ("outcome mean", mu),
                       ("variance", v1), ("variance", v0)):
@@ -347,19 +346,16 @@ def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
     return _linear_solve(ws, _coefficients(phi_init, ws.p, "starting values"))
 
 
-def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity,
-                  designs: dict) -> np.ndarray:
+def meta_estimate(data: Dataset, model: StructuralModel, e: np.ndarray) -> np.ndarray:
     """Pooled inverse-propensity comparator for the effect coefficients.
 
     Regresses ``a*y/e - (1-a)*y/(1-e)`` on the effect basis over the
     combined sample.  No confounding adjustment: with a confounded
-    observational source this is biased by construction.  Uses the raw
-    fitted probabilities rather than the clipped ones; the instability
-    of plain inverse weighting near extreme propensities is part of
-    what the benchmark is meant to show.  ``designs`` is the propensity
-    fits' ``source_designs`` of ``data``.
+    observational source this is biased by construction.  ``e`` holds
+    every record's raw fitted probability (``Propensity.predict_raw``),
+    not the clipped one; the instability of plain inverse weighting near
+    extreme propensities is part of what the benchmark is meant to show.
     """
-    e = e_fit.predict_raw(data.s, designs)
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise NumericalError("meta comparator: fitted propensities reached 0 or 1")
     a = data.a.astype(float)
@@ -367,9 +363,10 @@ def meta_estimate(data: Dataset, model: StructuralModel, e_fit: Propensity,
     return _solve_penalized(model.tau_basis.design(data.x), adj, 0.0, "meta comparator fit")
 
 
-# Rows per block of the residualization's update: it allocates no
-# record-length temporaries beside the one stacked copy it solves on.
-_BLOCK = 8192
+# Rows per block of the residualization's update: beside the one stacked copy
+# it solves on, it holds one product buffer, small enough (under 128 KiB at 10
+# coefficients) to be reused from the heap rather than mapped afresh per call.
+_BLOCK = 1024
 
 
 def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
@@ -385,14 +382,23 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
     vars(ws).pop("jacobian", None)  # a Jacobian taken before is of the old pieces
     for source, design in designs.items():
         rows = np.flatnonzero(data.rows(source))
-        # gathered into the column-major copy in place; the indices are in
-        # range, and mode="clip" spares take its bounds-checking buffer
-        z = np.empty((rows.size, ws.p + 1), order="F")
-        np.take(ws.base_resid, rows, out=z[:, 0], mode="clip")
-        np.take(ws.resid_design.T, rows, axis=1, out=z[:, 1:].T, mode="clip")
+        size = rows.size
+        z = np.empty((size, ws.p + 1), order="F")
+        if rows[-1] - rows[0] + 1 == size:  # one run of records: copied as slices
+            rows = slice(rows[0], rows[-1] + 1)
+            z[:, 0], z[:, 1:] = ws.base_resid[rows], ws.resid_design[rows]
+        else:
+            # gathered into the column-major copy in place; the indices are in
+            # range, and mode="clip" spares take its bounds-checking buffer
+            np.take(ws.base_resid, rows, out=z[:, 0], mode="clip")
+            np.take(ws.resid_design.T, rows, axis=1, out=z[:, 1:].T, mode="clip")
         coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})")
-        for i in range(0, rows.size, _BLOCK):
-            z[i:i + _BLOCK] -= design[i:i + _BLOCK] @ coef
+        # column-major like z, so the update runs down contiguous columns
+        buf = np.empty((min(size, _BLOCK), ws.p + 1), order="F")
+        for i in range(0, size, _BLOCK):
+            b = min(size - i, _BLOCK)
+            np.matmul(design[i:i + b], coef, out=buf[:b])
+            z[i:i + b] -= buf[:b]
         ws.base_resid[rows] = z[:, 0]
         ws.resid_design[rows] = z[:, 1:]
 
@@ -449,11 +455,12 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     designs = source_designs(data, spec)
     e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
                            clip_e=opts.clip_e, ridge=opts.ridge)
+    e_raw = e_fit.predict_raw(data.s, designs)  # clipped below as ``predict`` clips
     result = PipelineResult()
     if "meta" in which:
-        result.meta_coef = meta_estimate(data, model, e_fit, designs)
+        result.meta_coef = meta_estimate(data, model, e_raw)
     if "integrative" in which or "rct" in which:
-        e_hat = e_fit.predict(data.s, designs)
+        e_hat = np.clip(e_raw, e_fit.clip, 1.0 - e_fit.clip)
         unit = np.ones(data.n)
         ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
         _profile_outcome_mean(ws, data, designs, opts.ridge)

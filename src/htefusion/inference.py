@@ -20,7 +20,7 @@ from .estimators import (
 # Not used here: bench/test_bench.py::test_tracer_restores_every_binding
 # checks that the tracer rewraps and restores this binding.
 from .estimators import build_workspace  # noqa: F401
-from .model import BasisSpec, Dataset, StructuralModel
+from .model import BasisSpec, Dataset, StructuralModel, _take_rows
 
 __all__ = [
     "PsiEstimate",
@@ -265,7 +265,7 @@ def _summaries(data: Dataset, model: StructuralModel, fit: PipelineResult, point
     as an array and ``ate`` as a float.
     """
     probe = model.tau_basis.design(points)
-    obs = model.tau_basis.design(data.x[data.rows(0)]) if data.n_obs else None
+    obs = model.tau_basis.design(_take_rows(data.x, data.rows(0))) if data.n_obs else None
     out = {}
     for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
         if rep is None:

@@ -53,7 +53,7 @@ def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _check_binary(v, name):
     arr = np.asarray(v)
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValidationError(f"{name} must contain only 0/1 values")
     return arr.astype(np.int8)
 
@@ -72,8 +72,9 @@ class Dataset:
 
     Source/arm coverage is intentionally not enforced here: a trial-only
     dataset is valid input for trial-only fitting.  Estimation routines
-    check the coverage they actually need.  Source and cell masks and the
-    trial subset are built once per dataset, on first use.
+    check the coverage they actually need.  Source and cell masks, the
+    trial count and the trial subset are built once per dataset, on first
+    use.
     """
 
     __slots__ = ("s", "a", "y", "x", "_cache")
@@ -101,6 +102,10 @@ class Dataset:
             raise ValidationError(
                 f"covariate x is not finite at row {int(bad[0])}, column {int(bad[1])}"
             )
+        self._freeze(s, a, y, x)
+
+    def _freeze(self, s, a, y, x) -> None:
+        """Hold checked columns read-only, with an empty cache."""
         for name, col in (("s", s), ("a", a), ("y", y), ("x", x)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -124,7 +129,9 @@ class Dataset:
 
     @property
     def n_trial(self) -> int:
-        return int(self.s.sum())
+        if "n_trial" not in self._cache:
+            self._cache["n_trial"] = int(self.s.sum())
+        return self._cache["n_trial"]
 
     @property
     def n_obs(self) -> int:
@@ -134,12 +141,19 @@ class Dataset:
         return self.n
 
     def subset(self, mask) -> "Dataset":
+        """The records ``mask`` selects, as a dataset with an empty cache.
+
+        Its columns are rows of this dataset's validated ones, so they are
+        frozen, not checked again.
+        """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n,):
             raise ValidationError("mask length must match the number of records")
         if not mask.any():
             raise ValidationError("subset would be empty")
-        return Dataset(self.s[mask], self.a[mask], self.y[mask], self.x[mask])
+        sub = object.__new__(Dataset)
+        sub._freeze(self.s[mask], self.a[mask], self.y[mask], _take_rows(self.x, mask))
+        return sub
 
     def rows(self, source: int, arm: int | None = None) -> np.ndarray:
         """Read-only mask of one source's records, or of one (arm, source) cell."""
@@ -154,6 +168,7 @@ class Dataset:
         return mask
 
     def trial_only(self) -> "Dataset":
+        """The trial records, subset once and held: see :meth:`subset`."""
         trial = self._cache.get("trial")
         if trial is None:
             trial = self._cache["trial"] = self.subset(self.rows(1))
@@ -367,5 +382,8 @@ class StructuralModel:
 
 
 def _take_rows(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Rows ``mask`` of a record-by-column matrix, column-major like a design."""
-    return np.compress(mask, mat.T, axis=1).T
+    """Rows ``mask`` of a record-by-column matrix in its memory order, by one
+    compress: a few times faster than indexing with a boolean mask."""
+    if mat.flags.f_contiguous:
+        return np.compress(mask, mat.T, axis=1).T
+    return np.compress(mask, mat, axis=0)

@@ -336,7 +336,7 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
     The nuisance fits and in-sample predictions of a whole fit share
     these rather than rebuilding the same columns per call.
     """
-    return {src: spec.design(data.x[data.rows(src)])
+    return {src: spec.design(_take_rows(data.x, data.rows(src)))
             for src in (0, 1) if data.rows(src).any()}
 
 

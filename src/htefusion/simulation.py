@@ -191,20 +191,23 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     beta = np.asarray(cfg.beta, dtype=float)
     half_scale = 0.5 if cfg.confounding_form == "unit" else 1.0
 
-    x_t = rng.standard_normal((cfg.n, N_COVARIATES))
+    x = np.empty((cfg.n + cfg.m, N_COVARIATES))  # each sample drawn into its rows
+    x_t, x_o = x[:cfg.n], x[cfg.n:]
+    rng.standard_normal(out=x_t)
     a_t = (rng.random(cfg.n) < 0.5).astype(np.int8)
     y_t = a_t * true_tau(cfg, x_t) + x_t.sum(axis=1) + rng.standard_normal(cfg.n)
 
-    x_o = rng.standard_normal((cfg.m, N_COVARIATES))
-    a_o = (rng.random(cfg.m) < _expit(-x_o.sum(axis=1))).astype(np.int8)
+    rng.standard_normal(out=x_o)
+    sum_o = x_o.sum(axis=1)
+    a_o = (rng.random(cfg.m) < _expit(-sum_o)).astype(np.int8)
     u_o = rng.normal((2.0 * a_o - 1.0) * half_scale * (x_o @ beta), 1.0)
-    y_o = a_o * true_tau(cfg, x_o) + x_o.sum(axis=1) + u_o + rng.standard_normal(cfg.m)
+    y_o = a_o * true_tau(cfg, x_o) + sum_o + u_o + rng.standard_normal(cfg.m)
 
     return Dataset(
         np.concatenate([np.ones(cfg.n, dtype=np.int8), np.zeros(cfg.m, dtype=np.int8)]),
         np.concatenate([a_t, a_o]),
         np.concatenate([y_t, y_o]),
-        np.vstack([x_t, x_o]),
+        x,
     )
 
 
@@ -318,8 +321,11 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor:
 def run_monte_carlo(cfg: SimConfig) -> McSummary:
     """Run all replicates and fold the results in replicate order.
 
-    Fails if more than 5% of replicates needed the solver fallback;
-    below that, the count is reported in the summary.
+    The fold reduces one (targets x reps) array per estimator and field along
+    its contiguous rows.  numpy sums such a row pairwise, as it sums a 1-d
+    array of the same values, so each statistic has the bits of a fold of one
+    target at a time.  Fails if more than 5% of replicates needed the solver
+    fallback; below that, the count is reported in the summary.
     """
     if cfg.jobs > 1:
         with _worker_pool(cfg.jobs) as pool:
@@ -338,26 +344,22 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
     grid = _probe_points(cfg)
     truths = list(true_tau(cfg, grid)) + [true_ate(cfg)]
     targets = tuple((lab, float(tr)) for lab, tr in zip(labels, truths))
-
+    truth = np.array([tr for _, tr in targets])[:, None]
     cells: dict = {}
     for est in cfg.estimators:
         if est not in results[0]["estimates"]:
             continue
-        per_est = {}
-        for lab, truth in targets:
-            pts = np.array([r["estimates"][est][lab][0] for r in results])
-            ves = [r["estimates"][est][lab][1] for r in results]
-            mc_mean = float(pts.mean())
-            mc_var = float(pts.var(ddof=1)) if cfg.reps > 1 else None
-            if any(v is None for v in ves):
-                mean_ve, coverage = None, None
-            else:
-                ve_arr = np.array(ves, dtype=float)
-                half = _Z95 * np.sqrt(ve_arr)
-                mean_ve = float(ve_arr.mean())
-                coverage = float(np.mean(np.abs(pts - truth) <= half))
-            per_est[lab] = CellStats(mc_mean, mc_var, mean_ve, coverage)
-        cells[est] = per_est
+        table = [[r["estimates"][est][lab] for r in results] for lab in labels]
+        pts = np.array([[pt for pt, _ in row] for row in table])
+        none = [None] * len(labels)
+        mc_var = pts.var(axis=1, ddof=1).tolist() if cfg.reps > 1 else none
+        mean_ve = coverage = none  # the comparator's, which carry no variances
+        if not any(ve is None for row in table for _, ve in row):
+            ve_arr = np.array([[ve for _, ve in row] for row in table])
+            mean_ve = ve_arr.mean(axis=1).tolist()
+            coverage = np.mean(np.abs(pts - truth) <= _Z95 * np.sqrt(ve_arr), axis=1).tolist()
+        cells[est] = {lab: CellStats(*st) for lab, st in
+                      zip(labels, zip(pts.mean(axis=1).tolist(), mc_var, mean_ve, coverage))}
 
     gof = None
     if cfg.gof_enabled and "integrative" in cells:

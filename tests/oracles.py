@@ -22,7 +22,9 @@ from htefusion import (
     solve_integrative,
     solve_rct,
 )
+from htefusion.inference import _Z95
 from htefusion.nuisance import fit_outcome_mean, source_designs
+from htefusion.simulation import CellStats
 
 
 @dataclass(frozen=True)
@@ -187,3 +189,30 @@ def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
         if step <= tol * (1.0 + np.abs(psi).max()):
             return psi[:ws.p]
     raise AssertionError(f"outcome-mean refits did not converge in {max_rounds} rounds")
+
+
+def fold_cells(results: list, targets: tuple, estimators: tuple) -> dict:
+    """Each estimator's ``CellStats`` per target from replicate results, one
+    cell at a time: the points and variances of one estimator at one target
+    are gathered across the replicates and reduced as 1-d arrays."""
+    reps = len(results)
+    cells = {}
+    for est in estimators:
+        if est not in results[0]["estimates"]:
+            continue
+        per_est = {}
+        for lab, truth in targets:
+            pts = np.array([r["estimates"][est][lab][0] for r in results])
+            ves = [r["estimates"][est][lab][1] for r in results]
+            mc_mean = float(pts.mean())
+            mc_var = float(pts.var(ddof=1)) if reps > 1 else None
+            if any(v is None for v in ves):
+                mean_ve, coverage = None, None
+            else:
+                ve_arr = np.array(ves, dtype=float)
+                half = _Z95 * np.sqrt(ve_arr)
+                mean_ve = float(ve_arr.mean())
+                coverage = float(np.mean(np.abs(pts - truth) <= half))
+            per_est[lab] = CellStats(mc_mean, mc_var, mean_ve, coverage)
+        cells[est] = per_est
+    return cells

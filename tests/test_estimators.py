@@ -340,8 +340,8 @@ class TestMetaEstimate:
         spec = build_spline_basis(data, 0)
         designs = source_designs(data, spec)
         e_fit = fit_propensity(data, spec, designs, trial_known=0.5)
-        coef = meta_estimate(data, model, e_fit, designs)
         e = e_fit.predict_raw(data.s, designs)
+        coef = meta_estimate(data, model, e)
         adj = data.a * data.y / e - (1 - data.a) * data.y / (1.0 - e)
         design = model.tau_basis.design(data.x)
         ref, *_ = np.linalg.lstsq(design, adj, rcond=None)
@@ -365,7 +365,7 @@ class TestMetaEstimate:
         cfg, data, model, nuis = fused_fixture
         flat = Propensity({0: 0.0, 1: 0.5}, clip=0.01)
         with pytest.raises(NumericalError):
-            meta_estimate(data, model, flat, {})
+            meta_estimate(data, model, flat.predict_raw(data.s, {}))
 
 
 class TestSharedJacobian:
@@ -586,6 +586,26 @@ class TestCachedDesigns:
         assert rows["both"] == [desk_data.n]
         assert rows["tau"] == [desk_data.n]
         assert rows["lambda"] == []
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    @pytest.mark.parametrize("trial_known", [None, 0.5], ids=["fitted", "known"])
+    def test_each_fitted_propensity_evaluated_once(self, desk_data, model, monkeypatch,
+                                                   knots, trial_known):
+        # the comparator reads the raw probabilities, the workspace the same
+        # values clipped: one evaluation serves both
+        rows = []
+        predict = nuisance.AdditiveRegressor.predict
+
+        def counting(self, design):
+            if self.link == "logit":
+                rows.append(design.shape[0])
+            return predict(self, design)
+
+        monkeypatch.setattr(nuisance.AdditiveRegressor, "predict", counting)
+        run_pipeline(desk_data, model, FitOptions(knots=knots, trial_known=trial_known),
+                     which=("integrative", "rct", "meta"))
+        fitted = [desk_data.n_obs] if trial_known else [desk_data.n_obs, desk_data.n_trial]
+        assert sorted(rows) == sorted(fitted)
 
 
 class TestTrialOnlyRefits:

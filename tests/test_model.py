@@ -20,7 +20,7 @@ from htefusion import (
     spline_term,
     square_term,
 )
-from htefusion.model import _expit, _softplus
+from htefusion.model import _check_binary, _expit, _softplus
 from oracles import (
     UnitRecord,
     from_records,
@@ -138,10 +138,38 @@ class TestDataset:
         sub = data.trial_only()
         assert sub.n == 2 and (sub.s == 1).all()
         assert sub.y.tolist() == [1.0, 3.0]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="subset would be empty"):
             data.subset(np.zeros(3, dtype=bool))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="mask length"):
             data.subset([True])
+
+    @pytest.mark.parametrize("flags", [[0, 1, 1], [0.0, 1.0, 1.0], [False, True, True]],
+                             ids=["int", "float", "bool"])
+    def test_binary_flags_accepted_in_any_numeric_type(self, flags):
+        got = _check_binary(flags, "a")
+        assert got.dtype == np.int8 and got.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("flags", [
+        [0, 2], [0, -1], [0.5, 1.0], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 0.0],
+        ["0", "1"], np.array([0, None], dtype=object),
+    ], ids=["2", "-1", "0.5", "nan", "inf", "-inf", "strings", "object-None"])
+    def test_binary_flags_reject_anything_else(self, flags):
+        with pytest.raises(ValidationError, match="^s must contain only 0/1 values$"):
+            _check_binary(flags, "s")
+
+    def test_subset_freezes_masked_columns_with_an_empty_cache(self):
+        data = Dataset([1, 0, 1, 0], [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0],
+                       np.vstack([X, [9.0, 8.0, 7.0]]))
+        data.rows(0)
+        assert data.n_trial == 2  # cached on the parent, not carried over
+        mask = np.array([True, False, True, True])
+        sub = data.subset(mask)
+        assert sub._cache == {}
+        for name in ("s", "a", "y", "x"):
+            col, parent = getattr(sub, name), getattr(data, name)
+            assert np.array_equal(col, parent[mask]) and col.dtype == parent.dtype
+            assert col.flags.c_contiguous and not col.flags.writeable
+        assert sub.n_trial == 2 and sub.n_obs == 1
 
     def test_masks_and_trial_subset_are_built_once(self):
         data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)

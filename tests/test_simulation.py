@@ -35,6 +35,7 @@ from htefusion import (
 )
 from htefusion.io import AnalysisConfig, run_fit
 from conftest import make_config
+from oracles import fold_cells
 
 
 class TestStreams:
@@ -400,3 +401,51 @@ class TestRunMonteCarlo:
         blob = json.loads(json.dumps(mc.to_dict()))
         assert blob["reps"] == 4
         assert blob["cells"]["integrative"]["ate"]["coverage"] is not None
+
+
+class TestFold:
+    """The study's fold reduces all targets at once with the bits of a fold of
+    one cell at a time."""
+
+    @staticmethod
+    def assert_cells_equal(got: dict, want: dict) -> None:
+        assert list(got) == list(want)
+        for est, per_est in want.items():
+            assert list(got[est]) == list(per_est)
+            for lab, cell in per_est.items():
+                for f in dataclasses.fields(cell):
+                    # == on every field: equal floats, or None on both sides
+                    assert getattr(got[est][lab], f.name) == getattr(cell, f.name), \
+                        (est, lab, f.name)
+
+    @pytest.mark.parametrize("reps", [1, 3, 20])
+    @pytest.mark.parametrize("estimators", [("integrative", "rct", "meta"), ("rct",)],
+                             ids=["all", "single"])
+    def test_study_equals_the_per_cell_fold(self, reps, estimators):
+        cfg = make_config(beta=1.0, n=200, m=600, seed=12, reps=reps, estimators=estimators)
+        mc = run_monte_carlo(cfg)
+        results = [run_replicate(cfg, r) for r in range(reps)]
+        want = fold_cells(results, mc.targets, estimators)
+        self.assert_cells_equal(mc.cells, want)
+        if reps == 1:
+            assert all(st.mc_var is None for st in mc.cells[estimators[0]].values())
+        if "meta" in estimators:
+            assert all(st.mean_ve is None and st.coverage is None
+                       for st in mc.cells["meta"].values())
+
+    def test_long_study_equals_the_per_cell_fold(self, monkeypatch):
+        # 4,000 replicates, as the acceptance study runs: rows long enough for
+        # numpy's pairwise summation to split them into blocks
+        cfg = make_config(reps=4000)
+        labels = [probe_label(p) for p in cfg.probes] + ["ate"]
+        rng = np.random.default_rng(5)
+        results = [{"fallback": False, "gof_p": None, "estimates": {
+            "integrative": {lab: (float(rng.normal(1.0, 0.3)), float(rng.gamma(2.0, 0.05)))
+                            for lab in labels},
+            "meta": {lab: (float(rng.normal(1.0, 0.5)), None) for lab in labels}}}
+            for _ in range(cfg.reps)]
+        monkeypatch.setattr(simulation, "run_replicate", lambda cfg_, rep: results[rep])
+        mc = run_monte_carlo(cfg)
+        want = fold_cells(results, mc.targets, cfg.estimators)
+        assert list(want) == ["integrative", "meta"]  # rct is absent from the results
+        self.assert_cells_equal(mc.cells, want)
