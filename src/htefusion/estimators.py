@@ -384,14 +384,10 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
         rows = np.flatnonzero(data.rows(source))
         size = rows.size
         z = np.empty((size, ws.p + 1), order="F")
-        if rows[-1] - rows[0] + 1 == size:  # one run of records: copied as slices
-            rows = slice(rows[0], rows[-1] + 1)
-            z[:, 0], z[:, 1:] = ws.base_resid[rows], ws.resid_design[rows]
-        else:
-            # gathered into the column-major copy in place; the indices are in
-            # range, and mode="clip" spares take its bounds-checking buffer
-            np.take(ws.base_resid, rows, out=z[:, 0], mode="clip")
-            np.take(ws.resid_design.T, rows, axis=1, out=z[:, 1:].T, mode="clip")
+        # gathered into the column-major copy in place; the indices are in
+        # range, and mode="clip" spares take its bounds-checking buffer
+        np.take(ws.base_resid, rows, out=z[:, 0], mode="clip")
+        np.take(ws.resid_design.T, rows, axis=1, out=z[:, 1:].T, mode="clip")
         coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})")
         # column-major like z, so the update runs down contiguous columns
         buf = np.empty((min(size, _BLOCK), ws.p + 1), order="F")
@@ -455,12 +451,12 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     designs = source_designs(data, spec)
     e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
                            clip_e=opts.clip_e, ridge=opts.ridge)
-    e_raw = e_fit.predict_raw(data.s, designs)  # clipped below as ``predict`` clips
+    e_raw = e_fit.predict_raw(data.s, designs)
     result = PipelineResult()
     if "meta" in which:
         result.meta_coef = meta_estimate(data, model, e_raw)
     if "integrative" in which or "rct" in which:
-        e_hat = np.clip(e_raw, e_fit.clip, 1.0 - e_fit.clip)
+        e_hat = e_fit.clipped(e_raw)
         unit = np.ones(data.n)
         ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
         _profile_outcome_mean(ws, data, designs, opts.ridge)

@@ -267,7 +267,11 @@ class Propensity:
     def predict(self, s, designs: dict) -> np.ndarray:
         """Clipped probabilities of records with sources ``s``; ``designs``
         is their ``source_designs``."""
-        return np.clip(self.predict_raw(s, designs), self.clip, 1.0 - self.clip)
+        return self.clipped(self.predict_raw(s, designs))
+
+    def clipped(self, e: np.ndarray) -> np.ndarray:
+        """Raw probabilities ``e`` clipped to ``[clip, 1 - clip]``."""
+        return np.clip(e, self.clip, 1.0 - self.clip)
 
     def predict_raw(self, s, designs: dict) -> np.ndarray:
         """Fitted probabilities without the clip, for callers that want the
