@@ -40,7 +40,6 @@ from .estimators import (
     SolveReport,
     build_workspace,
     mean_score,
-    mean_score_jacobian,
     meta_estimate,
     run_pipeline,
     score_matrix,

@@ -56,7 +56,6 @@ __all__ = [
     "ScoreWorkspace",
     "build_workspace",
     "mean_score",
-    "mean_score_jacobian",
     "score_matrix",
     "preliminary_estimate",
     "solve_integrative",
@@ -131,9 +130,9 @@ class ScoreWorkspace:
     (``p2 == 0``) holds the trial-only equations; see :meth:`trial`.
     ``grad`` and ``resid_design`` are column-major, like the designs they
     come from, so sums over records run down contiguous columns.
-    ``jacobian`` is computed once, on first use, and shared by the solve
-    and the sandwich; a workspace made by ``dataclasses.replace`` computes
-    its own.
+    ``jacobian``, the sandwich's bread, is computed once, on first use, and
+    shared by the solve, the sandwich and the specification test; a
+    workspace made by ``dataclasses.replace`` computes its own.
     """
 
     grad: np.ndarray          # (n, p) stacked basis gradients
@@ -183,8 +182,10 @@ def build_workspace(data: Dataset, model: StructuralModel,
 
     ``values`` holds the nuisances evaluated on every record of ``data``.
     """
-    if values.e.shape != (data.n,):
-        raise ValidationError("nuisance values do not match the number of records")
+    for name, arr in vars(values).items():
+        if np.shape(arr) != (data.n,):
+            raise ValidationError(f"nuisance values do not match the records: {name} "
+                                  f"has shape {np.shape(arr)}, not ({data.n},)")
     p1, p2 = model.p1, model.p2
     design = model.design(data.x)
     e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
@@ -243,12 +244,6 @@ def mean_score(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
     return ws.grad.T @ (ws.score_weight * residuals(ws, params)) / ws.n
 
 
-def mean_score_jacobian(ws: ScoreWorkspace) -> np.ndarray:
-    """Average derivative of the score in the coefficients (constant): the
-    workspace's ``jacobian``."""
-    return ws.jacobian
-
-
 def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans,
                          designs: dict) -> np.ndarray:
     """Least-squares starting values from cell-mean differences.
@@ -304,7 +299,7 @@ def _linear_solve(ws: ScoreWorkspace, init: np.ndarray) -> SolveReport:
     norm = float(np.linalg.norm(f))
     if norm == 0.0:
         return SolveReport(init.copy(), 0, 0.0, True, False, ws)
-    jac = mean_score_jacobian(ws)
+    jac = ws.jacobian
     try:
         params = init + np.linalg.solve(jac, -f)
     except np.linalg.LinAlgError:
@@ -346,21 +341,24 @@ def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
     return _linear_solve(ws, _coefficients(phi_init, ws.p, "starting values"))
 
 
-def meta_estimate(data: Dataset, model: StructuralModel, e: np.ndarray) -> np.ndarray:
+def meta_estimate(data: Dataset, design: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Pooled inverse-propensity comparator for the effect coefficients.
 
-    Regresses ``a*y/e - (1-a)*y/(1-e)`` on the effect basis over the
-    combined sample.  No confounding adjustment: with a confounded
-    observational source this is biased by construction.  ``e`` holds
-    every record's raw fitted probability (``Propensity.predict_raw``),
-    not the clipped one; the instability of plain inverse weighting near
-    extreme propensities is part of what the benchmark is meant to show.
+    Regresses ``a*y/e - (1-a)*y/(1-e)`` on ``design``, the effect basis on
+    every record of ``data`` (``PipelineResult.effect_design``).  No
+    confounding adjustment: with a confounded observational source this is
+    biased by construction.  ``e`` holds every record's raw fitted
+    probability (``Propensity.predict_raw``), not the clipped one; the
+    instability of plain inverse weighting near extreme propensities is
+    part of what the benchmark is meant to show.
     """
+    if design.shape[:1] != (data.n,):
+        raise ValidationError("meta comparator: design does not match the records")
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise NumericalError("meta comparator: fitted propensities reached 0 or 1")
     a = data.a.astype(float)
     adj = a * data.y / e - (1.0 - a) * data.y / (1.0 - e)
-    return _solve_penalized(model.tau_basis.design(data.x), adj, 0.0, "meta comparator fit")
+    return _solve_penalized(design, adj, 0.0, "meta comparator fit")
 
 
 # Rows per block of the residualization's update: beside the one stacked copy
@@ -370,16 +368,17 @@ _BLOCK = 1024
 
 
 def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
-                          ridge: float) -> None:
-    """Center the workspace's pseudo-outcome at its outcome-mean fit.
+                          ridge: float) -> ScoreWorkspace:
+    """The workspace with its pseudo-outcome centered at its outcome-mean fit.
 
     The outcome mean at any coefficients is each source's ridge smoother
     ``S`` (the fit of :func:`fit_outcome_mean`) applied to the
     pseudo-outcome, so ``base_resid`` and ``resid_design`` become
-    ``(I - S) y`` and ``(I - S) R`` in place, from one solve per source
-    on ``designs``, that source's held spline design.
+    ``(I - S) y`` and ``(I - S) R``, from one solve per source on
+    ``designs``, that source's held spline design.  Both are rewritten in
+    place, so ``ws`` is consumed; the returned workspace holds them and
+    computes its own Jacobian.
     """
-    vars(ws).pop("jacobian", None)  # a Jacobian taken before is of the old pieces
     for source, design in designs.items():
         rows = np.flatnonzero(data.rows(source))
         size = rows.size
@@ -397,6 +396,7 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
             z[i:i + b] -= buf[:b]
         ws.base_resid[rows] = z[:, 0]
         ws.resid_design[rows] = z[:, 1:]
+    return replace(ws)
 
 
 def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
@@ -426,9 +426,11 @@ class PipelineResult:
 
     Each report's ``workspace`` holds the equations it was solved on, with
     the outcome mean profiled out; pass it to ``sandwich_covariance`` and
-    ``gof_test``.
+    ``gof_test``.  ``effect_design``, the effect basis on every record, is
+    the pooled workspace's first ``p1`` columns whenever one was built.
     """
 
+    effect_design: np.ndarray
     integrative: SolveReport | None = None
     rct: SolveReport | None = None
     meta_coef: np.ndarray | None = None
@@ -452,22 +454,25 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
                            clip_e=opts.clip_e, ridge=opts.ridge)
     e_raw = e_fit.predict_raw(data.s, designs)
-    result = PipelineResult()
+    if "integrative" not in which and "rct" not in which:
+        design = model.tau_basis.design(data.x)
+        return PipelineResult(design, meta_coef=meta_estimate(data, design, e_raw))
+    e_hat = e_fit.clipped(e_raw)
+    unit = np.ones(data.n)
+    ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
+    ws = _profile_outcome_mean(ws, data, designs, opts.ridge)
+    del designs  # not held through the solves, which read the workspace alone
+    # the effect columns, which neither the zeroing nor the profiling touches
+    result = PipelineResult(ws.grad[:, :model.p1])
     if "meta" in which:
-        result.meta_coef = meta_estimate(data, model, e_raw)
-    if "integrative" in which or "rct" in which:
-        e_hat = e_fit.clipped(e_raw)
-        unit = np.ones(data.n)
-        ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
-        _profile_outcome_mean(ws, data, designs, opts.ridge)
-        del designs  # not held through the solves, which read the workspace alone
-        y_var = float(np.var(data.y))
-        if "rct" in which:
-            if data.n_trial == 0:
-                raise ValidationError("trial-only fitting requires s=1 records")
-            trial = data.rows(1)
-            result.rct = _solve_weighted(data.trial_only(), model, ws.trial(trial),
-                                         e_hat[trial], y_var)
-        if "integrative" in which:
-            result.integrative = _solve_weighted(data, model, ws, e_hat, y_var)
+        result.meta_coef = meta_estimate(data, result.effect_design, e_raw)
+    y_var = float(np.var(data.y))
+    if "rct" in which:
+        if data.n_trial == 0:
+            raise ValidationError("trial-only fitting requires s=1 records")
+        trial = data.rows(1)
+        result.rct = _solve_weighted(data.trial_only(), model, ws.trial(trial),
+                                     e_hat[trial], y_var)
+    if "integrative" in which:
+        result.integrative = _solve_weighted(data, model, ws, e_hat, y_var)
     return result

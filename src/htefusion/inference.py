@@ -13,7 +13,6 @@ from .estimators import (
     ScoreWorkspace,
     _check_workspace,
     _coefficients,
-    mean_score_jacobian,
     residuals,
     score_matrix,
 )
@@ -40,7 +39,7 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class PsiEstimate:
-    """Coefficients with their sandwich covariance and its two factors.
+    """Coefficients with their sandwich covariance.
 
     ``psi_hat`` stacks the ``p1`` effect coefficients, then the
     confounding ones (none for the trial-only fit).
@@ -49,8 +48,6 @@ class PsiEstimate:
     psi_hat: np.ndarray
     p1: int
     cov: np.ndarray
-    bread: np.ndarray
-    meat: np.ndarray
     n_trial: int
     n_obs: int
 
@@ -136,8 +133,8 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: np.ndarr
                         ws: ScoreWorkspace) -> PsiEstimate:
     """Empirical sandwich covariance at the solved coefficients.
 
-    The bread is the average analytic score Jacobian, the meat the
-    average outer product of per-record scores; the covariance is
+    The bread is the average analytic score Jacobian ``ws.jacobian``, the
+    meat the average outer product of per-record scores; the covariance is
     bread-inverse times meat times bread-inverse-transpose over the
     number of records entering the equations, symmetrized.  ``ws`` is
     the workspace the solve reported and ``psi_hat`` its solution; the
@@ -147,7 +144,7 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: np.ndarr
     _check_workspace(ws, data, model)
     params = _coefficients(psi_hat, ws.p, "coefficient vector")
     scores = score_matrix(ws, params)
-    bread = mean_score_jacobian(ws)
+    bread = ws.jacobian
     meat = scores.T @ scores / ws.n
     _require_invertible(bread, "sandwich bread")
     half = np.linalg.solve(bread, meat)
@@ -155,7 +152,7 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: np.ndarr
     cov = (cov + cov.T) / 2.0
     # n_trial/n_obs describe the dataset the estimate came from, so that
     # precision comparisons between fits on the same data share a scale.
-    return PsiEstimate(params, ws.p1, cov, bread, meat, data.n_trial, data.n_obs)
+    return PsiEstimate(params, ws.p1, cov, data.n_trial, data.n_obs)
 
 
 def tau_curve(est: PsiEstimate, design: np.ndarray) -> TauCurve:
@@ -177,8 +174,9 @@ def ate_estimate(est: PsiEstimate, design: np.ndarray) -> AteEstimate:
 
     The variance combines the spread of the fitted curve over that
     sample with the coefficient uncertainty contracted against the
-    average effect-basis row.  ``design`` is ``model.tau_basis.design``
-    of the observational records of the data ``est`` was fitted on.
+    average effect-basis row.  ``design`` is the effect basis on the
+    observational records ``est`` was fitted on: those rows of the fit's
+    ``effect_design``.
     """
     m = est.n_obs
     if m == 0:
@@ -245,7 +243,7 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
     g_mean = g_mat.mean(axis=0)
     # derivative of the averaged test vector in the coefficients
     g_jac = -(alt * weight[:, None]).T @ ws.resid_design / ws.n
-    adjust = _solve_square(est.bread.T, g_jac.T, "estimating-equation bread").T
+    adjust = _solve_square(ws.jacobian.T, g_jac.T, "estimating-equation bread").T
     # the scores' projection without the (n, p) score matrix: each score
     # row is its gradient row times one scalar
     corrected = g_mat - (ws.grad @ adjust.T) * (ws.score_weight * eps)[:, None]
@@ -257,7 +255,7 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
 
 def _summaries(data: Dataset, model: StructuralModel, fit: PipelineResult, points: np.ndarray,
                alt_tau: BasisSpec, alt_lambda: BasisSpec, efficient_weight: bool) -> dict:
-    """Each estimator in ``fit`` mapped to its summaries, over effect designs built once.
+    """Each estimator in ``fit`` mapped to its summaries, over the fit's effect design.
 
     The integrative and trial-only fits get ``est``, ``curve`` at the ``points``
     rows, ``ate`` when there are cohort records and, for the integrative fit given
@@ -265,7 +263,7 @@ def _summaries(data: Dataset, model: StructuralModel, fit: PipelineResult, point
     as an array and ``ate`` as a float.
     """
     probe = model.tau_basis.design(points)
-    obs = model.tau_basis.design(_take_rows(data.x, data.rows(0))) if data.n_obs else None
+    obs = _take_rows(fit.effect_design, data.rows(0)) if data.n_obs else None
     out = {}
     for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
         if rep is None:

@@ -357,14 +357,14 @@ def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
     """
     if not 0.0 < clip_e < 0.5:
         raise ValidationError(f"clip_e must lie in (0, 0.5), got {clip_e}")
+    if trial_known is not None and not 0.0 < trial_known < 1.0:  # also rejects NaN
+        raise ValidationError("trial_known must lie in (0, 1)")
     by_source = {}
     for source in (0, 1):
         mask = data.rows(source)
         if not mask.any():
             continue
         if source == 1 and trial_known is not None:
-            if not 0.0 < trial_known < 1.0:
-                raise ValidationError("trial_known must lie in (0, 1)")
             by_source[1] = float(trial_known)
             continue
         if not (data.rows(source, 0).any() and data.rows(source, 1).any()):

@@ -14,9 +14,7 @@ is byte-identical for any worker count.
 
 from __future__ import annotations
 
-import ctypes
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -291,11 +289,6 @@ def _config_echo(cfg: SimConfig) -> dict:
     return {f.name: plain(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
-def _worker(args) -> dict:
-    cfg, rep = args
-    return run_replicate(cfg, rep)
-
-
 def _one_blas_thread() -> None:
     """Set this process's BLAS to one thread, if it is numpy's bundled OpenBLAS.
 
@@ -304,6 +297,7 @@ def _one_blas_thread() -> None:
     OpenBLAS; on other BLAS builds, or a numpy without ``np._core``, this
     does nothing.
     """
+    import ctypes
     try:
         blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
         setter = blas.scipy_openblas_set_num_threads64_
@@ -313,8 +307,10 @@ def _one_blas_thread() -> None:
     setter(1)
 
 
-def _worker_pool(jobs: int) -> ProcessPoolExecutor:
-    """``jobs`` worker processes, each running BLAS on one thread."""
+def _worker_pool(jobs: int):
+    """``jobs`` worker processes, each running BLAS on one thread.  The pool
+    module is imported here, so a serial run never loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread)
 
 
@@ -329,7 +325,7 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
     """
     if cfg.jobs > 1:
         with _worker_pool(cfg.jobs) as pool:
-            results = list(pool.map(_worker, [(cfg, r) for r in range(cfg.reps)],
+            results = list(pool.map(run_replicate, [cfg] * cfg.reps, range(cfg.reps),
                                     chunksize=max(1, cfg.reps // (4 * cfg.jobs))))
     else:
         results = [run_replicate(cfg, r) for r in range(cfg.reps)]

@@ -40,7 +40,6 @@ from htefusion import (
     generate_replicate,
     linear_term,
     mean_score,
-    mean_score_jacobian,
     precision_gain,
     product_term,
     run_monte_carlo,
@@ -291,7 +290,7 @@ def test_criterion_8b_jacobian_matches_finite_differences():
     cfg = make_config(beta=1.0, n=400, m=1200, seed=103)
     data = generate_replicate(cfg, 0)
     ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-    jac = mean_score_jacobian(ws)
+    jac = ws.jacobian
     psi0 = true_psi(cfg) + 0.1
     h = 1e-6
     fd = np.empty_like(jac)

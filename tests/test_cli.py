@@ -65,6 +65,10 @@ def _separated_cohort(s, a, y, x):
     a[s == 0] = x[s == 0, 0] > 0
 
 
+def _no_trial(s, a, y, x):
+    s[:] = 0
+
+
 def _tied_first_covariate(s, a, y, x):
     x[:, 0] = np.clip(np.round(x[:, 0]), -1.0, 1.0)
 
@@ -94,6 +98,8 @@ HOSTILE = [
     ("separated-cohort", _separated_cohort, ["--estimators", "integrative,rct"], 0, None),
     ("separated-cohort-meta", _separated_cohort, ["--estimators", "meta"], 3,
      "meta comparator: fitted propensities reached 0 or 1"),
+    ("no-trial-bad-trial-known", _no_trial, ["--estimators", "meta", "--trial-known", "1.5"],
+     2, "trial_known must lie in (0, 1)"),
     ("tied-quantile-knots", _tied_first_covariate, ["--knots", "4"], 0,
      "tied quantiles reduced its spline terms to 1"),
     ("duplicate-tau-term", None, ["--tau", "1,age,age,bmi"], 3,
@@ -376,6 +382,14 @@ class TestEntryPoint:
         proc = _run_child(["-m", "htefusion.cli", "--version"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool, and the sockets and subprocesses it brings, load only
+        # when a Monte Carlo study asks for more than one worker
+        script = ("import sys, htefusion.cli; "
+                  "sys.exit('multiprocessing' in sys.modules)")
+        proc = _run_child(["-c", script])
+        assert proc.returncode == 0, proc.stderr
 
     def test_runs_without_scipy(self, data_csv, tmp_path):
         """A fit and a Monte Carlo study in a child where importing scipy

@@ -29,7 +29,6 @@ from htefusion import (
     generate_replicate,
     linear_term,
     mean_score,
-    mean_score_jacobian,
     meta_estimate,
     run_pipeline,
     sandwich_covariance,
@@ -156,6 +155,16 @@ class TestWorkspace:
                         true_psi(cfg)[:model.p1])
         assert rct.workspace.n == data.n_trial and rct.workspace.p2 == 0
 
+    @pytest.mark.parametrize("field", ["e", "mu", "v1", "v0"])
+    @pytest.mark.parametrize("shape", ["one", "column"])
+    def test_misshapen_nuisance_raises(self, fused_fixture, field, shape):
+        # a single value would broadcast, and a column would make (n, n) residuals
+        cfg, data, model, nuis = fused_fixture
+        arr = getattr(nuis, field)
+        bad = replace(nuis, **{field: arr[:1] if shape == "one" else arr[:, None]})
+        with pytest.raises(ValidationError, match=f"do not match the records: {field} has shape"):
+            build_workspace(data, model, bad)
+
     def test_nonfinite_nuisance_raises(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         bad = NuisanceValues(nuis.e, np.full(data.n, np.nan), nuis.v1, nuis.v0)
@@ -177,7 +186,7 @@ class TestScoreIdentities:
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
         psi = true_psi(cfg)
-        jac = mean_score_jacobian(ws)
+        jac = ws.jacobian
         h = 1e-6
         for col in range(ws.p):
             bump = np.zeros(ws.p)
@@ -190,7 +199,7 @@ class TestScoreIdentities:
         ws = build_workspace(data, model, nuis)
         psi = true_psi(cfg)
         total = sum(score_jacobian(ws, psi, i) for i in range(ws.n))
-        assert np.allclose(total / ws.n, mean_score_jacobian(ws))
+        assert np.allclose(total / ws.n, ws.jacobian)
 
     def test_score_mean_zero_at_truth(self):
         cfg = make_config(beta=1.0, n=10000, m=30000, seed=21)
@@ -341,11 +350,13 @@ class TestMetaEstimate:
         designs = source_designs(data, spec)
         e_fit = fit_propensity(data, spec, designs, trial_known=0.5)
         e = e_fit.predict_raw(data.s, designs)
-        coef = meta_estimate(data, model, e)
-        adj = data.a * data.y / e - (1 - data.a) * data.y / (1.0 - e)
         design = model.tau_basis.design(data.x)
+        coef = meta_estimate(data, design, e)
+        adj = data.a * data.y / e - (1 - data.a) * data.y / (1.0 - e)
         ref, *_ = np.linalg.lstsq(design, adj, rcond=None)
         assert np.allclose(coef, ref, atol=1e-8)
+        with pytest.raises(ValidationError, match="design does not match the records"):
+            meta_estimate(data, design[1:], e)
 
     def test_duplicated_effect_column_warns_and_splits_evenly(self):
         # an exactly singular system that still solves to finite numbers
@@ -365,7 +376,7 @@ class TestMetaEstimate:
         cfg, data, model, nuis = fused_fixture
         flat = Propensity({0: 0.0, 1: 0.5}, clip=0.01)
         with pytest.raises(NumericalError):
-            meta_estimate(data, model, flat.predict_raw(data.s, {}))
+            meta_estimate(data, model.tau_basis.design(data.x), flat.predict_raw(data.s, {}))
 
 
 class TestSharedJacobian:
@@ -380,8 +391,8 @@ class TestSharedJacobian:
             ws = rep.workspace
             assert "jacobian" in vars(ws), name  # taken by the final solve
             jac = ws.jacobian
-            est = sandwich_covariance(d, model, rep.psi_hat, ws)
-            assert est.bread is jac and mean_score_jacobian(ws) is jac, name
+            sandwich_covariance(d, model, rep.psi_hat, ws)
+            assert ws.jacobian is jac, name
             assert not jac.flags.writeable
             want = -((ws.grad * ws.score_weight[:, None]).T @ ws.resid_design) / ws.n
             assert np.array_equal(jac, want), name
@@ -395,14 +406,17 @@ class TestSharedJacobian:
         assert np.array_equal(doubled.jacobian, 2.0 * jac)  # doubling is exact
         assert ws.jacobian is jac
 
-    def test_profiling_drops_a_jacobian_taken_before(self, fused_fixture):
+    def test_profiled_workspace_has_the_jacobian_of_its_pieces(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
         stale = ws.jacobian
         spec = build_spline_basis(data, 0)
-        estimators._profile_outcome_mean(ws, data, source_designs(data, spec), 1e-6)
+        profiled = estimators._profile_outcome_mean(ws, data, source_designs(data, spec), 1e-6)
+        # the profiled pieces are the handed-in arrays, rewritten in place
+        assert profiled.resid_design is ws.resid_design
+        assert profiled.base_resid is ws.base_resid
         fresh = -((ws.grad * ws.score_weight[:, None]).T @ ws.resid_design) / ws.n
-        assert np.array_equal(ws.jacobian, fresh)
+        assert np.array_equal(profiled.jacobian, fresh)
         assert not np.allclose(fresh, stale)
 
 
@@ -454,7 +468,8 @@ class TestPipeline:
         spec = build_spline_basis(data, opts.knots)
         unit, e_hat = np.ones(data.n), fitted_propensities(data, opts)
         ws0 = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
-        estimators._profile_outcome_mean(ws0, data, source_designs(data, spec), opts.ridge)
+        ws0 = estimators._profile_outcome_mean(ws0, data, source_designs(data, spec),
+                                               opts.ridge)
         first = solve_integrative(data, model, ws0, np.zeros(ws0.p))
         # the variance step moves the solution through the score weight alone
         assert not np.allclose(first.psi_hat, fit1.integrative.psi_hat)
@@ -581,10 +596,10 @@ class TestCachedDesigns:
         run_pipeline(desk_data, model, FitOptions(knots=4),
                      which=("integrative", "rct", "meta"))
         # one effect and confounding design for the one workspace of the fit,
-        # which both estimators and both steps of each read; the effect
-        # design is the comparator's
+        # which both estimators and both steps of each read; the comparator
+        # reads its effect columns
         assert rows["both"] == [desk_data.n]
-        assert rows["tau"] == [desk_data.n]
+        assert rows["tau"] == []
         assert rows["lambda"] == []
 
     @pytest.mark.parametrize("knots", [0, 4])

@@ -15,8 +15,10 @@ from htefusion import (
     ate_estimate,
     build_spline_basis,
     build_workspace,
+    constant_term,
     fit_additive,
     generate_replicate,
+    linear_term,
     mean_score,
     run_pipeline,
     sandwich_covariance,
@@ -142,6 +144,35 @@ class TestEffectDesigns:
                               probes=((0.0,) * 5, (1.5, 0.0, 0.0, 0.0, 0.0)),
                               gof_tau_terms=("x1*x2",))
         assert self._count_repeats(monkeypatch, lambda: run_fit(acfg, data)) == []
+
+    def _effect_rows(self, monkeypatch, tau, call) -> list:
+        """The record counts of the ``tau`` designs ``call`` builds."""
+        rows, design = [], BasisSpec.design
+
+        def counting(spec, X):
+            if spec == tau:
+                rows.append(np.shape(X)[0])
+            return design(spec, X)
+
+        monkeypatch.setattr(BasisSpec, "design", counting)
+        call()
+        return rows
+
+    def test_the_effect_basis_is_evaluated_on_the_probes_alone(self, study, monkeypatch):
+        # the comparator and the average effects read the effect columns of
+        # the fit's workspace; with a basis other than the generator's, the
+        # draw's own evaluations are not counted
+        cfg, data, model = study
+        names = [f"x{j + 1}" for j in range(5)]
+        acfg = AnalysisConfig(data="unused.csv", covariates=names,
+                              tau_terms=("1", "x1", "x2^2"), lambda_terms=tuple(names),
+                              estimators=("integrative", "rct", "meta"),
+                              probes=((0.0,) * 5, (1.5, 0.0, 0.0, 0.0, 0.0)))
+        tau = BasisSpec((constant_term(), linear_term(0), square_term(1)))
+        assert self._effect_rows(monkeypatch, tau, lambda: run_fit(acfg, data)) == [2]
+        sim = make_config(beta=1.0, n=150, m=450, seed=5, tau_terms=tau)
+        rows = self._effect_rows(monkeypatch, tau, lambda: simulation.run_replicate(sim, 0))
+        assert rows == [len(sim.probes)]
 
     def test_a_replicate_builds_each_design_once(self, monkeypatch):
         # the draw itself evaluates the effect basis on the cohort rows, so
