@@ -39,10 +39,8 @@ from .estimators import (
     ScoreWorkspace,
     SolveReport,
     build_workspace,
-    mean_score,
     meta_estimate,
     run_pipeline,
-    score_matrix,
     solve_integrative,
     solve_rct,
 )

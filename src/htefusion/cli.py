@@ -132,10 +132,10 @@ def _print_fit(doc: ResultDocument) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    doc = run_fit(_fit_config(args))
-    _print_fit(doc)
-    if args.output:
-        print(f"result document written to {args.output}")
+    cfg = _fit_config(args)
+    _print_fit(run_fit(cfg))
+    if cfg.output:
+        print(f"result document written to {cfg.output}")
     return 0
 
 

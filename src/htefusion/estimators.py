@@ -55,8 +55,6 @@ __all__ = [
     "SolveReport",
     "ScoreWorkspace",
     "build_workspace",
-    "mean_score",
-    "score_matrix",
     "preliminary_estimate",
     "solve_integrative",
     "solve_rct",
@@ -100,13 +98,13 @@ class SolveReport:
 
     ``psi_hat`` stacks the effect coefficients, then the confounding ones
     (none for the trial-only equations), as the workspace's columns do.
-    ``iterations`` is 1 for a solve and 0 when the start was already a
-    root.  When the Jacobian is singular or the solution leaves a mean
-    score above the tolerance, ``fallback_used`` is set, ``converged``
-    is not, and ``psi_hat`` is the start.  ``final_score_norm`` is the
-    norm of the mean score at ``psi_hat``.  ``workspace`` holds the
-    equations the solve ran on, for the sandwich covariance and the
-    specification test to reuse.
+    ``iterations`` is 1 for a solve and 0 when the mean score at zero is
+    exactly zero, so that zero is the root.  When the Jacobian is singular
+    or the solution leaves a mean score above the tolerance,
+    ``fallback_used`` is set, ``converged`` is not, and ``psi_hat`` is
+    zero.  ``final_score_norm`` is the norm of the mean score at
+    ``psi_hat``.  ``workspace`` holds the equations the solve ran on, for
+    the sandwich covariance and the specification test to reuse.
     """
 
     psi_hat: np.ndarray
@@ -119,11 +117,11 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class ScoreWorkspace:
-    """Cached per-record pieces of the estimating function.
+    """Cached per-record pieces of the estimating function, and its algebra.
 
     ``base_resid - resid_design @ psi`` gives the centered pseudo-outcome
-    at any coefficient vector, so scores and their exact Jacobian come
-    from the cached matrices without refitting anything.  In the
+    at any coefficient vector (:meth:`residuals`), so scores and their exact
+    Jacobian come from the cached matrices without refitting anything.  In the
     workspace ``run_pipeline`` builds, both are residualized by the
     outcome-mean fit, so the centering moves with ``psi`` and the
     Jacobian includes it.  A workspace without confounding columns
@@ -160,6 +158,18 @@ class ScoreWorkspace:
         jac = -((self.grad * self.score_weight[:, None]).T @ self.resid_design) / self.n
         jac.flags.writeable = False
         return jac
+
+    def residuals(self, params: np.ndarray) -> np.ndarray:
+        """The centered pseudo-outcome of every record at ``params``."""
+        return self.base_resid - self.resid_design @ params
+
+    def score_matrix(self, params: np.ndarray) -> np.ndarray:
+        """All per-record scores at once, shape (n, p)."""
+        return self.grad * (self.score_weight * self.residuals(params))[:, None]
+
+    def mean_score(self, params: np.ndarray) -> np.ndarray:
+        """Column means of :meth:`score_matrix`, as one product over the records."""
+        return self.grad.T @ (self.score_weight * self.residuals(params)) / self.n
 
     def trial(self, rows: np.ndarray) -> ScoreWorkspace:
         """The trial-only equations: records ``rows`` (the trial mask of
@@ -216,32 +226,17 @@ def _score_weight(a: np.ndarray, e: np.ndarray, v1: np.ndarray,
     return (a - weighted_a) * own_w
 
 
-def _check_workspace(ws: ScoreWorkspace, data: Dataset, model: StructuralModel) -> bool:
-    """Whether ``ws`` holds the trial-only rather than the pooled equations
-    of ``data`` and ``model``; raises when it holds neither.
-
-    A model has at least one confounding column, so ``p2 == 0`` marks
-    the trial-only workspace unambiguously.
-    """
-    trial_only = ws.p2 == 0
-    n = data.n_trial if trial_only else data.n
-    if (ws.n, ws.p1) != (n, model.p1) or ws.p2 not in (0, model.p2):
-        raise ValidationError("workspace does not match the data and model")
-    return trial_only
-
-
-def residuals(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
-    return ws.base_resid - ws.resid_design @ params
-
-
-def score_matrix(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
-    """All per-record scores at once, shape (n, p)."""
-    return ws.grad * (ws.score_weight * residuals(ws, params))[:, None]
-
-
-def mean_score(ws: ScoreWorkspace, params: np.ndarray) -> np.ndarray:
-    """Column means of ``score_matrix``, as one product over the records."""
-    return ws.grad.T @ (ws.score_weight * residuals(ws, params)) / ws.n
+def _check_workspace(ws: ScoreWorkspace, data: Dataset, what: str,
+                     trial_only: bool | None = None) -> None:
+    """Raise unless ``ws`` holds equations on ``data``'s records, of the kind
+    ``what`` needs: trial-only (``p2 == 0``, on the trial records) when
+    ``trial_only``, pooled when it is False, either when it is None."""
+    is_trial = ws.p2 == 0
+    if trial_only is not None and is_trial != trial_only:
+        raise ValidationError(f"{what} needs the {'trial-only' if trial_only else 'pooled'} "
+                              "workspace")
+    if ws.n != (data.n_trial if is_trial else data.n):
+        raise ValidationError(f"{what}: workspace does not match the data")
 
 
 def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMeans,
@@ -274,47 +269,37 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
 
 
 # A solve is accepted when it cuts the mean score to this fraction of its
-# norm at the start, or to the rounding level of the equations,
-# eps * |J| * |params|, which a start near the root cannot beat; the
+# norm at zero, or to the rounding level of the equations,
+# eps * |J| * |params|, which ill-conditioned equations cannot beat; the
 # equations are linear, so an accepted solve is exact up to rounding.
 _SOLVE_RTOL = 1e-10
 
 
-def _coefficients(values, p: int, what: str) -> np.ndarray:
-    """``values`` as a float vector of ``p`` finite coefficients."""
-    vec = np.asarray(values, dtype=float)
-    if vec.shape != (p,):
-        raise ValidationError(f"{what} must be a vector of {p} coefficients, "
-                              f"got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ValidationError(f"{what} must be finite")
-    return vec
-
-
-def _linear_solve(ws: ScoreWorkspace, init: np.ndarray) -> SolveReport:
-    """One Newton step from ``init``, exact for the linear equations."""
-    f = mean_score(ws, init)
+def _linear_solve(ws: ScoreWorkspace) -> SolveReport:
+    """Solve ``ws.jacobian @ psi = -ws.mean_score(0)``, the root of the
+    linear equations; report zero when it falls back."""
+    zero = np.zeros(ws.p)
+    f = ws.mean_score(zero)
     if not np.isfinite(f).all():
-        raise NumericalError("mean score is not finite at the starting values")
+        raise NumericalError("mean score is not finite at zero coefficients")
     norm = float(np.linalg.norm(f))
     if norm == 0.0:
-        return SolveReport(init.copy(), 0, 0.0, True, False, ws)
+        return SolveReport(zero, 0, 0.0, True, False, ws)
     jac = ws.jacobian
     try:
-        params = init + np.linalg.solve(jac, -f)
+        params = np.linalg.solve(jac, -f)
     except np.linalg.LinAlgError:
-        return SolveReport(init.copy(), 1, norm, False, True, ws)
-    norm_new = float(np.linalg.norm(mean_score(ws, params)))
+        return SolveReport(zero, 1, norm, False, True, ws)
+    norm_new = float(np.linalg.norm(ws.mean_score(params)))
     floor = np.finfo(float).eps * np.linalg.norm(jac) * np.linalg.norm(params)
     if not norm_new <= max(_SOLVE_RTOL * norm, floor):  # also rejects NaN
-        return SolveReport(init.copy(), 1, norm, False, True, ws)
+        return SolveReport(zero, 1, norm, False, True, ws)
     return SolveReport(params, 1, norm_new, True, False, ws)
 
 
-def solve_integrative(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
-                      psi_init: np.ndarray) -> SolveReport:
-    """Solve the pooled estimating equations ``ws`` for all coefficients,
-    from the stacked starting values ``psi_init``."""
+def solve_integrative(data: Dataset, ws: ScoreWorkspace) -> SolveReport:
+    """Solve the pooled estimating equations ``ws`` of ``data`` for all
+    coefficients."""
     if data.n_trial == 0 or data.n_obs == 0:
         raise ValidationError("integrative fitting needs records from both sources")
     for source in (0, 1):
@@ -322,13 +307,11 @@ def solve_integrative(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
             raise ValidationError(
                 f"integrative fitting: source s={source} contains a single arm"
             )
-    if _check_workspace(ws, data, model):
-        raise ValidationError("integrative fitting needs the pooled workspace")
-    return _linear_solve(ws, _coefficients(psi_init, ws.p, "starting values"))
+    _check_workspace(ws, data, "integrative fitting", trial_only=False)
+    return _linear_solve(ws)
 
 
-def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
-              phi_init: np.ndarray) -> SolveReport:
+def solve_rct(data: Dataset, ws: ScoreWorkspace) -> SolveReport:
     """Solve the trial-only equations ``ws`` for the effect coefficients.
 
     ``ws`` is the trial-only workspace, :meth:`ScoreWorkspace.trial` of
@@ -336,9 +319,8 @@ def solve_rct(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
     """
     if not (data.rows(1, 0).any() and data.rows(1, 1).any()):
         raise ValidationError("trial-only fitting: the trial contains a single arm")
-    if not _check_workspace(ws, data, model):
-        raise ValidationError("trial-only fitting needs the trial-only workspace")
-    return _linear_solve(ws, _coefficients(phi_init, ws.p, "starting values"))
+    _check_workspace(ws, data, "trial-only fitting", trial_only=True)
+    return _linear_solve(ws)
 
 
 def meta_estimate(data: Dataset, design: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -399,25 +381,25 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
     return replace(ws)
 
 
-def _solve_weighted(data: Dataset, model: StructuralModel, ws: ScoreWorkspace,
-                    e_hat: np.ndarray, y_var: float) -> SolveReport:
+def _solve_weighted(data: Dataset, ws: ScoreWorkspace, e_hat: np.ndarray,
+                    y_var: float) -> SolveReport:
     """The paper's two steps on the records ``data`` holds, whose
     workspace ``ws`` is at unit residual variances: solve, then fit sigma2
     per cell to the residuals at that solution, recompute only the score
-    weight and solve once more.  A first solve that fell back is returned.
-    Any positive variances keep the equations unbiased, so the second step
-    buys efficiency only.
+    weight and solve the new equations.  A first solve that fell back is
+    returned.  Any positive variances keep the equations unbiased, so the
+    second step buys efficiency only.
     """
     solve = solve_rct if ws.p2 == 0 else solve_integrative
-    rep = solve(data, model, ws, np.zeros(ws.p))
+    rep = solve(data, ws)
     if rep.fallback_used:
         return rep
     # the residual is the pseudo-outcome already centered at its mean
-    var_fit = fit_variance_function(data, residuals(ws, rep.psi_hat), y_var=y_var)
+    var_fit = fit_variance_function(data, ws.residuals(rep.psi_hat), y_var=y_var)
     v1 = var_fit.predict(1, data.s)
     v0 = var_fit.predict(0, data.s)
     ws = replace(ws, score_weight=_score_weight(data.a, e_hat, v1, v0))
-    return solve(data, model, ws, rep.psi_hat)
+    return solve(data, ws)
 
 
 @dataclass
@@ -471,8 +453,7 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
         if data.n_trial == 0:
             raise ValidationError("trial-only fitting requires s=1 records")
         trial = data.rows(1)
-        result.rct = _solve_weighted(data.trial_only(), model, ws.trial(trial),
-                                     e_hat[trial], y_var)
+        result.rct = _solve_weighted(data.trial_only(), ws.trial(trial), e_hat[trial], y_var)
     if "integrative" in which:
-        result.integrative = _solve_weighted(data, model, ws, e_hat, y_var)
+        result.integrative = _solve_weighted(data, ws, e_hat, y_var)
     return result

@@ -8,14 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimators import (
-    PipelineResult,
-    ScoreWorkspace,
-    _check_workspace,
-    _coefficients,
-    residuals,
-    score_matrix,
-)
+from .estimators import PipelineResult, ScoreWorkspace, _check_workspace
 # Not used here: bench/test_bench.py::test_tracer_restores_every_binding
 # checks that the tracer rewraps and restores this binding.
 from .estimators import build_workspace  # noqa: F401
@@ -129,8 +122,16 @@ def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
-def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: np.ndarray,
-                        ws: ScoreWorkspace) -> PsiEstimate:
+def _coefficients(values, p: int) -> np.ndarray:
+    """``values`` as a float vector of ``p`` finite coefficients."""
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (p,) or not np.isfinite(vec).all():
+        raise ValidationError(f"coefficients must be a vector of {p} finite numbers, "
+                              f"got shape {vec.shape}")
+    return vec
+
+
+def sandwich_covariance(data: Dataset, psi_hat: np.ndarray, ws: ScoreWorkspace) -> PsiEstimate:
     """Empirical sandwich covariance at the solved coefficients.
 
     The bread is the average analytic score Jacobian ``ws.jacobian``, the
@@ -141,9 +142,9 @@ def sandwich_covariance(data: Dataset, model: StructuralModel, psi_hat: np.ndarr
     trial-only workspace, without confounding columns, gives the
     covariance of the effect block alone.
     """
-    _check_workspace(ws, data, model)
-    params = _coefficients(psi_hat, ws.p, "coefficient vector")
-    scores = score_matrix(ws, params)
+    _check_workspace(ws, data, "sandwich covariance")
+    params = _coefficients(psi_hat, ws.p)
+    scores = ws.score_matrix(params)
     bread = ws.jacobian
     meat = scores.T @ scores / ws.n
     _require_invertible(bread, "sandwich bread")
@@ -211,9 +212,8 @@ def precision_gain(est_int: PsiEstimate, est_rct: PsiEstimate) -> GainReport:
     return GainReport(prec_int, prec_rct, gain, min_eig)
 
 
-def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreWorkspace,
-             alt_tau: BasisSpec, alt_lambda: BasisSpec,
-             efficient_weight: bool = False) -> GofResult:
+def gof_test(data: Dataset, est: PsiEstimate, ws: ScoreWorkspace, alt_tau: BasisSpec,
+             alt_lambda: BasisSpec, efficient_weight: bool = False) -> GofResult:
     """Score-type test of the working effect and confounding models.
 
     ``alt_tau`` and ``alt_lambda`` hold directions of departure not
@@ -228,9 +228,8 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
     q1, q2 = alt_tau.p, alt_lambda.p
     if q1 + q2 < 1:
         raise ValidationError("the specification test needs at least one alternative term")
-    if _check_workspace(ws, data, model):
-        raise ValidationError("the specification test needs the pooled workspace")
-    params = _coefficients(est.psi_hat, ws.p, "coefficient vector")
+    _check_workspace(ws, data, "the specification test", trial_only=False)
+    params = _coefficients(est.psi_hat, ws.p)
     blocks = []
     if q1:
         blocks.append(alt_tau.design(data.x))
@@ -238,7 +237,7 @@ def gof_test(data: Dataset, model: StructuralModel, est: PsiEstimate, ws: ScoreW
         blocks.append((1.0 - data.s)[:, None] * alt_lambda.design(data.x))
     alt = np.hstack(blocks)
     weight = ws.score_weight if efficient_weight else ws.eps_a
-    eps = residuals(ws, params)
+    eps = ws.residuals(params)
     g_mat = alt * (weight * eps)[:, None]
     g_mean = g_mat.mean(axis=0)
     # derivative of the averaged test vector in the coefficients
@@ -268,12 +267,12 @@ def _summaries(data: Dataset, model: StructuralModel, fit: PipelineResult, point
     for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
         if rep is None:
             continue
-        est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
+        est = sandwich_covariance(data, rep.psi_hat, rep.workspace)
         out[name] = got = {"est": est, "curve": tau_curve(est, probe)}
         if obs is not None:
             got["ate"] = ate_estimate(est, obs)
         if name == "integrative" and alt_tau.p + alt_lambda.p:
-            got["gof"] = gof_test(data, model, est, rep.workspace, alt_tau, alt_lambda,
+            got["gof"] = gof_test(data, est, rep.workspace, alt_tau, alt_lambda,
                                   efficient_weight=efficient_weight)
     if fit.meta_coef is not None:
         out["meta"] = got = {"curve": probe @ fit.meta_coef}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -282,9 +283,12 @@ def _interval(val, se) -> dict:
 
 def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
     """Load the data (unless provided), fit the requested estimators with
-    ``run_pipeline``, and assemble their inference into a result document."""
+    ``run_pipeline``, and assemble their inference into a result document.
+    Its ``config`` names a CSV read by absolute path, for ``gof`` to find."""
+    config = cfg.to_dict()
     if data is None:
         data = load_csv(cfg.data, cfg)
+        config["data"] = os.path.abspath(cfg.data)
     if data.d != len(cfg.covariates):
         raise ValidationError(
             f"data has {data.d} covariates but config names {len(cfg.covariates)}"
@@ -330,7 +334,7 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
                              ("iterations", "final_score_norm", "converged", "fallback_used")}
 
     diagnostics["warnings"] = sorted({str(w.message) for w in caught})
-    doc = ResultDocument(__version__, cfg.to_dict(), _plain(results),
+    doc = ResultDocument(__version__, config, _plain(results),
                          _plain(diagnostics))
     if cfg.output:
         with open(cfg.output, "w") as fh:

@@ -183,7 +183,7 @@ def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
         if trial_only:
             ws = ws.trial(data.rows(1))
         new = psi.copy()
-        new[:ws.p] = solve(data, model, ws, psi[:ws.p]).psi_hat
+        new[:ws.p] = solve(data, ws).psi_hat
         step = np.abs(new - psi).max()
         psi = new
         if step <= tol * (1.0 + np.abs(psi).max()):

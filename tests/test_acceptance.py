@@ -39,13 +39,11 @@ from htefusion import (
     default_tau_basis,
     generate_replicate,
     linear_term,
-    mean_score,
     precision_gain,
     product_term,
     run_monte_carlo,
     run_pipeline,
     sandwich_covariance,
-    score_matrix,
     solve_integrative,
     square_term,
 )
@@ -254,9 +252,9 @@ def test_criterion_7_no_gain_when_bases_coincide():
         data = generate_replicate(cfg, r)
         model = cfg.model()
         fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
-        est_i = sandwich_covariance(data, model, fit.integrative.psi_hat,
+        est_i = sandwich_covariance(data, fit.integrative.psi_hat,
                                     fit.integrative.workspace)
-        est_r = sandwich_covariance(data, model, fit.rct.psi_hat, fit.rct.workspace)
+        est_r = sandwich_covariance(data, fit.rct.psi_hat, fit.rct.workspace)
         gains.append(precision_gain(est_i, est_r).gain)
     gains = np.array(gains)
     per_rep = np.abs(gains).max(axis=(1, 2))
@@ -277,7 +275,7 @@ def test_criterion_8a_score_centered_at_truth():
     cfg = make_config(beta=1.0, n=50_000, m=50_000, seed=101)
     data = generate_replicate(cfg, 0)
     ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-    scores = score_matrix(ws, true_psi(cfg))
+    scores = ws.score_matrix(true_psi(cfg))
     z = scores.mean(axis=0) / (scores.std(axis=0, ddof=1) / math.sqrt(ws.n))
     worst = np.abs(z).max()
     verdict("8a", worst <= 3.0,
@@ -298,7 +296,7 @@ def test_criterion_8b_jacobian_matches_finite_differences():
         up, dn = psi0.copy(), psi0.copy()
         up[j] += h
         dn[j] -= h
-        fd[:, j] = (mean_score(ws, up) - mean_score(ws, dn)) / (2.0 * h)
+        fd[:, j] = (ws.mean_score(up) - ws.mean_score(dn)) / (2.0 * h)
     rel = np.abs(fd - jac).max() / np.abs(jac).max()
     verdict("8b", rel <= 1e-6,
             f"analytic equation Jacobian agrees with central differences to "
@@ -321,7 +319,7 @@ def _projection_draw(cfg, r):
         mu = fit_outcome_mean(data, h, spec0, designs, ridge=1e-6)
         values = NuisanceValues(e_true, mu.predict(data.s, designs), v_true, v_true)
         ws = build_workspace(data, model, values)
-        psi = solve_integrative(data, model, ws, psi).psi_hat
+        psi = solve_integrative(data, ws).psi_hat
     return psi
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,18 @@ class TestFit:
         assert "[meta]" in text and "[integrative]" not in text
         assert "age^2" not in text
 
+    def test_output_set_in_the_config_is_reported(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        blob = tmp_path / "cfg.json"
+        blob.write_text(json.dumps({
+            "data": str(data_csv), "covariates": NAMES,
+            "tau_terms": ["1", "age"], "lambda_terms": ["bmi"],
+            "estimators": ["meta"], "knots": 0, "trial_known": 0.5, "output": str(out),
+        }))
+        assert main(["fit", "--config", str(blob)]) == 0
+        assert f"result document written to {out}" in capsys.readouterr().out
+        assert out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--estimators", "rct,meta",
                                             "--probe", "0,0,0,0,0"]],
                              ids=["no-probe", "no-integrative"])
@@ -311,6 +324,24 @@ class TestGof:
         text = capsys.readouterr().out
         assert code == 0
         assert "specification test" in text and "on 3 df" in text
+
+    def test_runs_from_another_directory(self, data_csv, tmp_path, monkeypatch, capsys):
+        # a fit given a relative data path, re-tested from elsewhere
+        run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+        run.mkdir()
+        elsewhere.mkdir()
+        shutil.copy(data_csv, run / "study.csv")
+        monkeypatch.chdir(run)
+        assert main(FIT_FLAGS + ["--data", "study.csv", "--estimators", "integrative",
+                                 "--out", "fit.json"]) == 0
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        code = main(["gof", "--fit", str(run / "fit.json"), "--tau-alt", "age*bmi"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "on 1 df" in captured.out
+        saved = json.loads((run / "fit.json").read_text())["config"]["data"]
+        assert os.path.isabs(saved) and os.path.samefile(saved, run / "study.csv")
 
     def test_missing_document(self, tmp_path, capsys):
         for name, text, message in (("absent.json", None, "not found"),

@@ -19,6 +19,7 @@ from htefusion import (
     NuisanceValues,
     NumericalError,
     Propensity,
+    PsiEstimate,
     StructuralModel,
     ValidationError,
     build_spline_basis,
@@ -27,19 +28,19 @@ from htefusion import (
     fit_propensity,
     fit_variance_function,
     generate_replicate,
+    gof_test,
     linear_term,
-    mean_score,
     meta_estimate,
+    product_term,
     run_pipeline,
     sandwich_covariance,
-    score_matrix,
     solve_integrative,
     solve_rct,
     square_term,
 )
 import htefusion.estimators as estimators
 import htefusion.nuisance as nuisance
-from htefusion.estimators import preliminary_estimate, residuals
+from htefusion.estimators import preliminary_estimate
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
 from conftest import make_config, true_psi, true_values, values_subset
 from oracles import efficient_score, pseudo_outcomes, refit_outcome_mean, score_jacobian
@@ -66,19 +67,20 @@ def fitted_propensities(data, opts):
     return e_fit.predict(data.s, designs)
 
 
-def weighted_by_hand(data, model, ws, e_hat, y_var, rounds=1):
+def weighted_by_hand(data, ws, e_hat, y_var, rounds=1):
     """The pipeline's weighting spelled out on the profiled workspace ``ws``
     of ``data``: solve at unit variances, then ``rounds`` times fit the cell
-    variances at the current solution, replace the weight and solve again."""
+    variances at the current solution, replace the weight and solve the new
+    equations."""
     solve = solve_rct if ws.p2 == 0 else solve_integrative
     ws = replace(ws, score_weight=estimators._score_weight(data.a, e_hat, 1, 1))
-    rep = solve(data, model, ws, np.zeros(ws.p))
+    rep = solve(data, ws)
     for _ in range(rounds):
-        var_fit = fit_variance_function(data, residuals(ws, rep.psi_hat), y_var=y_var)
+        var_fit = fit_variance_function(data, ws.residuals(rep.psi_hat), y_var=y_var)
         weight = estimators._score_weight(data.a, e_hat, var_fit.predict(1, data.s),
                                           var_fit.predict(0, data.s))
         ws = replace(ws, score_weight=weight)
-        rep = solve(data, model, ws, rep.psi_hat)
+        rep = solve(data, ws)
     return rep
 
 
@@ -88,10 +90,10 @@ def by_hand_per_estimator(data, model, opts, rounds=1):
     fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
     e_hat, y_var, trial = fitted_propensities(data, opts), float(np.var(data.y)), data.rows(1)
     return fit, {
-        "integrative": weighted_by_hand(data, model, fit.integrative.workspace, e_hat,
-                                        y_var, rounds),
-        "rct": weighted_by_hand(data.trial_only(), model, fit.rct.workspace, e_hat[trial],
-                                y_var, rounds),
+        "integrative": weighted_by_hand(data, fit.integrative.workspace, e_hat, y_var,
+                                        rounds),
+        "rct": weighted_by_hand(data.trial_only(), fit.rct.workspace, e_hat[trial], y_var,
+                                rounds),
     }
 
 
@@ -119,8 +121,8 @@ class TestWorkspace:
         ws = build_workspace(data, model, nuis)
         rng = np.random.default_rng(0)
         p1, p2 = rng.standard_normal(ws.p), rng.standard_normal(ws.p)
-        r1, r2 = residuals(ws, p1), residuals(ws, p2)
-        mid = residuals(ws, (p1 + p2) / 2.0)
+        r1, r2 = ws.residuals(p1), ws.residuals(p2)
+        mid = ws.residuals((p1 + p2) / 2.0)
         assert np.allclose(mid, (r1 + r2) / 2.0)
 
     def test_trial_only_restriction(self, fused_fixture):
@@ -132,8 +134,7 @@ class TestWorkspace:
         assert np.allclose(ws.base_resid, ws_sub.base_resid)
         obs = data.subset(data.s == 0)
         with pytest.raises(ValidationError):
-            solve_rct(obs, model, trial_workspace(obs, model, values_subset(nuis, data.s == 0)),
-                      np.zeros(model.p1))
+            solve_rct(obs, trial_workspace(obs, model, values_subset(nuis, data.s == 0)))
 
     def test_evaluated_values_give_the_same_workspace(self, fused_fixture):
         cfg, data, model, values = fused_fixture
@@ -149,10 +150,9 @@ class TestWorkspace:
 
     def test_solve_reports_its_workspace(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
+        rep = solve_integrative(data, build_workspace(data, model, nuis))
         assert rep.workspace.n == data.n and rep.workspace.p == model.p
-        rct = solve_rct(data, model, trial_workspace(data, model, nuis),
-                        true_psi(cfg)[:model.p1])
+        rct = solve_rct(data, trial_workspace(data, model, nuis))
         assert rct.workspace.n == data.n_trial and rct.workspace.p2 == 0
 
     @pytest.mark.parametrize("field", ["e", "mu", "v1", "v0"])
@@ -177,10 +177,10 @@ class TestScoreIdentities:
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
         psi = true_psi(cfg)
-        mat = score_matrix(ws, psi)
+        mat = ws.score_matrix(psi)
         for i in (0, 5, data.n - 1):
             assert np.allclose(efficient_score(ws, psi, i), mat[i])
-        assert np.allclose(mean_score(ws, psi), mat.mean(axis=0))
+        assert np.allclose(ws.mean_score(psi), mat.mean(axis=0))
 
     def test_jacobian_matches_finite_differences(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -191,7 +191,7 @@ class TestScoreIdentities:
         for col in range(ws.p):
             bump = np.zeros(ws.p)
             bump[col] = h
-            fd = (mean_score(ws, psi + bump) - mean_score(ws, psi - bump)) / (2 * h)
+            fd = (ws.mean_score(psi + bump) - ws.mean_score(psi - bump)) / (2 * h)
             assert np.allclose(jac[:, col], fd, rtol=1e-6, atol=1e-9)
 
     def test_per_record_jacobian_sums_to_mean(self, fused_fixture):
@@ -205,7 +205,7 @@ class TestScoreIdentities:
         cfg = make_config(beta=1.0, n=10000, m=30000, seed=21)
         data = generate_replicate(cfg, 0)
         ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-        mat = score_matrix(ws, true_psi(cfg))
+        mat = ws.score_matrix(true_psi(cfg))
         z = mat.mean(axis=0) / (mat.std(axis=0, ddof=1) / np.sqrt(ws.n))
         assert np.abs(z).max() < 4.0
 
@@ -246,65 +246,76 @@ class TestPreliminaryEstimate:
 class TestSolvers:
     def test_newton_reaches_an_exact_root(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
+        rep = solve_integrative(data, build_workspace(data, model, nuis))
         assert rep.converged and not rep.fallback_used
         assert rep.iterations == 1
         ws = build_workspace(data, model, nuis)
-        assert np.linalg.norm(mean_score(ws, rep.psi_hat)) < 1e-10
+        assert np.linalg.norm(ws.mean_score(rep.psi_hat)) < 1e-10
+        # the root of the linear equations, solved from the mean score at zero
+        want = np.linalg.solve(ws.jacobian, -ws.mean_score(np.zeros(ws.p)))
+        assert np.array_equal(rep.psi_hat, want)
 
-    def test_solution_independent_of_start(self, fused_fixture):
+    def test_zero_is_reported_when_it_is_the_root(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
-        a = solve_integrative(data, model, ws, true_psi(cfg))
-        far = np.concatenate([np.full(model.p1, 7.0), np.full(model.p2, -4.0)])
-        b = solve_integrative(data, model, ws, far)
-        assert np.allclose(a.psi_hat, b.psi_hat, atol=1e-8)
+        rep = solve_integrative(data, replace(ws, base_resid=np.zeros(ws.n)))
+        assert (rep.iterations, rep.final_score_norm, rep.converged) == (0, 0.0, True)
+        assert np.array_equal(rep.psi_hat, np.zeros(ws.p))
 
     def test_estimates_sit_near_truth(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, model, build_workspace(data, model, nuis), true_psi(cfg))
+        rep = solve_integrative(data, build_workspace(data, model, nuis))
         want = true_psi(cfg)
         assert np.abs(rep.psi_hat - want).max() < 0.5
 
     def test_trial_only_solve(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = trial_workspace(data, model, nuis)
-        rep = solve_rct(data, model, ws, true_psi(cfg)[:model.p1])
+        rep = solve_rct(data, ws)
         assert rep.converged
         assert rep.psi_hat.shape == (model.p1,)
-        assert np.linalg.norm(mean_score(ws, rep.psi_hat)) < 1e-10
+        assert np.linalg.norm(ws.mean_score(rep.psi_hat)) < 1e-10
 
     def test_source_and_arm_requirements(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
         with pytest.raises(ValidationError):
-            solve_integrative(data.trial_only(), model, ws, true_psi(cfg))
+            solve_integrative(data.trial_only(), ws)
         one_arm = data.subset((data.s == 0) | (data.a == 1))
         with pytest.raises(ValidationError, match="single arm"):
-            solve_integrative(one_arm, model, ws, true_psi(cfg))
+            solve_integrative(one_arm, ws)
 
     def test_dimension_mismatch(self, fused_fixture):
+        # each solve takes the workspace of its own kind, on the data's records
         cfg, data, model, nuis = fused_fixture
-        with pytest.raises(ValidationError):
-            solve_integrative(data, model, build_workspace(data, model, nuis),
-                              np.zeros(2))
-        with pytest.raises(ValidationError):
-            solve_rct(data, model, trial_workspace(data, model, nuis), np.zeros(2))
+        ws = build_workspace(data, model, nuis)
+        trial = ws.trial(data.rows(1))
+        with pytest.raises(ValidationError, match="needs the pooled workspace"):
+            solve_integrative(data, trial)
+        with pytest.raises(ValidationError, match="needs the trial-only workspace"):
+            solve_rct(data, ws)
+        # one trial record fewer than either workspace holds
+        short = data.subset(np.arange(data.n) != np.flatnonzero(data.s == 1)[0])
+        with pytest.raises(ValidationError, match="workspace does not match the data"):
+            solve_integrative(short, ws)
+        with pytest.raises(ValidationError, match="workspace does not match the data"):
+            solve_rct(short, trial)
 
     @pytest.mark.parametrize("bad", ["matrix", "wrong-length", "nan"])
-    @pytest.mark.parametrize("call", [solve_integrative, solve_rct, sandwich_covariance],
+    @pytest.mark.parametrize("call", [sandwich_covariance, gof_test],
                              ids=lambda f: f.__name__)
     def test_malformed_coefficients_are_rejected(self, fused_fixture, call, bad):
         # coefficients are a 1-d vector with one finite entry per workspace column
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
-        if call is solve_rct:
-            ws = ws.trial(data.rows(1))
         vec = {"matrix": np.zeros((1, ws.p)), "wrong-length": np.zeros(ws.p + 1),
                "nan": np.r_[np.nan, np.zeros(ws.p - 1)]}[bad]
-        args = (vec, ws) if call is sandwich_covariance else (ws, vec)
         with pytest.raises(ValidationError, match="must be"):
-            call(data, model, *args)
+            if call is sandwich_covariance:
+                call(data, vec, ws)
+            else:
+                est = PsiEstimate(vec, model.p1, np.eye(ws.p), data.n_trial, data.n_obs)
+                call(data, est, ws, BasisSpec((product_term(0, 1),)), BasisSpec(()))
 
     def test_singular_equations_fall_back(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
@@ -313,15 +324,14 @@ class TestSolvers:
                        square_term(0), linear_term(1))),
             model.lambda_basis,
         )
-        init = np.zeros(5 + model.p2)
-        rep = solve_integrative(data, dup, build_workspace(data, dup, nuis), init)  # no raise
+        rep = solve_integrative(data, build_workspace(data, dup, nuis))  # no raise
         assert rep.fallback_used and not rep.converged
         assert rep.iterations == 1
-        assert np.array_equal(rep.psi_hat, init)
+        assert np.array_equal(rep.psi_hat, np.zeros(dup.p))
 
     def test_many_variance_rounds_converge_without_fallback(self, desk_data):
-        # each round starts next to the root, where the mean score is at
-        # rounding level; the solve must still be accepted there
+        # every round solves its reweighted equations afresh, and each solve
+        # must be accepted
         model = make_config(beta=1.0, seed=3).model()
         opts = FitOptions(knots=0, trial_known=0.5)
         fits = {rounds: by_hand_per_estimator(desk_data, model, opts, rounds)[1]
@@ -391,7 +401,7 @@ class TestSharedJacobian:
             ws = rep.workspace
             assert "jacobian" in vars(ws), name  # taken by the final solve
             jac = ws.jacobian
-            sandwich_covariance(d, model, rep.psi_hat, ws)
+            sandwich_covariance(d, rep.psi_hat, ws)
             assert ws.jacobian is jac, name
             assert not jac.flags.writeable
             want = -((ws.grad * ws.score_weight[:, None]).T @ ws.resid_design) / ws.n
@@ -470,7 +480,7 @@ class TestPipeline:
         ws0 = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
         ws0 = estimators._profile_outcome_mean(ws0, data, source_designs(data, spec),
                                                opts.ridge)
-        first = solve_integrative(data, model, ws0, np.zeros(ws0.p))
+        first = solve_integrative(data, ws0)
         # the variance step moves the solution through the score weight alone
         assert not np.allclose(first.psi_hat, fit1.integrative.psi_hat)
         ws1 = fit1.integrative.workspace
@@ -478,7 +488,7 @@ class TestPipeline:
             assert np.array_equal(getattr(ws0, name), getattr(ws1, name)), name
         assert not np.array_equal(ws0.score_weight, ws1.score_weight)
         # the profiled residuals stay centered at the solution
-        resid = residuals(ws1, fit1.integrative.psi_hat)
+        resid = ws1.residuals(fit1.integrative.psi_hat)
         on_trial = data.s == 1
         assert abs(resid[on_trial].mean()) < 0.05
 
@@ -501,7 +511,7 @@ class TestPipeline:
             got = []
             for d, fit in zip((desk_data, shuffled), fits):
                 rep = getattr(fit, name)
-                est = sandwich_covariance(d, model, rep.psi_hat, rep.workspace)
+                est = sandwich_covariance(d, rep.psi_hat, rep.workspace)
                 got.append((est.psi_hat, est.se))
             for first, second in zip(*got):
                 assert np.allclose(first, second, rtol=1e-10, atol=1e-10), name
@@ -523,10 +533,10 @@ class TestProfiledOutcomeMean:
             rows = desk_data.rows(1) if trial_only else slice(None)
             weight = estimators._score_weight(desk_data.a[rows], e_hat[rows], 1, 1)
             ws = replace(getattr(fit, name).workspace, score_weight=weight)
-            rep = solve(desk_data, model, ws, np.zeros(ws.p))
+            rep = solve(desk_data, ws)
             want = refit_outcome_mean(desk_data, model, e_hat, unit, spec, opts.ridge,
                                       trial_only=trial_only)
-            est = sandwich_covariance(desk_data, model, rep.psi_hat, ws)
+            est = sandwich_covariance(desk_data, rep.psi_hat, ws)
             assert np.abs((est.psi_hat - want) / est.se).max() < 1e-8, name
 
 

@@ -14,6 +14,11 @@ fixed bound instead.
 Regenerate the files only for an intended change of the estimates:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To see how far fresh outputs have moved from the files, without writing
+anything, print the largest relative differences:
+
+    PYTHONPATH=src python tests/test_golden.py --drift
 """
 
 import contextlib
@@ -23,6 +28,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -81,25 +87,32 @@ def mc_summary(knots: int) -> dict:
     return run_monte_carlo(cfg).to_dict()
 
 
-def _close(got, want, where=""):
-    """Assert ``got`` equals ``want`` with numbers compared at RTOL."""
+def _leaves(got, want, where=""):
+    """Yield ``(where, got, want)`` for every leaf of ``want``, after
+    asserting that ``got`` has the same keys and lengths around it."""
     if isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), where
         for key in want:
-            _close(got[key], want[key], f"{where}/{key}")
+            yield from _leaves(got[key], want[key], f"{where}/{key}")
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
-            _close(g, w, f"{where}[{i}]")
-    elif where in RESIDUAL_FIELDS:
-        assert isinstance(got, float) and 0.0 <= got <= RESIDUAL_BOUND, (
-            f"{where}: {got!r} is not within [0, {RESIDUAL_BOUND}]")
-    elif isinstance(want, float) and not isinstance(got, bool):
-        assert isinstance(got, (int, float)), where
-        assert math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0), (
-            f"{where}: {got!r} != {want!r}")
+            yield from _leaves(g, w, f"{where}[{i}]")
     else:
-        assert got == want, f"{where}: {got!r} != {want!r}"
+        yield where, got, want
+
+
+def _close(got, want, where=""):
+    """Assert ``got`` equals ``want`` with numbers compared at RTOL."""
+    for path, g, w in _leaves(got, want, where):
+        if path in RESIDUAL_FIELDS:
+            assert isinstance(g, float) and 0.0 <= g <= RESIDUAL_BOUND, (
+                f"{path}: {g!r} is not within [0, {RESIDUAL_BOUND}]")
+        elif isinstance(w, float) and not isinstance(g, bool):
+            assert isinstance(g, (int, float)), path
+            assert math.isclose(g, w, rel_tol=RTOL, abs_tol=0.0), f"{path}: {g!r} != {w!r}"
+        else:
+            assert g == w, f"{path}: {g!r} != {w!r}"
 
 
 def _as_numbers(rows):
@@ -130,16 +143,51 @@ def test_monte_carlo_summary_matches_golden(knots):
     _close(mc_summary(knots), want, f"mc_knots{knots}.json")
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    GOLDEN.mkdir(exist_ok=True)
+def fresh_outputs() -> dict:
+    """Each golden file's name mapped to its fresh content: a JSON value, or
+    the CSV's rows of strings."""
     with tempfile.TemporaryDirectory() as tmp:
         doc, rows = cli_fit_outputs(tmp)
-    (GOLDEN / "fit.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    with open(GOLDEN / "curve.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    for knots in (0, 4):
-        (GOLDEN / f"mc_knots{knots}.json").write_text(
-            json.dumps(mc_summary(knots), indent=2, sort_keys=True) + "\n")
+    return {"fit.json": doc, "curve.csv": rows,
+            **{f"mc_knots{knots}.json": mc_summary(knots) for knots in (0, 4)}}
+
+
+def print_drift(top: int = 5) -> None:
+    """Print, per golden file, the largest relative differences of fresh
+    outputs from it, and the largest overall; write nothing.
+
+    A difference is ``|got - want| / max(|got|, |want|)``, the measure RTOL
+    bounds.  The rounding residuals of RESIDUAL_FIELDS are left out.
+    """
+    overall = (0.0, "none")
+    for name, got in fresh_outputs().items():
+        if name.endswith(".csv"):
+            with open(GOLDEN / name, newline="") as fh:
+                got, want = _as_numbers(got), _as_numbers(list(csv.reader(fh)))
+        else:
+            want = json.loads((GOLDEN / name).read_text())
+        numbers = [(g, w, where) for where, g, w in _leaves(got, want, name)
+                   if isinstance(w, float) and where not in RESIDUAL_FIELDS]
+        diffs = sorted(((abs(g - w) / max(abs(g), abs(w)), where)
+                        for g, w, where in numbers if g != w), reverse=True)
+        print(f"{name}: {len(diffs)} of {len(numbers)} numbers differ")
+        for rel, where in diffs[:top]:
+            print(f"  {rel:.2e}  {where}")
+        overall = max([overall, *diffs[:1]])
+    print(f"largest relative difference: {overall[0]:.2e} at {overall[1]}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--drift"]:
+        print_drift()
+        sys.exit()
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--drift]")
+    GOLDEN.mkdir(exist_ok=True)
+    for name, out in fresh_outputs().items():
+        with open(GOLDEN / name, "w", newline="") as fh:
+            if name.endswith(".csv"):
+                csv.writer(fh).writerows(out)
+            else:
+                fh.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"golden files written to {GOLDEN}", file=sys.stderr)

@@ -24,7 +24,6 @@ from htefusion import (
     run_pipeline,
     run_replicate,
     sandwich_covariance,
-    score_matrix,
     solve_integrative,
     solve_rct,
     square_term,
@@ -42,9 +41,9 @@ def solved():
     data = generate_replicate(cfg, 0)
     model = cfg.model()
     values = true_values(cfg, data)
-    rep = solve_integrative(data, model, build_workspace(data, model, values), true_psi(cfg))
+    rep = solve_integrative(data, build_workspace(data, model, values))
     nuis = build_workspace(data, model, values)
-    est = sandwich_covariance(data, model, rep.psi_hat, nuis)
+    est = sandwich_covariance(data, rep.psi_hat, nuis)
     return cfg, data, model, nuis, rep, est
 
 
@@ -52,7 +51,7 @@ class TestSandwich:
     def test_matches_direct_formula(self, solved):
         cfg, data, model, nuis, rep, est = solved
         ws = nuis
-        scores = score_matrix(ws, rep.psi_hat)
+        scores = ws.score_matrix(rep.psi_hat)
         bread = ws.jacobian
         meat = scores.T @ scores / ws.n
         binv = np.linalg.inv(bread)
@@ -79,7 +78,7 @@ class TestSandwich:
             return cond(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cond", counting)
-        again = sandwich_covariance(data, model, rep.psi_hat, nuis)
+        again = sandwich_covariance(data, rep.psi_hat, nuis)
         assert shapes == [(model.p, model.p)]
         assert np.array_equal(again.cov, est.cov)
         # one check per sandwich (pooled and trial-only), two in the test
@@ -90,28 +89,28 @@ class TestSandwich:
 
     def test_trial_only_equals_trial_subset(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg)[:model.p1])
-        full = sandwich_covariance(data, model, rct.psi_hat, nuis.trial(data.rows(1)))
+        rct = solve_rct(data, nuis.trial(data.rows(1)))
+        full = sandwich_covariance(data, rct.psi_hat, nuis.trial(data.rows(1)))
         trial = data.trial_only()
         values = values_subset(true_values(cfg, data), data.rows(1))
-        sub = sandwich_covariance(trial, model, rct.psi_hat,
+        sub = sandwich_covariance(trial, rct.psi_hat,
                                   build_workspace(trial, model, values).trial(trial.rows(1)))
         assert np.allclose(full.cov, sub.cov)
 
     def test_reported_workspace_gives_the_same_estimate(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        reused = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
+        reused = sandwich_covariance(data, rep.psi_hat, rep.workspace)
         assert np.array_equal(reused.cov, est.cov)
         alt = BasisSpec((product_term(0, 1),))
-        assert gof_test(data, model, est, rep.workspace, alt, BasisSpec(())) == \
-            gof_test(data, model, est, nuis, alt, BasisSpec(()))
+        assert gof_test(data, est, rep.workspace, alt, BasisSpec(())) == \
+            gof_test(data, est, nuis, alt, BasisSpec(()))
         with pytest.raises(ValidationError, match="workspace does not match"):
-            sandwich_covariance(data.trial_only(), model, rep.psi_hat, rep.workspace)
+            sandwich_covariance(data.trial_only(), rep.psi_hat, rep.workspace)
 
     def test_dimension_check(self, solved):
         cfg, data, model, nuis, rep, est = solved
         with pytest.raises(ValidationError):
-            sandwich_covariance(data, model, np.array([1.0, 0.0]), nuis)
+            sandwich_covariance(data, np.array([1.0, 0.0]), nuis)
 
     def test_singular_bread_raises(self, solved):
         cfg, data, model, nuis, rep, est = solved
@@ -123,7 +122,7 @@ class TestSandwich:
         psi = np.zeros(5 + model.p2)
         ws = build_workspace(data, dup, true_values(cfg, data))
         with pytest.raises(NumericalError, match="singular"):
-            sandwich_covariance(data, dup, psi, ws)
+            sandwich_covariance(data, psi, ws)
 
 
 class TestTauCurve:
@@ -180,8 +179,8 @@ class TestPrecisionGain:
 
     def test_pooling_tightens_effect_estimates(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        rct = solve_rct(data, model, nuis.trial(data.rows(1)), true_psi(cfg)[:model.p1])
-        est_r = sandwich_covariance(data, model, rct.psi_hat, rct.workspace)
+        rct = solve_rct(data, nuis.trial(data.rows(1)))
+        est_r = sandwich_covariance(data, rct.psi_hat, rct.workspace)
         out = precision_gain(est, est_r)
         # the population gain is positive semidefinite; on one replicate we
         # only insist the total gain is clearly positive, any negative
@@ -210,9 +209,9 @@ class TestPrecisionGain:
             data = generate_replicate(cfg, rep_idx)
             model = cfg.model()
             fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
-            est_i = sandwich_covariance(data, model, fit.integrative.psi_hat,
+            est_i = sandwich_covariance(data, fit.integrative.psi_hat,
                                         fit.integrative.workspace)
-            est_r = sandwich_covariance(data, model, fit.rct.psi_hat, fit.rct.workspace)
+            est_r = sandwich_covariance(data, fit.rct.psi_hat, fit.rct.workspace)
             out = precision_gain(est_i, est_r)
             assert np.abs(out.gain).max() < 1e-10
 
@@ -221,8 +220,8 @@ class TestPrecisionGain:
         small = StructuralModel(BasisSpec((constant_term(),)),
                                 BasisSpec((linear_term(0),)))
         ws = build_workspace(data, small, true_values(cfg, data)).trial(data.rows(1))
-        rep2 = solve_rct(data, small, ws, np.zeros(1))
-        est2 = sandwich_covariance(data, small, rep2.psi_hat, rep2.workspace)
+        rep2 = solve_rct(data, ws)
+        est2 = sandwich_covariance(data, rep2.psi_hat, rep2.workspace)
         with pytest.raises(ValidationError):
             precision_gain(est, est2)
 
@@ -246,11 +245,11 @@ class TestGofTest:
     def test_needs_alternative_terms(self, solved):
         cfg, data, model, nuis, rep, est = solved
         with pytest.raises(ValidationError):
-            gof_test(data, model, est, nuis, BasisSpec(()), BasisSpec(()))
+            gof_test(data, est, nuis, BasisSpec(()), BasisSpec(()))
 
     def test_degrees_of_freedom_and_p_value(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        out = gof_test(data, model, est, nuis,
+        out = gof_test(data, est, nuis,
                        BasisSpec((product_term(0, 1),)),
                        BasisSpec((square_term(0), square_term(1))))
         assert out.df == 3
@@ -260,7 +259,7 @@ class TestGofTest:
 
     def test_efficient_weight_variant_runs(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        out = gof_test(data, model, est, nuis, BasisSpec((product_term(0, 1),)),
+        out = gof_test(data, est, nuis, BasisSpec((product_term(0, 1),)),
                        BasisSpec(()), efficient_weight=True)
         assert np.isfinite(out.t_stat) and out.df == 1
 
@@ -272,14 +271,14 @@ class TestGofTest:
         model = cfg.model()
         opts = FitOptions(knots=0, trial_known=0.5)
         fit = run_pipeline(data, model, opts)
-        est = sandwich_covariance(data, model, fit.integrative.psi_hat,
+        est = sandwich_covariance(data, fit.integrative.psi_hat,
                                   fit.integrative.workspace)
-        out = gof_test(data, model, est, fit.integrative.workspace,
+        out = gof_test(data, est, fit.integrative.workspace,
                        BasisSpec((square_term(1),)), BasisSpec(()))
         assert out.p_value < 1e-4
 
     def test_clean_model_is_not_rejected_wildly(self, solved):
         cfg, data, model, nuis, rep, est = solved
-        out = gof_test(data, model, est, nuis, BasisSpec((product_term(0, 1),)),
+        out = gof_test(data, est, nuis, BasisSpec((product_term(0, 1),)),
                        BasisSpec((square_term(0),)))
         assert out.t_stat < stats.chi2.ppf(0.9999, out.df)

@@ -3,7 +3,7 @@
 Every design and workspace matrix a fit builds is column-major, and row
 selections keep that layout, so that a held design's rows and a design
 built from the same covariates give bit-identical fits.  Sums over records
-run as products (``mean_score``) or symmetric products (the IRLS Gram).
+run as products (``ScoreWorkspace.mean_score``) or symmetric products (the IRLS Gram).
 """
 
 import numpy as np
@@ -19,10 +19,8 @@ from htefusion import (
     fit_additive,
     generate_replicate,
     linear_term,
-    mean_score,
     run_pipeline,
     sandwich_covariance,
-    score_matrix,
     square_term,
     tau_curve,
 )
@@ -72,12 +70,12 @@ class TestKernels:
         ws = build_workspace(data, model, true_values(cfg, data))
         psi = true_psi(cfg)
         for params in (psi, np.zeros(ws.p), psi + 0.3):
-            np.testing.assert_allclose(mean_score(ws, params),
-                                       score_matrix(ws, params).mean(axis=0),
+            np.testing.assert_allclose(ws.mean_score(params),
+                                       ws.score_matrix(params).mean(axis=0),
                                        rtol=1e-12, atol=0.0)
         trial = ws.trial(data.rows(1))
-        np.testing.assert_allclose(mean_score(trial, psi[:model.p1]),
-                                   score_matrix(trial, psi[:model.p1]).mean(axis=0),
+        np.testing.assert_allclose(trial.mean_score(psi[:model.p1]),
+                                   trial.score_matrix(psi[:model.p1]).mean(axis=0),
                                    rtol=1e-12, atol=0.0)
 
     def test_irls_weighted_gram_is_exactly_symmetric(self, study, monkeypatch):
@@ -112,7 +110,7 @@ class TestEffectDesigns:
     def test_a_mismatched_design_is_rejected(self, study):
         cfg, data, model = study
         rep = run_pipeline(data, model).integrative
-        est = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
+        est = sandwich_covariance(data, rep.psi_hat, rep.workspace)
         obs = model.tau_basis.design(data.x[data.rows(0)])
         with pytest.raises(ValidationError, match="design does not match"):
             ate_estimate(est, obs[1:])

@@ -56,7 +56,7 @@ def _estimates(data, model, knots, ridge=FitOptions.ridge):
     for name in ("integrative", "rct"):
         rep = getattr(fit, name)
         assert rep.converged, name
-        out[name] = sandwich_covariance(data, model, rep.psi_hat, rep.workspace)
+        out[name] = sandwich_covariance(data, rep.psi_hat, rep.workspace)
     return out
 
 
@@ -179,7 +179,7 @@ def test_cohort_outcomes_and_arms_leave_the_trial_fit(study, knots, trial_known)
     opts = FitOptions(knots=knots, trial_known=trial_known)
     base, other = (run_pipeline(d, model, opts, which=("rct",)).rct for d in (data, moved))
     assert base.converged and other.converged
-    est, est_m = (sandwich_covariance(d, model, rep.psi_hat, rep.workspace)
+    est, est_m = (sandwich_covariance(d, rep.psi_hat, rep.workspace)
                   for d, rep in ((data, base), (moved, other)))
     assert _close(est_m.phi, est.phi)
     assert _close(est_m.se, est.se)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-import htefusion.inference as inference
 import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
     McSummary,
+    ScoreWorkspace,
     SimConfig,
     ValidationError,
     constant_term,
@@ -252,13 +252,13 @@ class TestRunReplicate:
     def test_one_score_matrix_per_estimator(self, small_cfg, monkeypatch):
         # the specification test builds no score matrix beside the sandwiches'
         calls = []
-        score_matrix = inference.score_matrix
+        score_matrix = ScoreWorkspace.score_matrix
 
         def counting(*args):
             calls.append(args)
             return score_matrix(*args)
 
-        monkeypatch.setattr(inference, "score_matrix", counting)
+        monkeypatch.setattr(ScoreWorkspace, "score_matrix", counting)
         out = run_replicate(small_cfg, 0)
         assert out["gof_p"] is not None
         assert len(calls) == 2
