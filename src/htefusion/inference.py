@@ -32,15 +32,17 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class PsiEstimate:
-    """Coefficients with their sandwich covariance.
+    """Coefficients with their sandwich covariance and influence rows.
 
     ``psi_hat`` stacks the ``p1`` effect coefficients, then the
-    confounding ones (none for the trial-only fit).
+    confounding ones (none for the trial-only fit).  ``influence`` has a
+    row ``-J^-1 s_i`` per record in the equations (score ``s_i``, bread ``J``).
     """
 
     psi_hat: np.ndarray
     p1: int
     cov: np.ndarray
+    influence: np.ndarray
     n_trial: int
     n_obs: int
 
@@ -111,14 +113,10 @@ class GofResult:
     p_value: float
 
 
-def _require_invertible(mat: np.ndarray, what: str) -> None:
+def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(f"{what} is numerically singular (condition number {cond:.3g})")
-
-
-def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    _require_invertible(mat, what)
     return np.linalg.solve(mat, rhs)
 
 
@@ -134,26 +132,22 @@ def _coefficients(values, p: int) -> np.ndarray:
 def sandwich_covariance(data: Dataset, psi_hat: np.ndarray, ws: ScoreWorkspace) -> PsiEstimate:
     """Empirical sandwich covariance at the solved coefficients.
 
-    The bread is the average analytic score Jacobian ``ws.jacobian``, the
-    meat the average outer product of per-record scores; the covariance is
-    bread-inverse times meat times bread-inverse-transpose over the
-    number of records entering the equations, symmetrized.  ``ws`` is
-    the workspace the solve reported and ``psi_hat`` its solution; the
-    trial-only workspace, without confounding columns, gives the
-    covariance of the effect block alone.
+    Each record's influence row is ``-J^-1 s_i``, with ``J`` the bread
+    ``ws.jacobian`` and ``s_i`` the record's score; the covariance is the
+    rows' outer-product sum over the squared number of records in the
+    equations.  ``ws`` is the workspace the solve reported and ``psi_hat``
+    its solution; the trial-only workspace, without confounding columns,
+    gives the covariance of the effect block alone.
     """
     _check_workspace(ws, data, "sandwich covariance")
     params = _coefficients(psi_hat, ws.p)
-    scores = ws.score_matrix(params)
-    bread = ws.jacobian
-    meat = scores.T @ scores / ws.n
-    _require_invertible(bread, "sandwich bread")
-    half = np.linalg.solve(bread, meat)
-    cov = np.linalg.solve(bread, half.T) / ws.n
-    cov = (cov + cov.T) / 2.0
+    influence = ws.grad @ _solve_square(-ws.jacobian, np.eye(ws.p), "sandwich bread").T
+    # a score row is its gradient row times one scalar: no (n, p) score matrix
+    influence *= (ws.score_weight * ws.residuals(params))[:, None]
+    cov = influence.T @ influence / ws.n ** 2
     # n_trial/n_obs describe the dataset the estimate came from, so that
     # precision comparisons between fits on the same data share a scale.
-    return PsiEstimate(params, ws.p1, cov, data.n_trial, data.n_obs)
+    return PsiEstimate(params, ws.p1, cov, influence, data.n_trial, data.n_obs)
 
 
 def tau_curve(est: PsiEstimate, design: np.ndarray) -> TauCurve:
@@ -223,13 +217,17 @@ def gof_test(data: Dataset, est: PsiEstimate, ws: ScoreWorkspace, alt_tau: Basis
     centered treatment) times the centered pseudo-outcome; the averaged
     vector is compared against its estimation-adjusted covariance on a
     chi-square scale with one degree of freedom per alternative column.
-    ``ws`` is the pooled workspace the solve reported.
+    ``est`` is the sandwich on ``ws``, the pooled workspace the solve
+    reported; its influence rows adjust for the estimated coefficients.
     """
     q1, q2 = alt_tau.p, alt_lambda.p
     if q1 + q2 < 1:
         raise ValidationError("the specification test needs at least one alternative term")
     _check_workspace(ws, data, "the specification test", trial_only=False)
     params = _coefficients(est.psi_hat, ws.p)
+    if est.influence.shape != (ws.n, ws.p):
+        raise ValidationError(f"the estimate does not match the workspace: influence has "
+                              f"shape {est.influence.shape}, not {(ws.n, ws.p)}")
     blocks = []
     if q1:
         blocks.append(alt_tau.design(data.x))
@@ -237,15 +235,11 @@ def gof_test(data: Dataset, est: PsiEstimate, ws: ScoreWorkspace, alt_tau: Basis
         blocks.append((1.0 - data.s)[:, None] * alt_lambda.design(data.x))
     alt = np.hstack(blocks)
     weight = ws.score_weight if efficient_weight else ws.eps_a
-    eps = ws.residuals(params)
-    g_mat = alt * (weight * eps)[:, None]
+    g_mat = alt * (weight * ws.residuals(params))[:, None]
     g_mean = g_mat.mean(axis=0)
     # derivative of the averaged test vector in the coefficients
     g_jac = -(alt * weight[:, None]).T @ ws.resid_design / ws.n
-    adjust = _solve_square(ws.jacobian.T, g_jac.T, "estimating-equation bread").T
-    # the scores' projection without the (n, p) score matrix: each score
-    # row is its gradient row times one scalar
-    corrected = g_mat - (ws.grad @ adjust.T) * (ws.score_weight * eps)[:, None]
+    corrected = g_mat + est.influence @ g_jac.T
     sigma = corrected.T @ corrected / ws.n
     t_stat = float(ws.n * g_mean @ _solve_square(sigma, g_mean, "test covariance"))
     df = q1 + q2

@@ -117,6 +117,8 @@ class AnalysisConfig:
         _check_probes(self.probes, len(self.covariates), "one per covariate")
         if self.curve_output and not (self.probes and "integrative" in self.estimators):
             raise ValidationError("curve_output needs a probe and the integrative estimator")
+        if (self.gof_tau_terms or self.gof_lambda_terms) and "integrative" not in self.estimators:
+            raise ValidationError("gof_*_terms need the integrative estimator")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":

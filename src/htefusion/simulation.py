@@ -130,6 +130,8 @@ class SimConfig:
         object.__setattr__(self, "jobs", min(self.jobs, os.cpu_count() or 1))
         _check_estimators(self.estimators)
         _check_probes(self.probes, 2, "x1 and x2")
+        if self.gof_enabled and "integrative" not in self.estimators:
+            raise ValidationError("gof_alt_tau and gof_alt_lambda need the integrative estimator")
 
     @property
     def gof_enabled(self) -> bool:

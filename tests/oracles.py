@@ -124,6 +124,26 @@ def score_jacobian(ws, params: np.ndarray, i: int) -> np.ndarray:
     return -ws.score_weight[i] * np.outer(ws.grad[i], ws.resid_design[i])
 
 
+def gof_statistic(data: Dataset, ws, params: np.ndarray, alt_tau, alt_lambda,
+                  efficient_weight: bool = False) -> float:
+    """The specification test's statistic, its estimation adjustment solved
+    against the bread: the averaged test vector's derivative in the
+    coefficients times the bread's inverse, applied to every record's score
+    in the (n, p) score matrix."""
+    blocks = [alt_tau.design(data.x)] if alt_tau.p else []
+    if alt_lambda.p:
+        blocks.append((1.0 - data.s)[:, None] * alt_lambda.design(data.x))
+    alt = np.hstack(blocks)
+    weight = ws.score_weight if efficient_weight else ws.eps_a
+    g_mat = alt * (weight * ws.residuals(params))[:, None]
+    g_mean = g_mat.mean(axis=0)
+    g_jac = -(alt * weight[:, None]).T @ ws.resid_design / ws.n
+    adjust = np.linalg.solve(ws.jacobian.T, g_jac.T).T
+    corrected = g_mat - ws.score_matrix(params) @ adjust.T
+    sigma = corrected.T @ corrected / ws.n
+    return float(ws.n * g_mean @ np.linalg.solve(sigma, g_mean))
+
+
 def logit_irls(design: np.ndarray, y: np.ndarray, ridge: float, tol: float = 1e-10,
                max_iter: int = 100) -> np.ndarray:
     """Coefficients of a ridge-penalized logistic regression of 0/1 ``y`` on

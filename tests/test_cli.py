@@ -211,6 +211,17 @@ class TestFit:
         assert "curve_output" in capsys.readouterr().err
         assert not curve.exists()
 
+    @pytest.mark.parametrize("extra", [["--gof-tau", "age*bmi"], ["--gof-lambda", "age^2"]],
+                             ids=["gof-tau", "gof-lambda"])
+    def test_gof_without_the_integrative_estimator_is_rejected(self, data_csv, tmp_path,
+                                                                capsys, extra):
+        out = tmp_path / "fit.json"
+        code = main(FIT_FLAGS + ["--data", str(data_csv), "--estimators", "rct,meta",
+                                 "--out", str(out), *extra])
+        assert code == 2
+        assert "need the integrative estimator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_settings(self, capsys):
         code = main(["fit", "--covariates", "age"])
         assert code == 2

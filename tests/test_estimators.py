@@ -314,7 +314,8 @@ class TestSolvers:
             if call is sandwich_covariance:
                 call(data, vec, ws)
             else:
-                est = PsiEstimate(vec, model.p1, np.eye(ws.p), data.n_trial, data.n_obs)
+                est = PsiEstimate(vec, model.p1, np.eye(ws.p), np.zeros((ws.n, ws.p)),
+                                  data.n_trial, data.n_obs)
                 call(data, est, ws, BasisSpec((product_term(0, 1),)), BasisSpec(()))
 
     def test_singular_equations_fall_back(self, fused_fixture):

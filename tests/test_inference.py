@@ -31,6 +31,7 @@ from htefusion import (
 )
 from htefusion.inference import _chi2_sf
 from conftest import make_config, true_psi, true_values, values_subset
+from oracles import gof_statistic
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ class TestSandwich:
     def test_shape_and_positive_definiteness(self, solved):
         cfg, data, model, nuis, rep, est = solved
         assert est.cov.shape == (model.p, model.p)
-        assert np.allclose(est.cov, est.cov.T)
+        assert np.array_equal(est.cov, est.cov.T)
         assert np.linalg.eigvalsh(est.cov).min() > 0.0
         assert est.n == data.n
         assert np.allclose(est.se, np.sqrt(np.diag(est.cov)))
@@ -81,11 +82,26 @@ class TestSandwich:
         again = sandwich_covariance(data, rep.psi_hat, nuis)
         assert shapes == [(model.p, model.p)]
         assert np.array_equal(again.cov, est.cov)
-        # one check per sandwich (pooled and trial-only), two in the test
+        # one check per sandwich (pooled and trial-only), one for the test's
+        # covariance: the test reads the pooled sandwich's influence rows
         shapes.clear()
         run_replicate(SimConfig(n=200, m=600, beta=(1.0,) * 5, reps=1, seed=1,
                                 gof_alt_tau=BasisSpec((product_term(0, 1),))), 0)
-        assert len(shapes) == 4
+        assert len(shapes) == 3
+
+    def test_influence_rows_are_the_scores_through_the_bread(self, solved):
+        cfg, data, model, nuis, rep, est = solved
+        trial = nuis.trial(data.rows(1))
+        rct = sandwich_covariance(data, solve_rct(data, trial).psi_hat, trial)
+        for ws, got in ((nuis, est), (trial, rct)):
+            want = -ws.score_matrix(got.psi_hat) @ np.linalg.inv(ws.jacobian).T
+            assert got.influence.shape == (ws.n, ws.p)
+            assert np.allclose(got.influence, want, rtol=1e-10,
+                               atol=1e-12 * np.abs(want).max())
+            # the mean score vanishes at the solution, and so does its image
+            # through the bread
+            mean = got.influence.mean(axis=0)
+            assert np.all(np.abs(mean) <= 1e-10 * np.abs(got.influence).mean(axis=0))
 
     def test_trial_only_equals_trial_subset(self, solved):
         cfg, data, model, nuis, rep, est = solved
@@ -256,6 +272,31 @@ class TestGofTest:
         assert 0.0 <= out.p_value <= 1.0
         assert out.p_value == pytest.approx(stats.chi2.sf(out.t_stat, 3))
         assert out.t_stat >= 0.0
+
+    @pytest.mark.parametrize("efficient_weight", [False, True], ids=["eps_a", "efficient"])
+    @pytest.mark.parametrize("knots", [0, 4])
+    def test_statistic_matches_the_bread_solve(self, knots, efficient_weight):
+        # the influence rows give the statistic that solving the test
+        # vector's derivative against the bread gives
+        cfg = make_config(beta=1.0, n=300, m=900, seed=11, knots=knots)
+        data = generate_replicate(cfg, 0)
+        fit = run_pipeline(data, cfg.model(), FitOptions(knots=knots, trial_known=0.5))
+        ws = fit.integrative.workspace
+        est = sandwich_covariance(data, fit.integrative.psi_hat, ws)
+        alt_tau, alt_lambda = BasisSpec((product_term(0, 1),)), BasisSpec((square_term(0),))
+        got = gof_test(data, est, ws, alt_tau, alt_lambda, efficient_weight=efficient_weight)
+        want = gof_statistic(data, ws, est.psi_hat, alt_tau, alt_lambda, efficient_weight)
+        assert got.t_stat == pytest.approx(want, rel=1e-10)
+
+    def test_estimate_from_other_records_is_rejected(self, solved):
+        # same model, so the same number of coefficients, but other records
+        cfg, data, model, nuis, rep, est = solved
+        other = generate_replicate(dataclasses.replace(cfg, n=400), 0)
+        ws = build_workspace(other, model, true_values(cfg, other))
+        theirs = sandwich_covariance(other, solve_integrative(other, ws).psi_hat, ws)
+        assert theirs.psi_hat.shape == est.psi_hat.shape
+        with pytest.raises(ValidationError, match="influence has shape"):
+            gof_test(data, theirs, nuis, BasisSpec((product_term(0, 1),)), BasisSpec(()))
 
     def test_efficient_weight_variant_runs(self, solved):
         cfg, data, model, nuis, rep, est = solved

@@ -133,6 +133,14 @@ class TestConfig:
         assert make_config(gof_alt_tau=BasisSpec((square_term(1),))).gof_enabled
         assert make_config(gof_alt_lambda=BasisSpec((square_term(0),))).gof_enabled
 
+    @pytest.mark.parametrize("alt", ["gof_alt_tau", "gof_alt_lambda"])
+    def test_gof_without_the_integrative_estimator_is_rejected(self, alt):
+        # the specification test runs on the pooled fit alone: without it the
+        # alternative terms would be ignored
+        with pytest.raises(ValidationError, match="need the integrative estimator"):
+            make_config(estimators=("rct", "meta"), **{alt: BasisSpec((square_term(0),))})
+        assert not make_config(estimators=("rct",), gof_alt_tau=BasisSpec(())).gof_enabled
+
     def test_model_uses_overrides(self):
         cfg = make_config()
         assert cfg.model().tau_basis.labels() == default_tau_basis().labels()
@@ -249,8 +257,9 @@ class TestRunReplicate:
                     assert ve > 0.0
         assert 0.0 <= out["gof_p"] <= 1.0
 
-    def test_one_score_matrix_per_estimator(self, small_cfg, monkeypatch):
-        # the specification test builds no score matrix beside the sandwiches'
+    def test_a_replicate_builds_no_score_matrix(self, small_cfg, monkeypatch):
+        # the sandwiches scale their influence rows in place and the
+        # specification test reads them: no (n, p) score matrix is built
         calls = []
         score_matrix = ScoreWorkspace.score_matrix
 
@@ -261,7 +270,7 @@ class TestRunReplicate:
         monkeypatch.setattr(ScoreWorkspace, "score_matrix", counting)
         out = run_replicate(small_cfg, 0)
         assert out["gof_p"] is not None
-        assert len(calls) == 2
+        assert calls == []
 
     @pytest.mark.parametrize("knots", [0, 4])
     def test_numbers_equal_those_of_a_fit_on_the_same_data(self, monkeypatch, knots):
