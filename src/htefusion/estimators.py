@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import Dataset, StructuralModel, _take_rows
+from .model import Dataset, StructuralModel
 from .nuisance import (
     CellMeans,
     NuisanceValues,
@@ -163,34 +163,30 @@ class ScoreWorkspace:
         """The centered pseudo-outcome of every record at ``params``."""
         return self.base_resid - self.resid_design @ params
 
-    def score_matrix(self, params: np.ndarray) -> np.ndarray:
-        """All per-record scores at once, shape (n, p)."""
-        return self.grad * (self.score_weight * self.residuals(params))[:, None]
-
     def mean_score(self, params: np.ndarray) -> np.ndarray:
-        """Column means of :meth:`score_matrix`, as one product over the records."""
+        """The mean of the scores ``grad_i * k_i * eps_i``, as one product."""
         return self.grad.T @ (self.score_weight * self.residuals(params)) / self.n
 
-    def trial(self, rows: np.ndarray) -> ScoreWorkspace:
-        """The trial-only equations: records ``rows`` (the trial mask of
-        the pooled workspace's data) and the effect columns.
+    def trial(self, n_trial: int) -> ScoreWorkspace:
+        """The trial-only equations, as views: the first ``n_trial`` records
+        (``data.n_trial`` of the pooled workspace's data) and effect columns.
 
         Every pooled piece is computed record by record and the effect
         columns do not involve the cohort, so this equals the workspace
         built from the trial records alone.
         """
         p1 = self.p1
-        return ScoreWorkspace(_take_rows(self.grad[:, :p1], rows),
-                              _take_rows(self.resid_design[:, :p1], rows),
-                              self.base_resid[rows], self.score_weight[rows],
-                              self.eps_a[rows], p1, 0)
+        return ScoreWorkspace(self.grad[:n_trial, :p1], self.resid_design[:n_trial, :p1],
+                              self.base_resid[:n_trial], self.score_weight[:n_trial],
+                              self.eps_a[:n_trial], p1, 0)
 
 
 def build_workspace(data: Dataset, model: StructuralModel,
                     values: NuisanceValues) -> ScoreWorkspace:
     """Cache every score ingredient of the pooled equations on ``data``.
 
-    ``values`` holds the nuisances evaluated on every record of ``data``.
+    ``values`` holds the nuisances evaluated on every record of ``data``, in
+    its held order.
     """
     for name, arr in vars(values).items():
         if np.shape(arr) != (data.n,):
@@ -343,12 +339,6 @@ def meta_estimate(data: Dataset, design: np.ndarray, e: np.ndarray) -> np.ndarra
     return _solve_penalized(design, adj, 0.0, "meta comparator fit")
 
 
-# Rows per block of the residualization's update: beside the one stacked copy
-# it solves on, it holds one product buffer, small enough (under 128 KiB at 10
-# coefficients) to be reused from the heap rather than mapped afresh per call.
-_BLOCK = 1024
-
-
 def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
                           ridge: float) -> ScoreWorkspace:
     """The workspace with its pseudo-outcome centered at its outcome-mean fit.
@@ -357,27 +347,19 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
     ``S`` (the fit of :func:`fit_outcome_mean`) applied to the
     pseudo-outcome, so ``base_resid`` and ``resid_design`` become
     ``(I - S) y`` and ``(I - S) R``, from one solve per source on
-    ``designs``, that source's held spline design.  Both are rewritten in
-    place, so ``ws`` is consumed; the returned workspace holds them and
-    computes its own Jacobian.
+    ``designs``, that source's held spline design.  Each source's block
+    of both is rewritten in place, so ``ws`` is consumed; the returned
+    workspace holds them and computes its own Jacobian.
     """
     for source, design in designs.items():
-        rows = np.flatnonzero(data.rows(source))
-        size = rows.size
-        z = np.empty((size, ws.p + 1), order="F")
-        # gathered into the column-major copy in place; the indices are in
-        # range, and mode="clip" spares take its bounds-checking buffer
-        np.take(ws.base_resid, rows, out=z[:, 0], mode="clip")
-        np.take(ws.resid_design.T, rows, axis=1, out=z[:, 1:].T, mode="clip")
+        rows = data.block(source)
+        base, resid = ws.base_resid[rows], ws.resid_design[rows]
+        z = np.empty((base.shape[0], ws.p + 1), order="F")  # the one stacked copy
+        z[:, 0], z[:, 1:] = base, resid
         coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})")
-        # column-major like z, so the update runs down contiguous columns
-        buf = np.empty((min(size, _BLOCK), ws.p + 1), order="F")
-        for i in range(0, size, _BLOCK):
-            b = min(size - i, _BLOCK)
-            np.matmul(design[i:i + b], coef, out=buf[:b])
-            z[i:i + b] -= buf[:b]
-        ws.base_resid[rows] = z[:, 0]
-        ws.resid_design[rows] = z[:, 1:]
+        np.matmul(design, coef, out=z)  # the smoothed values, into the solved-on copy
+        base -= z[:, 0]
+        resid -= z[:, 1:]
     return replace(ws)
 
 
@@ -452,8 +434,8 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     if "rct" in which:
         if data.n_trial == 0:
             raise ValidationError("trial-only fitting requires s=1 records")
-        trial = data.rows(1)
-        result.rct = _solve_weighted(data.trial_only(), ws.trial(trial), e_hat[trial], y_var)
+        result.rct = _solve_weighted(data.trial_only(), ws.trial(data.n_trial),
+                                     e_hat[data.block(1)], y_var)
     if "integrative" in which:
         result.integrative = _solve_weighted(data, ws, e_hat, y_var)
     return result

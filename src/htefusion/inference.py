@@ -12,7 +12,7 @@ from .estimators import PipelineResult, ScoreWorkspace, _check_workspace
 # Not used here: bench/test_bench.py::test_tracer_restores_every_binding
 # checks that the tracer rewraps and restores this binding.
 from .estimators import build_workspace  # noqa: F401
-from .model import BasisSpec, Dataset, StructuralModel, _take_rows
+from .model import BasisSpec, Dataset, StructuralModel
 
 __all__ = [
     "PsiEstimate",
@@ -256,7 +256,7 @@ def _summaries(data: Dataset, model: StructuralModel, fit: PipelineResult, point
     as an array and ``ate`` as a float.
     """
     probe = model.tau_basis.design(points)
-    obs = _take_rows(fit.effect_design, data.rows(0)) if data.n_obs else None
+    obs = fit.effect_design[data.block(0)] if data.n_obs else None
     out = {}
     for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):
         if rep is None:

@@ -70,11 +70,15 @@ class Dataset:
     x : array_like, shape (n, d)
         Covariate matrix; all entries must be finite.
 
+    Records are held trial first, each source in its input order: a
+    stable sort after validation (row numbers in errors are the caller's),
+    which input in that order skips.  :meth:`block` is one source's slice,
+    and every per-record array a fit returns is in this order.
+
     Source/arm coverage is intentionally not enforced here: a trial-only
     dataset is valid input for trial-only fitting.  Estimation routines
-    check the coverage they actually need.  Source and cell masks, the
-    trial count and the trial subset are built once per dataset, on first
-    use.
+    check the coverage they actually need.  Cell masks, the trial count
+    and the trial dataset are built once per dataset, on first use.
     """
 
     __slots__ = ("s", "a", "y", "x", "_cache")
@@ -102,6 +106,9 @@ class Dataset:
             raise ValidationError(
                 f"covariate x is not finite at row {int(bad[0])}, column {int(bad[1])}"
             )
+        if not s[:np.count_nonzero(s)].all():  # not trial first
+            order = np.argsort(1 - s, kind="stable")
+            s, a, y, x = s[order], a[order], y[order], x[order]
         self._freeze(s, a, y, x)
 
     def _freeze(self, s, a, y, x) -> None:
@@ -155,6 +162,10 @@ class Dataset:
         sub._freeze(self.s[mask], self.a[mask], self.y[mask], _take_rows(self.x, mask))
         return sub
 
+    def block(self, source: int) -> slice:
+        """The slice of one source's records: the trial's come first."""
+        return slice(0, self.n_trial) if source == 1 else slice(self.n_trial, self.n)
+
     def rows(self, source: int, arm: int | None = None) -> np.ndarray:
         """Read-only mask of one source's records, or of one (arm, source) cell."""
         key = (source, arm)
@@ -168,10 +179,13 @@ class Dataset:
         return mask
 
     def trial_only(self) -> "Dataset":
-        """The trial records, subset once and held: see :meth:`subset`."""
+        """The trial records, held once, as views of the first ``n_trial`` rows."""
         trial = self._cache.get("trial")
         if trial is None:
-            trial = self._cache["trial"] = self.subset(self.rows(1))
+            if self.n_trial == 0:
+                raise ValidationError("the dataset has no trial records")
+            trial = self._cache["trial"] = object.__new__(Dataset)
+            trial._freeze(*(col[:self.n_trial] for col in (self.s, self.a, self.y, self.x)))
         return trial
 
 

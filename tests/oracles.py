@@ -115,6 +115,12 @@ def efficient_score(ws, params: np.ndarray, i: int) -> np.ndarray:
     return ws.grad[i] * (ws.score_weight[i] * eps)
 
 
+def score_matrix(ws, params: np.ndarray) -> np.ndarray:
+    """Every record's score at ``params`` at once, shape (n, p): the rows of
+    ``efficient_score``, whose column means are ``ws.mean_score(params)``."""
+    return ws.grad * (ws.score_weight * ws.residuals(params))[:, None]
+
+
 def score_jacobian(ws, params: np.ndarray, i: int) -> np.ndarray:
     """Derivative of record ``i``'s score in the coefficients.
 
@@ -139,7 +145,7 @@ def gof_statistic(data: Dataset, ws, params: np.ndarray, alt_tau, alt_lambda,
     g_mean = g_mat.mean(axis=0)
     g_jac = -(alt * weight[:, None]).T @ ws.resid_design / ws.n
     adjust = np.linalg.solve(ws.jacobian.T, g_jac.T).T
-    corrected = g_mat - ws.score_matrix(params) @ adjust.T
+    corrected = g_mat - score_matrix(ws, params) @ adjust.T
     sigma = corrected.T @ corrected / ws.n
     return float(ws.n * g_mean @ np.linalg.solve(sigma, g_mean))
 
@@ -201,7 +207,7 @@ def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
         ws = build_workspace(data, model,
                              NuisanceValues(e_hat, mu.predict(data.s, designs), v, v))
         if trial_only:
-            ws = ws.trial(data.rows(1))
+            ws = ws.trial(data.n_trial)
         new = psi.copy()
         new[:ws.p] = solve(data, ws).psi_hat
         step = np.abs(new - psi).max()

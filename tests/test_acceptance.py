@@ -50,7 +50,7 @@ from htefusion import (
 from htefusion.estimators import preliminary_estimate
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
 from conftest import make_config, true_psi, true_values
-from oracles import pseudo_outcomes
+from oracles import pseudo_outcomes, score_matrix
 
 
 def verdict(tag, ok, detail):
@@ -275,7 +275,7 @@ def test_criterion_8a_score_centered_at_truth():
     cfg = make_config(beta=1.0, n=50_000, m=50_000, seed=101)
     data = generate_replicate(cfg, 0)
     ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-    scores = ws.score_matrix(true_psi(cfg))
+    scores = score_matrix(ws, true_psi(cfg))
     z = scores.mean(axis=0) / (scores.std(axis=0, ddof=1) / math.sqrt(ws.n))
     worst = np.abs(z).max()
     verdict("8a", worst <= 3.0,

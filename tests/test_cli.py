@@ -173,6 +173,23 @@ class TestFit:
         assert doc["version"] == __version__
         assert len(doc["results"]["integrative"]["curve"]) == 1
 
+    def test_cohort_first_records_give_the_same_document(self, study, data_csv, tmp_path,
+                                                         capsys):
+        # the loaded dataset holds the records trial first, each source in
+        # its file order, so only the data path tells the two documents apart
+        order = np.concatenate([np.flatnonzero(study.s == 0), np.flatnonzero(study.s == 1)])
+        cohort_first = write_csv(tmp_path / "cohort_first.csv", study.s[order],
+                                 study.a[order], study.y[order], study.x[order])
+        out, docs = tmp_path / "fit.json", []
+        for path in (data_csv, cohort_first):
+            assert main(FIT_FLAGS + [
+                "--data", str(path), "--knots", "4", "--estimators", "integrative,rct,meta",
+                "--probe", "0,0,0,0,0", "--gof-tau", "age*bmi", "--out", str(out),
+            ]) == 0
+            docs.append(json.loads(out.read_text()))
+            del docs[-1]["config"]["data"]
+        assert docs[0] == docs[1]
+
     def test_config_file_wins_over_flags(self, data_csv, tmp_path, capsys):
         blob = tmp_path / "cfg.json"
         blob.write_text(json.dumps({

@@ -43,7 +43,8 @@ import htefusion.nuisance as nuisance
 from htefusion.estimators import preliminary_estimate
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
 from conftest import make_config, true_psi, true_values, values_subset
-from oracles import efficient_score, pseudo_outcomes, refit_outcome_mean, score_jacobian
+from oracles import (efficient_score, pseudo_outcomes, refit_outcome_mean, score_jacobian,
+                     score_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +56,7 @@ def fused_fixture():
 
 def trial_workspace(data, model, nuis):
     """The trial-only equations of ``data``: the pooled workspace's trial slice."""
-    return build_workspace(data, model, nuis).trial(data.rows(1))
+    return build_workspace(data, model, nuis).trial(data.n_trial)
 
 
 def fitted_propensities(data, opts):
@@ -143,7 +144,7 @@ class TestWorkspace:
         # the trial slice equals the trial-only equations built from trial records
         from_trial = trial_workspace(data.trial_only(), model, values_subset(values, trial))
         for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
-            assert np.array_equal(getattr(direct.trial(trial), name),
+            assert np.array_equal(getattr(direct.trial(data.n_trial), name),
                                   getattr(from_trial, name))
         with pytest.raises(ValidationError, match="do not match"):
             build_workspace(data.trial_only(), model, values)
@@ -177,7 +178,7 @@ class TestScoreIdentities:
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
         psi = true_psi(cfg)
-        mat = ws.score_matrix(psi)
+        mat = score_matrix(ws, psi)
         for i in (0, 5, data.n - 1):
             assert np.allclose(efficient_score(ws, psi, i), mat[i])
         assert np.allclose(ws.mean_score(psi), mat.mean(axis=0))
@@ -205,7 +206,7 @@ class TestScoreIdentities:
         cfg = make_config(beta=1.0, n=10000, m=30000, seed=21)
         data = generate_replicate(cfg, 0)
         ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-        mat = ws.score_matrix(true_psi(cfg))
+        mat = score_matrix(ws, true_psi(cfg))
         z = mat.mean(axis=0) / (mat.std(axis=0, ddof=1) / np.sqrt(ws.n))
         assert np.abs(z).max() < 4.0
 
@@ -289,7 +290,7 @@ class TestSolvers:
         # each solve takes the workspace of its own kind, on the data's records
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
-        trial = ws.trial(data.rows(1))
+        trial = ws.trial(data.n_trial)
         with pytest.raises(ValidationError, match="needs the pooled workspace"):
             solve_integrative(data, trial)
         with pytest.raises(ValidationError, match="needs the trial-only workspace"):

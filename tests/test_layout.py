@@ -26,8 +26,10 @@ from htefusion import (
 )
 from htefusion.io import AnalysisConfig, run_fit
 from htefusion.nuisance import _source_rows, source_designs
+import htefusion.inference as inference
 import htefusion.simulation as simulation
 from conftest import make_config, true_psi, true_values
+from oracles import score_matrix
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +50,12 @@ class TestColumnMajor:
     def test_workspace_and_its_trial_slice(self, study):
         cfg, data, model = study
         ws = build_workspace(data, model, true_values(cfg, data))
-        trial = ws.trial(data.rows(1))
-        for mat in (ws.grad, ws.resid_design, trial.grad, trial.resid_design):
-            assert mat.flags.f_contiguous
+        assert ws.grad.flags.f_contiguous and ws.resid_design.flags.f_contiguous
+        # the trial slice is a view of the first rows: its columns stay
+        # contiguous, though a row slice is not itself f_contiguous
+        trial = ws.trial(data.n_trial)
+        for mat, full in ((trial.grad, ws.grad), (trial.resid_design, ws.resid_design)):
+            assert np.shares_memory(mat, full) and mat.strides[0] == mat.itemsize
         pooled = run_pipeline(data, model).integrative.workspace  # after profiling
         assert pooled.grad.flags.f_contiguous and pooled.resid_design.flags.f_contiguous
 
@@ -71,11 +76,11 @@ class TestKernels:
         psi = true_psi(cfg)
         for params in (psi, np.zeros(ws.p), psi + 0.3):
             np.testing.assert_allclose(ws.mean_score(params),
-                                       ws.score_matrix(params).mean(axis=0),
+                                       score_matrix(ws, params).mean(axis=0),
                                        rtol=1e-12, atol=0.0)
-        trial = ws.trial(data.rows(1))
+        trial = ws.trial(data.n_trial)
         np.testing.assert_allclose(trial.mean_score(psi[:model.p1]),
-                                   trial.score_matrix(psi[:model.p1]).mean(axis=0),
+                                   score_matrix(trial, psi[:model.p1]).mean(axis=0),
                                    rtol=1e-12, atol=0.0)
 
     def test_irls_weighted_gram_is_exactly_symmetric(self, study, monkeypatch):
@@ -179,3 +184,28 @@ class TestEffectDesigns:
         data = generate_replicate(cfg, 0)
         monkeypatch.setattr(simulation, "generate_replicate", lambda cfg, rep: data)
         assert self._count_repeats(monkeypatch, lambda: simulation.run_replicate(cfg, 0)) == []
+
+
+class TestSourceBlocks:
+    def test_per_source_selections_are_views_of_the_pooled_arrays(self, study, monkeypatch):
+        # records are held trial first, so the trial-only equations and the
+        # cohort's effect rows are slices, not copies (the trial dataset's
+        # columns: tests/test_model.py)
+        cfg, data, model = study
+        fit = run_pipeline(data, model, which=("integrative", "rct", "meta"))
+        pooled, trial = fit.integrative.workspace, fit.rct.workspace
+        for name in ("grad", "resid_design", "base_resid", "eps_a"):
+            assert np.shares_memory(getattr(trial, name), getattr(pooled, name)), name
+        designs, average = [], inference.ate_estimate
+
+        def recording(est, design):
+            designs.append(design)
+            return average(est, design)
+
+        monkeypatch.setattr(inference, "ate_estimate", recording)
+        inference._summaries(data, model, fit, np.zeros((1, data.d)), BasisSpec(()),
+                             BasisSpec(()), False)
+        assert len(designs) == 2
+        for design in designs:
+            assert np.shares_memory(design, fit.effect_design)
+            assert np.array_equal(design, model.tau_basis.design(data.x[data.rows(0)]))

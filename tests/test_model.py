@@ -162,23 +162,58 @@ class TestDataset:
                        np.vstack([X, [9.0, 8.0, 7.0]]))
         data.rows(0)
         assert data.n_trial == 2  # cached on the parent, not carried over
-        mask = np.array([True, False, True, True])
+        mask = np.array([True, False, True, True])  # of the held order: s = 1, 1, 0, 0
         sub = data.subset(mask)
         assert sub._cache == {}
         for name in ("s", "a", "y", "x"):
             col, parent = getattr(sub, name), getattr(data, name)
             assert np.array_equal(col, parent[mask]) and col.dtype == parent.dtype
             assert col.flags.c_contiguous and not col.flags.writeable
-        assert sub.n_trial == 2 and sub.n_obs == 1
+        assert sub.y.tolist() == [1.0, 2.0, 4.0]
+        assert sub.n_trial == 1 and sub.n_obs == 2
 
     def test_masks_and_trial_subset_are_built_once(self):
-        data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)
-        assert data.rows(1).tolist() == [True, False, True]
-        assert data.rows(1, 1).tolist() == [False, False, True]
+        data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)  # held as s = 1, 1, 0
+        assert data.rows(1).tolist() == [True, True, False]
+        assert data.rows(1, 1).tolist() == [False, True, False]
         assert data.rows(0, 1) is data.rows(0, 1)
         assert data.trial_only() is data.trial_only()
         with pytest.raises(ValueError):
             data.rows(1)[0] = False
+
+    def test_records_are_held_trial_first_in_input_order(self):
+        x = np.arange(15.0).reshape(5, 3)
+        data = Dataset([0, 1, 0, 1, 1], [0, 1, 1, 0, 1], [0.0, 1.0, 2.0, 3.0, 4.0], x)
+        assert data.s.tolist() == [1, 1, 1, 0, 0]
+        assert data.a.tolist() == [1, 0, 1, 0, 1]
+        assert data.y.tolist() == [1.0, 3.0, 4.0, 0.0, 2.0]
+        assert np.array_equal(data.x, x[[1, 3, 4, 0, 2]])
+        assert data.block(1) == slice(0, 3) and data.block(0) == slice(3, 5)
+        assert np.array_equal(data.rows(0), np.arange(5) >= 3)
+
+    def test_input_in_block_order_is_held_without_a_copy(self):
+        y, x = np.array([1.0, 2.0, 3.0]), X.copy()
+        data = Dataset([1, 1, 0], [0, 1, 1], y, x)
+        assert np.shares_memory(data.y, y) and np.shares_memory(data.x, x)
+
+    @pytest.mark.parametrize("y, x, where", [
+        ([0.0, 1.0, np.nan, 3.0], np.zeros((4, 2)), "row 2$"),
+        ([0.0, 1.0, 2.0, 3.0], [[0, 0], [0, 0], [0, np.inf], [0, 0]], "row 2, column 1$"),
+    ], ids=["outcome", "covariate"])
+    def test_errors_name_the_callers_row_before_the_sort(self, y, x, where):
+        # held trial first, the bad record would be row 3
+        with pytest.raises(ValidationError, match=where):
+            Dataset([0, 1, 0, 1], [0, 1, 1, 0], y, x)
+
+    def test_trial_only_holds_views_of_the_parents_columns(self):
+        data = Dataset([0, 1, 0, 1], [0, 1, 1, 0], [0.0, 1.0, 2.0, 3.0], np.eye(4))
+        trial = data.trial_only()
+        assert trial.y.tolist() == [1.0, 3.0] and trial._cache == {}
+        for name in ("s", "a", "y", "x"):
+            col = getattr(trial, name)
+            assert np.shares_memory(col, getattr(data, name)) and not col.flags.writeable
+        with pytest.raises(ValidationError, match="no trial records"):
+            Dataset([0, 0], [0, 1], [0.0, 1.0], np.eye(2)).trial_only()
 
     def test_from_records_roundtrip(self):
         data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)

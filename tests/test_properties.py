@@ -3,7 +3,8 @@
 Small studies are drawn from the built-in generator with random seeds
 and sample sizes.  Both estimators must be equivariant in the outcome
 scale, permuting the records must leave the coefficients and their
-standard errors alone, duplicating every record must leave the
+standard errors alone (exactly, when only the sources' order changes),
+duplicating every record must leave the
 coefficients alone and halve their covariance, reordering the terms
 of either basis must leave the fitted curve, the average effect and
 their standard errors alone, and so must rescaling a covariate, without
@@ -103,6 +104,20 @@ def test_permuting_records_leaves_coefficients_and_ses(study, knots):
         (coef, cov), (coef_p, cov_p) = base[name], moved[name]
         assert _close(coef_p, coef), name
         assert _close(np.sqrt(np.diag(cov_p)), np.sqrt(np.diag(cov))), name
+
+
+@pytest.mark.parametrize("knots", [0, 4])
+def test_cohort_first_records_give_identical_estimates(knots):
+    # a dataset holds its records trial first, each source in its input
+    # order, so handing it the cohort first moves no bit of any estimate
+    cfg = make_config(beta=1.0, seed=3)
+    data, model = generate_replicate(cfg, 0), cfg.model()
+    order = np.concatenate([np.flatnonzero(data.s == 0), np.flatnonzero(data.s == 1)])
+    cohort_first = Dataset(data.s[order], data.a[order], data.y[order], data.x[order])
+    base, moved = _estimates(data, model, knots), _estimates(cohort_first, model, knots)
+    for name in base:
+        assert np.array_equal(moved[name].psi_hat, base[name].psi_hat), name
+        assert np.array_equal(moved[name].se, base[name].se), name
 
 
 @settings(max_examples=10, deadline=None)

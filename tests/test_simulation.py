@@ -13,7 +13,6 @@ import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
     McSummary,
-    ScoreWorkspace,
     SimConfig,
     ValidationError,
     constant_term,
@@ -256,21 +255,6 @@ class TestRunReplicate:
                 else:
                     assert ve > 0.0
         assert 0.0 <= out["gof_p"] <= 1.0
-
-    def test_a_replicate_builds_no_score_matrix(self, small_cfg, monkeypatch):
-        # the sandwiches scale their influence rows in place and the
-        # specification test reads them: no (n, p) score matrix is built
-        calls = []
-        score_matrix = ScoreWorkspace.score_matrix
-
-        def counting(*args):
-            calls.append(args)
-            return score_matrix(*args)
-
-        monkeypatch.setattr(ScoreWorkspace, "score_matrix", counting)
-        out = run_replicate(small_cfg, 0)
-        assert out["gof_p"] is not None
-        assert calls == []
 
     @pytest.mark.parametrize("knots", [0, 4])
     def test_numbers_equal_those_of_a_fit_on_the_same_data(self, monkeypatch, knots):
