@@ -38,12 +38,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import Dataset, StructuralModel
+from .model import Dataset, StructuralModel, _on_halves
 from .nuisance import (
     CellMeans,
     NuisanceValues,
     _solve_penalized,
-    _source_rows,
+    _source_design,
     build_spline_basis,
     fit_propensity,
     fit_variance_function,
@@ -249,14 +249,14 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
     trial = data.rows(1)
     if not trial.any():
         raise ValidationError("preliminary estimate requires trial records")
-    dt = _source_rows(designs, data.s, 1, trial)
+    dt = _source_design(designs, 1, data.n_trial)
     delta_trial = cond_y.predict(1, 1, dt) - cond_y.predict(0, 1, dt)
     phi = _solve_penalized(model.tau_basis.design(data.x[trial]), delta_trial, 0.0,
                            "preliminary effect fit")
     obs = data.rows(0)
     if not obs.any():
         return np.concatenate([phi, np.zeros(model.p2)])
-    dobs = _source_rows(designs, data.s, 0, obs)
+    dobs = _source_design(designs, 0, data.n_obs)
     delta_obs = cond_y.predict(1, 0, dobs) - cond_y.predict(0, 0, dobs)
     both = model.design(data.x[obs])
     lam = _solve_penalized(both[:, model.p1:], delta_obs - both[:, :model.p1] @ phi, 0.0,
@@ -357,9 +357,15 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
         z = np.empty((base.shape[0], ws.p + 1), order="F")  # the one stacked copy
         z[:, 0], z[:, 1:] = base, resid
         coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})")
-        np.matmul(design, coef, out=z)  # the smoothed values, into the solved-on copy
-        base -= z[:, 0]
-        resid -= z[:, 1:]
+
+        def smooth(part):  # called before the loop moves on
+            # the smoothed values, into the solved-on copy
+            smoothed = np.matmul(design[part], coef, out=z[part])
+            base[part] -= smoothed[:, 0]
+            resid[part] -= smoothed[:, 1:]
+            return ()
+
+        _on_halves(smooth, z.shape[0], coef.size * z.shape[0])
     return replace(ws)
 
 

@@ -10,7 +10,12 @@ covariates.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import numbers
+import os
+import threading
+import types
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -401,3 +406,111 @@ def _take_rows(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if mat.flags.f_contiguous:
         return np.compress(mask, mat.T, axis=1).T
     return np.compress(mask, mat, axis=0)
+
+
+def _openblas(symbol: str):
+    """The function ``symbol`` of numpy's bundled OpenBLAS, found through
+    ``_multiarray_umath``, which links it; None on other BLAS builds or a
+    numpy without ``np._core``."""
+    try:
+        return getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
+    except (AttributeError, OSError):
+        return None
+
+
+def _blas_threads() -> int:
+    """The thread count of numpy's bundled OpenBLAS; 0 on other BLAS builds."""
+    get = _openblas("scipy_openblas_get_num_threads64_")
+    if get is None:
+        return 0
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+# A row-separable kernel whose work (its multiply-adds: records times squared
+# columns for a Gram) reaches this runs on two row halves; below it, handing a
+# half to the worker thread costs more than it saves (measured on 2 cores).
+_SPLIT_WORK = 6e6
+
+# The runner of second halves, chosen on the first kernel at or above
+# _SPLIT_WORK: a worker thread, the caller, or False to run kernels whole
+_halves = None
+_halves_lock = threading.Lock()
+
+
+class _InCaller:
+    """Stands in for the worker thread by running each second half in the
+    caller: the same halves added in the same order, so the same bits."""
+
+    def submit(self, fn, *args):
+        value = fn(*args)
+        return types.SimpleNamespace(result=lambda: value)
+
+
+def _halves_in_caller() -> None:
+    """Run both halves of every split kernel of this process in the caller,
+    as a Monte Carlo worker does, so that each worker uses one core."""
+    global _halves
+    _halves = _InCaller()
+
+
+def _halves_runner():
+    """The runner of second halves, or False.
+
+    Halves pay only while BLAS runs on one thread: with threads of its own,
+    BLAS already shares out the products, and split kernels only add calls
+    (2.6% on a 12k-record, 141-column fit on 2 cores), so kernels run whole
+    and give the bits they gave before.  With one BLAS thread the second
+    half runs on one worker thread, made here, or in the caller on a host
+    with one core; the halves, and so the bits, are the same.
+    """
+    global _halves
+    with _halves_lock:  # fits in several threads share one runner
+        if _halves is None:
+            if _blas_threads() != 1:
+                _halves = False
+            elif (os.cpu_count() or 1) > 1:
+                from concurrent.futures import ThreadPoolExecutor
+                _halves = ThreadPoolExecutor(max_workers=1, thread_name_prefix="htefusion-half")
+            else:
+                _halves = _InCaller()
+        return _halves
+
+
+def _drop_worker_thread() -> None:
+    # a forked child has no worker thread, so a half submitted to the
+    # inherited executor would never run; the next large kernel chooses
+    # afresh.  The lock may have been held by a thread the child lacks
+    global _halves, _halves_lock
+    _halves_lock = threading.Lock()
+    if not isinstance(_halves, _InCaller):
+        _halves = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker_thread)
+
+
+def _on_halves(kernel, n: int, work: float) -> tuple:
+    """``kernel`` over all ``n`` records, as the sum of its parts.
+
+    ``kernel(rows)`` takes a slice of the records and returns a tuple of
+    parts that add up over rows.  Once ``work`` reaches ``_SPLIT_WORK``,
+    and while BLAS runs on one thread (see :func:`_halves_runner`), rows
+    ``[n//2, n)`` run on the worker thread while rows ``[0, n//2)`` run in
+    the caller, and the parts are added first half first; otherwise the
+    kernel runs once on all rows.  The halves depend on ``n`` alone, so a
+    result has the same bits whichever runs the second half.  A kernel
+    writes only into its own rows of arrays its caller allocated.
+    """
+    runner = _halves_runner() if work >= _SPLIT_WORK else False
+    if runner is False:
+        return kernel(slice(0, n))
+    half = n // 2
+    # in the caller's context, so that the worker sees its np.errstate
+    pending = runner.submit(contextvars.copy_context().run, kernel, slice(half, n))
+    try:
+        first = kernel(slice(0, half))
+    finally:
+        second = pending.result()  # the worker is done with the caller's arrays
+    return tuple(a + b for a, b in zip(first, second))

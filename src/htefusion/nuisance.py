@@ -20,6 +20,7 @@ from .model import (
     BasisSpec,
     Dataset,
     _expit,
+    _on_halves,
     _softplus,
     _take_rows,
     constant_term,
@@ -102,13 +103,17 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
     first; the penalized fits, whose systems the ridge keeps regular, skip
     that check.
     """
-    gram = design.T @ design
-    rhs = design.T @ target
+    n, p = design.shape
+
+    def normal_equations(rows):
+        part = design[rows]
+        return part.T @ part, part.T @ target[rows]
+
+    gram, rhs = _on_halves(normal_equations, n, n * p * p)
     scale = float(np.mean(np.diag(gram)))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
     pen = ridge * scale
-    p = design.shape[1]
     eye = np.eye(p)
     first = 0
     if pen == 0.0 and np.linalg.matrix_rank(gram) < p:
@@ -185,26 +190,41 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         scale = 1.0
     pen = ridge * scale
 
+    # each step and deviance runs on the records' halves (model._on_halves),
+    # writing only into these buffers
+    n, work = y.shape[0], y.shape[0] * basis.p ** 2
     loss, y_eta = np.empty_like(y), np.empty_like(y)
+    r = np.empty_like(design)  # the one weighted copy of the design
 
     def deviance(c):
-        eta = design @ c
-        # log(1 + exp(eta)) - y * eta, computed stably in the held buffers
-        np.subtract(_softplus(eta, loss), np.multiply(y, eta, out=y_eta), out=loss)
-        dev = 2.0 * float(np.sum(loss)) + pen * float(c @ c)
-        return dev, eta
+        eta = np.empty(n)
+
+        def part(rows):
+            np.matmul(design[rows], c, out=eta[rows])
+            # log(1 + exp(eta)) - y * eta, computed stably in the held buffers
+            np.subtract(_softplus(eta[rows], loss[rows]),
+                        np.multiply(y[rows], eta[rows], out=y_eta[rows]), out=loss[rows])
+            return (float(np.sum(loss[rows])),)
+
+        (total,) = _on_halves(part, n, work)
+        return 2.0 * total + pen * float(c @ c), eta
+
+    def weighted_normal_equations(rows):
+        e, x, rr = eta[rows], design[rows], r[rows]
+        prob = _expit(e)
+        w = np.maximum(prob * (1.0 - prob), 1e-10)
+        z = e + (y[rows] - prob) / w
+        np.multiply(x, np.sqrt(w)[:, None], out=rr)
+        # rr.T @ rr is one symmetric product: the weighted Gram
+        return rr.T @ rr, x.T @ (w * z)
 
     coef = np.zeros(basis.p)
     dev, eta = deviance(coef)
     eye = np.eye(basis.p)
-    r = np.empty_like(design)  # the one weighted copy of the design
     for _ in range(_IRLS_MAX_ITER):
-        prob = _expit(eta)
-        w = np.maximum(prob * (1.0 - prob), 1e-10)
-        z = eta + (y - prob) / w
-        np.multiply(design, np.sqrt(w)[:, None], out=r)
-        try:  # r.T @ r is one symmetric product: the weighted Gram
-            new = np.linalg.solve(r.T @ r + pen * eye, design.T @ (w * z))
+        gram, rhs = _on_halves(weighted_normal_equations, n, work)
+        try:
+            new = np.linalg.solve(gram + pen * eye, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{what}: IRLS update produced a singular system: {exc}")
         step = new - coef
@@ -226,13 +246,19 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     )
 
 
+def _source_design(designs: dict, source: int, count: int) -> np.ndarray:
+    """The design held for ``source``'s records, of which there are ``count``."""
+    design = designs.get(source)
+    if design is None or design.shape[0] != count:
+        raise ValidationError(f"design does not match the records of source s={source}")
+    return design
+
+
 def _source_rows(designs: dict, sources: np.ndarray, source: int,
                  mask: np.ndarray) -> np.ndarray:
     """Rows ``mask`` of the design held for ``source``'s records."""
     in_source = sources == source
-    design = designs.get(source)
-    if design is None or design.shape[0] != np.count_nonzero(in_source):
-        raise ValidationError(f"design does not match the records of source s={source}")
+    design = _source_design(designs, source, np.count_nonzero(in_source))
     rows = mask[in_source]
     return design if rows.all() else _take_rows(design, rows)
 
@@ -250,7 +276,8 @@ def _predict_sources(components: dict, s, designs: dict, missing: str) -> np.nda
         if np.isscalar(component):
             out[mask] = component
         else:
-            out[mask] = component.predict(_source_rows(designs, s, source, mask))
+            out[mask] = component.predict(
+                _source_design(designs, source, np.count_nonzero(mask)))
         covered |= mask
     if not covered.all():
         raise ValidationError(missing.format(int(s[np.argmin(covered)])))
@@ -361,17 +388,18 @@ def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
         raise ValidationError("trial_known must lie in (0, 1)")
     by_source = {}
     for source in (0, 1):
-        mask = data.rows(source)
-        if not mask.any():
+        block = data.block(source)
+        a = data.a[block]
+        if a.size == 0:
             continue
         if source == 1 and trial_known is not None:
             by_source[1] = float(trial_known)
             continue
-        if not (data.rows(source, 0).any() and data.rows(source, 1).any()):
+        if a.all() or not a.any():
             raise ValidationError(
                 f"propensity fit: source s={source} contains a single treatment arm")
         by_source[source] = fit_additive(
-            _source_rows(designs, data.s, source, mask), data.a[mask].astype(float),
+            _source_design(designs, source, a.size), a.astype(float),
             spec, link="logit", ridge=ridge, what=f"propensity fit (s={source})",
         )
     if not by_source:
@@ -409,13 +437,16 @@ def fit_outcome_mean(data: Dataset, h: np.ndarray, spec: BasisSpec, designs: dic
     coefficient design once instead.  ``designs`` is
     ``source_designs(data, spec)``.
     """
+    h = np.asarray(h, dtype=float)
+    if h.shape != (data.n,):
+        raise ValidationError("pseudo-outcomes do not match the number of records")
     by_source = {}
     for source in (0, 1):
-        mask = data.rows(source)
-        if not mask.any():
+        rows = h[data.block(source)]
+        if rows.size == 0:
             continue
         by_source[source] = fit_additive(
-            _source_rows(designs, data.s, source, mask), h[mask], spec,
+            _source_design(designs, source, rows.size), rows, spec,
             link="identity", ridge=ridge, what=f"outcome-mean fit (s={source})",
         )
     return OutcomeMean(by_source)

@@ -14,6 +14,7 @@ is byte-identical for any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass, field, fields
 
@@ -29,6 +30,8 @@ from .model import (
     _check_fields,
     _check_probes,
     _expit,
+    _halves_in_caller,
+    _openblas,
     constant_term,
     linear_term,
     square_term,
@@ -176,6 +179,16 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) & (2**64 - 1)) + (int(rep) << 64)))
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, adding the columns left to right: the bits of
+    ``x.sum(axis=1)``, whose short-axis reduction takes about five times
+    as long on the generator's five columns."""
+    total = x[:, 0] + x[:, 1]
+    for j in range(2, x.shape[1]):
+        total += x[:, j]
+    return total
+
+
 def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     """Draw one combined trial + observational sample.
 
@@ -195,10 +208,10 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     x_t, x_o = x[:cfg.n], x[cfg.n:]
     rng.standard_normal(out=x_t)
     a_t = (rng.random(cfg.n) < 0.5).astype(np.int8)
-    y_t = a_t * true_tau(cfg, x_t) + x_t.sum(axis=1) + rng.standard_normal(cfg.n)
+    y_t = a_t * true_tau(cfg, x_t) + _row_sums(x_t) + rng.standard_normal(cfg.n)
 
     rng.standard_normal(out=x_o)
-    sum_o = x_o.sum(axis=1)
+    sum_o = _row_sums(x_o)
     a_o = (rng.random(cfg.m) < _expit(-sum_o)).astype(np.int8)
     u_o = rng.normal((2.0 * a_o - 1.0) * half_scale * (x_o @ beta), 1.0)
     y_o = a_o * true_tau(cfg, x_o) + sum_o + u_o + rng.standard_normal(cfg.m)
@@ -294,26 +307,28 @@ def _config_echo(cfg: SimConfig) -> dict:
 def _one_blas_thread() -> None:
     """Set this process's BLAS to one thread, if it is numpy's bundled OpenBLAS.
 
-    Workers with several BLAS threads each oversubscribe the cores.  The
-    setter is found through ``_multiarray_umath``, which links the bundled
-    OpenBLAS; on other BLAS builds, or a numpy without ``np._core``, this
-    does nothing.
+    Workers with several BLAS threads each oversubscribe the cores; on other
+    BLAS builds this does nothing.
     """
-    import ctypes
-    try:
-        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        setter = blas.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    setter(1)
+    setter = _openblas("scipy_openblas_set_num_threads64_")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+def _init_worker() -> None:
+    """Hold a Monte Carlo worker to one core: BLAS on one thread, and both
+    row halves of a split kernel run in the worker itself (the same halves,
+    so the same bits as a threaded run)."""
+    _one_blas_thread()
+    _halves_in_caller()
 
 
 def _worker_pool(jobs: int):
-    """``jobs`` worker processes, each running BLAS on one thread.  The pool
-    module is imported here, so a serial run never loads ``multiprocessing``."""
+    """``jobs`` worker processes, each on one core.  The pool module is
+    imported here, so a serial run never loads ``multiprocessing``."""
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread)
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker)
 
 
 def run_monte_carlo(cfg: SimConfig) -> McSummary:

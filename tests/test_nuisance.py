@@ -6,6 +6,15 @@ the cell variances with the mean squared residuals and the known
 homoscedastic truth of a synthetic draw.
 """
 
+import os
+import select
+import signal
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -15,20 +24,27 @@ from htefusion import (
     AdditiveRegressor,
     BasisSpec,
     Dataset,
+    FitOptions,
     NumericalError,
     Propensity,
     StructuralModel,
     ValidationError,
     VarianceFunction,
     build_spline_basis,
+    build_workspace,
     constant_term,
     fit_additive,
     fit_propensity,
     fit_variance_function,
+    generate_replicate,
     linear_term,
+    run_pipeline,
     square_term,
 )
+import htefusion.estimators as estimators
+import htefusion.model as hmodel
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
+from conftest import make_config, true_values
 from oracles import logit_irls, pseudo_outcomes
 
 
@@ -356,3 +372,184 @@ class TestFitVarianceFunction:
         assert vf.predict(1, [1, 0]).tolist() == [1.0, 2.0]
         with pytest.raises(ValidationError, match=r"cell \(a=0, s=2\)"):
             vf.predict(0, 2 * np.ones(4, dtype=int))
+
+
+@pytest.fixture(scope="module")
+def split_study():
+    """A draw whose cohort fits run on two row halves: 20000 cohort records
+    on a 26-column basis, about 1.35e7 multiply-adds per Gram and half that
+    per arm, above ``model._SPLIT_WORK``; the 300 trial records stay below."""
+    cfg = make_config(beta=1.0, n=300, m=20000, seed=11)
+    data = generate_replicate(cfg, 0)
+    spec = build_spline_basis(data, 4)
+    designs = source_designs(data, spec)
+    for arm in (0, 1):
+        assert np.count_nonzero(data.rows(0, arm)) * spec.p ** 2 >= hmodel._SPLIT_WORK
+    assert data.n_trial * spec.p ** 2 < hmodel._SPLIT_WORK
+    return cfg, data, spec, designs
+
+
+@pytest.fixture
+def worker_thread(monkeypatch):
+    """A fresh worker thread to run second halves, whatever this host's
+    core and BLAS thread counts would choose."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monkeypatch.setattr(hmodel, "_halves", pool)
+        yield pool
+
+
+class _InCallerStandIn:
+    """Runs each submitted half at once in the caller and counts them."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        value = fn(*args)
+        return SimpleNamespace(result=lambda: value)
+
+
+def _split_fit(cfg, data, spec, designs):
+    """The split-size kernels of a fit: the cohort propensity IRLS, the
+    cell regressions and the integrative solve with its profiled smoother."""
+    propensity = fit_propensity(data, spec, designs).by_source[0].coef
+    cells = fit_conditional_outcomes(data, spec, designs).by_cell
+    psi = run_pipeline(data, cfg.model(), FitOptions(knots=4)).integrative.psi_hat
+    return [propensity, *(cells[key].coef for key in sorted(cells)), psi]
+
+
+class TestRowHalves:
+    def test_the_oracle_comparisons_run_on_one_block(self, desk_data):
+        # test_logit_matches_reference_irls holds its 1e-12 tolerance because
+        # its designs stay below the split, so their kernels run unsplit
+        for knots in (0, 4):
+            spec = build_spline_basis(desk_data, knots)
+            for design in source_designs(desk_data, spec).values():
+                assert design.shape[0] * spec.p ** 2 < hmodel._SPLIT_WORK
+
+    def test_serial_stand_in_gives_the_bits_of_the_worker_thread(self, split_study,
+                                                                 worker_thread, monkeypatch):
+        cfg, data, spec, designs = split_study
+        threaded = _split_fit(cfg, data, spec, designs)
+        stand_in = _InCallerStandIn()
+        monkeypatch.setattr(hmodel, "_halves", stand_in)
+        serial = _split_fit(cfg, data, spec, designs)
+        assert stand_in.submitted > 0
+        for got, want in zip(serial, threaded):
+            assert np.array_equal(got, want)
+
+    def test_kernels_split_only_beside_one_blas_thread(self, monkeypatch):
+        # a BLAS thread count of 0 stands for a BLAS other than numpy's OpenBLAS;
+        # no runner means kernels run whole
+        for cores, blas_threads, runner in ((2, 1, ThreadPoolExecutor), (1, 1, hmodel._InCaller),
+                                            (2, 2, None), (2, 0, None)):
+            monkeypatch.setattr(hmodel, "_halves", None)
+            monkeypatch.setattr(hmodel.os, "cpu_count", lambda: cores)
+            monkeypatch.setattr(hmodel, "_blas_threads", lambda: blas_threads)
+            chosen = hmodel._halves_runner()
+            assert hmodel._halves is chosen
+            if runner is None:
+                assert chosen is False
+            else:
+                assert isinstance(chosen, runner)
+            if runner is ThreadPoolExecutor:
+                chosen.shutdown()
+
+    def test_whole_kernels_beside_blas_threads_keep_the_unsplit_bits(self, split_study,
+                                                                     monkeypatch):
+        cfg, data, spec, designs = split_study
+        monkeypatch.setattr(hmodel, "_halves", False)
+        whole = _split_fit(cfg, data, spec, designs)
+        monkeypatch.setattr(hmodel, "_SPLIT_WORK", np.inf)
+        unsplit = _split_fit(cfg, data, spec, designs)
+        for got, want in zip(whole, unsplit):
+            assert np.array_equal(got, want)
+
+    def test_split_kernels_agree_with_one_block(self, split_study, worker_thread, monkeypatch):
+        # the halves add their sums in another order than one block does; on
+        # this draw the cohort fits moved by at most 9.1e-11 relative and the
+        # integrative coefficients by 1.7e-14
+        cfg, data, spec, designs = split_study
+        split = _split_fit(cfg, data, spec, designs)
+        monkeypatch.setattr(hmodel, "_SPLIT_WORK", np.inf)
+        single = _split_fit(cfg, data, spec, designs)
+        for got, want in zip(split, single):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_split_smoother_agrees_with_one_block(self, split_study, worker_thread,
+                                                  monkeypatch):
+        cfg, data, spec, designs = split_study
+
+        def profiled():
+            ws = build_workspace(data, cfg.model(), true_values(cfg, data))
+            return estimators._profile_outcome_mean(ws, data, designs, 1e-6)
+
+        split = profiled()
+        monkeypatch.setattr(hmodel, "_SPLIT_WORK", np.inf)
+        single = profiled()
+        # moved by at most 5.1e-13 of each array's largest entry on this draw
+        for got, want in ((split.base_resid, single.base_resid),
+                          (split.resid_design, single.resid_design)):
+            assert not np.array_equal(got, want)  # the split did change the sums
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+    def test_concurrent_fits_share_the_worker_thread(self, split_study, worker_thread):
+        # three callers queue their halves on the one worker thread, with the
+        # interpreter switching threads every microsecond
+        cfg, data, spec, designs = split_study
+        y = data.a[data.block(0)].astype(float)
+        want = fit_additive(designs[0], y, spec, link="logit").coef
+        got = [None] * 3
+
+        def fit(i):
+            got[i] = fit_additive(designs[0], y, spec, link="logit").coef
+
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(coef is not None and coef.tobytes() == want.tobytes() for coef in got)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_fits_with_the_parents_bits(self, split_study, worker_thread,
+                                                      monkeypatch):
+        # the child inherits the executor but not its thread: without the
+        # at-fork hook its first split would wait forever.  It makes its own
+        # worker thread, as beside one BLAS thread
+        monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(hmodel.os, "cpu_count", lambda: 2)
+        cfg, data, spec, designs = split_study
+        want = fit_propensity(data, spec, designs).by_source[0].coef
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                got = fit_propensity(data, spec, designs).by_source[0].coef
+                os.write(write_end, got.tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60.0)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            got = os.read(read_end, want.nbytes) if ready else b""
+        finally:
+            os.close(read_end)
+            _, status = os.waitpid(pid, 0)
+        assert ready, "the forked child's split fit did not finish"
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want.tobytes()
