@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import functools
 import numbers
 import os
 import threading
@@ -408,6 +409,7 @@ def _take_rows(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.compress(mask, mat, axis=0)
 
 
+@functools.cache
 def _openblas(symbol: str):
     """The function ``symbol`` of numpy's bundled OpenBLAS, found through
     ``_multiarray_umath``, which links it; None on other BLAS builds or a
@@ -432,11 +434,6 @@ def _blas_threads() -> int:
 # half to the worker thread costs more than it saves (measured on 2 cores).
 _SPLIT_WORK = 6e6
 
-# The runner of second halves, chosen on the first kernel at or above
-# _SPLIT_WORK: a worker thread, the caller, or False to run kernels whole
-_halves = None
-_halves_lock = threading.Lock()
-
 
 class _InCaller:
     """Stands in for the worker thread by running each second half in the
@@ -447,43 +444,45 @@ class _InCaller:
         return types.SimpleNamespace(result=lambda: value)
 
 
+_IN_CALLER = _InCaller()
+
+# The worker thread, made by the first split that uses it; _IN_CALLER in a
+# Monte Carlo worker process, whose splits all run in the caller
+_halves = None
+_halves_lock = threading.Lock()
+
+
 def _halves_in_caller() -> None:
     """Run both halves of every split kernel of this process in the caller,
     as a Monte Carlo worker does, so that each worker uses one core."""
     global _halves
-    _halves = _InCaller()
+    _halves = _IN_CALLER
 
 
 def _halves_runner():
-    """The runner of second halves, or False.
-
-    Halves pay only while BLAS runs on one thread: with threads of its own,
-    BLAS already shares out the products, and split kernels only add calls
-    (2.6% on a 12k-record, 141-column fit on 2 cores), so kernels run whole
-    and give the bits they gave before.  With one BLAS thread the second
-    half runs on one worker thread, made here, or in the caller on a host
-    with one core; the halves, and so the bits, are the same.
+    """The runner of a second half: the worker thread while BLAS runs on one
+    thread on a host with several cores; otherwise the caller (on one core,
+    or beside BLAS threads, which already share out the products).  Chosen
+    for each split, as a serial Monte Carlo study pins BLAS only for its
+    duration.  The halves, and so the bits, are the same either way.
     """
     global _halves
-    with _halves_lock:  # fits in several threads share one runner
+    if _blas_threads() != 1 or (os.cpu_count() or 1) < 2:
+        return _IN_CALLER
+    with _halves_lock:  # fits in several threads share one worker thread
         if _halves is None:
-            if _blas_threads() != 1:
-                _halves = False
-            elif (os.cpu_count() or 1) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                _halves = ThreadPoolExecutor(max_workers=1, thread_name_prefix="htefusion-half")
-            else:
-                _halves = _InCaller()
+            from concurrent.futures import ThreadPoolExecutor
+            _halves = ThreadPoolExecutor(max_workers=1, thread_name_prefix="htefusion-half")
         return _halves
 
 
 def _drop_worker_thread() -> None:
     # a forked child has no worker thread, so a half submitted to the
-    # inherited executor would never run; the next large kernel chooses
-    # afresh.  The lock may have been held by a thread the child lacks
+    # inherited executor would never run; the next split that needs one
+    # makes it.  The lock may have been held by a thread the child lacks
     global _halves, _halves_lock
     _halves_lock = threading.Lock()
-    if not isinstance(_halves, _InCaller):
+    if _halves is not _IN_CALLER:
         _halves = None
 
 
@@ -496,16 +495,16 @@ def _on_halves(kernel, n: int, work: float) -> tuple:
 
     ``kernel(rows)`` takes a slice of the records and returns a tuple of
     parts that add up over rows.  Once ``work`` reaches ``_SPLIT_WORK``,
-    and while BLAS runs on one thread (see :func:`_halves_runner`), rows
-    ``[n//2, n)`` run on the worker thread while rows ``[0, n//2)`` run in
-    the caller, and the parts are added first half first; otherwise the
-    kernel runs once on all rows.  The halves depend on ``n`` alone, so a
-    result has the same bits whichever runs the second half.  A kernel
-    writes only into its own rows of arrays its caller allocated.
+    rows ``[n//2, n)`` run on the runner of :func:`_halves_runner` while
+    rows ``[0, n//2)`` run in the caller, and the parts are added first
+    half first; below it the kernel runs once on all rows.  The halves
+    depend on ``n`` and ``work`` alone, so a result has the same bits
+    whichever runs the second half.  A kernel writes only into its own rows
+    of arrays its caller allocated.
     """
-    runner = _halves_runner() if work >= _SPLIT_WORK else False
-    if runner is False:
+    if work < _SPLIT_WORK:
         return kernel(slice(0, n))
+    runner = _halves_runner()
     half = n // 2
     # in the caller's context, so that the worker sees its np.errstate
     pending = runner.submit(contextvars.copy_context().run, kernel, slice(half, n))

@@ -8,8 +8,9 @@ confounded whenever ``beta`` is nonzero while the trial stays clean.
 
 Replicates are reproducible and order-independent: replicate ``r`` of a
 study seeded with ``seed`` uses a counter-based generator keyed by
-``(seed, r)``, and results are folded in replicate order, so the output
-is byte-identical for any worker count.
+``(seed, r)``, results are folded in replicate order, and a serial run
+and each worker run numpy's bundled OpenBLAS on one thread, so the
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     BasisSpec,
     Dataset,
     StructuralModel,
+    _blas_threads,
     _check_fields,
     _check_probes,
     _expit,
@@ -179,16 +181,6 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) & (2**64 - 1)) + (int(rep) << 64)))
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Each row's sum, adding the columns left to right: the bits of
-    ``x.sum(axis=1)``, whose short-axis reduction takes about five times
-    as long on the generator's five columns."""
-    total = x[:, 0] + x[:, 1]
-    for j in range(2, x.shape[1]):
-        total += x[:, j]
-    return total
-
-
 def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     """Draw one combined trial + observational sample.
 
@@ -208,10 +200,10 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     x_t, x_o = x[:cfg.n], x[cfg.n:]
     rng.standard_normal(out=x_t)
     a_t = (rng.random(cfg.n) < 0.5).astype(np.int8)
-    y_t = a_t * true_tau(cfg, x_t) + _row_sums(x_t) + rng.standard_normal(cfg.n)
+    y_t = a_t * true_tau(cfg, x_t) + x_t.sum(axis=1) + rng.standard_normal(cfg.n)
 
     rng.standard_normal(out=x_o)
-    sum_o = _row_sums(x_o)
+    sum_o = x_o.sum(axis=1)
     a_o = (rng.random(cfg.m) < _expit(-sum_o)).astype(np.int8)
     u_o = rng.normal((2.0 * a_o - 1.0) * half_scale * (x_o @ beta), 1.0)
     y_o = a_o * true_tau(cfg, x_o) + sum_o + u_o + rng.standard_normal(cfg.m)
@@ -304,23 +296,24 @@ def _config_echo(cfg: SimConfig) -> dict:
     return {f.name: plain(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
-def _one_blas_thread() -> None:
-    """Set this process's BLAS to one thread, if it is numpy's bundled OpenBLAS.
-
-    Workers with several BLAS threads each oversubscribe the cores; on other
-    BLAS builds this does nothing.
-    """
+def _set_blas_threads(count: int) -> int:
+    """Set this process's BLAS to ``count`` threads, if it is numpy's bundled
+    OpenBLAS, and return the count it had; on other BLAS builds this does
+    nothing and returns 0."""
+    before = _blas_threads()
     setter = _openblas("scipy_openblas_set_num_threads64_")
-    if setter is not None:
+    if setter is not None and before != count:  # even an unchanged set costs ~10 us
         setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
+        setter(count)
+    return before
 
 
 def _init_worker() -> None:
-    """Hold a Monte Carlo worker to one core: BLAS on one thread, and both
-    row halves of a split kernel run in the worker itself (the same halves,
-    so the same bits as a threaded run)."""
-    _one_blas_thread()
+    """Hold a Monte Carlo worker to one core: BLAS on one thread, so that
+    workers do not oversubscribe the cores, and both row halves of a split
+    kernel run in the worker itself (the same halves, so the same bits as a
+    threaded run)."""
+    _set_blas_threads(1)
     _halves_in_caller()
 
 
@@ -345,7 +338,14 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
             results = list(pool.map(run_replicate, [cfg] * cfg.reps, range(cfg.reps),
                                     chunksize=max(1, cfg.reps // (4 * cfg.jobs))))
     else:
-        results = [run_replicate(cfg, r) for r in range(cfg.reps)]
+        # one BLAS thread, as in the workers: BLAS's thread count moves the
+        # last bits of large products.  Split kernels use the worker thread
+        before = _set_blas_threads(1)
+        try:
+            results = [run_replicate(cfg, r) for r in range(cfg.reps)]
+        finally:
+            if before > 1:
+                _set_blas_threads(before)
 
     n_fallback = sum(r["fallback"] for r in results)
     if n_fallback > 0.05 * cfg.reps:

@@ -204,14 +204,6 @@ class TestGenerator:
             fit = cols[a == arm] @ coefs
             assert (resid[a == arm] - fit).var() == pytest.approx(2.0, rel=0.05)
 
-    def test_row_sums_have_the_bits_of_numpys_reduction(self):
-        # the generator adds the covariate columns left to right; a numpy
-        # whose row reduction adds them in another order fails here
-        for seed, rep in ((5, 0), (8, 3), (20260815, 1)):
-            data = generate_replicate(make_config(beta=1.0, n=300, m=20_000, seed=seed), rep)
-            for x in (data.x[:300], data.x[300:]):
-                assert simulation._row_sums(x).tobytes() == x.sum(axis=1).tobytes()
-
     def test_double_scale_doubles_the_shift(self):
         cfg = make_config(beta=1.0, n=2, m=80_000, seed=8,
                           confounding_form="double")
@@ -366,25 +358,22 @@ class TestRunMonteCarlo:
 
     def test_worker_count_does_not_change_split_results(self, monkeypatch):
         # the cohort kernels run on two row halves: on the worker thread in
-        # this process, and both in the worker process under jobs=2
+        # this process, and both in the worker process under jobs=2.  This
+        # process starts on two BLAS threads, as numpy's default is on two
+        # cores, and the serial study runs BLAS on one, as the workers do
         cfg = make_config(beta=1.0, n=300, m=12_000, knots=4, reps=2, seed=5,
                           estimators=("integrative", "rct"))
         assert cfg.m * 26 ** 2 >= hmodel._SPLIT_WORK  # 26 spline columns
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
-        # large products follow BLAS's thread count in their last bits, so
-        # this process runs BLAS on one thread, as the workers do
-        before = hmodel._blas_threads()
-        simulation._one_blas_thread()
+        before = simulation._set_blas_threads(2)
         try:
             with ThreadPoolExecutor(max_workers=1) as thread:
                 monkeypatch.setattr(hmodel, "_halves", thread)
                 a = run_monte_carlo(cfg).to_dict()
+                assert hmodel._blas_threads() in (0, 2)  # restored after the study
                 b = run_monte_carlo(dataclasses.replace(cfg, jobs=2)).to_dict()
         finally:
-            if before > 1:
-                setter = hmodel._openblas("scipy_openblas_set_num_threads64_")
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(before)
+            simulation._set_blas_threads(before)
         a["config"].pop("jobs")
         b["config"].pop("jobs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
