@@ -246,19 +246,17 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
     With exact cell means and representable curves both steps are exact.
     ``designs`` is the cell means' ``source_designs`` of ``data``.
     """
-    trial = data.rows(1)
-    if not trial.any():
+    if data.n_trial == 0:
         raise ValidationError("preliminary estimate requires trial records")
     dt = _source_design(designs, 1, data.n_trial)
     delta_trial = cond_y.predict(1, 1, dt) - cond_y.predict(0, 1, dt)
-    phi = _solve_penalized(model.tau_basis.design(data.x[trial]), delta_trial, 0.0,
+    phi = _solve_penalized(model.tau_basis.design(data.x[data.block(1)]), delta_trial, 0.0,
                            "preliminary effect fit")
-    obs = data.rows(0)
-    if not obs.any():
+    if data.n_obs == 0:
         return np.concatenate([phi, np.zeros(model.p2)])
     dobs = _source_design(designs, 0, data.n_obs)
     delta_obs = cond_y.predict(1, 0, dobs) - cond_y.predict(0, 0, dobs)
-    both = model.design(data.x[obs])
+    both = model.design(data.x[data.block(0)])
     lam = _solve_penalized(both[:, model.p1:], delta_obs - both[:, :model.p1] @ phi, 0.0,
                            "preliminary confounding fit")
     return np.concatenate([phi, lam])
@@ -299,7 +297,8 @@ def solve_integrative(data: Dataset, ws: ScoreWorkspace) -> SolveReport:
     if data.n_trial == 0 or data.n_obs == 0:
         raise ValidationError("integrative fitting needs records from both sources")
     for source in (0, 1):
-        if not (data.rows(source, 0).any() and data.rows(source, 1).any()):
+        arm = data.a[data.block(source)]
+        if arm.all() or not arm.any():
             raise ValidationError(
                 f"integrative fitting: source s={source} contains a single arm"
             )
@@ -313,7 +312,8 @@ def solve_rct(data: Dataset, ws: ScoreWorkspace) -> SolveReport:
     ``ws`` is the trial-only workspace, :meth:`ScoreWorkspace.trial` of
     the pooled one.
     """
-    if not (data.rows(1, 0).any() and data.rows(1, 1).any()):
+    arm = data.a[data.block(1)]
+    if arm.all() or not arm.any():  # also when there are no trial records
         raise ValidationError("trial-only fitting: the trial contains a single arm")
     _check_workspace(ws, data, "trial-only fitting", trial_only=True)
     return _linear_solve(ws)

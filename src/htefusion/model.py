@@ -83,11 +83,11 @@ class Dataset:
 
     Source/arm coverage is intentionally not enforced here: a trial-only
     dataset is valid input for trial-only fitting.  Estimation routines
-    check the coverage they actually need.  Cell masks, the trial count
-    and the trial dataset are built once per dataset, on first use.
+    check the coverage they actually need.  The trial count is taken when
+    the columns are frozen, and the trial dataset built once, on first use.
     """
 
-    __slots__ = ("s", "a", "y", "x", "_cache")
+    __slots__ = ("s", "a", "y", "x", "n_trial", "_trial")
 
     def __init__(self, s, a, y, x):
         s = _check_binary(s, "s")
@@ -118,11 +118,12 @@ class Dataset:
         self._freeze(s, a, y, x)
 
     def _freeze(self, s, a, y, x) -> None:
-        """Hold checked columns read-only, with an empty cache."""
+        """Hold checked columns read-only, and count the trial records."""
         for name, col in (("s", s), ("a", a), ("y", y), ("x", x)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "n_trial", int(np.count_nonzero(s)))
+        object.__setattr__(self, "_trial", None)
 
     def __setattr__(self, name, value):  # columns are read-only
         raise AttributeError("Dataset is immutable")
@@ -141,58 +142,25 @@ class Dataset:
         return self.x.shape[1]
 
     @property
-    def n_trial(self) -> int:
-        if "n_trial" not in self._cache:
-            self._cache["n_trial"] = int(self.s.sum())
-        return self._cache["n_trial"]
-
-    @property
     def n_obs(self) -> int:
         return self.n - self.n_trial
 
     def __len__(self) -> int:
         return self.n
 
-    def subset(self, mask) -> "Dataset":
-        """The records ``mask`` selects, as a dataset with an empty cache.
-
-        Its columns are rows of this dataset's validated ones, so they are
-        frozen, not checked again.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n,):
-            raise ValidationError("mask length must match the number of records")
-        if not mask.any():
-            raise ValidationError("subset would be empty")
-        sub = object.__new__(Dataset)
-        sub._freeze(self.s[mask], self.a[mask], self.y[mask], _take_rows(self.x, mask))
-        return sub
-
     def block(self, source: int) -> slice:
         """The slice of one source's records: the trial's come first."""
         return slice(0, self.n_trial) if source == 1 else slice(self.n_trial, self.n)
 
-    def rows(self, source: int, arm: int | None = None) -> np.ndarray:
-        """Read-only mask of one source's records, or of one (arm, source) cell."""
-        key = (source, arm)
-        mask = self._cache.get(key)
-        if mask is None:
-            mask = self.s == source
-            if arm is not None:
-                mask &= self.a == arm
-            mask.flags.writeable = False
-            self._cache[key] = mask
-        return mask
-
     def trial_only(self) -> "Dataset":
         """The trial records, held once, as views of the first ``n_trial`` rows."""
-        trial = self._cache.get("trial")
-        if trial is None:
+        if self._trial is None:
             if self.n_trial == 0:
                 raise ValidationError("the dataset has no trial records")
-            trial = self._cache["trial"] = object.__new__(Dataset)
+            trial = object.__new__(Dataset)
             trial._freeze(*(col[:self.n_trial] for col in (self.s, self.a, self.y, self.x)))
-        return trial
+            object.__setattr__(self, "_trial", trial)
+        return self._trial
 
 
 def _natural_cubic_pieces(v: np.ndarray, knots: Sequence[float]) -> list:
@@ -429,6 +397,14 @@ def _blas_threads() -> int:
     return get()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps
+    one (``taskset`` and cpusets narrow it), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # A row-separable kernel whose work (its multiply-adds: records times squared
 # columns for a Gram) reaches this runs on two row halves; below it, handing a
 # half to the worker thread costs more than it saves (measured on 2 cores).
@@ -467,7 +443,7 @@ def _halves_runner():
     duration.  The halves, and so the bits, are the same either way.
     """
     global _halves
-    if _blas_threads() != 1 or (os.cpu_count() or 1) < 2:
+    if _blas_threads() != 1 or _usable_cpus() < 2:
         return _IN_CALLER
     with _halves_lock:  # fits in several threads share one worker thread
         if _halves is None:

@@ -250,15 +250,6 @@ def _source_design(designs: dict, source: int, count: int) -> np.ndarray:
     return design
 
 
-def _source_rows(designs: dict, sources: np.ndarray, source: int,
-                 mask: np.ndarray) -> np.ndarray:
-    """Rows ``mask`` of the design held for ``source``'s records."""
-    in_source = sources == source
-    design = _source_design(designs, source, np.count_nonzero(in_source))
-    rows = mask[in_source]
-    return design if rows.all() else _take_rows(design, rows)
-
-
 def _predict_sources(components: dict, s, designs: dict, missing: str) -> np.ndarray:
     """Each source's component on that source's records in ``s``, read
     from ``designs``, their ``source_designs``; a constant reads none."""
@@ -363,8 +354,7 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
     The nuisance fits and in-sample predictions of a whole fit share
     these rather than rebuilding the same columns per call.
     """
-    return {src: spec.design(data.x[data.block(src)])
-            for src in (0, 1) if data.rows(src).any()}
+    return {src: spec.design(x) for src in (0, 1) if len(x := data.x[data.block(src)])}
 
 
 def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
@@ -411,13 +401,16 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, designs: dict,
     """
     by_cell = {}
     for s_val in (0, 1):
+        block = data.block(s_val)
+        arm = data.a[block]
         for a_val in (0, 1):
-            mask = data.rows(s_val, a_val)
-            if not mask.any():
+            cell = arm == a_val
+            if not cell.any():
                 continue
+            design = _source_design(designs, s_val, arm.size)
             by_cell[(a_val, s_val)] = fit_additive(
-                _source_rows(designs, data.s, s_val, mask), data.y[mask], spec, ridge=ridge,
-                what=f"conditional-outcome fit (a={a_val}, s={s_val})",
+                design if cell.all() else _take_rows(design, cell), data.y[block][cell], spec,
+                ridge=ridge, what=f"conditional-outcome fit (a={a_val}, s={s_val})",
             )
     if not by_cell:
         raise ValidationError("conditional-outcome fit: no non-empty cells")
@@ -466,11 +459,13 @@ def fit_variance_function(data: Dataset, resid: np.ndarray, *,
         y_var = 1.0
     by_cell = {}
     for s_val in (0, 1):
+        block = data.block(s_val)
+        arm = data.a[block]
         for a_val in (0, 1):
-            mask = data.rows(s_val, a_val)
-            if mask.any():
+            cell = arm == a_val
+            if cell.any():
                 by_cell[(a_val, s_val)] = float(
-                    np.clip(np.mean(resid[mask] ** 2), 1e-4 * y_var, 1e4 * y_var))
+                    np.clip(np.mean(resid[block][cell] ** 2), 1e-4 * y_var, 1e4 * y_var))
     if not by_cell:
         raise ValidationError("variance fit: no non-empty cells")
     return VarianceFunction(by_cell)

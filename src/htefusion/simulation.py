@@ -16,7 +16,6 @@ output is byte-identical for any worker count.
 from __future__ import annotations
 
 import ctypes
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -34,6 +33,7 @@ from .model import (
     _expit,
     _halves_in_caller,
     _openblas,
+    _usable_cpus,
     constant_term,
     linear_term,
     square_term,
@@ -131,8 +131,8 @@ class SimConfig:
             raise ValidationError("confounding_form must be 'unit' or 'double'")
         if self.jobs < 1:
             raise ValidationError("jobs must be at least 1")
-        # more workers than cores only adds processes
-        object.__setattr__(self, "jobs", min(self.jobs, os.cpu_count() or 1))
+        # more workers than the CPUs this process may use only adds processes
+        object.__setattr__(self, "jobs", min(self.jobs, _usable_cpus()))
         _check_estimators(self.estimators)
         _check_probes(self.probes, 2, "x1 and x2")
         if self.gof_enabled and "integrative" not in self.estimators:

@@ -46,10 +46,15 @@ def by_source(data: Dataset, trial, obs) -> np.ndarray:
     """``trial`` or ``obs`` evaluated on each source's covariate rows."""
     out = np.empty(data.n)
     for source, fn in ((1, trial), (0, obs)):
-        rows = data.rows(source)
+        rows = data.s == source
         if rows.any():
             out[rows] = fn(data.x[rows])
     return out
+
+
+def subset(data: Dataset, mask) -> Dataset:
+    """The records ``mask`` selects, as a new dataset."""
+    return Dataset(data.s[mask], data.a[mask], data.y[mask], data.x[mask])
 
 
 def values_subset(values: NuisanceValues, mask) -> NuisanceValues:

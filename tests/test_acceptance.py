@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import multiprocessing
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -48,6 +47,7 @@ from htefusion import (
     square_term,
 )
 from htefusion.estimators import preliminary_estimate
+from htefusion.model import _usable_cpus
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
 from conftest import make_config, true_psi, true_values
 from oracles import pseudo_outcomes, score_matrix
@@ -63,7 +63,7 @@ def verdict(tag, ok, detail):
 # The studies run on every core: results do not depend on the worker count
 # (criterion 8d), and forked workers keep the warning filters, so a
 # RuntimeWarning in a replicate still fails the run.
-JOBS = os.cpu_count() or 1
+JOBS = _usable_cpus()
 
 
 @pytest.fixture(scope="session")
@@ -384,7 +384,7 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
 
 def test_criterion_8d_results_independent_of_worker_count(monkeypatch):
     # two workers even on a one-core host, where jobs is capped at one
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     cfg = SimConfig(beta=(1.0,) * 5, reps=6,
                     gof_alt_tau=BasisSpec((product_term(0, 1),)))
     one = run_monte_carlo(cfg).to_dict()

@@ -42,7 +42,7 @@ import htefusion.estimators as estimators
 import htefusion.nuisance as nuisance
 from htefusion.estimators import preliminary_estimate
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
-from conftest import make_config, true_psi, true_values, values_subset
+from conftest import make_config, subset, true_psi, true_values, values_subset
 from oracles import (efficient_score, pseudo_outcomes, refit_outcome_mean, score_jacobian,
                      score_matrix)
 
@@ -89,7 +89,7 @@ def by_hand_per_estimator(data, model, opts, rounds=1):
     """``run_pipeline``'s integrative and trial-only fits, and the same two
     estimators weighted by hand on the pipeline's workspaces."""
     fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
-    e_hat, y_var, trial = fitted_propensities(data, opts), float(np.var(data.y)), data.rows(1)
+    e_hat, y_var, trial = fitted_propensities(data, opts), float(np.var(data.y)), data.s == 1
     return fit, {
         "integrative": weighted_by_hand(data, fit.integrative.workspace, e_hat, y_var,
                                         rounds),
@@ -131,15 +131,15 @@ class TestWorkspace:
         ws = trial_workspace(data, model, nuis)
         assert ws.n == data.n_trial and ws.p2 == 0
         trial = data.trial_only()
-        ws_sub = trial_workspace(trial, model, values_subset(nuis, data.rows(1)))
+        ws_sub = trial_workspace(trial, model, values_subset(nuis, data.s == 1))
         assert np.allclose(ws.base_resid, ws_sub.base_resid)
-        obs = data.subset(data.s == 0)
+        obs = subset(data, data.s == 0)
         with pytest.raises(ValidationError):
             solve_rct(obs, trial_workspace(obs, model, values_subset(nuis, data.s == 0)))
 
     def test_evaluated_values_give_the_same_workspace(self, fused_fixture):
         cfg, data, model, values = fused_fixture
-        trial = data.rows(1)
+        trial = data.s == 1
         direct = build_workspace(data, model, values)
         # the trial slice equals the trial-only equations built from trial records
         from_trial = trial_workspace(data.trial_only(), model, values_subset(values, trial))
@@ -236,7 +236,7 @@ class TestPreliminaryEstimate:
 
     def test_requires_trial_records(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        obs = data.subset(data.s == 0)
+        obs = subset(data, data.s == 0)
         spec = build_spline_basis(obs, 0)
         designs = source_designs(obs, spec)
         cond = fit_conditional_outcomes(obs, spec, designs)
@@ -277,13 +277,15 @@ class TestSolvers:
         assert rep.psi_hat.shape == (model.p1,)
         assert np.linalg.norm(ws.mean_score(rep.psi_hat)) < 1e-10
 
-    def test_source_and_arm_requirements(self, fused_fixture):
+    @pytest.mark.parametrize("source, arm", [(1, 1), (1, 0), (0, 1), (0, 0)])
+    def test_source_and_arm_requirements(self, fused_fixture, source, arm):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, nuis)
         with pytest.raises(ValidationError):
             solve_integrative(data.trial_only(), ws)
-        one_arm = data.subset((data.s == 0) | (data.a == 1))
-        with pytest.raises(ValidationError, match="single arm"):
+        # one source keeps only its arm-``arm`` records
+        one_arm = subset(data, (data.s != source) | (data.a == arm))
+        with pytest.raises(ValidationError, match=f"source s={source} contains a single arm"):
             solve_integrative(one_arm, ws)
 
     def test_dimension_mismatch(self, fused_fixture):
@@ -296,7 +298,7 @@ class TestSolvers:
         with pytest.raises(ValidationError, match="needs the trial-only workspace"):
             solve_rct(data, ws)
         # one trial record fewer than either workspace holds
-        short = data.subset(np.arange(data.n) != np.flatnonzero(data.s == 1)[0])
+        short = subset(data, np.arange(data.n) != np.flatnonzero(data.s == 1)[0])
         with pytest.raises(ValidationError, match="workspace does not match the data"):
             solve_integrative(short, ws)
         with pytest.raises(ValidationError, match="workspace does not match the data"):
@@ -439,7 +441,7 @@ class TestPipeline:
         cfg, data, model, _ = fused_fixture
         opts = FitOptions(knots=0, trial_known=0.5)
         ws = run_pipeline(data, model, opts, which=("rct",)).rct.workspace
-        a = data.a[data.rows(1)]
+        a = data.a[data.s == 1]
         assert [np.ptp(ws.score_weight[a == arm]) for arm in (0, 1)] == [0.0, 0.0]
 
     def test_requested_estimators_all_present(self, fused_fixture):
@@ -458,7 +460,7 @@ class TestPipeline:
 
     def test_trial_only_fit_needs_both_trial_arms(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
-        treated_trial = data.subset((data.s == 0) | (data.a == 1))
+        treated_trial = subset(data, (data.s == 0) | (data.a == 1))
         with pytest.raises(ValidationError, match="single arm"):
             run_pipeline(treated_trial, model, FitOptions(knots=0, trial_known=0.5),
                          which=("rct",))
@@ -532,7 +534,7 @@ class TestProfiledOutcomeMean:
         for name, solve in (("integrative", solve_integrative), ("rct", solve_rct)):
             trial_only = name == "rct"
             # the pipeline's workspace at unit variances throughout
-            rows = desk_data.rows(1) if trial_only else slice(None)
+            rows = desk_data.s == 1 if trial_only else slice(None)
             weight = estimators._score_weight(desk_data.a[rows], e_hat[rows], 1, 1)
             ws = replace(getattr(fit, name).workspace, score_weight=weight)
             rep = solve(desk_data, ws)
@@ -672,7 +674,7 @@ class TestTrialOnlyRefits:
 
     @pytest.mark.parametrize("knots", [0, 4])
     def test_cohort_outcomes_do_not_move_the_trial_fit(self, desk_data, model, knots):
-        obs = desk_data.rows(0)
+        obs = desk_data.s == 0
         y = desk_data.y.copy()
         y[obs] = np.random.default_rng(8).permutation(y[obs]) + 0.5
         other = Dataset(desk_data.s, desk_data.a, y, desk_data.x)
@@ -688,7 +690,7 @@ class TestTrialOnlyRefits:
         fit = run_pipeline(desk_data, model, FitOptions(knots=4),
                            which=("integrative", "rct"))
         pooled, trial_ws = fit.integrative.workspace, fit.rct.workspace
-        trial, p1 = desk_data.rows(1), model.p1
+        trial, p1 = desk_data.s == 1, model.p1
         assert np.array_equal(trial_ws.grad, pooled.grad[trial, :p1])
         assert np.array_equal(trial_ws.resid_design, pooled.resid_design[trial, :p1])
         assert np.array_equal(trial_ws.base_resid, pooled.base_resid[trial])

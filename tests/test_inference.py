@@ -108,7 +108,7 @@ class TestSandwich:
         rct = solve_rct(data, nuis.trial(data.n_trial))
         full = sandwich_covariance(data, rct.psi_hat, nuis.trial(data.n_trial))
         trial = data.trial_only()
-        values = values_subset(true_values(cfg, data), data.rows(1))
+        values = values_subset(true_values(cfg, data), data.s == 1)
         sub = sandwich_covariance(trial, rct.psi_hat,
                                   build_workspace(trial, model, values).trial(trial.n_trial))
         assert np.allclose(full.cov, sub.cov)

@@ -110,14 +110,14 @@ class TestDataset:
                              ids=["pickle", "copy", "deepcopy"])
     def test_pickle_and_copy_round_trip(self, clone):
         data = Dataset([1, 0, 0], [0, 1, 0], [1.0, 2.0, 3.0], X)
-        data.rows(1)  # a filled mask cache is not carried over
+        trial = data.trial_only()  # the built trial dataset is not carried over
         twin = clone(data)
         assert isinstance(twin, Dataset) and twin is not data
         for name in ("s", "a", "y", "x"):
             col, want = getattr(twin, name), getattr(data, name)
             assert np.array_equal(col, want) and col.dtype == want.dtype
             assert not col.flags.writeable
-        assert twin.rows(1).tolist() == [True, False, False]
+        assert twin.n_trial == 1 and twin.trial_only() is not trial
         with pytest.raises(AttributeError):
             twin.y = np.zeros(3)
 
@@ -138,10 +138,6 @@ class TestDataset:
         sub = data.trial_only()
         assert sub.n == 2 and (sub.s == 1).all()
         assert sub.y.tolist() == [1.0, 3.0]
-        with pytest.raises(ValidationError, match="subset would be empty"):
-            data.subset(np.zeros(3, dtype=bool))
-        with pytest.raises(ValidationError, match="mask length"):
-            data.subset([True])
 
     @pytest.mark.parametrize("flags", [[0, 1, 1], [0.0, 1.0, 1.0], [False, True, True]],
                              ids=["int", "float", "bool"])
@@ -157,29 +153,9 @@ class TestDataset:
         with pytest.raises(ValidationError, match="^s must contain only 0/1 values$"):
             _check_binary(flags, "s")
 
-    def test_subset_freezes_masked_columns_with_an_empty_cache(self):
-        data = Dataset([1, 0, 1, 0], [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0],
-                       np.vstack([X, [9.0, 8.0, 7.0]]))
-        data.rows(0)
-        assert data.n_trial == 2  # cached on the parent, not carried over
-        mask = np.array([True, False, True, True])  # of the held order: s = 1, 1, 0, 0
-        sub = data.subset(mask)
-        assert sub._cache == {}
-        for name in ("s", "a", "y", "x"):
-            col, parent = getattr(sub, name), getattr(data, name)
-            assert np.array_equal(col, parent[mask]) and col.dtype == parent.dtype
-            assert col.flags.c_contiguous and not col.flags.writeable
-        assert sub.y.tolist() == [1.0, 2.0, 4.0]
-        assert sub.n_trial == 1 and sub.n_obs == 2
-
     def test_masks_and_trial_subset_are_built_once(self):
-        data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)  # held as s = 1, 1, 0
-        assert data.rows(1).tolist() == [True, True, False]
-        assert data.rows(1, 1).tolist() == [False, True, False]
-        assert data.rows(0, 1) is data.rows(0, 1)
+        data = Dataset([1, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], X)
         assert data.trial_only() is data.trial_only()
-        with pytest.raises(ValueError):
-            data.rows(1)[0] = False
 
     def test_records_are_held_trial_first_in_input_order(self):
         x = np.arange(15.0).reshape(5, 3)
@@ -189,7 +165,6 @@ class TestDataset:
         assert data.y.tolist() == [1.0, 3.0, 4.0, 0.0, 2.0]
         assert np.array_equal(data.x, x[[1, 3, 4, 0, 2]])
         assert data.block(1) == slice(0, 3) and data.block(0) == slice(3, 5)
-        assert np.array_equal(data.rows(0), np.arange(5) >= 3)
 
     def test_input_in_block_order_is_held_without_a_copy(self):
         y, x = np.array([1.0, 2.0, 3.0]), X.copy()
@@ -208,7 +183,7 @@ class TestDataset:
     def test_trial_only_holds_views_of_the_parents_columns(self):
         data = Dataset([0, 1, 0, 1], [0, 1, 1, 0], [0.0, 1.0, 2.0, 3.0], np.eye(4))
         trial = data.trial_only()
-        assert trial.y.tolist() == [1.0, 3.0] and trial._cache == {}
+        assert trial.y.tolist() == [1.0, 3.0] and trial.n_trial == 2
         for name in ("s", "a", "y", "x"):
             col = getattr(trial, name)
             assert np.shares_memory(col, getattr(data, name)) and not col.flags.writeable
@@ -392,7 +367,7 @@ class TestPseudoOutcome:
         ]
         assert np.allclose(vec, one_by_one)
         # without observational records only the effect basis is evaluated
-        trial = data.rows(1)
+        trial = data.s == 1
         assert np.array_equal(
             pseudo_outcomes(self.model, self.psi, data.trial_only(), 0.5), vec[trial])
         assert np.array_equal(

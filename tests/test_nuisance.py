@@ -44,7 +44,7 @@ from htefusion import (
 import htefusion.estimators as estimators
 import htefusion.model as hmodel
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
-from conftest import make_config, true_values
+from conftest import make_config, subset, true_values
 from oracles import logit_irls, pseudo_outcomes
 
 
@@ -117,7 +117,7 @@ class TestFitAdditive:
     def test_logit_matches_reference_irls(self, desk_data, knots):
         spec = build_spline_basis(desk_data, knots)
         for source, design in source_designs(desk_data, spec).items():
-            y = desk_data.a[desk_data.rows(source)].astype(float)
+            y = desk_data.a[desk_data.s == source].astype(float)
             fit = fit_additive(design, y, spec, link="logit", ridge=1e-6)
             np.testing.assert_allclose(fit.coef, logit_irls(design, y, 1e-6),
                                        rtol=1e-12, atol=0.0)
@@ -185,7 +185,7 @@ class TestFitPropensity:
 
     def test_unknown_source_prediction_raises(self, desk_data):
         spec = build_spline_basis(desk_data, 0)
-        obs = desk_data.subset(desk_data.s == 0)
+        obs = subset(desk_data, desk_data.s == 0)
         fit = fit_propensity(obs, spec, source_designs(obs, spec))
         with pytest.raises(ValidationError, match="no propensity component for source s=1"):
             fit.predict(np.ones(3, dtype=int), {1: spec.design(desk_data.x[:3])})
@@ -215,21 +215,29 @@ class TestFitPropensity:
 
 class TestSharedDesigns:
     def test_fits_on_stage_designs_match_fits_on_covariates(self, desk_data):
+        # records given trial first, interleaved or cohort first: each source
+        # and cell fit has the bits of a fit on the rows a mask picks
         spec = build_spline_basis(desk_data, 2)
-        designs = source_designs(desk_data, spec)
-        assert {src: d.shape for src, d in designs.items()} == {
-            0: (desk_data.n_obs, spec.p), 1: (desk_data.n_trial, spec.p)}
-        x, a, y = desk_data.x, desk_data.a, desk_data.y
-        propensity = fit_propensity(desk_data, spec, designs).by_source
-        for source in (0, 1):
-            rows = desk_data.rows(source)
-            fresh = fit_additive(spec.design(x[rows]), a[rows], spec, link="logit")
-            assert np.array_equal(propensity[source].coef, fresh.coef)
-        cells = fit_conditional_outcomes(desk_data, spec, designs).by_cell
-        assert set(cells) == {(a_val, s_val) for a_val in (0, 1) for s_val in (0, 1)}
-        for (a_val, s_val), fit in cells.items():
-            rows = desk_data.rows(s_val, a_val)
-            assert np.array_equal(fit.coef, fit_additive(spec.design(x[rows]), y[rows], spec).coef)
+        columns = (desk_data.s, desk_data.a, desk_data.y, desk_data.x)
+        interleaved = np.random.default_rng(5).permutation(desk_data.n)
+        cohort_first = np.argsort(desk_data.s, kind="stable")
+        for order in (slice(None), interleaved, cohort_first):
+            data = Dataset(*(col[order] for col in columns))
+            designs = source_designs(data, spec)
+            assert {src: d.shape for src, d in designs.items()} == {
+                0: (data.n_obs, spec.p), 1: (data.n_trial, spec.p)}
+            x, a, y = data.x, data.a, data.y
+            propensity = fit_propensity(data, spec, designs).by_source
+            for source in (0, 1):
+                rows = data.s == source
+                fresh = fit_additive(spec.design(x[rows]), a[rows], spec, link="logit")
+                assert np.array_equal(propensity[source].coef, fresh.coef)
+            cells = fit_conditional_outcomes(data, spec, designs).by_cell
+            assert set(cells) == {(a_val, s_val) for a_val in (0, 1) for s_val in (0, 1)}
+            for (a_val, s_val), fit in cells.items():
+                rows = (data.s == s_val) & (data.a == a_val)
+                fresh = fit_additive(spec.design(x[rows]), y[rows], spec)
+                assert np.array_equal(fit.coef, fresh.coef)
 
     def test_design_shape_is_checked(self):
         spec = BasisSpec((constant_term(), linear_term(0)))
@@ -290,13 +298,17 @@ class TestFitOutcomeMean:
 
 class TestFitVarianceFunction:
     @staticmethod
-    def _fitted(seed=6):
+    def _fitted(seed=6, cohort_first=False):
+        # the sources are drawn interleaved; or given cohort first
         rng = np.random.default_rng(seed)
         n = 20000
         x = rng.standard_normal((n, 2))
         s = (rng.random(n) < 0.5).astype(int)
         a = (rng.random(n) < 0.5).astype(int)
         y = x[:, 0] + np.where(s == 1, 1.0, 3.0) ** 0.5 * rng.standard_normal(n)
+        if cohort_first:
+            order = np.argsort(s, kind="stable")
+            s, a, y, x = s[order], a[order], y[order], x[order]
         data = Dataset(s, a, y, x)
         model = StructuralModel(BasisSpec((constant_term(),)),
                                 BasisSpec((linear_term(0),)))
@@ -318,15 +330,17 @@ class TestFitVarianceFunction:
 
     def test_intercept_only_spec_gives_cell_constants(self):
         # each cell's variance is the intercept-only fit of the squared
-        # residuals: their mean
-        data, model, psi, e, resid, _ = self._fitted()
-        fit = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
-        assert set(fit.by_cell) == {(a, s) for a in (0, 1) for s in (0, 1)}
-        for (a, s), var in fit.by_cell.items():
-            assert var == np.mean(resid[data.rows(s, a)] ** 2)
-            assert var == pytest.approx(1.0 if s == 1 else 3.0, rel=0.12)
-        vals = fit.predict(1, np.ones(10, dtype=int))
-        assert np.all(vals == fit.by_cell[(1, 1)])
+        # residuals: their mean over the records a mask picks, whether the
+        # sources were given interleaved or cohort first
+        for cohort_first in (False, True):
+            data, model, psi, e, resid, _ = self._fitted(cohort_first=cohort_first)
+            fit = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
+            assert set(fit.by_cell) == {(a, s) for a in (0, 1) for s in (0, 1)}
+            for (a, s), var in fit.by_cell.items():
+                assert var == np.mean(resid[(data.s == s) & (data.a == a)] ** 2)
+                assert var == pytest.approx(1.0 if s == 1 else 3.0, rel=0.12)
+            vals = fit.predict(1, np.ones(10, dtype=int))
+            assert np.all(vals == fit.by_cell[(1, 1)])
 
     def test_held_pseudo_outcome_and_outcome_variance(self):
         data, model, psi, e, resid, spec = self._fitted()
@@ -334,7 +348,7 @@ class TestFitVarianceFunction:
         h = pseudo_outcomes(model, psi, data, e.predict(data.s, designs))
         held = fit_outcome_mean(data, h, spec, designs)
         for source in (0, 1):
-            rows = data.rows(source)
+            rows = data.s == source
             fresh = fit_additive(spec.design(data.x[rows]), h[rows], spec)
             assert np.array_equal(held.by_source[source].coef, fresh.coef)
         # the outcome variance only bounds the cells: any that brackets
@@ -384,7 +398,7 @@ def split_study():
     spec = build_spline_basis(data, 4)
     designs = source_designs(data, spec)
     for arm in (0, 1):
-        assert np.count_nonzero(data.rows(0, arm)) * spec.p ** 2 >= hmodel._SPLIT_WORK
+        assert np.count_nonzero((data.s == 0) & (data.a == arm)) * spec.p ** 2 >= hmodel._SPLIT_WORK
     assert data.n_trial * spec.p ** 2 < hmodel._SPLIT_WORK
     return cfg, data, spec, designs
 
@@ -394,7 +408,7 @@ def worker_thread(monkeypatch):
     """A fresh worker thread to run second halves, whatever this host's
     core and BLAS thread counts would choose."""
     monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(hmodel.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(hmodel, "_usable_cpus", lambda: 2)
     with ThreadPoolExecutor(max_workers=1) as pool:
         monkeypatch.setattr(hmodel, "_halves", pool)
         yield pool
@@ -448,7 +462,7 @@ class TestRowHalves:
         monkeypatch.setattr(hmodel, "_halves", None)
         made = []
         for cores, blas_threads in ((2, 1), (1, 1), (2, 2), (2, 0), (2, 1)):
-            monkeypatch.setattr(hmodel.os, "cpu_count", lambda: cores)
+            monkeypatch.setattr(hmodel, "_usable_cpus", lambda: cores)
             monkeypatch.setattr(hmodel, "_blas_threads", lambda: blas_threads)
             chosen = hmodel._halves_runner()
             if (cores, blas_threads) == (2, 1):
@@ -518,7 +532,7 @@ class TestRowHalves:
         # at-fork hook its first split would wait forever.  It makes its own
         # worker thread, as beside one BLAS thread
         monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(hmodel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(hmodel, "_usable_cpus", lambda: 2)
         cfg, data, spec, designs = split_study
         want = fit_propensity(data, spec, designs).by_source[0].coef
         read_end, write_end = os.pipe()

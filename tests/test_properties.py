@@ -70,7 +70,7 @@ def _fits(data, model, knots):
 def _curve_and_average(data, model, est, grid):
     """The effect curve of ``est`` at ``grid`` and its cohort-average effect."""
     return (tau_curve(est, model.tau_basis.design(grid)),
-            ate_estimate(est, model.tau_basis.design(data.x[data.rows(0)])))
+            ate_estimate(est, model.tau_basis.design(data.x[data.s == 0])))
 
 
 def _close(got, want):
@@ -186,7 +186,7 @@ def test_rescaling_a_covariate_leaves_the_curve_and_average(study, knots, c):
 def test_cohort_outcomes_and_arms_leave_the_trial_fit(study, knots, trial_known):
     cfg, data = _draw(study)
     model = cfg.model()
-    obs = np.flatnonzero(data.rows(0))
+    obs = np.flatnonzero(data.s == 0)
     rng = np.random.default_rng(study["seed"])
     y, a = data.y.copy(), data.a.copy()
     y[obs], a[obs] = y[rng.permutation(obs)], a[rng.permutation(obs)]

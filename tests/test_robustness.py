@@ -22,7 +22,6 @@ for H unless lam = 0.  That case is therefore tested at beta = 0 only.
 
 import math
 import multiprocessing
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -31,10 +30,11 @@ import pytest
 from scipy.special import expit
 
 from htefusion import Dataset, FitOptions, SimConfig, run_pipeline, true_tau
+from htefusion.model import _usable_cpus
 from htefusion.simulation import replicate_rng, true_tau_coefficients
 
 N, M, REPS, SEED = 300, 5000, 200, 777
-JOBS = os.cpu_count() or 1
+JOBS = _usable_cpus()
 
 # (tag, cohort propensity wrong, outcome mean wrong, beta)
 ONE_WRONG = [

@@ -121,9 +121,22 @@ class TestConfig:
 
     def test_jobs_capped_at_cpu_count(self):
         # constructing the config starts no worker process
-        cores = os.cpu_count() or 1
+        cores = hmodel._usable_cpus()
         assert make_config(jobs=10**6).jobs == cores
         assert make_config(jobs=1).jobs == 1
+
+    def test_workers_and_threads_capped_at_the_affinity_mask(self, monkeypatch):
+        # as under taskset -c 0 on a two-core host: one worker process, and
+        # each second half in the caller even beside one BLAS thread
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
+        assert hmodel._usable_cpus() == 1
+        assert make_config(jobs=4).jobs == 1
+        assert hmodel._halves_runner() is hmodel._IN_CALLER
+        # where the OS keeps no affinity mask, every CPU of the host
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert hmodel._usable_cpus() == 2
 
     def test_beta_length_checked(self):
         with pytest.raises(ValidationError):
@@ -349,7 +362,7 @@ class TestRunMonteCarlo:
     def test_worker_count_does_not_change_results(self, monkeypatch, tiny_study):
         cfg, mc = tiny_study
         # two workers even on a one-core host, where jobs is capped at one
-        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
         twice = run_monte_carlo(dataclasses.replace(cfg, jobs=2))
         a, b = mc.to_dict(), twice.to_dict()
         assert a.pop("config")["jobs"] == 1
@@ -364,7 +377,8 @@ class TestRunMonteCarlo:
         cfg = make_config(beta=1.0, n=300, m=12_000, knots=4, reps=2, seed=5,
                           estimators=("integrative", "rct"))
         assert cfg.m * 26 ** 2 >= hmodel._SPLIT_WORK  # 26 spline columns
-        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hmodel, "_usable_cpus", lambda: 2)
         before = simulation._set_blas_threads(2)
         try:
             with ThreadPoolExecutor(max_workers=1) as thread:
