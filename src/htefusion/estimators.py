@@ -42,6 +42,7 @@ from .model import Dataset, StructuralModel, _on_halves
 from .nuisance import (
     CellMeans,
     NuisanceValues,
+    _gram,
     _solve_penalized,
     _source_design,
     build_spline_basis,
@@ -340,23 +341,27 @@ def meta_estimate(data: Dataset, design: np.ndarray, e: np.ndarray) -> np.ndarra
 
 
 def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
-                          ridge: float) -> ScoreWorkspace:
+                          ridge: float, grams: dict | None = None) -> ScoreWorkspace:
     """The workspace with its pseudo-outcome centered at its outcome-mean fit.
 
     The outcome mean at any coefficients is each source's ridge smoother
     ``S`` (the fit of :func:`fit_outcome_mean`) applied to the
     pseudo-outcome, so ``base_resid`` and ``resid_design`` become
     ``(I - S) y`` and ``(I - S) R``, from one solve per source on
-    ``designs``, that source's held spline design.  Each source's block
-    of both is rewritten in place, so ``ws`` is consumed; the returned
-    workspace holds them and computes its own Jacobian.
+    ``designs``, that source's held spline design.  ``grams``, when
+    given, holds their Grams by source (``nuisance._gram``), which the
+    solves then read instead of forming them, with the same bits; each
+    solve computes only its right-hand side.  Each source's block of both
+    is rewritten in place, so ``ws`` is consumed; the returned workspace
+    holds them and computes its own Jacobian.
     """
     for source, design in designs.items():
         rows = data.block(source)
         base, resid = ws.base_resid[rows], ws.resid_design[rows]
         z = np.empty((base.shape[0], ws.p + 1), order="F")  # the one stacked copy
         z[:, 0], z[:, 1:] = base, resid
-        coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})")
+        coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})",
+                                (grams or {}).get(source))
 
         def smooth(part):  # called before the loop moves on
             # the smoothed values, into the solved-on copy
@@ -421,8 +426,11 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     _check_estimators(which)
     spec = build_spline_basis(data, opts.knots)
     designs = source_designs(data, spec)
+    # each design's Gram, formed once: the propensity IRLS starts from it
+    # and the outcome-mean smoother solves on it
+    grams = {source: _gram(design) for source, design in designs.items()}
     e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
-                           clip_e=opts.clip_e, ridge=opts.ridge)
+                           clip_e=opts.clip_e, ridge=opts.ridge, grams=grams)
     e_raw = e_fit.predict_raw(data.s, designs)
     if "integrative" not in which and "rct" not in which:
         design = model.tau_basis.design(data.x)
@@ -430,8 +438,8 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
     e_hat = e_fit.clipped(e_raw)
     unit = np.ones(data.n)
     ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
-    ws = _profile_outcome_mean(ws, data, designs, opts.ridge)
-    del designs  # not held through the solves, which read the workspace alone
+    ws = _profile_outcome_mean(ws, data, designs, opts.ridge, grams)
+    del designs, grams  # not held through the solves, which read the workspace alone
     # the effect columns, which neither the zeroing nor the profiling touches
     result = PipelineResult(ws.grad[:, :model.p1])
     if "meta" in which:

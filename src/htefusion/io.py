@@ -204,9 +204,10 @@ def _locate_bad_cell(path: str, needed: list, index: dict) -> str | None:
 def load_csv(path: str, cfg: AnalysisConfig) -> Dataset:
     """Read a combined-sample CSV, validating every cell it uses.
 
-    The needed columns are parsed in one numpy call.  If that fails or a
-    value is out of range, the file is scanned again to report the first
-    bad cell by physical line and column.
+    The needed columns are parsed in one numpy call and checked once, by
+    ``Dataset``.  If the parse fails or ``Dataset`` rejects a value, the
+    file is scanned again to report the first bad cell by physical line
+    and column.
     """
     try:
         # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
@@ -234,19 +235,18 @@ def load_csv(path: str, cfg: AnalysisConfig) -> Dataset:
             table = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
                                skiprows=header_lines, usecols=[index[c] for c in needed],
                                dtype=float, ndmin=2, encoding="utf-8")
-        failure = None
     except ValueError as exc:
-        table, failure = None, str(exc)
-    if table is not None and (not np.isin(table[:, :2], (0.0, 1.0)).all()
-                              or not np.isfinite(table[:, 2:]).all()):
-        table, failure = None, "a value is out of range"
-    if table is None:
-        located = _locate_bad_cell(path, needed, index)
-        raise ValidationError(located or f"data file {path} could not be parsed: {failure}")
-    if table.shape[0] == 0:
-        raise ValidationError(f"data file {path} contains no data rows")
-    return Dataset(table[:, 0], table[:, 1], table[:, 2].copy(),
-                   np.ascontiguousarray(table[:, 3:]))
+        failure = str(exc)
+    else:
+        if table.shape[0] == 0:
+            raise ValidationError(f"data file {path} contains no data rows")
+        try:
+            return Dataset(table[:, 0], table[:, 1], table[:, 2].copy(),
+                           np.ascontiguousarray(table[:, 3:]))
+        except ValidationError:  # a flag that is not 0/1, or a value that is not finite
+            failure = "a value is out of range"
+    located = _locate_bad_cell(path, needed, index)
+    raise ValidationError(located or f"data file {path} could not be parsed: {failure}")
 
 
 @dataclass(frozen=True)

@@ -169,12 +169,23 @@ def _natural_cubic_pieces(v: np.ndarray, knots: Sequence[float]) -> list:
     # d_j(v) = [(v - t_j)_+^3 - (v - t_L)_+^3] / (t_L - t_j),
     # linear outside [t_0, t_L] by construction.  Each truncated cube is
     # computed once, as r * r * r (a tenth of the time of r ** 3), and shared
-    # by all L - 1 pieces.
+    # by all L - 1 pieces.  Every step after the first runs in place: one
+    # record-length array per knot, and one square shared by all of them.
     t = np.asarray(knots, dtype=float)
     L = t.size - 1
-    cube = [r * r * r for r in (np.maximum(v - tj, 0.0) for tj in t)]
-    d = [(cube[j] - cube[L]) / (t[L] - t[j]) for j in range(L)]
-    return [d[r] - d[L - 1] for r in range(L - 1)]
+    square = np.empty(np.shape(v))
+    cube = []
+    for tj in t:
+        r = np.subtract(v, tj)
+        np.maximum(r, 0.0, out=r)
+        np.multiply(np.multiply(r, r, out=square), r, out=r)
+        cube.append(r)
+    for j in range(L):  # d_j, in place of cube j
+        cube[j] -= cube[L]
+        cube[j] /= t[L] - t[j]
+    for piece in cube[:L - 1]:
+        piece -= cube[L - 1]
+    return cube[:L - 1]
 
 
 @dataclass(frozen=True)
@@ -293,6 +304,8 @@ class BasisSpec:
                     shared_key = (term.j, term.knots)
                     pieces = _natural_cubic_pieces(term._covariate(X), term.knots)
                 out[:, col] = pieces[term.piece]
+            elif term.kind == "linear":  # no copy beside the column's own
+                out[:, col] = term._covariate(X)
             else:
                 out[:, col] = term.column(X)
         return out

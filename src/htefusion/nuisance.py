@@ -53,13 +53,23 @@ def build_spline_basis(data: Dataset, knots: int = 4) -> BasisSpec:
     ``1 + d * (knots + 1)`` columns.  With zero knots the basis
     degenerates to intercept plus linear terms.  A constant covariate
     keeps only its linear term and a warning is recorded.
+
+    All of a covariate's knots are read from one sort of its column, by
+    ``np.quantile``'s default linear rule, so they equal its quantiles bit
+    for bit at a fraction of their cost: ``np.quantile`` partitions a copy
+    of the column at each of its ``2 * knots + 2`` ranks.
     """
     if knots < 0:
         raise ValidationError(f"knots must be >= 0, got {knots}")
+    qs = np.arange(1, knots + 1) / (knots + 1)
     terms = [constant_term()]
     for j in range(data.d):
         col = data.x[:, j]
-        lo, hi = float(col.min()), float(col.max())
+        if knots:
+            col = np.sort(col)
+            lo, hi = float(col[0]), float(col[-1])
+        else:
+            lo, hi = float(col.min()), float(col.max())
         if lo == hi:
             warnings.warn(
                 f"covariate {j + 1} is constant; keeping only its linear term",
@@ -70,9 +80,7 @@ def build_spline_basis(data: Dataset, knots: int = 4) -> BasisSpec:
         terms.append(linear_term(j))
         if knots == 0:
             continue
-        qs = np.arange(1, knots + 1) / (knots + 1)
-        interior = np.quantile(col, qs)
-        edges = np.unique(np.concatenate([[lo], interior, [hi]]))
+        edges = np.unique(np.concatenate([[lo], _sorted_quantiles(col, qs), [hi]]))
         if edges.size < 3:
             warnings.warn(
                 f"covariate {j + 1} has too few distinct values for spline terms",
@@ -90,12 +98,50 @@ def build_spline_basis(data: Dataset, knots: int = 4) -> BasisSpec:
     return BasisSpec(tuple(terms))
 
 
+def _sorted_quantiles(srt: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(col, qs)`` read from ``srt``, the sorted column: the
+    same linear interpolation between neighbouring order statistics,
+    operation for operation, so the same bits."""
+    last = srt.size - 1
+    virtual = last * qs
+    below = np.floor(virtual)
+    gamma = virtual - below
+    at = below.astype(np.intp)
+    prev, nxt = srt[at], srt[np.minimum(at + 1, last)]
+    diff = nxt - prev
+    return np.where(gamma >= 0.5, nxt - diff * (1 - gamma), prev + diff * gamma)
+
+
+def _gram(design: np.ndarray) -> np.ndarray:
+    """``design.T @ design``, read-only, summed over the records' halves
+    as every fit on ``design`` forms it, so that the fits can share it."""
+    n, p = design.shape
+
+    def kernel(rows):
+        part = design[rows]
+        return (part.T @ part,)  # one symmetric product
+
+    gram = _on_halves(kernel, n, n * p * p)[0]
+    gram.flags.writeable = False
+    return gram
+
+
+def _cross(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``design.T @ target``, on the halves of ``_gram(design)``, so that
+    its bits do not depend on whether the Gram was held."""
+    n, p = design.shape
+    return _on_halves(lambda rows: (design[rows].T @ target[rows],), n, n * p * p)[0]
+
+
 def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
-                     what: str = "additive regression") -> np.ndarray:
+                     what: str = "additive regression",
+                     gram: np.ndarray | None = None) -> np.ndarray:
     """Ridge-penalized least squares via the normal equations.
 
     The penalty is ``ridge`` times the mean diagonal of the Gram matrix,
     applied to every coefficient; ``ridge=0`` gives plain least squares.
+    ``gram`` is ``_gram(design)`` when the caller holds it; without it the
+    Gram is formed here, with the same bits.
     If the system is numerically singular the penalty is escalated a
     hundredfold with a warning that names the fit, ``what``.  Without a
     penalty, an exactly singular system can still solve to finite numbers
@@ -104,12 +150,9 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
     that check.
     """
     n, p = design.shape
-
-    def normal_equations(rows):
-        part = design[rows]
-        return part.T @ part, part.T @ target[rows]
-
-    gram, rhs = _on_halves(normal_equations, n, n * p * p)
+    if gram is None:
+        gram = _gram(design)
+    rhs = _cross(design, target)
     scale = float(np.mean(np.diag(gram)))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
@@ -167,18 +210,23 @@ _IRLS_TOL = 1e-10
 
 
 def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 1e-6,
-                 what: str = "additive regression") -> AdditiveRegressor:
+                 what: str = "additive regression",
+                 gram: np.ndarray | None = None) -> AdditiveRegressor:
     """Fit an additive regression by penalized LS (identity) or IRLS (logit).
 
     ``X`` is ``basis``'s design of the records, one row per entry of ``y``.
-    ``what`` names the fit in its warnings and errors.
+    ``what`` names the fit in its warnings and errors.  ``gram``, the
+    design's ``X.T @ X`` as ``_gram`` forms it, is a cache input only: a
+    caller that holds it saves forming it again, and leaving it out gives
+    the same bits.  The identity fit solves on it, and the logit fit's
+    first step starts from it.
     """
     design = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if design.shape != (y.shape[0], basis.p):
         raise ValidationError("design does not match y and the basis")
     if link == "identity":
-        coef = _solve_penalized(design, y, ridge, what)
+        coef = _solve_penalized(design, y, ridge, what, gram)
         return AdditiveRegressor(basis, coef, "identity")
     if link != "logit":
         raise ValidationError(f"unknown link {link!r}")
@@ -198,12 +246,10 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     loss, y_eta = np.empty_like(y), np.empty_like(y)
     r = np.empty_like(design)  # the one weighted copy of the design
 
-    def deviance(c):
-        eta = design @ c
+    def deviance(c, eta):
         # log(1 + exp(eta)) - y * eta, computed stably in the held buffers
         np.subtract(_softplus(eta, loss), np.multiply(y, eta, out=y_eta), out=loss)
-        dev = 2.0 * float(np.sum(loss)) + pen * float(c @ c)
-        return dev, eta
+        return 2.0 * float(np.sum(loss)) + pen * float(c @ c)
 
     def weighted_normal_equations(rows):
         e, x, rr = eta[rows], design[rows], r[rows]
@@ -214,11 +260,17 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         # rr.T @ rr is one symmetric product: the weighted Gram
         return rr.T @ rr, x.T @ (w * z)
 
+    # At zero coefficients every weight is 1/4 (prob = 1/2), so the first
+    # step's weighted Gram is a quarter of X'X and its right-hand side
+    # X'(y - 1/2): the same bits, as scaling by a power of two is exact
+    # until an entry overflows or is subnormal
     coef = np.zeros(basis.p)
-    dev, eta = deviance(coef)
+    eta = np.zeros(n)
+    dev = deviance(coef, eta)
+    gram = 0.25 * (_gram(design) if gram is None else gram)
+    rhs = _cross(design, y - 0.5)
     eye = np.eye(basis.p)
     for _ in range(_IRLS_MAX_ITER):
-        gram, rhs = _on_halves(weighted_normal_equations, n, work)
         try:
             new = np.linalg.solve(gram + pen * eye, rhs)
         except np.linalg.LinAlgError as exc:
@@ -227,7 +279,8 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         t = 1.0
         for _ in range(30):
             cand = coef + t * step
-            dev_new, eta_new = deviance(cand)
+            eta_new = design @ cand
+            dev_new = deviance(cand, eta_new)
             if np.isfinite(dev_new) and dev_new <= dev + 1e-12:
                 break
             t *= 0.5
@@ -237,6 +290,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         if abs(dev - dev_new) < _IRLS_TOL * (abs(dev) + 1.0):
             return AdditiveRegressor(basis, coef, "logit")
         dev = dev_new
+        gram, rhs = _on_halves(weighted_normal_equations, n, work)
     raise NumericalError(
         f"{what}: IRLS did not converge in {_IRLS_MAX_ITER} iterations (last deviance {dev:.6g})"
     )
@@ -359,14 +413,15 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
 
 def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
                    trial_known: float | None = None, clip_e: float = 0.01,
-                   ridge: float = 1e-6) -> Propensity:
+                   ridge: float = 1e-6, grams: dict | None = None) -> Propensity:
     """Fit per-source logistic propensities on the spline basis.
 
     ``trial_known`` short-circuits the trial fit with a known constant
     randomization probability.  Each fitted source must contain both
     treatment arms; otherwise the logistic fit is hopeless (separation)
     and a validation error is raised.  ``designs`` is
-    ``source_designs(data, spec)``.
+    ``source_designs(data, spec)``, and ``grams``, when given, holds the
+    Grams of some of them by source, a cache input of :func:`fit_additive`.
     """
     if not 0.0 < clip_e < 0.5:
         raise ValidationError(f"clip_e must lie in (0, 0.5), got {clip_e}")
@@ -387,6 +442,7 @@ def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
         by_source[source] = fit_additive(
             _source_design(designs, source, a.size), a.astype(float),
             spec, link="logit", ridge=ridge, what=f"propensity fit (s={source})",
+            gram=(grams or {}).get(source),
         )
     if not by_source:
         raise ValidationError("propensity fit: dataset has no usable source")

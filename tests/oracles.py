@@ -150,6 +150,18 @@ def gof_statistic(data: Dataset, ws, params: np.ndarray, alt_tau, alt_lambda,
     return float(ws.n * g_mean @ np.linalg.solve(sigma, g_mean))
 
 
+def natural_cubic_pieces(v: np.ndarray, knots) -> list:
+    """The natural cubic spline pieces of ``v`` on ``knots``, one
+    expression per step, as ``model._natural_cubic_pieces`` computed them
+    before it worked in place: the r-th piece is d_r - d_{L-1} with
+    d_j = [(v - t_j)_+^3 - (v - t_L)_+^3] / (t_L - t_j)."""
+    t = np.asarray(knots, dtype=float)
+    L = t.size - 1
+    cube = [r * r * r for r in (np.maximum(v - tj, 0.0) for tj in t)]
+    d = [(cube[j] - cube[L]) / (t[L] - t[j]) for j in range(L)]
+    return [d[r] - d[L - 1] for r in range(L - 1)]
+
+
 def logit_irls(design: np.ndarray, y: np.ndarray, ridge: float, tol: float = 1e-10,
                max_iter: int = 100) -> np.ndarray:
     """Coefficients of a ridge-penalized logistic regression of 0/1 ``y`` on

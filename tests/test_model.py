@@ -20,10 +20,11 @@ from htefusion import (
     spline_term,
     square_term,
 )
-from htefusion.model import _check_binary, _expit, _softplus
+from htefusion.model import _check_binary, _expit, _natural_cubic_pieces, _softplus
 from oracles import (
     UnitRecord,
     from_records,
+    natural_cubic_pieces,
     pseudo_outcome,
     pseudo_outcomes,
     records,
@@ -261,30 +262,26 @@ class TestBasisSpec:
 
     def test_spline_design_matches_the_piece_formula(self):
         # pieces of one covariate share cubes inside design(); interleaving
-        # terms of other covariates must not mix them up
+        # terms of other covariates must not mix them up.  The points reach
+        # past both boundary knots and include every knot
         knots = (-1.5, -0.5, 0.0, 0.5, 1.5)
         other = (-1.0, 0.0, 1.0)
         spec = BasisSpec((spline_term(0, knots, 1), linear_term(1),
                           spline_term(0, knots, 0), spline_term(1, other, 0),
                           spline_term(0, knots, 2)))
         x = np.random.default_rng(0).uniform(-2.0, 2.0, (200, 2))
+        x[:5, 0], x[:3, 1] = knots, other
+        x[5:7] = [[-40.0, 40.0], [40.0, -40.0]]
 
-        def piece(v, t, r):
-            L = len(t) - 1
-
-            def cube(u):  # as the basis cubes: two products, not a power call
-                return u * u * u
-
-            def d(j):
-                return (cube(np.clip(v - t[j], 0.0, None))
-                        - cube(np.clip(v - t[L], 0.0, None))) / (t[L] - t[j])
-            return d(r) - d(L - 1)
-
-        want = np.column_stack([piece(x[:, 0], knots, 1), x[:, 1], piece(x[:, 0], knots, 0),
-                                piece(x[:, 1], other, 0), piece(x[:, 0], knots, 2)])
-        assert np.array_equal(spec.design(x), want)
+        ref = {t: natural_cubic_pieces(x[:, j], t) for j, t in ((0, knots), (1, other))}
+        want = np.column_stack([ref[knots][1], x[:, 1], ref[knots][0], ref[other][0],
+                                ref[knots][2]])
+        assert spec.design(x).tobytes(order="F") == want.tobytes(order="F")
         for col, term in enumerate(spec.terms):
-            assert np.array_equal(term.column(x), want[:, col])
+            assert term.column(x).tobytes() == want[:, col].tobytes()
+        for j, t in ((0, knots), (1, other)):  # on strided columns
+            got = _natural_cubic_pieces(x[:, j], t)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in ref[t]]
 
     def test_empty_spec_design(self):
         spec = BasisSpec(())

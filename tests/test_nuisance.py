@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -43,7 +44,12 @@ from htefusion import (
 )
 import htefusion.estimators as estimators
 import htefusion.model as hmodel
-from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
+from htefusion.nuisance import (
+    _gram,
+    fit_conditional_outcomes,
+    fit_outcome_mean,
+    source_designs,
+)
 from conftest import make_config, subset, true_values
 from oracles import logit_irls, pseudo_outcomes
 
@@ -80,6 +86,27 @@ class TestBuildSplineBasis:
     def test_validation(self, desk_data):
         with pytest.raises(ValidationError):
             build_spline_basis(desk_data, -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.one_of(st.integers(3, 300), st.integers(300, 70000)),
+           kind=st.sampled_from(["normal", "integers", "cents"]),
+           knots=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_knots_are_the_columns_quantiles_bit_for_bit(self, n, kind, knots, seed):
+        # read from one sort of the column, by np.quantile's own rule; the
+        # integer and 2-decimal columns tie many values
+        rng = np.random.default_rng(seed)
+        col = {"normal": lambda: rng.standard_normal(n),
+               "integers": lambda: rng.integers(0, 6, n).astype(float),
+               "cents": lambda: rng.integers(-300, 300, n) / 100.0}[kind]()
+        data = Dataset(np.ones(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n),
+                       col[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ties may leave fewer pieces, or none
+            spec = build_spline_basis(data, knots)
+        qs = np.arange(1, knots + 1) / (knots + 1)
+        want = np.unique(np.concatenate([[col.min()], np.quantile(col, qs), [col.max()]]))
+        got = {np.array(t.knots).tobytes() for t in spec.terms if t.kind == "spline"}
+        assert got == ({want.tobytes()} if want.size >= 3 else set())
 
 
 class TestFitAdditive:
@@ -560,3 +587,76 @@ class TestRowHalves:
         assert ready, "the forked child's split fit did not finish"
         assert os.waitstatus_to_exitcode(status) == 0
         assert got == want.tobytes()
+
+
+class TestHeldGram:
+    """A fit given a design's held Gram has the bits of one that forms it,
+    on one block and on two row halves."""
+
+    @pytest.fixture(params=[np.inf, 0.0], ids=["whole", "halves"])
+    def split_work(self, request, monkeypatch):
+        monkeypatch.setattr(hmodel, "_SPLIT_WORK", request.param)
+
+    @staticmethod
+    def _propensity_cases(data):
+        spec = build_spline_basis(data, 4)
+        for source, design in source_designs(data, spec).items():
+            yield spec, design, data.a[data.block(source)].astype(float)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -240, 1.0, 2.0 ** 240], ids=["2^-240", "1", "2^240"])
+    def test_first_irls_step_is_the_weighted_step_at_zero(self, desk_data, split_work,
+                                                          monkeypatch, scale):
+        # the first step solves on a quarter of the Gram; it must have the
+        # bits of the weighted normal equations every later step forms, here
+        # at eta = 0, where every weight is 1/4
+        class FirstSystem(Exception):
+            pass
+
+        def first_system(a, b):
+            raise FirstSystem(a, b)
+
+        for spec, design, y in self._propensity_cases(desk_data):
+            design = design * scale
+            n, p = design.shape
+            r = np.empty_like(design)
+
+            def at_zero(rows):
+                x, rr = design[rows], r[rows]
+                prob = hmodel._expit(np.zeros(x.shape[0]))
+                w = np.maximum(prob * (1.0 - prob), 1e-10)
+                np.multiply(x, np.sqrt(w)[:, None], out=rr)
+                return rr.T @ rr, x.T @ (w * ((y[rows] - prob) / w))
+
+            gram, rhs = hmodel._on_halves(at_zero, n, n * p * p)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", first_system)
+                with pytest.raises(FirstSystem) as got:
+                    fit_additive(design, y, spec, link="logit", ridge=0.0)
+            assert got.value.args[0].tobytes() == (gram + 0.0 * np.eye(p)).tobytes()
+            assert got.value.args[1].tobytes() == rhs.tobytes()
+
+    def test_quarter_gram_is_inexact_only_past_the_normal_range(self):
+        # an overflowing entry is inf in X'X but finite in the weighted Gram,
+        # and a subnormal one is rounded twice; no fitted design has either
+        # (an overflowing design fails its fit either way)
+        for x in (2.0 ** 512, np.sqrt(5.6) * 2.0 ** -537):
+            design = np.array([[x]])
+            with np.errstate(over="ignore"):
+                quarter = 0.25 * _gram(design)
+            assert quarter.tobytes() != ((0.5 * design).T @ (0.5 * design)).tobytes()
+
+    def test_logit_fit_reads_the_held_gram_with_the_same_bits(self, desk_data, split_work):
+        for spec, design, y in self._propensity_cases(desk_data):
+            formed = fit_additive(design, y, spec, link="logit").coef
+            held = fit_additive(design, y, spec, link="logit", gram=_gram(design)).coef
+            assert held.tobytes() == formed.tobytes()
+
+    def test_smoother_reads_the_held_grams_with_the_same_bits(self, desk_data, split_work):
+        cfg = make_config(beta=1.0, seed=3)  # desk_data's draw
+        designs = source_designs(desk_data, build_spline_basis(desk_data, 4))
+        grams = {source: _gram(design) for source, design in designs.items()}
+        got = [estimators._profile_outcome_mean(
+            build_workspace(desk_data, cfg.model(), true_values(cfg, desk_data)),
+            desk_data, designs, 1e-6, held) for held in (None, grams)]
+        for name in ("base_resid", "resid_design"):
+            assert getattr(got[1], name).tobytes() == getattr(got[0], name).tobytes()
