@@ -114,10 +114,13 @@ class GofResult:
 
 
 def _solve_square(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalError(f"{what} is numerically singular (condition number {cond:.3g})")
-    return np.linalg.solve(mat, rhs)
+    try:  # the SVD behind cond may fail to converge on a NaN entry, not return inf
+        cond = np.linalg.cond(mat) if np.isfinite(mat).all() else np.inf
+        if cond <= 1e12:
+            return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} could not be solved ({exc})") from None
+    raise NumericalError(f"{what} is numerically singular (condition number {cond:.3g})")
 
 
 def _coefficients(values, p: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .model import (
     StructuralModel,
     _check_fields,
     _check_probes,
+    _plain,
     constant_term,
     linear_term,
     product_term,
@@ -151,19 +152,6 @@ def _read_json_object(path: str, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} must hold a JSON object")
     return raw
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays and tuples to JSON types."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def _cell_error(token, binary: bool) -> str | None:

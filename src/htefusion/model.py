@@ -16,7 +16,6 @@ import functools
 import numbers
 import os
 import threading
-import types
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -223,18 +222,6 @@ class BasisTerm:
                 )
         return X[:, self.j]
 
-    def column(self, X: np.ndarray) -> np.ndarray:
-        if self.kind == "const":
-            return np.ones(X.shape[0])
-        v = self._covariate(X)
-        if self.kind == "linear":
-            return v.copy()
-        if self.kind == "square":
-            return v * v
-        if self.kind == "product":
-            return v * X[:, self.k]
-        return _natural_cubic_pieces(v, self.knots)[self.piece]
-
     def label(self, names: Sequence[str] | None = None) -> str:
         def nm(idx):
             return names[idx] if names is not None else f"x{idx + 1}"
@@ -291,23 +278,27 @@ class BasisSpec:
 
     def design(self, X) -> np.ndarray:
         """Evaluate all terms on a covariate matrix, returning (n, p) in
-        column-major order, so that each column is contiguous."""
+        column-major order, so that each column is contiguous and written in place."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValidationError("design expects a 2-d covariate matrix")
         out = np.empty((X.shape[0], self.p), order="F")
         shared_key, pieces = None, None
         for col, term in enumerate(self.terms):
+            if term.kind == "const":
+                out[:, col] = 1.0
+                continue
+            v = term._covariate(X)
             if term.kind == "spline":
                 # the pieces of one covariate's spline share their cubes
                 if (term.j, term.knots) != shared_key:
                     shared_key = (term.j, term.knots)
-                    pieces = _natural_cubic_pieces(term._covariate(X), term.knots)
+                    pieces = _natural_cubic_pieces(v, term.knots)
                 out[:, col] = pieces[term.piece]
-            elif term.kind == "linear":  # no copy beside the column's own
-                out[:, col] = term._covariate(X)
-            else:
-                out[:, col] = term.column(X)
+            elif term.kind == "linear":
+                out[:, col] = v
+            else:  # a square or a product, with no temporary
+                np.multiply(v, v if term.kind == "square" else X[:, term.k], out=out[:, col])
         return out
 
 
@@ -339,6 +330,22 @@ def _check_fields(cfg) -> None:
         val = getattr(cfg, f.name)
         if not (optional and val is None):
             object.__setattr__(cfg, f.name, _typed(f.name, val, kind))
+
+
+def _plain(obj):
+    """Recursively convert numpy scalars/arrays and tuples to JSON types,
+    and a basis to its term labels."""
+    if isinstance(obj, BasisSpec):
+        return obj.labels()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj
 
 
 def _check_probes(probes: tuple, width: int, what: str) -> None:
@@ -382,32 +389,29 @@ class StructuralModel:
         return BasisSpec(self.tau_basis.terms + self.lambda_basis.terms).design(x)
 
 
-def _take_rows(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Rows ``mask`` of a record-by-column matrix in its memory order, by one
-    compress: a few times faster than indexing with a boolean mask."""
-    if mat.flags.f_contiguous:
-        return np.compress(mask, mat.T, axis=1).T
-    return np.compress(mask, mat, axis=0)
-
-
 @functools.cache
-def _openblas(symbol: str):
-    """The function ``symbol`` of numpy's bundled OpenBLAS, found through
-    ``_multiarray_umath``, which links it; None on other BLAS builds or a
-    numpy without ``np._core``."""
+def _openblas(symbol: str, restype, *argtypes):
+    """The function ``symbol`` of numpy's bundled OpenBLAS, typed, found
+    through ``_multiarray_umath``, which links it; None on other BLAS builds
+    or a numpy without ``np._core``."""
     try:
-        return getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
     except (AttributeError, OSError):
         return None
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
 
 
-def _blas_threads() -> int:
-    """The thread count of numpy's bundled OpenBLAS; 0 on other BLAS builds."""
-    get = _openblas("scipy_openblas_get_num_threads64_")
+def _blas_threads(count: int | None = None) -> int:
+    """The thread count of numpy's bundled OpenBLAS, 0 on other BLAS builds;
+    given ``count``, BLAS is then set to that many threads."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
     if get is None:
         return 0
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
+    before = get()
+    if count is not None and before != count:  # even an unchanged set costs ~10 us
+        _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)(count)
+    return before
 
 
 def _usable_cpus() -> int:
@@ -424,40 +428,30 @@ def _usable_cpus() -> int:
 _SPLIT_WORK = 6e6
 
 
-class _InCaller:
-    """Stands in for the worker thread by running each second half in the
-    caller: the same halves added in the same order, so the same bits."""
-
-    def submit(self, fn, *args):
-        value = fn(*args)
-        return types.SimpleNamespace(result=lambda: value)
-
-
-_IN_CALLER = _InCaller()
-
-# The worker thread, made by the first split that uses it; _IN_CALLER in a
-# Monte Carlo worker process, whose splits all run in the caller
+# The worker thread, made by the first split that uses it; none in a Monte
+# Carlo worker process (_one_core), whose splits all run in the caller
 _halves = None
 _halves_lock = threading.Lock()
+_one_core = False
 
 
 def _halves_in_caller() -> None:
     """Run both halves of every split kernel of this process in the caller,
     as a Monte Carlo worker does, so that each worker uses one core."""
-    global _halves
-    _halves = _IN_CALLER
+    global _one_core
+    _one_core = True
 
 
 def _halves_runner():
     """The runner of a second half: the worker thread while BLAS runs on one
-    thread on a host with several cores; otherwise the caller (on one core,
-    or beside BLAS threads, which already share out the products).  Chosen
-    for each split, as a serial Monte Carlo study pins BLAS only for its
-    duration.  The halves, and so the bits, are the same either way.
+    thread on a host with several cores; otherwise None, for the caller (in a
+    Monte Carlo worker, on one core, or beside BLAS threads, which share out
+    the products).  Chosen for each split, as a serial study pins BLAS only
+    for its duration.  The halves, and so the bits, are the same either way.
     """
     global _halves
-    if _blas_threads() != 1 or _usable_cpus() < 2:
-        return _IN_CALLER
+    if _one_core or _blas_threads() != 1 or _usable_cpus() < 2:
+        return None
     with _halves_lock:  # fits in several threads share one worker thread
         if _halves is None:
             from concurrent.futures import ThreadPoolExecutor
@@ -471,8 +465,7 @@ def _drop_worker_thread() -> None:
     # makes it.  The lock may have been held by a thread the child lacks
     global _halves, _halves_lock
     _halves_lock = threading.Lock()
-    if _halves is not _IN_CALLER:
-        _halves = None
+    _halves = None
 
 
 if hasattr(os, "register_at_fork"):
@@ -482,23 +475,26 @@ if hasattr(os, "register_at_fork"):
 def _on_halves(kernel, n: int, work: float) -> tuple:
     """``kernel`` over all ``n`` records, as the sum of its parts.
 
-    ``kernel(rows)`` takes a slice of the records and returns a tuple of
-    parts that add up over rows.  Once ``work`` reaches ``_SPLIT_WORK``,
-    rows ``[n//2, n)`` run on the runner of :func:`_halves_runner` while
-    rows ``[0, n//2)`` run in the caller, and the parts are added first
-    half first; below it the kernel runs once on all rows.  The halves
-    depend on ``n`` and ``work`` alone, so a result has the same bits
-    whichever runs the second half.  A kernel writes only into its own rows
-    of arrays its caller allocated.
+    ``kernel(rows)`` takes a slice of the records and returns a tuple of parts
+    that add up over rows.  Once ``work`` reaches ``_SPLIT_WORK``, rows
+    ``[0, n//2)`` run in the caller and rows ``[n//2, n)`` on the worker thread
+    of :func:`_halves_runner` (after them where it gives none), and the parts
+    are added first half first; below it the kernel runs once on all rows.
+    The halves depend on ``n`` and ``work`` alone, so a result has the same
+    bits whichever runs the second half.  A kernel writes only into its own
+    rows of arrays its caller allocated.
     """
     if work < _SPLIT_WORK:
         return kernel(slice(0, n))
     runner = _halves_runner()
     half = n // 2
-    # in the caller's context, so that the worker sees its np.errstate
-    pending = runner.submit(contextvars.copy_context().run, kernel, slice(half, n))
-    try:
-        first = kernel(slice(0, half))
-    finally:
-        second = pending.result()  # the worker is done with the caller's arrays
+    if runner is None:
+        first, second = kernel(slice(0, half)), kernel(slice(half, n))
+    else:
+        # in the caller's context, so that the worker sees its np.errstate
+        pending = runner.submit(contextvars.copy_context().run, kernel, slice(half, n))
+        try:
+            first = kernel(slice(0, half))
+        finally:
+            second = pending.result()  # the worker is done with the caller's arrays
     return tuple(a + b for a, b in zip(first, second))

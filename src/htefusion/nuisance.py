@@ -22,7 +22,6 @@ from .model import (
     _expit,
     _on_halves,
     _softplus,
-    _take_rows,
     constant_term,
     linear_term,
     spline_term,
@@ -465,8 +464,8 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, designs: dict,
                 continue
             design = _source_design(designs, s_val, arm.size)
             by_cell[(a_val, s_val)] = fit_additive(
-                design if cell.all() else _take_rows(design, cell), data.y[block][cell], spec,
-                ridge=ridge, what=f"conditional-outcome fit (a={a_val}, s={s_val})",
+                design if cell.all() else np.asfortranarray(design[cell]), data.y[block][cell],
+                spec, ridge=ridge, what=f"conditional-outcome fit (a={a_val}, s={s_val})",
             )
     if not by_cell:
         raise ValidationError("conditional-outcome fit: no non-empty cells")

@@ -15,7 +15,6 @@ output is byte-identical for any worker count.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,7 +31,7 @@ from .model import (
     _check_probes,
     _expit,
     _halves_in_caller,
-    _openblas,
+    _plain,
     _usable_cpus,
     constant_term,
     linear_term,
@@ -287,33 +286,12 @@ class McSummary:
         }
 
 
-def _config_echo(cfg: SimConfig) -> dict:
-    """Every setting of ``cfg`` as JSON: a basis by its term labels, tuples as lists."""
-    def plain(val):
-        if isinstance(val, BasisSpec):
-            return val.labels()
-        return [plain(v) for v in val] if isinstance(val, tuple) else val
-    return {f.name: plain(getattr(cfg, f.name)) for f in fields(cfg)}
-
-
-def _set_blas_threads(count: int) -> int:
-    """Set this process's BLAS to ``count`` threads, if it is numpy's bundled
-    OpenBLAS, and return the count it had; on other BLAS builds this does
-    nothing and returns 0."""
-    before = _blas_threads()
-    setter = _openblas("scipy_openblas_set_num_threads64_")
-    if setter is not None and before != count:  # even an unchanged set costs ~10 us
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(count)
-    return before
-
-
 def _init_worker() -> None:
     """Hold a Monte Carlo worker to one core: BLAS on one thread, so that
     workers do not oversubscribe the cores, and both row halves of a split
     kernel run in the worker itself (the same halves, so the same bits as a
     threaded run)."""
-    _set_blas_threads(1)
+    _blas_threads(1)
     _halves_in_caller()
 
 
@@ -340,12 +318,12 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
     else:
         # one BLAS thread, as in the workers: BLAS's thread count moves the
         # last bits of large products.  Split kernels use the worker thread
-        before = _set_blas_threads(1)
+        before = _blas_threads(1)
         try:
             results = [run_replicate(cfg, r) for r in range(cfg.reps)]
         finally:
             if before > 1:
-                _set_blas_threads(before)
+                _blas_threads(before)
 
     n_fallback = sum(r["fallback"] for r in results)
     if n_fallback > 0.05 * cfg.reps:
@@ -383,7 +361,8 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
                    "rejection_rate": float(np.mean(arr < 0.05)),
                    "p_values": [float(p) for p in arr]}
 
-    return McSummary(cfg.reps, targets, cells, int(n_fallback), gof, _config_echo(cfg))
+    config = _plain({f.name: getattr(cfg, f.name) for f in fields(cfg)})
+    return McSummary(cfg.reps, targets, cells, int(n_fallback), gof, config)
 
 
 def summarize(mc: McSummary) -> str:

@@ -74,6 +74,12 @@ def _tied_first_covariate(s, a, y, x):
     x[:, 0] = np.clip(np.round(x[:, 0]), -1.0, 1.0)
 
 
+def _huge_age(scale):
+    def mutate(s, a, y, x):
+        x[:, 0] *= scale
+    return mutate
+
+
 def _finite(node) -> bool:
     if isinstance(node, dict):
         return all(_finite(v) for v in node.values())
@@ -107,6 +113,9 @@ HOSTILE = [
      "sandwich bread is numerically singular"),
     ("duplicate-lambda-term", None, ["--lambda", "age,age,bmi"], 3,
      "sandwich bread is numerically singular"),
+    # the bread's entries overflow: LAPACK's SVD would not converge on them
+    ("age-times-1e80", _huge_age(1e80), [], 3, "sandwich bread is numerically singular"),
+    ("age-times-1e100", _huge_age(1e100), [], 3, "sandwich bread is numerically singular"),
     ("far-probe", None, ["--probe", "1e6,0,0,0,0"], 0, None),
     ("overflowing-probe", None, ["--probe", "1e160,0,0,0,0"], 3, "effect curve"),
     ("nan-probe", None, ["--probe", "nan,0,0,0,0"], 2, "probes"),

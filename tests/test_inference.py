@@ -29,7 +29,7 @@ from htefusion import (
     square_term,
     tau_curve,
 )
-from htefusion.inference import _chi2_sf
+from htefusion.inference import _chi2_sf, _solve_square
 from conftest import make_config, true_psi, true_values, values_subset
 from oracles import gof_statistic, score_matrix
 
@@ -139,6 +139,21 @@ class TestSandwich:
         ws = build_workspace(data, dup, true_values(cfg, data))
         with pytest.raises(NumericalError, match="singular"):
             sandwich_covariance(data, psi, ws)
+
+    def test_failed_decomposition_raises_a_numerical_error(self, monkeypatch):
+        # np.linalg.cond raises "SVD did not converge" on a NaN entry, as on
+        # the overflowing bread of a covariate scaled by 1e80
+        bread = np.eye(3)
+        bread[0, 1] = np.nan
+        with pytest.raises(NumericalError, match="^sandwich bread is numerically singular"):
+            _solve_square(bread, np.eye(3), "sandwich bread")
+
+        def fails(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", fails)
+        with pytest.raises(NumericalError, match="^sandwich bread could not be solved"):
+            _solve_square(np.eye(3), np.eye(3), "sandwich bread")
 
 
 class TestTauCurve:

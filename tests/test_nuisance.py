@@ -13,7 +13,6 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -441,18 +440,6 @@ def worker_thread(monkeypatch):
         yield pool
 
 
-class _InCallerStandIn:
-    """Runs each submitted half at once in the caller and counts them."""
-
-    def __init__(self):
-        self.submitted = 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        value = fn(*args)
-        return SimpleNamespace(result=lambda: value)
-
-
 def _split_fit(cfg, data, spec, designs):
     """The split-size kernels of a fit: the cohort propensity IRLS, the
     cell regressions and the integrative solve with its profiled smoother."""
@@ -473,12 +460,15 @@ class TestRowHalves:
 
     def test_serial_stand_in_gives_the_bits_of_the_worker_thread(self, split_study,
                                                                  worker_thread, monkeypatch):
+        # both halves in the caller, as in a Monte Carlo worker process
         cfg, data, spec, designs = split_study
         threaded = _split_fit(cfg, data, spec, designs)
-        stand_in = _InCallerStandIn()
-        monkeypatch.setattr(hmodel, "_halves", stand_in)
+        monkeypatch.setattr(hmodel, "_one_core", True)
+        runner, chosen = hmodel._halves_runner, []
+        monkeypatch.setattr(hmodel, "_halves_runner",
+                            lambda: chosen.append(runner()) or chosen[-1])
         serial = _split_fit(cfg, data, spec, designs)
-        assert stand_in.submitted > 0
+        assert chosen and all(got is None for got in chosen)
         for got, want in zip(serial, threaded):
             assert np.array_equal(got, want)
 
@@ -496,7 +486,7 @@ class TestRowHalves:
                 assert isinstance(chosen, ThreadPoolExecutor) and hmodel._halves is chosen
                 made.append(chosen)
             else:
-                assert chosen is hmodel._IN_CALLER
+                assert chosen is None
         assert made[0] is made[1]  # one worker thread for the process
         made[0].shutdown()
 

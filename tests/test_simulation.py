@@ -133,7 +133,7 @@ class TestConfig:
         monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
         assert hmodel._usable_cpus() == 1
         assert make_config(jobs=4).jobs == 1
-        assert hmodel._halves_runner() is hmodel._IN_CALLER
+        assert hmodel._halves_runner() is None
         # where the OS keeps no affinity mask, every CPU of the host
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert hmodel._usable_cpus() == 2
@@ -321,9 +321,9 @@ def _blas_threads() -> int:
     return get()
 
 
-def _halves_runner() -> str:
-    """The kind of runner of a split kernel's second half in the calling process."""
-    return type(hmodel._halves).__name__
+def _splits_run_in_the_caller() -> bool:
+    """Whether the calling process runs both halves of a split kernel itself."""
+    return hmodel._halves_runner() is None
 
 
 class TestRunMonteCarlo:
@@ -379,7 +379,7 @@ class TestRunMonteCarlo:
         assert cfg.m * 26 ** 2 >= hmodel._SPLIT_WORK  # 26 spline columns
         monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(hmodel, "_usable_cpus", lambda: 2)
-        before = simulation._set_blas_threads(2)
+        before = hmodel._blas_threads(2)
         try:
             with ThreadPoolExecutor(max_workers=1) as thread:
                 monkeypatch.setattr(hmodel, "_halves", thread)
@@ -387,14 +387,14 @@ class TestRunMonteCarlo:
                 assert hmodel._blas_threads() in (0, 2)  # restored after the study
                 b = run_monte_carlo(dataclasses.replace(cfg, jobs=2)).to_dict()
         finally:
-            simulation._set_blas_threads(before)
+            hmodel._blas_threads(before)
         a["config"].pop("jobs")
         b["config"].pop("jobs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_workers_run_split_kernels_in_the_caller(self):
         with simulation._worker_pool(1) as pool:
-            assert pool.submit(_halves_runner).result() == "_InCaller"
+            assert pool.submit(_splits_run_in_the_caller).result()
 
     def test_workers_run_blas_on_one_thread(self):
         try:
