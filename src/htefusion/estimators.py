@@ -56,7 +56,6 @@ __all__ = [
     "SolveReport",
     "ScoreWorkspace",
     "build_workspace",
-    "preliminary_estimate",
     "solve_integrative",
     "solve_rct",
     "meta_estimate",

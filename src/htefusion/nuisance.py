@@ -31,14 +31,10 @@ __all__ = [
     "build_spline_basis",
     "AdditiveRegressor",
     "Propensity",
-    "OutcomeMean",
-    "CellMeans",
     "VarianceFunction",
     "NuisanceValues",
     "fit_additive",
     "fit_propensity",
-    "fit_conditional_outcomes",
-    "fit_outcome_mean",
     "fit_variance_function",
 ]
 
@@ -231,8 +227,10 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         raise ValidationError(f"unknown link {link!r}")
 
     # IRLS with step halving on the penalized deviance; the penalty scales
-    # with the mean squared column norm.
-    scale = float(np.linalg.norm(design) ** 2 / basis.p)
+    # with the mean Gram diagonal, by _solve_penalized's rule.
+    if gram is None:
+        gram = _gram(design)
+    scale = float(np.mean(np.diag(gram)))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
     pen = ridge * scale
@@ -266,7 +264,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     coef = np.zeros(basis.p)
     eta = np.zeros(n)
     dev = deviance(coef, eta)
-    gram = 0.25 * (_gram(design) if gram is None else gram)
+    gram = 0.25 * gram
     rhs = _cross(design, y - 0.5)
     eye = np.eye(basis.p)
     for _ in range(_IRLS_MAX_ITER):
@@ -464,7 +462,10 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, designs: dict,
                 continue
             design = _source_design(designs, s_val, arm.size)
             by_cell[(a_val, s_val)] = fit_additive(
-                design if cell.all() else np.asfortranarray(design[cell]), data.y[block][cell],
+                # a partial cell's rows as one column-major copy: the fit's
+                # bits follow the design's layout
+                design if cell.all() else np.compress(cell, design.T, axis=1).T,
+                data.y[block][cell],
                 spec, ridge=ridge, what=f"conditional-outcome fit (a={a_val}, s={s_val})",
             )
     if not by_cell:

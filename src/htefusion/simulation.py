@@ -40,7 +40,6 @@ from .model import (
 
 __all__ = [
     "SimConfig",
-    "CellStats",
     "McSummary",
     "default_tau_basis",
     "default_lambda_basis",
@@ -49,7 +48,6 @@ __all__ = [
     "true_tau_coefficients",
     "true_tau",
     "true_ate",
-    "true_confounding",
     "replicate_rng",
     "generate_replicate",
     "run_replicate",
@@ -185,15 +183,12 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
 
     Trial: covariates standard normal, treatment a fair coin, outcome
     ``a * tau(x) + sum(x) + noise``.  Cohort: treatment follows
-    ``logit = -sum(x)``; an unobserved shift with mean
-    ``(2a - 1) * c * x'beta`` (c = 1/2 for "unit", 1 for "double") and
-    unit variance is added to the outcome, inducing the confounding
-    curve of :func:`true_confounding` while keeping each arm's residual
-    variance at 2.
+    ``logit = -sum(x)``; an unobserved shift with mean ``(a - 1/2)``
+    times the confounding curve of :func:`true_confounding` and unit
+    variance is added to the outcome, inducing that curve while keeping
+    each arm's residual variance at 2.
     """
     rng = replicate_rng(cfg.seed, rep)
-    beta = np.asarray(cfg.beta, dtype=float)
-    half_scale = 0.5 if cfg.confounding_form == "unit" else 1.0
 
     x = np.empty((cfg.n + cfg.m, N_COVARIATES))  # each sample drawn into its rows
     x_t, x_o = x[:cfg.n], x[cfg.n:]
@@ -204,7 +199,7 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     rng.standard_normal(out=x_o)
     sum_o = x_o.sum(axis=1)
     a_o = (rng.random(cfg.m) < _expit(-sum_o)).astype(np.int8)
-    u_o = rng.normal((2.0 * a_o - 1.0) * half_scale * (x_o @ beta), 1.0)
+    u_o = rng.normal((a_o - 0.5) * true_confounding(cfg, x_o), 1.0)
     y_o = a_o * true_tau(cfg, x_o) + sum_o + u_o + rng.standard_normal(cfg.m)
 
     return Dataset(

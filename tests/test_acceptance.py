@@ -17,9 +17,6 @@ approaches the window width).
 import dataclasses
 import json
 import math
-import multiprocessing
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -215,14 +212,14 @@ def test_criterion_6_specification_test_size_and_power():
     size_mc = run_monte_carlo(SimConfig(
         beta=(1.0,) * 5, reps=500, estimators=("integrative",),
         gof_alt_tau=BasisSpec((product_term(0, 1),)),
-        gof_alt_lambda=BasisSpec((square_term(0),)),
+        gof_alt_lambda=BasisSpec((square_term(0),)), jobs=JOBS,
     ))
     size = size_mc.gof["rejection_rate"]
     power_mc = run_monte_carlo(SimConfig(
         beta=(0.0,) * 5, reps=500, estimators=("integrative",),
         tau_terms=BasisSpec((constant_term(), linear_term(0), square_term(0),
                              linear_term(1))),
-        gof_alt_tau=BasisSpec((square_term(1),)),
+        gof_alt_tau=BasisSpec((square_term(1),)), jobs=JOBS,
     ))
     power = power_mc.gof["rejection_rate"]
     ok = 0.025 <= size <= 0.075 and power >= 0.80
@@ -338,11 +335,8 @@ def test_criterion_8c_misspecified_fit_finds_the_projection():
 
     # Replicates are independent and deterministic, so the draws do not
     # depend on the worker count.  They run while this process minimizes
-    # the oracle, the larger share of the work.  Spawned workers start
-    # from a fresh import, so each is given the suite's RuntimeWarning filter.
-    with ProcessPoolExecutor(JOBS, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=warnings.simplefilter,
-                             initargs=("error", RuntimeWarning)) as pool:
+    # the oracle, the larger share of the work.
+    with simulation._worker_pool(JOBS) as pool:
         pending = pool.map(_projection_draw, [cfg] * reps, range(reps),
                            chunksize=max(1, reps // (4 * JOBS)))
 

@@ -24,33 +24,47 @@ import math
 
 import numpy as np
 
+import htefusion.simulation as simulation
 from htefusion import FitOptions, SimConfig, generate_replicate, run_pipeline
 from htefusion import sandwich_covariance
 from htefusion.inference import _Z95
+from htefusion.model import _usable_cpus
 from htefusion.simulation import true_tau_coefficients
 
 REPS = 400
 RATIO_FLOOR = 1.0 - 3.0 * math.sqrt(2.0 / (REPS - 1))
 COVERAGE_FLOOR = 0.95 - 3.0 * math.sqrt(0.95 * 0.05 / REPS)
+ESTIMATORS = ("integrative", "rct")
+
+
+def calibration_draw(cfg: SimConfig, rep: int) -> dict:
+    """Replicate ``rep``: each estimator's effect coefficients and their
+    sandwich standard errors."""
+    data = generate_replicate(cfg, rep)
+    model = cfg.model()
+    fit = run_pipeline(data, model, FitOptions(knots=cfg.knots, trial_known=cfg.trial_known),
+                       which=ESTIMATORS)
+    out = {}
+    for name in ESTIMATORS:
+        report = getattr(fit, name)
+        est = sandwich_covariance(data, report.psi_hat, report.workspace)
+        out[name] = (est.phi, est.se[:model.p1])
+    return out
 
 
 def test_effect_coefficients_calibrated_with_spline_nuisances():
     cfg = SimConfig(beta=(1.0,) * 5, seed=777, knots=4, trial_known=0.5)
     model = cfg.model()
-    opts = FitOptions(knots=cfg.knots, trial_known=cfg.trial_known)
-    draws = {"integrative": ([], []), "rct": ([], [])}
-    for rep in range(REPS):
-        data = generate_replicate(cfg, rep)
-        fit = run_pipeline(data, model, opts, which=tuple(draws))
-        for name, (phi, se) in draws.items():
-            report = getattr(fit, name)
-            est = sandwich_covariance(data, report.psi_hat, report.workspace)
-            phi.append(est.phi)
-            se.append(est.se[:model.p1])
+    jobs = _usable_cpus()
+    # the draws do not depend on the worker count
+    with simulation._worker_pool(jobs) as pool:
+        fits = list(pool.map(calibration_draw, [cfg] * REPS, range(REPS),
+                             chunksize=max(1, REPS // (4 * jobs))))
     truth = true_tau_coefficients(cfg.tau_form)
     failures = []
-    for name, (phi, se) in draws.items():
-        phi, se = np.array(phi), np.array(se)
+    for name in ESTIMATORS:
+        phi = np.array([fit[name][0] for fit in fits])
+        se = np.array([fit[name][1] for fit in fits])
         ratio = (se ** 2).mean(axis=0) / phi.var(axis=0, ddof=1)
         coverage = (np.abs(phi - truth) <= _Z95 * se).mean(axis=0)
         print(f"{name}: variance ratios {np.round(ratio, 3)}, "

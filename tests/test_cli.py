@@ -3,9 +3,11 @@
 import argparse
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -445,6 +447,14 @@ class TestEntryPoint:
                    if name != "__builtins__" and isinstance(val, ModuleType)]
         assert modules == []
         assert "FitOptions" in namespace
+
+    def test_submodules_list_only_package_exports(self):
+        # a submodule's __all__ names what ``htefusion`` re-exports; other
+        # names stay importable from their modules
+        exported = set(htefusion.__all__)
+        for info in pkgutil.iter_modules(htefusion.__path__):
+            module = importlib.import_module(f"htefusion.{info.name}")
+            assert set(getattr(module, "__all__", ())) <= exported, info.name
 
     def test_console_script(self):
         proc = _run_child(["-m", "htefusion.cli", "--version"])

@@ -21,14 +21,12 @@ for H unless lam = 0.  That case is therefore tested at beta = 0 only.
 """
 
 import math
-import multiprocessing
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import htefusion.simulation as simulation
 from htefusion import Dataset, FitOptions, SimConfig, run_pipeline, true_tau
 from htefusion.model import _usable_cpus
 from htefusion.simulation import replicate_rng, true_tau_coefficients
@@ -83,11 +81,9 @@ def max_z():
     """Each case's largest |z| over the effect coefficients' Monte Carlo mean bias."""
     cases = ONE_WRONG + [BOTH_WRONG]
     jobs = [(case, rep) for case in cases for rep in range(REPS)]
-    # spawned workers start from a fresh import, so each is given the suite's
-    # RuntimeWarning filter; the draws do not depend on the worker count
-    with ProcessPoolExecutor(JOBS, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=warnings.simplefilter,
-                             initargs=("error", RuntimeWarning)) as pool:
+    # forked workers keep the suite's RuntimeWarning filter, and the draws do
+    # not depend on the worker count
+    with simulation._worker_pool(JOBS) as pool:
         fits = list(pool.map(effect_coefficients, *zip(*jobs),
                              chunksize=max(1, len(jobs) // (4 * JOBS))))
     truth = true_tau_coefficients("opposed")

@@ -326,6 +326,11 @@ def _splits_run_in_the_caller() -> bool:
     return hmodel._halves_runner() is None
 
 
+def _log(x: float) -> float:
+    """numpy's log, which warns (RuntimeWarning) at a negative ``x``."""
+    return float(np.log(x))
+
+
 class TestRunMonteCarlo:
     def test_summary_layout(self, tiny_study):
         cfg, mc = tiny_study
@@ -395,6 +400,14 @@ class TestRunMonteCarlo:
     def test_workers_run_split_kernels_in_the_caller(self):
         with simulation._worker_pool(1) as pool:
             assert pool.submit(_splits_run_in_the_caller).result()
+
+    def test_a_workers_runtime_warning_fails_the_caller(self):
+        # forked workers keep the suite's RuntimeWarning filter, so a NaN in a
+        # replicate fails the study that drew it; a start method that imports
+        # afresh, such as forkserver, drops the filter and fails this test
+        with simulation._worker_pool(2) as pool:
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                list(pool.map(_log, [1.0, -1.0]))
 
     def test_workers_run_blas_on_one_thread(self):
         try:
