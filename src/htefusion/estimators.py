@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import Dataset, StructuralModel, _on_halves
+from .model import Dataset, StructuralModel
 from .nuisance import (
     CellMeans,
     NuisanceValues,
@@ -361,15 +361,9 @@ def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
         z[:, 0], z[:, 1:] = base, resid
         coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})",
                                 (grams or {}).get(source))
-
-        def smooth(part):  # called before the loop moves on
-            # the smoothed values, into the solved-on copy
-            smoothed = np.matmul(design[part], coef, out=z[part])
-            base[part] -= smoothed[:, 0]
-            resid[part] -= smoothed[:, 1:]
-            return ()
-
-        _on_halves(smooth, z.shape[0], coef.size * z.shape[0])
+        np.matmul(design, coef, out=z)  # the smoothed values, into the solved-on copy
+        base -= z[:, 0]
+        resid -= z[:, 1:]
     return replace(ws)
 
 

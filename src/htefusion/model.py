@@ -10,12 +10,7 @@ covariates.
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
-import functools
 import numbers
-import os
-import threading
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -387,114 +382,3 @@ class StructuralModel:
         """The effect and confounding designs side by side, shape (n, p):
         the first ``p1`` columns are ``b_tau(x)`` and the rest ``b_lam(x)``."""
         return BasisSpec(self.tau_basis.terms + self.lambda_basis.terms).design(x)
-
-
-@functools.cache
-def _openblas(symbol: str, restype, *argtypes):
-    """The function ``symbol`` of numpy's bundled OpenBLAS, typed, found
-    through ``_multiarray_umath``, which links it; None on other BLAS builds
-    or a numpy without ``np._core``."""
-    try:
-        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
-    except (AttributeError, OSError):
-        return None
-    fn.restype, fn.argtypes = restype, argtypes
-    return fn
-
-
-def _blas_threads(count: int | None = None) -> int:
-    """The thread count of numpy's bundled OpenBLAS, 0 on other BLAS builds;
-    given ``count``, BLAS is then set to that many threads."""
-    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    if get is None:
-        return 0
-    before = get()
-    if count is not None and before != count:  # even an unchanged set costs ~10 us
-        _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)(count)
-    return before
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS keeps
-    one (``taskset`` and cpusets narrow it), else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# A row-separable kernel whose work (its multiply-adds: records times squared
-# columns for a Gram) reaches this runs on two row halves; below it, handing a
-# half to the worker thread costs more than it saves (measured on 2 cores).
-_SPLIT_WORK = 6e6
-
-
-# The worker thread, made by the first split that uses it; none in a Monte
-# Carlo worker process (_one_core), whose splits all run in the caller
-_halves = None
-_halves_lock = threading.Lock()
-_one_core = False
-
-
-def _halves_in_caller() -> None:
-    """Run both halves of every split kernel of this process in the caller,
-    as a Monte Carlo worker does, so that each worker uses one core."""
-    global _one_core
-    _one_core = True
-
-
-def _halves_runner():
-    """The runner of a second half: the worker thread while BLAS runs on one
-    thread on a host with several cores; otherwise None, for the caller (in a
-    Monte Carlo worker, on one core, or beside BLAS threads, which share out
-    the products).  Chosen for each split, as a serial study pins BLAS only
-    for its duration.  The halves, and so the bits, are the same either way.
-    """
-    global _halves
-    if _one_core or _blas_threads() != 1 or _usable_cpus() < 2:
-        return None
-    with _halves_lock:  # fits in several threads share one worker thread
-        if _halves is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _halves = ThreadPoolExecutor(max_workers=1, thread_name_prefix="htefusion-half")
-        return _halves
-
-
-def _drop_worker_thread() -> None:
-    # a forked child has no worker thread, so a half submitted to the
-    # inherited executor would never run; the next split that needs one
-    # makes it.  The lock may have been held by a thread the child lacks
-    global _halves, _halves_lock
-    _halves_lock = threading.Lock()
-    _halves = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker_thread)
-
-
-def _on_halves(kernel, n: int, work: float) -> tuple:
-    """``kernel`` over all ``n`` records, as the sum of its parts.
-
-    ``kernel(rows)`` takes a slice of the records and returns a tuple of parts
-    that add up over rows.  Once ``work`` reaches ``_SPLIT_WORK``, rows
-    ``[0, n//2)`` run in the caller and rows ``[n//2, n)`` on the worker thread
-    of :func:`_halves_runner` (after them where it gives none), and the parts
-    are added first half first; below it the kernel runs once on all rows.
-    The halves depend on ``n`` and ``work`` alone, so a result has the same
-    bits whichever runs the second half.  A kernel writes only into its own
-    rows of arrays its caller allocated.
-    """
-    if work < _SPLIT_WORK:
-        return kernel(slice(0, n))
-    runner = _halves_runner()
-    half = n // 2
-    if runner is None:
-        first, second = kernel(slice(0, half)), kernel(slice(half, n))
-    else:
-        # in the caller's context, so that the worker sees its np.errstate
-        pending = runner.submit(contextvars.copy_context().run, kernel, slice(half, n))
-        try:
-            first = kernel(slice(0, half))
-        finally:
-            second = pending.result()  # the worker is done with the caller's arrays
-    return tuple(a + b for a, b in zip(first, second))

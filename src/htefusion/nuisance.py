@@ -20,7 +20,6 @@ from .model import (
     BasisSpec,
     Dataset,
     _expit,
-    _on_halves,
     _softplus,
     constant_term,
     linear_term,
@@ -108,24 +107,11 @@ def _sorted_quantiles(srt: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 
 def _gram(design: np.ndarray) -> np.ndarray:
-    """``design.T @ design``, read-only, summed over the records' halves
-    as every fit on ``design`` forms it, so that the fits can share it."""
-    n, p = design.shape
-
-    def kernel(rows):
-        part = design[rows]
-        return (part.T @ part,)  # one symmetric product
-
-    gram = _on_halves(kernel, n, n * p * p)[0]
+    """``design.T @ design``, one symmetric product, read-only, so that the
+    fits on ``design`` can share it."""
+    gram = design.T @ design
     gram.flags.writeable = False
     return gram
-
-
-def _cross(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``design.T @ target``, on the halves of ``_gram(design)``, so that
-    its bits do not depend on whether the Gram was held."""
-    n, p = design.shape
-    return _on_halves(lambda rows: (design[rows].T @ target[rows],), n, n * p * p)[0]
 
 
 def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
@@ -136,7 +122,7 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
     The penalty is ``ridge`` times the mean diagonal of the Gram matrix,
     applied to every coefficient; ``ridge=0`` gives plain least squares.
     ``gram`` is ``_gram(design)`` when the caller holds it; without it the
-    Gram is formed here, with the same bits.
+    Gram is formed here, by the same product, so with the same bits.
     If the system is numerically singular the penalty is escalated a
     hundredfold with a warning that names the fit, ``what``.  Without a
     penalty, an exactly singular system can still solve to finite numbers
@@ -147,7 +133,7 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
     n, p = design.shape
     if gram is None:
         gram = _gram(design)
-    rhs = _cross(design, target)
+    rhs = design.T @ target
     scale = float(np.mean(np.diag(gram)))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
@@ -235,11 +221,6 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         scale = 1.0
     pen = ridge * scale
 
-    # each step runs on the records' halves (model._on_halves), writing only
-    # into the weighted copy.  A deviance (n*p multiply-adds and a few passes
-    # over n) runs whole: split, it paid only from about 18,000 records at
-    # p=26 and 6,000 at p=141 (2 cores)
-    n, work = y.shape[0], y.shape[0] * basis.p ** 2
     loss, y_eta = np.empty_like(y), np.empty_like(y)
     r = np.empty_like(design)  # the one weighted copy of the design
 
@@ -248,24 +229,15 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         np.subtract(_softplus(eta, loss), np.multiply(y, eta, out=y_eta), out=loss)
         return 2.0 * float(np.sum(loss)) + pen * float(c @ c)
 
-    def weighted_normal_equations(rows):
-        e, x, rr = eta[rows], design[rows], r[rows]
-        prob = _expit(e)
-        w = np.maximum(prob * (1.0 - prob), 1e-10)
-        z = e + (y[rows] - prob) / w
-        np.multiply(x, np.sqrt(w)[:, None], out=rr)
-        # rr.T @ rr is one symmetric product: the weighted Gram
-        return rr.T @ rr, x.T @ (w * z)
-
     # At zero coefficients every weight is 1/4 (prob = 1/2), so the first
     # step's weighted Gram is a quarter of X'X and its right-hand side
     # X'(y - 1/2): the same bits, as scaling by a power of two is exact
     # until an entry overflows or is subnormal
     coef = np.zeros(basis.p)
-    eta = np.zeros(n)
+    eta = np.zeros_like(y)
     dev = deviance(coef, eta)
     gram = 0.25 * gram
-    rhs = _cross(design, y - 0.5)
+    rhs = design.T @ (y - 0.5)
     eye = np.eye(basis.p)
     for _ in range(_IRLS_MAX_ITER):
         try:
@@ -287,7 +259,12 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
         if abs(dev - dev_new) < _IRLS_TOL * (abs(dev) + 1.0):
             return AdditiveRegressor(basis, coef, "logit")
         dev = dev_new
-        gram, rhs = _on_halves(weighted_normal_equations, n, work)
+        prob = _expit(eta)
+        w = np.maximum(prob * (1.0 - prob), 1e-10)
+        z = eta + (y - prob) / w
+        np.multiply(design, np.sqrt(w)[:, None], out=r)
+        # r.T @ r is one symmetric product: the weighted Gram
+        gram, rhs = r.T @ r, design.T @ (w * z)
     raise NumericalError(
         f"{what}: IRLS did not converge in {_IRLS_MAX_ITER} iterations (last deviance {dev:.6g})"
     )

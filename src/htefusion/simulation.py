@@ -15,6 +15,9 @@ output is byte-identical for any worker count.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,13 +29,10 @@ from .model import (
     BasisSpec,
     Dataset,
     StructuralModel,
-    _blas_threads,
     _check_fields,
     _check_probes,
     _expit,
-    _halves_in_caller,
     _plain,
-    _usable_cpus,
     constant_term,
     linear_term,
     square_term,
@@ -281,13 +281,43 @@ class McSummary:
         }
 
 
+@functools.cache
+def _openblas(symbol: str, restype, *argtypes):
+    """The function ``symbol`` of numpy's bundled OpenBLAS, typed, found
+    through ``_multiarray_umath``, which links it; None on other BLAS builds
+    or a numpy without ``np._core``."""
+    try:
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
+    except (AttributeError, OSError):
+        return None
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+def _blas_threads(count: int | None = None) -> int:
+    """The thread count of numpy's bundled OpenBLAS, 0 on other BLAS builds;
+    given ``count``, BLAS is then set to that many threads."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    if get is None:
+        return 0
+    before = get()
+    if count is not None and before != count:  # even an unchanged set costs ~10 us
+        _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)(count)
+    return before
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps
+    one (``taskset`` and cpusets narrow it), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _init_worker() -> None:
     """Hold a Monte Carlo worker to one core: BLAS on one thread, so that
-    workers do not oversubscribe the cores, and both row halves of a split
-    kernel run in the worker itself (the same halves, so the same bits as a
-    threaded run)."""
+    workers do not oversubscribe the cores."""
     _blas_threads(1)
-    _halves_in_caller()
 
 
 def _worker_pool(jobs: int):
@@ -312,7 +342,7 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
                                     chunksize=max(1, cfg.reps // (4 * cfg.jobs))))
     else:
         # one BLAS thread, as in the workers: BLAS's thread count moves the
-        # last bits of large products.  Split kernels use the worker thread
+        # last bits of large products
         before = _blas_threads(1)
         try:
             results = [run_replicate(cfg, r) for r in range(cfg.reps)]

@@ -44,8 +44,8 @@ from htefusion import (
     square_term,
 )
 from htefusion.estimators import preliminary_estimate
-from htefusion.model import _usable_cpus
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
+from htefusion.simulation import _usable_cpus
 from conftest import make_config, true_psi, true_values
 from oracles import pseudo_outcomes, score_matrix
 

@@ -28,8 +28,7 @@ import htefusion.simulation as simulation
 from htefusion import FitOptions, SimConfig, generate_replicate, run_pipeline
 from htefusion import sandwich_covariance
 from htefusion.inference import _Z95
-from htefusion.model import _usable_cpus
-from htefusion.simulation import true_tau_coefficients
+from htefusion.simulation import _usable_cpus, true_tau_coefficients
 
 REPS = 400
 RATIO_FLOOR = 1.0 - 3.0 * math.sqrt(2.0 / (REPS - 1))

@@ -12,7 +12,6 @@ import signal
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from htefusion import (
     AdditiveRegressor,
     BasisSpec,
     Dataset,
-    FitOptions,
     NumericalError,
     Propensity,
     StructuralModel,
@@ -38,7 +36,6 @@ from htefusion import (
     fit_variance_function,
     generate_replicate,
     linear_term,
-    run_pipeline,
     square_term,
 )
 import htefusion.estimators as estimators
@@ -414,120 +411,21 @@ class TestFitVarianceFunction:
             vf.predict(0, 2 * np.ones(4, dtype=int))
 
 
-@pytest.fixture(scope="module")
-def split_study():
-    """A draw whose cohort fits run on two row halves: 20000 cohort records
-    on a 26-column basis, about 1.35e7 multiply-adds per Gram and half that
-    per arm, above ``model._SPLIT_WORK``; the 300 trial records stay below."""
-    cfg = make_config(beta=1.0, n=300, m=20000, seed=11)
-    data = generate_replicate(cfg, 0)
-    spec = build_spline_basis(data, 4)
-    designs = source_designs(data, spec)
-    for arm in (0, 1):
-        assert np.count_nonzero((data.s == 0) & (data.a == arm)) * spec.p ** 2 >= hmodel._SPLIT_WORK
-    assert data.n_trial * spec.p ** 2 < hmodel._SPLIT_WORK
-    return cfg, data, spec, designs
+class TestConcurrentFits:
+    """A fit holds no state beyond its own call: fits in threads and in a
+    forked child have a serial fit's bits."""
 
-
-@pytest.fixture
-def worker_thread(monkeypatch):
-    """A fresh worker thread to run second halves, whatever this host's
-    core and BLAS thread counts would choose."""
-    monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(hmodel, "_usable_cpus", lambda: 2)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        monkeypatch.setattr(hmodel, "_halves", pool)
-        yield pool
-
-
-def _split_fit(cfg, data, spec, designs):
-    """The split-size kernels of a fit: the cohort propensity IRLS, the
-    cell regressions and the integrative solve with its profiled smoother."""
-    propensity = fit_propensity(data, spec, designs).by_source[0].coef
-    cells = fit_conditional_outcomes(data, spec, designs).by_cell
-    psi = run_pipeline(data, cfg.model(), FitOptions(knots=4)).integrative.psi_hat
-    return [propensity, *(cells[key].coef for key in sorted(cells)), psi]
-
-
-class TestRowHalves:
-    def test_the_oracle_comparisons_run_on_one_block(self, desk_data):
-        # test_logit_matches_reference_irls holds its 1e-12 tolerance because
-        # its designs stay below the split, so their kernels run unsplit
-        for knots in (0, 4):
-            spec = build_spline_basis(desk_data, knots)
-            for design in source_designs(desk_data, spec).values():
-                assert design.shape[0] * spec.p ** 2 < hmodel._SPLIT_WORK
-
-    def test_serial_stand_in_gives_the_bits_of_the_worker_thread(self, split_study,
-                                                                 worker_thread, monkeypatch):
-        # both halves in the caller, as in a Monte Carlo worker process
-        cfg, data, spec, designs = split_study
-        threaded = _split_fit(cfg, data, spec, designs)
-        monkeypatch.setattr(hmodel, "_one_core", True)
-        runner, chosen = hmodel._halves_runner, []
-        monkeypatch.setattr(hmodel, "_halves_runner",
-                            lambda: chosen.append(runner()) or chosen[-1])
-        serial = _split_fit(cfg, data, spec, designs)
-        assert chosen and all(got is None for got in chosen)
-        for got, want in zip(serial, threaded):
-            assert np.array_equal(got, want)
-
-    def test_worker_thread_only_beside_one_blas_thread_on_several_cores(self, monkeypatch):
-        # chosen at each split: a process that made its worker thread while a
-        # study pinned BLAS runs its later splits in the caller beside BLAS
-        # threads.  A count of 0 stands for a BLAS other than numpy's OpenBLAS
-        monkeypatch.setattr(hmodel, "_halves", None)
-        made = []
-        for cores, blas_threads in ((2, 1), (1, 1), (2, 2), (2, 0), (2, 1)):
-            monkeypatch.setattr(hmodel, "_usable_cpus", lambda: cores)
-            monkeypatch.setattr(hmodel, "_blas_threads", lambda: blas_threads)
-            chosen = hmodel._halves_runner()
-            if (cores, blas_threads) == (2, 1):
-                assert isinstance(chosen, ThreadPoolExecutor) and hmodel._halves is chosen
-                made.append(chosen)
-            else:
-                assert chosen is None
-        assert made[0] is made[1]  # one worker thread for the process
-        made[0].shutdown()
-
-    def test_split_kernels_agree_with_one_block(self, split_study, worker_thread, monkeypatch):
-        # the halves add their sums in another order than one block does; on
-        # this draw the cohort fits moved by at most 9.1e-11 relative and the
-        # integrative coefficients by 9.7e-15
-        cfg, data, spec, designs = split_study
-        split = _split_fit(cfg, data, spec, designs)
-        monkeypatch.setattr(hmodel, "_SPLIT_WORK", np.inf)
-        single = _split_fit(cfg, data, spec, designs)
-        for got, want in zip(split, single):
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
-
-    def test_split_smoother_agrees_with_one_block(self, split_study, worker_thread,
-                                                  monkeypatch):
-        cfg, data, spec, designs = split_study
-
-        def profiled():
-            ws = build_workspace(data, cfg.model(), true_values(cfg, data))
-            return estimators._profile_outcome_mean(ws, data, designs, 1e-6)
-
-        split = profiled()
-        monkeypatch.setattr(hmodel, "_SPLIT_WORK", np.inf)
-        single = profiled()
-        # moved by at most 5.1e-13 of each array's largest entry on this draw
-        for got, want in ((split.base_resid, single.base_resid),
-                          (split.resid_design, single.resid_design)):
-            assert not np.array_equal(got, want)  # the split did change the sums
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
-
-    def test_concurrent_fits_share_the_worker_thread(self, split_study, worker_thread):
-        # three callers queue their halves on the one worker thread, with the
-        # interpreter switching threads every microsecond
-        cfg, data, spec, designs = split_study
-        y = data.a[data.block(0)].astype(float)
-        want = fit_additive(designs[0], y, spec, link="logit").coef
+    def test_concurrent_logit_fits_have_a_serial_fits_bits(self, desk_data):
+        # three threads fit at once, with the interpreter switching threads
+        # every microsecond
+        spec = build_spline_basis(desk_data, 4)
+        design = source_designs(desk_data, spec)[0]
+        y = desk_data.a[desk_data.block(0)].astype(float)
+        want = fit_additive(design, y, spec, link="logit").coef
         got = [None] * 3
 
         def fit(i):
-            got[i] = fit_additive(designs[0], y, spec, link="logit").coef
+            got[i] = fit_additive(design, y, spec, link="logit").coef
 
         threads = [threading.Thread(target=fit, args=(i,)) for i in range(3)]
         interval = sys.getswitchinterval()
@@ -543,15 +441,10 @@ class TestRowHalves:
         assert all(coef is not None and coef.tobytes() == want.tobytes() for coef in got)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_fits_with_the_parents_bits(self, split_study, worker_thread,
-                                                      monkeypatch):
-        # the child inherits the executor but not its thread: without the
-        # at-fork hook its first split would wait forever.  It makes its own
-        # worker thread, as beside one BLAS thread
-        monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(hmodel, "_usable_cpus", lambda: 2)
-        cfg, data, spec, designs = split_study
-        want = fit_propensity(data, spec, designs).by_source[0].coef
+    def test_forked_child_fits_with_the_parents_bits(self, desk_data):
+        spec = build_spline_basis(desk_data, 4)
+        designs = source_designs(desk_data, spec)
+        want = fit_propensity(desk_data, spec, designs).by_source[0].coef
         read_end, write_end = os.pipe()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
@@ -560,7 +453,7 @@ class TestRowHalves:
             code = 1
             try:
                 os.close(read_end)
-                got = fit_propensity(data, spec, designs).by_source[0].coef
+                got = fit_propensity(desk_data, spec, designs).by_source[0].coef
                 os.write(write_end, got.tobytes())
                 code = 0
             finally:
@@ -574,28 +467,35 @@ class TestRowHalves:
         finally:
             os.close(read_end)
             _, status = os.waitpid(pid, 0)
-        assert ready, "the forked child's split fit did not finish"
+        assert ready, "the forked child's fit did not finish"
         assert os.waitstatus_to_exitcode(status) == 0
         assert got == want.tobytes()
 
 
 class TestHeldGram:
     """A fit given a design's held Gram has the bits of one that forms it,
-    on one block and on two row halves."""
+    on the whole draw and on each of its two row halves, whose designs
+    have other row counts."""
 
-    @pytest.fixture(params=[np.inf, 0.0], ids=["whole", "halves"])
-    def split_work(self, request, monkeypatch):
-        monkeypatch.setattr(hmodel, "_SPLIT_WORK", request.param)
+    @pytest.fixture(params=["whole", "halves"])
+    def draws(self, request, desk_data):
+        if request.param == "whole":
+            return [desk_data]
+        # the first and the second half of each source's records
+        rank = np.arange(desk_data.n) - np.where(desk_data.s == 1, 0, desk_data.n_trial)
+        size = np.where(desk_data.s == 1, desk_data.n_trial, desk_data.n_obs)
+        first = 2 * rank < size
+        return [subset(desk_data, first), subset(desk_data, ~first)]
 
     @staticmethod
-    def _propensity_cases(data):
-        spec = build_spline_basis(data, 4)
-        for source, design in source_designs(data, spec).items():
-            yield spec, design, data.a[data.block(source)].astype(float)
+    def _propensity_cases(draws):
+        for data in draws:
+            spec = build_spline_basis(data, 4)
+            for source, design in source_designs(data, spec).items():
+                yield spec, design, data.a[data.block(source)].astype(float)
 
     @pytest.mark.parametrize("scale", [2.0 ** -240, 1.0, 2.0 ** 240], ids=["2^-240", "1", "2^240"])
-    def test_first_irls_step_is_the_weighted_step_at_zero(self, desk_data, split_work,
-                                                          monkeypatch, scale):
+    def test_first_irls_step_is_the_weighted_step_at_zero(self, draws, monkeypatch, scale):
         # the first step solves on a quarter of the Gram; it must have the
         # bits of the weighted normal equations every later step forms, here
         # at eta = 0, where every weight is 1/4
@@ -605,19 +505,14 @@ class TestHeldGram:
         def first_system(a, b):
             raise FirstSystem(a, b)
 
-        for spec, design, y in self._propensity_cases(desk_data):
+        for spec, design, y in self._propensity_cases(draws):
             design = design * scale
-            n, p = design.shape
+            p = design.shape[1]
             r = np.empty_like(design)
-
-            def at_zero(rows):
-                x, rr = design[rows], r[rows]
-                prob = hmodel._expit(np.zeros(x.shape[0]))
-                w = np.maximum(prob * (1.0 - prob), 1e-10)
-                np.multiply(x, np.sqrt(w)[:, None], out=rr)
-                return rr.T @ rr, x.T @ (w * ((y[rows] - prob) / w))
-
-            gram, rhs = hmodel._on_halves(at_zero, n, n * p * p)
+            prob = hmodel._expit(np.zeros(design.shape[0]))
+            w = np.maximum(prob * (1.0 - prob), 1e-10)
+            np.multiply(design, np.sqrt(w)[:, None], out=r)
+            gram, rhs = r.T @ r, design.T @ (w * ((y - prob) / w))
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "solve", first_system)
                 with pytest.raises(FirstSystem) as got:
@@ -635,18 +530,19 @@ class TestHeldGram:
                 quarter = 0.25 * _gram(design)
             assert quarter.tobytes() != ((0.5 * design).T @ (0.5 * design)).tobytes()
 
-    def test_logit_fit_reads_the_held_gram_with_the_same_bits(self, desk_data, split_work):
-        for spec, design, y in self._propensity_cases(desk_data):
+    def test_logit_fit_reads_the_held_gram_with_the_same_bits(self, draws):
+        for spec, design, y in self._propensity_cases(draws):
             formed = fit_additive(design, y, spec, link="logit").coef
             held = fit_additive(design, y, spec, link="logit", gram=_gram(design)).coef
             assert held.tobytes() == formed.tobytes()
 
-    def test_smoother_reads_the_held_grams_with_the_same_bits(self, desk_data, split_work):
+    def test_smoother_reads_the_held_grams_with_the_same_bits(self, draws):
         cfg = make_config(beta=1.0, seed=3)  # desk_data's draw
-        designs = source_designs(desk_data, build_spline_basis(desk_data, 4))
-        grams = {source: _gram(design) for source, design in designs.items()}
-        got = [estimators._profile_outcome_mean(
-            build_workspace(desk_data, cfg.model(), true_values(cfg, desk_data)),
-            desk_data, designs, 1e-6, held) for held in (None, grams)]
-        for name in ("base_resid", "resid_design"):
-            assert getattr(got[1], name).tobytes() == getattr(got[0], name).tobytes()
+        for data in draws:
+            designs = source_designs(data, build_spline_basis(data, 4))
+            grams = {source: _gram(design) for source, design in designs.items()}
+            got = [estimators._profile_outcome_mean(
+                build_workspace(data, cfg.model(), true_values(cfg, data)),
+                data, designs, 1e-6, held) for held in (None, grams)]
+            for name in ("base_resid", "resid_design"):
+                assert getattr(got[1], name).tobytes() == getattr(got[0], name).tobytes()

@@ -28,8 +28,7 @@ from scipy.special import expit
 
 import htefusion.simulation as simulation
 from htefusion import Dataset, FitOptions, SimConfig, run_pipeline, true_tau
-from htefusion.model import _usable_cpus
-from htefusion.simulation import replicate_rng, true_tau_coefficients
+from htefusion.simulation import _usable_cpus, replicate_rng, true_tau_coefficients
 
 N, M, REPS, SEED = 300, 5000, 200, 777
 JOBS = _usable_cpus()

@@ -4,13 +4,11 @@ import ctypes
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-import htefusion.model as hmodel
 import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
@@ -121,22 +119,19 @@ class TestConfig:
 
     def test_jobs_capped_at_cpu_count(self):
         # constructing the config starts no worker process
-        cores = hmodel._usable_cpus()
+        cores = simulation._usable_cpus()
         assert make_config(jobs=10**6).jobs == cores
         assert make_config(jobs=1).jobs == 1
 
     def test_workers_and_threads_capped_at_the_affinity_mask(self, monkeypatch):
-        # as under taskset -c 0 on a two-core host: one worker process, and
-        # each second half in the caller even beside one BLAS thread
+        # as under taskset -c 0 on a two-core host: one worker process
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(hmodel, "_blas_threads", lambda: 1)
-        assert hmodel._usable_cpus() == 1
+        assert simulation._usable_cpus() == 1
         assert make_config(jobs=4).jobs == 1
-        assert hmodel._halves_runner() is None
         # where the OS keeps no affinity mask, every CPU of the host
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert hmodel._usable_cpus() == 2
+        assert simulation._usable_cpus() == 2
 
     def test_beta_length_checked(self):
         with pytest.raises(ValidationError):
@@ -321,11 +316,6 @@ def _blas_threads() -> int:
     return get()
 
 
-def _splits_run_in_the_caller() -> bool:
-    """Whether the calling process runs both halves of a split kernel itself."""
-    return hmodel._halves_runner() is None
-
-
 def _log(x: float) -> float:
     """numpy's log, which warns (RuntimeWarning) at a negative ``x``."""
     return float(np.log(x))
@@ -374,32 +364,23 @@ class TestRunMonteCarlo:
         assert b.pop("config")["jobs"] == 2
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_worker_count_does_not_change_split_results(self, monkeypatch):
-        # the cohort kernels run on two row halves: on the worker thread in
-        # this process, and both in the worker process under jobs=2.  This
-        # process starts on two BLAS threads, as numpy's default is on two
-        # cores, and the serial study runs BLAS on one, as the workers do
+    def test_worker_count_does_not_change_large_study_results(self, monkeypatch):
+        # a cohort of 12,000 on the 26-column spline basis.  This process
+        # starts on two BLAS threads, as numpy's default is on two cores, and
+        # the serial study runs BLAS on one, as the workers do
         cfg = make_config(beta=1.0, n=300, m=12_000, knots=4, reps=2, seed=5,
                           estimators=("integrative", "rct"))
-        assert cfg.m * 26 ** 2 >= hmodel._SPLIT_WORK  # 26 spline columns
         monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(hmodel, "_usable_cpus", lambda: 2)
-        before = hmodel._blas_threads(2)
+        before = simulation._blas_threads(2)
         try:
-            with ThreadPoolExecutor(max_workers=1) as thread:
-                monkeypatch.setattr(hmodel, "_halves", thread)
-                a = run_monte_carlo(cfg).to_dict()
-                assert hmodel._blas_threads() in (0, 2)  # restored after the study
-                b = run_monte_carlo(dataclasses.replace(cfg, jobs=2)).to_dict()
+            a = run_monte_carlo(cfg).to_dict()
+            assert simulation._blas_threads() in (0, 2)  # restored after the study
+            b = run_monte_carlo(dataclasses.replace(cfg, jobs=2)).to_dict()
         finally:
-            hmodel._blas_threads(before)
+            simulation._blas_threads(before)
         a["config"].pop("jobs")
         b["config"].pop("jobs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_workers_run_split_kernels_in_the_caller(self):
-        with simulation._worker_pool(1) as pool:
-            assert pool.submit(_splits_run_in_the_caller).result()
 
     def test_a_workers_runtime_warning_fails_the_caller(self):
         # forked workers keep the suite's RuntimeWarning filter, so a NaN in a
