@@ -25,7 +25,6 @@ from .model import (
 )
 from .nuisance import (
     AdditiveRegressor,
-    NuisanceValues,
     Propensity,
     VarianceFunction,
     build_spline_basis,

@@ -41,7 +41,6 @@ from .errors import NumericalError, ValidationError
 from .model import Dataset, StructuralModel
 from .nuisance import (
     CellMeans,
-    NuisanceValues,
     _gram,
     _solve_penalized,
     _source_design,
@@ -181,20 +180,22 @@ class ScoreWorkspace:
                               self.eps_a[:n_trial], p1, 0)
 
 
-def build_workspace(data: Dataset, model: StructuralModel,
-                    values: NuisanceValues) -> ScoreWorkspace:
+def build_workspace(data: Dataset, model: StructuralModel, *, e: np.ndarray,
+                    mu: np.ndarray, v1: np.ndarray, v0: np.ndarray) -> ScoreWorkspace:
     """Cache every score ingredient of the pooled equations on ``data``.
 
-    ``values`` holds the nuisances evaluated on every record of ``data``, in
-    its held order.
+    The nuisances are evaluated on every record of ``data``, in its held
+    order: ``e`` is the clipped propensity, ``mu`` the pseudo-outcome mean,
+    and ``v1``/``v0`` the residual variances of the treated and untreated
+    arm at each record's covariates and source.  Known surfaces enter the
+    estimating equations as these values.
     """
-    for name, arr in vars(values).items():
+    for name, arr in (("e", e), ("mu", mu), ("v1", v1), ("v0", v0)):
         if np.shape(arr) != (data.n,):
             raise ValidationError(f"nuisance values do not match the records: {name} "
                                   f"has shape {np.shape(arr)}, not ({data.n},)")
     p1, p2 = model.p1, model.p2
     design = model.design(data.x)
-    e, mu, v1, v0 = values.e, values.mu, values.v1, values.v0
     a = data.a.astype(float)
     k = _score_weight(data.a, e, v1, v0)
     # blocks are written in place: no stacked temporaries beside the result;
@@ -430,7 +431,7 @@ def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOp
         return PipelineResult(design, meta_coef=meta_estimate(data, design, e_raw))
     e_hat = e_fit.clipped(e_raw)
     unit = np.ones(data.n)
-    ws = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
+    ws = build_workspace(data, model, e=e_hat, mu=np.zeros(data.n), v1=unit, v0=unit)
     ws = _profile_outcome_mean(ws, data, designs, opts.ridge, grams)
     del designs, grams  # not held through the solves, which read the workspace alone
     # the effect columns, which neither the zeroing nor the profiling touches

@@ -31,7 +31,6 @@ __all__ = [
     "AdditiveRegressor",
     "Propensity",
     "VarianceFunction",
-    "NuisanceValues",
     "fit_additive",
     "fit_propensity",
     "fit_variance_function",
@@ -358,22 +357,6 @@ class VarianceFunction:
         """The arm-``a`` cell variance of records with sources ``s``."""
         cells = {source: var for (arm, source), var in self.by_cell.items() if arm == a}
         return _predict_sources(cells, s, {}, f"no variance fit for cell (a={a}, s={{}})")
-
-
-@dataclass(frozen=True)
-class NuisanceValues:
-    """The nuisances evaluated on every record of one dataset.
-
-    ``e`` is the clipped propensity, ``mu`` the pseudo-outcome mean, and
-    ``v1``/``v0`` the residual variances of the treated and untreated arm
-    at each record's covariates and source.  Known surfaces enter the
-    estimating equations as their values here.
-    """
-
-    e: np.ndarray
-    mu: np.ndarray
-    v1: np.ndarray
-    v0: np.ndarray
 
 
 def source_designs(data: Dataset, spec: BasisSpec) -> dict:

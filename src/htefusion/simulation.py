@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -251,10 +251,6 @@ class CellStats:
     mean_ve: float | None
     coverage: float | None
 
-    def to_dict(self) -> dict:
-        return {"mc_mean": self.mc_mean, "mc_var": self.mc_var,
-                "mean_ve": self.mean_ve, "coverage": self.coverage}
-
 
 @dataclass(frozen=True)
 class McSummary:
@@ -272,7 +268,7 @@ class McSummary:
             "reps": self.reps,
             "targets": [{"label": lab, "truth": tr} for lab, tr in self.targets],
             "cells": {
-                est: {lab: st.to_dict() for lab, st in per_est.items()}
+                est: {lab: asdict(st) for lab, st in per_est.items()}
                 for est, per_est in self.cells.items()
             },
             "n_fallback": self.n_fallback,
@@ -314,17 +310,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _init_worker() -> None:
-    """Hold a Monte Carlo worker to one core: BLAS on one thread, so that
-    workers do not oversubscribe the cores."""
-    _blas_threads(1)
-
-
 def _worker_pool(jobs: int):
-    """``jobs`` worker processes, each on one core.  The pool module is
-    imported here, so a serial run never loads ``multiprocessing``."""
+    """``jobs`` worker processes, each on one core: BLAS runs on one thread
+    in each, so that workers do not oversubscribe the cores.  The pool module
+    is imported here, so a serial run never loads ``multiprocessing``."""
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker)
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_blas_threads, initargs=(1,))
 
 
 def run_monte_carlo(cfg: SimConfig) -> McSummary:

@@ -19,7 +19,6 @@ from scipy.special import expit
 
 from htefusion import (
     Dataset,
-    NuisanceValues,
     SimConfig,
     generate_replicate,
 )
@@ -57,13 +56,14 @@ def subset(data: Dataset, mask) -> Dataset:
     return Dataset(data.s[mask], data.a[mask], data.y[mask], data.x[mask])
 
 
-def values_subset(values: NuisanceValues, mask) -> NuisanceValues:
+def values_subset(values: dict, mask) -> dict:
     """The values of the records ``mask`` selects."""
-    return NuisanceValues(values.e[mask], values.mu[mask], values.v1[mask], values.v0[mask])
+    return {name: arr[mask] for name, arr in values.items()}
 
 
-def true_values(cfg: SimConfig, data: Dataset) -> NuisanceValues:
-    """The generator's own nuisance surfaces on the records of ``data``.
+def true_values(cfg: SimConfig, data: Dataset) -> dict:
+    """The generator's own nuisance surfaces on the records of ``data``, as
+    ``build_workspace``'s keyword arguments ``e``, ``mu``, ``v1`` and ``v0``.
 
     The pseudo-outcome at the true coefficients has conditional mean
     sum(x) on trial records and sum(x) + lam(x) * (e(x) - 1/2) on
@@ -83,7 +83,7 @@ def true_values(cfg: SimConfig, data: Dataset) -> NuisanceValues:
     e = np.clip(by_source(data, lambda X: 0.5, e_obs), 1e-12, 1.0 - 1e-12)
     mu = by_source(data, lambda X: X.sum(axis=1), mu_obs)
     v = by_source(data, lambda X: 1.0, lambda X: 2.0)
-    return NuisanceValues(e, mu, v, v)
+    return {"e": e, "mu": mu, "v1": v, "v0": v}
 
 
 def true_psi(cfg: SimConfig) -> np.ndarray:

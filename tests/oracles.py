@@ -15,7 +15,6 @@ import numpy as np
 
 from htefusion import (
     Dataset,
-    NuisanceValues,
     StructuralModel,
     ValidationError,
     build_workspace,
@@ -216,8 +215,7 @@ def refit_outcome_mean(data: Dataset, model: StructuralModel, e_hat: np.ndarray,
     for _ in range(max_rounds):
         h = pseudo_outcomes(model, psi, data, e_hat)
         mu = fit_outcome_mean(data, h, spec, designs, ridge=ridge)
-        ws = build_workspace(data, model,
-                             NuisanceValues(e_hat, mu.predict(data.s, designs), v, v))
+        ws = build_workspace(data, model, e=e_hat, mu=mu.predict(data.s, designs), v1=v, v0=v)
         if trial_only:
             ws = ws.trial(data.n_trial)
         new = psi.copy()

@@ -27,7 +27,6 @@ import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
     FitOptions,
-    NuisanceValues,
     SimConfig,
     build_spline_basis,
     build_workspace,
@@ -271,7 +270,7 @@ def test_criterion_7_no_gain_when_bases_coincide():
 def test_criterion_8a_score_centered_at_truth():
     cfg = make_config(beta=1.0, n=50_000, m=50_000, seed=101)
     data = generate_replicate(cfg, 0)
-    ws = build_workspace(data, cfg.model(), true_values(cfg, data))
+    ws = build_workspace(data, cfg.model(), **true_values(cfg, data))
     scores = score_matrix(ws, true_psi(cfg))
     z = scores.mean(axis=0) / (scores.std(axis=0, ddof=1) / math.sqrt(ws.n))
     worst = np.abs(z).max()
@@ -284,7 +283,7 @@ def test_criterion_8a_score_centered_at_truth():
 def test_criterion_8b_jacobian_matches_finite_differences():
     cfg = make_config(beta=1.0, n=400, m=1200, seed=103)
     data = generate_replicate(cfg, 0)
-    ws = build_workspace(data, cfg.model(), true_values(cfg, data))
+    ws = build_workspace(data, cfg.model(), **true_values(cfg, data))
     jac = ws.jacobian
     psi0 = true_psi(cfg) + 0.1
     h = 1e-6
@@ -314,8 +313,8 @@ def _projection_draw(cfg, r):
     for _ in range(2):
         h = pseudo_outcomes(model, psi, data, e_true)
         mu = fit_outcome_mean(data, h, spec0, designs, ridge=1e-6)
-        values = NuisanceValues(e_true, mu.predict(data.s, designs), v_true, v_true)
-        ws = build_workspace(data, model, values)
+        ws = build_workspace(data, model, e=e_true, mu=mu.predict(data.s, designs),
+                             v1=v_true, v0=v_true)
         psi = solve_integrative(data, ws).psi_hat
     return psi
 

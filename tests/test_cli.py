@@ -109,6 +109,8 @@ HOSTILE = [
      "meta comparator: fitted propensities reached 0 or 1"),
     ("no-trial-bad-trial-known", _no_trial, ["--estimators", "meta", "--trial-known", "1.5"],
      2, "trial_known must lie in (0, 1)"),
+    ("no-trial-rct", _no_trial, ["--estimators", "rct"], 2,
+     "trial-only fitting requires s=1 records"),
     ("tied-quantile-knots", _tied_first_covariate, ["--knots", "4"], 0,
      "tied quantiles reduced its spline terms to 1"),
     ("duplicate-tau-term", None, ["--tau", "1,age,age,bmi"], 3,

@@ -16,7 +16,6 @@ from htefusion import (
     BasisSpec,
     Dataset,
     FitOptions,
-    NuisanceValues,
     NumericalError,
     Propensity,
     PsiEstimate,
@@ -56,7 +55,7 @@ def fused_fixture():
 
 def trial_workspace(data, model, nuis):
     """The trial-only equations of ``data``: the pooled workspace's trial slice."""
-    return build_workspace(data, model, nuis).trial(data.n_trial)
+    return build_workspace(data, model, **nuis).trial(data.n_trial)
 
 
 def fitted_propensities(data, opts):
@@ -101,8 +100,8 @@ def by_hand_per_estimator(data, model, opts, rounds=1):
 class TestWorkspace:
     def test_score_weight_matches_definition(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
-        e, v1, v0 = nuis.e, nuis.v1, nuis.v0
+        ws = build_workspace(data, model, **nuis)
+        e, v1, v0 = nuis["e"], nuis["v1"], nuis["v0"]
         own = np.where(data.a == 1, 1.0 / v1, 1.0 / v0)
         pooled = (e / v1) / (e / v1 + (1.0 - e) / v0)
         assert np.allclose(ws.score_weight, (data.a - pooled) * own)
@@ -110,7 +109,7 @@ class TestWorkspace:
 
     def test_gradient_blocks(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         assert ws.grad.shape == (data.n, model.p)
         t_design = model.tau_basis.design(data.x)
         assert np.allclose(ws.grad[:, :model.p1], t_design)
@@ -119,7 +118,7 @@ class TestWorkspace:
 
     def test_residual_is_linear_in_the_coefficients(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         rng = np.random.default_rng(0)
         p1, p2 = rng.standard_normal(ws.p), rng.standard_normal(ws.p)
         r1, r2 = ws.residuals(p1), ws.residuals(p2)
@@ -140,18 +139,18 @@ class TestWorkspace:
     def test_evaluated_values_give_the_same_workspace(self, fused_fixture):
         cfg, data, model, values = fused_fixture
         trial = data.s == 1
-        direct = build_workspace(data, model, values)
+        direct = build_workspace(data, model, **values)
         # the trial slice equals the trial-only equations built from trial records
         from_trial = trial_workspace(data.trial_only(), model, values_subset(values, trial))
         for name in ("grad", "resid_design", "base_resid", "score_weight", "eps_a"):
             assert np.array_equal(getattr(direct.trial(data.n_trial), name),
                                   getattr(from_trial, name))
         with pytest.raises(ValidationError, match="do not match"):
-            build_workspace(data.trial_only(), model, values)
+            build_workspace(data.trial_only(), model, **values)
 
     def test_solve_reports_its_workspace(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, build_workspace(data, model, nuis))
+        rep = solve_integrative(data, build_workspace(data, model, **nuis))
         assert rep.workspace.n == data.n and rep.workspace.p == model.p
         rct = solve_rct(data, trial_workspace(data, model, nuis))
         assert rct.workspace.n == data.n_trial and rct.workspace.p2 == 0
@@ -161,22 +160,22 @@ class TestWorkspace:
     def test_misshapen_nuisance_raises(self, fused_fixture, field, shape):
         # a single value would broadcast, and a column would make (n, n) residuals
         cfg, data, model, nuis = fused_fixture
-        arr = getattr(nuis, field)
-        bad = replace(nuis, **{field: arr[:1] if shape == "one" else arr[:, None]})
+        arr = nuis[field]
+        bad = dict(nuis, **{field: arr[:1] if shape == "one" else arr[:, None]})
         with pytest.raises(ValidationError, match=f"do not match the records: {field} has shape"):
-            build_workspace(data, model, bad)
+            build_workspace(data, model, **bad)
 
     def test_nonfinite_nuisance_raises(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        bad = NuisanceValues(nuis.e, np.full(data.n, np.nan), nuis.v1, nuis.v0)
+        bad = dict(nuis, mu=np.full(data.n, np.nan))
         with pytest.raises(NumericalError, match="outcome mean"):
-            build_workspace(data, model, bad)
+            build_workspace(data, model, **bad)
 
 
 class TestScoreIdentities:
     def test_per_record_score_matches_matrix(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         psi = true_psi(cfg)
         mat = score_matrix(ws, psi)
         for i in (0, 5, data.n - 1):
@@ -185,7 +184,7 @@ class TestScoreIdentities:
 
     def test_jacobian_matches_finite_differences(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         psi = true_psi(cfg)
         jac = ws.jacobian
         h = 1e-6
@@ -197,7 +196,7 @@ class TestScoreIdentities:
 
     def test_per_record_jacobian_sums_to_mean(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         psi = true_psi(cfg)
         total = sum(score_jacobian(ws, psi, i) for i in range(ws.n))
         assert np.allclose(total / ws.n, ws.jacobian)
@@ -205,7 +204,7 @@ class TestScoreIdentities:
     def test_score_mean_zero_at_truth(self):
         cfg = make_config(beta=1.0, n=10000, m=30000, seed=21)
         data = generate_replicate(cfg, 0)
-        ws = build_workspace(data, cfg.model(), true_values(cfg, data))
+        ws = build_workspace(data, cfg.model(), **true_values(cfg, data))
         mat = score_matrix(ws, true_psi(cfg))
         z = mat.mean(axis=0) / (mat.std(axis=0, ddof=1) / np.sqrt(ws.n))
         assert np.abs(z).max() < 4.0
@@ -247,10 +246,10 @@ class TestPreliminaryEstimate:
 class TestSolvers:
     def test_newton_reaches_an_exact_root(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, build_workspace(data, model, nuis))
+        rep = solve_integrative(data, build_workspace(data, model, **nuis))
         assert rep.converged and not rep.fallback_used
         assert rep.iterations == 1
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         assert np.linalg.norm(ws.mean_score(rep.psi_hat)) < 1e-10
         # the root of the linear equations, solved from the mean score at zero
         want = np.linalg.solve(ws.jacobian, -ws.mean_score(np.zeros(ws.p)))
@@ -258,14 +257,14 @@ class TestSolvers:
 
     def test_zero_is_reported_when_it_is_the_root(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         rep = solve_integrative(data, replace(ws, base_resid=np.zeros(ws.n)))
         assert (rep.iterations, rep.final_score_norm, rep.converged) == (0, 0.0, True)
         assert np.array_equal(rep.psi_hat, np.zeros(ws.p))
 
     def test_estimates_sit_near_truth(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        rep = solve_integrative(data, build_workspace(data, model, nuis))
+        rep = solve_integrative(data, build_workspace(data, model, **nuis))
         want = true_psi(cfg)
         assert np.abs(rep.psi_hat - want).max() < 0.5
 
@@ -280,7 +279,7 @@ class TestSolvers:
     @pytest.mark.parametrize("source, arm", [(1, 1), (1, 0), (0, 1), (0, 0)])
     def test_source_and_arm_requirements(self, fused_fixture, source, arm):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         with pytest.raises(ValidationError):
             solve_integrative(data.trial_only(), ws)
         # one source keeps only its arm-``arm`` records
@@ -291,7 +290,7 @@ class TestSolvers:
     def test_dimension_mismatch(self, fused_fixture):
         # each solve takes the workspace of its own kind, on the data's records
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         trial = ws.trial(data.n_trial)
         with pytest.raises(ValidationError, match="needs the pooled workspace"):
             solve_integrative(data, trial)
@@ -310,7 +309,7 @@ class TestSolvers:
     def test_malformed_coefficients_are_rejected(self, fused_fixture, call, bad):
         # coefficients are a 1-d vector with one finite entry per workspace column
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         vec = {"matrix": np.zeros((1, ws.p)), "wrong-length": np.zeros(ws.p + 1),
                "nan": np.r_[np.nan, np.zeros(ws.p - 1)]}[bad]
         with pytest.raises(ValidationError, match="must be"):
@@ -328,7 +327,7 @@ class TestSolvers:
                        square_term(0), linear_term(1))),
             model.lambda_basis,
         )
-        rep = solve_integrative(data, build_workspace(data, dup, nuis))  # no raise
+        rep = solve_integrative(data, build_workspace(data, dup, **nuis))  # no raise
         assert rep.fallback_used and not rep.converged
         assert rep.iterations == 1
         assert np.array_equal(rep.psi_hat, np.zeros(dup.p))
@@ -413,7 +412,7 @@ class TestSharedJacobian:
 
     def test_replaced_workspace_computes_its_own(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         jac = ws.jacobian
         doubled = replace(ws, score_weight=2.0 * ws.score_weight)
         assert doubled.jacobian is not jac
@@ -422,7 +421,7 @@ class TestSharedJacobian:
 
     def test_profiled_workspace_has_the_jacobian_of_its_pieces(self, fused_fixture):
         cfg, data, model, nuis = fused_fixture
-        ws = build_workspace(data, model, nuis)
+        ws = build_workspace(data, model, **nuis)
         stale = ws.jacobian
         spec = build_spline_basis(data, 0)
         profiled = estimators._profile_outcome_mean(ws, data, source_designs(data, spec), 1e-6)
@@ -481,7 +480,7 @@ class TestPipeline:
         # the same workspace at unit weight, built and profiled afresh
         spec = build_spline_basis(data, opts.knots)
         unit, e_hat = np.ones(data.n), fitted_propensities(data, opts)
-        ws0 = build_workspace(data, model, NuisanceValues(e_hat, np.zeros(data.n), unit, unit))
+        ws0 = build_workspace(data, model, e=e_hat, mu=np.zeros(data.n), v1=unit, v0=unit)
         ws0 = estimators._profile_outcome_mean(ws0, data, source_designs(data, spec),
                                                opts.ridge)
         first = solve_integrative(data, ws0)

@@ -42,8 +42,8 @@ def solved():
     data = generate_replicate(cfg, 0)
     model = cfg.model()
     values = true_values(cfg, data)
-    rep = solve_integrative(data, build_workspace(data, model, values))
-    nuis = build_workspace(data, model, values)
+    rep = solve_integrative(data, build_workspace(data, model, **values))
+    nuis = build_workspace(data, model, **values)
     est = sandwich_covariance(data, rep.psi_hat, nuis)
     return cfg, data, model, nuis, rep, est
 
@@ -110,7 +110,7 @@ class TestSandwich:
         trial = data.trial_only()
         values = values_subset(true_values(cfg, data), data.s == 1)
         sub = sandwich_covariance(trial, rct.psi_hat,
-                                  build_workspace(trial, model, values).trial(trial.n_trial))
+                                  build_workspace(trial, model, **values).trial(trial.n_trial))
         assert np.allclose(full.cov, sub.cov)
 
     def test_reported_workspace_gives_the_same_estimate(self, solved):
@@ -136,7 +136,7 @@ class TestSandwich:
             model.lambda_basis,
         )
         psi = np.zeros(5 + model.p2)
-        ws = build_workspace(data, dup, true_values(cfg, data))
+        ws = build_workspace(data, dup, **true_values(cfg, data))
         with pytest.raises(NumericalError, match="singular"):
             sandwich_covariance(data, psi, ws)
 
@@ -250,7 +250,7 @@ class TestPrecisionGain:
         cfg, data, model, nuis, rep, est = solved
         small = StructuralModel(BasisSpec((constant_term(),)),
                                 BasisSpec((linear_term(0),)))
-        ws = build_workspace(data, small, true_values(cfg, data)).trial(data.n_trial)
+        ws = build_workspace(data, small, **true_values(cfg, data)).trial(data.n_trial)
         rep2 = solve_rct(data, ws)
         est2 = sandwich_covariance(data, rep2.psi_hat, rep2.workspace)
         with pytest.raises(ValidationError):
@@ -307,7 +307,7 @@ class TestGofTest:
         # same model, so the same number of coefficients, but other records
         cfg, data, model, nuis, rep, est = solved
         other = generate_replicate(dataclasses.replace(cfg, n=400), 0)
-        ws = build_workspace(other, model, true_values(cfg, other))
+        ws = build_workspace(other, model, **true_values(cfg, other))
         theirs = sandwich_covariance(other, solve_integrative(other, ws).psi_hat, ws)
         assert theirs.psi_hat.shape == est.psi_hat.shape
         with pytest.raises(ValidationError, match="influence has shape"):

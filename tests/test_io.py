@@ -88,6 +88,8 @@ class TestAnalysisConfig:
             base_config(tmp_path / "d.csv", estimators=("bayes",))
         with pytest.raises(ValidationError, match="probe"):
             base_config(tmp_path / "d.csv", probes=((1.0, 2.0),))
+        with pytest.raises(ValidationError, match="at least one covariate"):
+            base_config(tmp_path / "d.csv", covariates=())
 
     def test_values_of_the_declared_types_are_accepted(self, tmp_path):
         cfg = base_config(tmp_path / "d.csv", covariates=list(NAMES), ridge=1,

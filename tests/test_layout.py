@@ -49,7 +49,7 @@ class TestColumnMajor:
 
     def test_workspace_and_its_trial_slice(self, study):
         cfg, data, model = study
-        ws = build_workspace(data, model, true_values(cfg, data))
+        ws = build_workspace(data, model, **true_values(cfg, data))
         assert ws.grad.flags.f_contiguous and ws.resid_design.flags.f_contiguous
         # the trial slice is a view of the first rows: its columns stay
         # contiguous, though a row slice is not itself f_contiguous
@@ -80,7 +80,7 @@ class TestColumnMajor:
 class TestKernels:
     def test_mean_score_equals_the_score_matrix_means(self, study):
         cfg, data, model = study
-        ws = build_workspace(data, model, true_values(cfg, data))
+        ws = build_workspace(data, model, **true_values(cfg, data))
         psi = true_psi(cfg)
         for params in (psi, np.zeros(ws.p), psi + 0.3):
             np.testing.assert_allclose(ws.mean_score(params),

@@ -129,6 +129,7 @@ class TestDataset:
         ([1, 0, 0], [0, 1, 0], [1.0, np.nan, 3.0], X),       # bad outcome
         ([1, 0, 0], [0, 1, 0], [1.0, 2.0, 3.0], np.full_like(X, np.inf)),  # bad covariate
         ([], [], [], np.empty((0, 3))),                       # empty
+        ([1, 0, 0], [0, 1, 0], [1.0, 2.0, 3.0], X[:, 0]),    # 1-d covariates
     ])
     def test_rejects_bad_columns(self, s, a, y, x):
         with pytest.raises(ValidationError):

@@ -311,7 +311,7 @@ class TestFitOutcomeMean:
         psi = true_psi(cfg)
         truth = true_values(cfg, data)
         spec = build_spline_basis(data, 0)
-        h = pseudo_outcomes(model, psi, data, truth.e)
+        h = pseudo_outcomes(model, psi, data, truth["e"])
         fit = fit_outcome_mean(data, h, spec, source_designs(data, spec))
         # the pseudo-outcome mean on trial records is sum(x), a linear surface
         grid = np.random.default_rng(0).standard_normal((100, 5))
@@ -382,6 +382,11 @@ class TestFitVarianceFunction:
             assert again.by_cell == base.by_cell
             assert np.array_equal(again.predict(1, np.ones(3, dtype=int)),
                                   base.predict(1, np.ones(3, dtype=int)))
+
+    def test_misshapen_residuals_raise(self):
+        data, model, psi, e, resid, _ = self._fitted()
+        with pytest.raises(ValidationError, match="residuals do not match"):
+            fit_variance_function(data, resid[:-1], y_var=1.0)
 
     def test_singular_cell_fit_warning_names_its_cell(self):
         data, model, psi, e, resid, _ = self._fitted()
@@ -542,7 +547,7 @@ class TestHeldGram:
             designs = source_designs(data, build_spline_basis(data, 4))
             grams = {source: _gram(design) for source, design in designs.items()}
             got = [estimators._profile_outcome_mean(
-                build_workspace(data, cfg.model(), true_values(cfg, data)),
+                build_workspace(data, cfg.model(), **true_values(cfg, data)),
                 data, designs, 1e-6, held) for held in (None, grams)]
             for name in ("base_resid", "resid_design"):
                 assert getattr(got[1], name).tobytes() == getattr(got[0], name).tobytes()

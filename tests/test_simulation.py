@@ -382,6 +382,24 @@ class TestRunMonteCarlo:
         b["config"].pop("jobs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_serial_study_runs_its_replicates_on_one_blas_thread(self, monkeypatch):
+        before = simulation._blas_threads(2)
+        if before == 0:
+            pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
+        seen = []
+
+        def recording(cfg_, rep_):
+            seen.append(simulation._blas_threads())
+            return run_replicate(cfg_, rep_)
+
+        monkeypatch.setattr(simulation, "run_replicate", recording)
+        try:
+            run_monte_carlo(make_config(n=100, m=300, reps=2, jobs=1))
+            assert seen == [1, 1]
+            assert simulation._blas_threads() == 2  # restored after the study
+        finally:
+            simulation._blas_threads(before)
+
     def test_a_workers_runtime_warning_fails_the_caller(self):
         # forked workers keep the suite's RuntimeWarning filter, so a NaN in a
         # replicate fails the study that drew it; a start method that imports
