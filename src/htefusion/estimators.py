@@ -208,10 +208,10 @@ def build_workspace(data: Dataset, model: StructuralModel, *, e: np.ndarray,
     grad = design
     np.multiply(obs, l_design, out=l_design)
     base_resid = data.y - mu
-    for name, arr in (("propensity", e), ("outcome mean", mu),
-                      ("variance", v1), ("variance", v0)):
+    for what, name, arr in (("propensity", "e", e), ("outcome mean", "mu", mu),
+                            ("variance", "v1", v1), ("variance", "v0", v0)):
         if not np.isfinite(arr).all():
-            raise NumericalError(f"non-finite {name} predictions in the workspace")
+            raise NumericalError(f"non-finite {what} predictions in the workspace: {name}")
     return ScoreWorkspace(grad, resid_design, base_resid, k, a - e, p1, p2)
 
 

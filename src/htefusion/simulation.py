@@ -278,13 +278,15 @@ class McSummary:
 
 
 @functools.cache
-def _openblas(symbol: str, restype, *argtypes):
-    """The function ``symbol`` of numpy's bundled OpenBLAS, typed, found
-    through ``_multiarray_umath``, which links it; None on other BLAS builds
-    or a numpy without ``np._core``."""
+def _native(library: str, symbol: str, restype, *argtypes):
+    """The function ``symbol``, typed, of numpy's bundled OpenBLAS (``"blas"``,
+    found through ``_multiarray_umath``, which links it) or of the C library
+    (``"libc"``); None on other BLAS builds, a numpy without ``np._core`` or a
+    C library without the symbol."""
     try:
-        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
-    except (AttributeError, OSError):
+        path = np._core._multiarray_umath.__file__ if library == "blas" else None
+        fn = getattr(ctypes.CDLL(path), symbol)
+    except (AttributeError, OSError, TypeError):  # TypeError: CDLL(None) on Windows
         return None
     fn.restype, fn.argtypes = restype, argtypes
     return fn
@@ -293,13 +295,25 @@ def _openblas(symbol: str, restype, *argtypes):
 def _blas_threads(count: int | None = None) -> int:
     """The thread count of numpy's bundled OpenBLAS, 0 on other BLAS builds;
     given ``count``, BLAS is then set to that many threads."""
-    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    get = _native("blas", "scipy_openblas_get_num_threads64_", ctypes.c_int)
     if get is None:
         return 0
     before = get()
     if count is not None and before != count:  # even an unchanged set costs ~10 us
-        _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)(count)
+        _native("blas", "scipy_openblas_set_num_threads64_", None, ctypes.c_int)(count)
     return before
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep a study's freed heap, once per process: glibc's defaults map each
+    block of 128 KiB or more afresh and return freed heap to the OS, so each
+    replicate would fault its working set in again.  The values are the ceiling
+    of glibc's own dynamic policy; a no-op where ``mallopt`` is missing."""
+    mallopt = _native("libc", "mallopt", ctypes.c_int, ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _usable_cpus() -> int:
@@ -310,12 +324,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _init_worker() -> None:
+    """Set a worker up as a serial study sets its caller: BLAS on one thread,
+    so that workers do not oversubscribe the cores, and the heap kept."""
+    _blas_threads(1)
+    _keep_heap()
+
+
 def _worker_pool(jobs: int):
-    """``jobs`` worker processes, each on one core: BLAS runs on one thread
-    in each, so that workers do not oversubscribe the cores.  The pool module
-    is imported here, so a serial run never loads ``multiprocessing``."""
+    """``jobs`` worker processes, each on one core.  The pool module is
+    imported here, so a serial run never loads ``multiprocessing``."""
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_blas_threads, initargs=(1,))
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker)
 
 
 def run_monte_carlo(cfg: SimConfig) -> McSummary:
@@ -332,9 +352,10 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
             results = list(pool.map(run_replicate, [cfg] * cfg.reps, range(cfg.reps),
                                     chunksize=max(1, cfg.reps // (4 * cfg.jobs))))
     else:
-        # one BLAS thread, as in the workers: BLAS's thread count moves the
-        # last bits of large products
+        # one BLAS thread and the heap kept, as in the workers: BLAS's thread
+        # count moves the last bits of large products
         before = _blas_threads(1)
+        _keep_heap()
         try:
             results = [run_replicate(cfg, r) for r in range(cfg.reps)]
         finally:

@@ -6,6 +6,9 @@ with the known truth injected as its values on the records.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 # Each process runs BLAS on one thread: the Monte Carlo fixtures run one
 # worker per core, and the suite's small products gain nothing from more.
@@ -17,11 +20,21 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import htefusion
 from htefusion import (
     Dataset,
     SimConfig,
     generate_replicate,
 )
+
+
+def run_child(args):
+    """Run the interpreter with ``args``; the child imports the package from
+    where this process found it, which need not be an installed copy."""
+    src = str(Path(htefusion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def make_config(beta=0.0, **kw):

@@ -9,9 +9,6 @@ import math
 import os
 import pkgutil
 import shutil
-import subprocess
-import sys
-from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -28,7 +25,7 @@ from htefusion import (
     square_term,
 )
 from htefusion.cli import _build_parser, main
-from conftest import make_config
+from conftest import make_config, run_child
 
 NAMES = ("age", "bmi", "x3", "x4", "x5")
 
@@ -405,15 +402,6 @@ class TestGof:
         assert "alternative" in capsys.readouterr().err
 
 
-def _run_child(args):
-    """Run the interpreter with ``args``; the child imports the package from
-    where this process found it, which need not be an installed copy."""
-    src = str(Path(htefusion.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-
-
 def _dests(command: str) -> dict:
     """Each option of a subcommand: its dest and its default."""
     sub = next(a for a in _build_parser()._actions
@@ -459,7 +447,7 @@ class TestEntryPoint:
             assert set(getattr(module, "__all__", ())) <= exported, info.name
 
     def test_console_script(self):
-        proc = _run_child(["-m", "htefusion.cli", "--version"])
+        proc = run_child(["-m", "htefusion.cli", "--version"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
 
@@ -468,7 +456,7 @@ class TestEntryPoint:
         # when a Monte Carlo study asks for more than one worker
         script = ("import sys, htefusion.cli; "
                   "sys.exit('multiprocessing' in sys.modules)")
-        proc = _run_child(["-c", script])
+        proc = run_child(["-c", script])
         assert proc.returncode == 0, proc.stderr
 
     def test_runs_without_scipy(self, data_csv, tmp_path):
@@ -492,7 +480,7 @@ class TestEntryPoint:
             "assert 'scipy' not in {m.partition('.')[0] for m, v in sys.modules.items() if v}",
             "sys.exit(code)",
         ])
-        proc = _run_child(["-c", script])
+        proc = run_child(["-c", script])
         assert proc.returncode == 0, proc.stderr
         child = [p.read_text() for p in (out, curve, mc_out)]
 

@@ -171,6 +171,14 @@ class TestWorkspace:
         with pytest.raises(NumericalError, match="outcome mean"):
             build_workspace(data, model, **bad)
 
+    @pytest.mark.parametrize("field", ["v1", "v0"])
+    def test_nonfinite_variance_names_its_arm(self, fused_fixture, field):
+        cfg, data, model, nuis = fused_fixture
+        arr = nuis[field].copy()
+        arr[-1] = np.nan
+        with pytest.raises(NumericalError, match=f"variance predictions .*: {field}$"):
+            build_workspace(data, model, **dict(nuis, **{field: arr}))
+
 
 class TestScoreIdentities:
     def test_per_record_score_matches_matrix(self, fused_fixture):

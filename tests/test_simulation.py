@@ -33,7 +33,7 @@ from htefusion import (
     true_tau_coefficients,
 )
 from htefusion.io import AnalysisConfig, run_fit
-from conftest import make_config
+from conftest import make_config, run_child
 from oracles import fold_cells
 
 
@@ -501,3 +501,93 @@ class TestFold:
         want = fold_cells(results, mc.targets, cfg.estimators)
         assert list(want) == ["integrative", "meta"]  # rct is absent from the results
         self.assert_cells_equal(mc.cells, want)
+
+
+# Paper-size replicates, their minor page faults counted after each one; run
+# in a fresh interpreter, so that the suite's heap cannot hide the faults
+_COUNT_FAULTS = """
+import resource
+from htefusion import SimConfig, run_replicate, simulation
+
+CFG = SimConfig(beta=(1.0,) * 5, n=300, m=5000, reps=12)
+
+
+def faults_per_replicate(study):
+    \"\"\"Minor faults per replicate over replicates 2..11 of ``study``, which
+    runs the replicates of CFG through the counting function it is given.\"\"\"
+    seen = []
+
+    def counted(cfg, rep):
+        out = run_replicate(cfg, rep)
+        seen.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return out
+
+    study(counted)
+    return (seen[11] - seen[1]) / 10
+"""
+
+
+def _faults_in_child(script: str) -> float:
+    if simulation._native("libc", "mallopt", ctypes.c_int, ctypes.c_int, ctypes.c_int) is None:
+        pytest.skip("the C library has no mallopt")
+    proc = run_child(["-c", _COUNT_FAULTS + script])
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.split()[-1])
+
+
+class TestKeepHeap:
+    """A study keeps its freed heap, so that a replicate does not fault its
+    working set in again from the OS."""
+
+    def test_serial_study_reuses_its_heap(self):
+        faults = _faults_in_child(
+            "def serial(counted):\n"
+            "    simulation.run_replicate = counted\n"
+            "    simulation.run_monte_carlo(CFG)\n"
+            "print(faults_per_replicate(serial))\n")
+        assert faults <= 20  # ~460 under glibc's default heap policy
+
+    def test_worker_reuses_its_heap(self):
+        # the worker's caller never ran a serial study, so the worker's
+        # initializer alone sets the heap policy
+        faults = _faults_in_child(
+            "def in_worker():\n"
+            "    return faults_per_replicate(\n"
+            "        lambda counted: [counted(CFG, r) for r in range(CFG.reps)])\n"
+            "assert simulation._keep_heap.cache_info().currsize == 0\n"
+            "with simulation._worker_pool(1) as pool:\n"
+            "    print(pool.submit(in_worker).result())\n")
+        assert faults <= 20
+
+    def test_heap_policy_keeps_every_output(self):
+        # a study's summary and a 20,000-record fit's document, before and
+        # after the policy is set in one process; arrays of 128 KiB or more
+        # move from fresh mappings to the heap
+        script = """
+import dataclasses, json
+from htefusion import SimConfig, generate_replicate, run_monte_carlo, simulation
+from htefusion.io import AnalysisConfig, run_fit
+
+cfg = SimConfig(beta=(1.0,) * 5, n=300, m=5000, reps=2, knots=4)
+data = generate_replicate(dataclasses.replace(cfg, m=20_000), 0)
+names = tuple(f"x{j + 1}" for j in range(5))
+fit = AnalysisConfig(data="unused.csv", covariates=names,
+                     tau_terms=("1", "x1", "x1^2", "x2", "x2^2"), lambda_terms=names,
+                     estimators=("integrative", "rct", "meta"), probes=((0.0,) * 5,),
+                     gof_tau_terms=("x1*x2",))
+
+
+def outputs():
+    return (json.dumps(run_monte_carlo(cfg).to_dict(), sort_keys=True),
+            run_fit(fit, data).to_json())
+
+
+keep_heap = simulation._keep_heap
+simulation._keep_heap = lambda: None  # else the study would set the policy
+before = outputs()
+simulation._keep_heap = keep_heap
+keep_heap()
+assert outputs() == before
+"""
+        proc = run_child(["-c", script])
+        assert proc.returncode == 0, proc.stderr
