@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--jobs", type=int)
     sim.add_argument("--knots", type=int)
     sim.add_argument("--tau-form", choices=["opposed", "aligned"])
-    sim.add_argument("--confounding-form", choices=["unit", "double"])
     sim.add_argument("--estimators", type=_split)
     sim.add_argument("--out", help="path for the JSON summary")
     sim.add_argument("--quiet", action="store_true", help="suppress the text table")

@@ -86,10 +86,6 @@ class FitOptions:
     clip_e: float = 0.01
     trial_known: float | None = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.ridge < np.inf:  # also rejects NaN
-            raise ValidationError(f"ridge must be finite and non-negative, got {self.ridge}")
-
 
 @dataclass(frozen=True)
 class SolveReport:

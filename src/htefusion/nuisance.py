@@ -113,13 +113,24 @@ def _gram(design: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _penalty_scale(gram: np.ndarray, ridge: float) -> float:
+    """What a fit on ``gram`` multiplies ``ridge`` by to get its penalty:
+    the mean diagonal of the Gram, or 1 when that is not positive and
+    finite.  Raises unless ``ridge`` is finite and non-negative."""
+    if not 0.0 <= ridge < np.inf:  # also rejects NaN
+        raise ValidationError(f"ridge must be finite and non-negative, got {ridge}")
+    scale = float(np.mean(np.diag(gram)))
+    return scale if 0.0 < scale < np.inf else 1.0
+
+
 def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
                      what: str = "additive regression",
                      gram: np.ndarray | None = None) -> np.ndarray:
     """Ridge-penalized least squares via the normal equations.
 
-    The penalty is ``ridge`` times the mean diagonal of the Gram matrix,
-    applied to every coefficient; ``ridge=0`` gives plain least squares.
+    The penalty is ``ridge`` times :func:`_penalty_scale` of the Gram
+    matrix, applied to every coefficient; ``ridge=0`` gives plain least
+    squares.
     ``gram`` is ``_gram(design)`` when the caller holds it; without it the
     Gram is formed here, by the same product, so with the same bits.
     If the system is numerically singular the penalty is escalated a
@@ -132,10 +143,8 @@ def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
     n, p = design.shape
     if gram is None:
         gram = _gram(design)
+    scale = _penalty_scale(gram, ridge)
     rhs = design.T @ target
-    scale = float(np.mean(np.diag(gram)))
-    if scale <= 0.0 or not np.isfinite(scale):
-        scale = 1.0
     pen = ridge * scale
     eye = np.eye(p)
     first = 0
@@ -211,14 +220,11 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     if link != "logit":
         raise ValidationError(f"unknown link {link!r}")
 
-    # IRLS with step halving on the penalized deviance; the penalty scales
-    # with the mean Gram diagonal, by _solve_penalized's rule.
+    # IRLS with step halving on the penalized deviance, under
+    # _solve_penalized's penalty
     if gram is None:
         gram = _gram(design)
-    scale = float(np.mean(np.diag(gram)))
-    if scale <= 0.0 or not np.isfinite(scale):
-        scale = 1.0
-    pen = ridge * scale
+    pen = ridge * _penalty_scale(gram, ridge)
 
     loss, y_eta = np.empty_like(y), np.empty_like(y)
     r = np.empty_like(design)  # the one weighted copy of the design
@@ -401,8 +407,6 @@ def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
             spec, link="logit", ridge=ridge, what=f"propensity fit (s={source})",
             gram=(grams or {}).get(source),
         )
-    if not by_source:
-        raise ValidationError("propensity fit: dataset has no usable source")
     return Propensity(by_source, clip=clip_e)
 
 
@@ -428,8 +432,6 @@ def fit_conditional_outcomes(data: Dataset, spec: BasisSpec, designs: dict,
                 data.y[block][cell],
                 spec, ridge=ridge, what=f"conditional-outcome fit (a={a_val}, s={s_val})",
             )
-    if not by_cell:
-        raise ValidationError("conditional-outcome fit: no non-empty cells")
     return CellMeans(by_cell)
 
 
@@ -482,6 +484,4 @@ def fit_variance_function(data: Dataset, resid: np.ndarray, *,
             if cell.any():
                 by_cell[(a_val, s_val)] = float(
                     np.clip(np.mean(resid[block][cell] ** 2), 1e-4 * y_var, 1e4 * y_var))
-    if not by_cell:
-        raise ValidationError("variance fit: no non-empty cells")
     return VarianceFunction(by_cell)

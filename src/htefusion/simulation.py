@@ -85,11 +85,9 @@ class SimConfig:
 
     ``tau_form`` selects the sign pattern of the true effect surface:
     "opposed" uses 1 + x1 + x1^2 - x2 - x2^2, "aligned" flips the x2
-    block positive.  ``confounding_form`` scales the confounding curve
-    induced by ``beta``: "unit" gives a curve equal to x'beta, "double"
-    twice that.  ``tau_terms``/``lambda_terms`` override the fitted
-    working bases, e.g. to study misspecification; the data generator is
-    unaffected by them.
+    block positive.  The confounding curve is x'beta.  ``tau_terms``/
+    ``lambda_terms`` override the fitted working bases, e.g. to study
+    misspecification; the data generator is unaffected by them.
 
     ``knots`` here defaults to 0 (linear nuisance surfaces) rather than
     the library-wide spline default; pass a positive count to fit spline
@@ -104,7 +102,6 @@ class SimConfig:
     probes: tuple[tuple[float, ...], ...] = field(default_factory=default_probes)
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     tau_form: str = "opposed"
-    confounding_form: str = "unit"
     knots: int = 0
     trial_known: float | None = 0.5
     jobs: int = 1
@@ -112,7 +109,6 @@ class SimConfig:
     lambda_terms: BasisSpec | None = None
     gof_alt_tau: BasisSpec | None = None
     gof_alt_lambda: BasisSpec | None = None
-    gof_efficient_weight: bool = False
 
     def __post_init__(self):
         _check_fields(self)
@@ -124,8 +120,6 @@ class SimConfig:
             raise ValidationError(f"beta must have length {N_COVARIATES}")
         if self.tau_form not in ("opposed", "aligned"):
             raise ValidationError("tau_form must be 'opposed' or 'aligned'")
-        if self.confounding_form not in ("unit", "double"):
-            raise ValidationError("confounding_form must be 'unit' or 'double'")
         if self.jobs < 1:
             raise ValidationError("jobs must be at least 1")
         # more workers than the CPUs this process may use only adds processes
@@ -165,10 +159,9 @@ def true_ate(cfg: SimConfig) -> float:
 
 
 def true_confounding(cfg: SimConfig, X) -> np.ndarray:
-    """Confounding curve of the generator: x'beta, doubled if requested."""
-    scale = 1.0 if cfg.confounding_form == "unit" else 2.0
+    """Confounding curve of the generator: x'beta."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return scale * (X @ np.asarray(cfg.beta, dtype=float))
+    return X @ np.asarray(cfg.beta, dtype=float)
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -226,7 +219,7 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
     fit = run_pipeline(data, model, opts, which=cfg.estimators)
     summaries = _summaries(data, model, fit, _probe_points(cfg),
                            cfg.gof_alt_tau or BasisSpec(()), cfg.gof_alt_lambda or BasisSpec(()),
-                           cfg.gof_efficient_weight)
+                           efficient_weight=False)
     labels = [probe_label(pr) for pr in cfg.probes] + ["ate"]
     estimates = {}
     for name, got in summaries.items():

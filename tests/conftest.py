@@ -84,13 +84,12 @@ def true_values(cfg: SimConfig, data: Dataset) -> dict:
     below is exact.
     """
     beta = np.asarray(cfg.beta, dtype=float)
-    scale = 1.0 if cfg.confounding_form == "unit" else 2.0
 
     def e_obs(X):
         return expit(-X.sum(axis=1))
 
     def mu_obs(X):
-        lam = scale * (X @ beta)
+        lam = X @ beta
         return X.sum(axis=1) + lam * (e_obs(X) - 0.5)
 
     e = np.clip(by_source(data, lambda X: 0.5, e_obs), 1e-12, 1.0 - 1e-12)
@@ -105,8 +104,7 @@ def true_psi(cfg: SimConfig) -> np.ndarray:
     from htefusion.simulation import true_tau_coefficients
 
     phi = true_tau_coefficients(cfg.tau_form)
-    scale = 1.0 if cfg.confounding_form == "unit" else 2.0
-    lam = scale * np.asarray(cfg.beta, dtype=float)
+    lam = np.asarray(cfg.beta, dtype=float)
     return np.concatenate([phi, lam])
 
 

@@ -79,6 +79,12 @@ def _huge_age(scale):
     return mutate
 
 
+def _huge_outcome(scale):
+    def mutate(s, a, y, x):
+        y *= scale
+    return mutate
+
+
 def _finite(node) -> bool:
     if isinstance(node, dict):
         return all(_finite(v) for v in node.values())
@@ -117,6 +123,11 @@ HOSTILE = [
     # the bread's entries overflow: LAPACK's SVD would not converge on them
     ("age-times-1e80", _huge_age(1e80), [], 3, "sandwich bread is numerically singular"),
     ("age-times-1e100", _huge_age(1e100), [], 3, "sandwich bread is numerically singular"),
+    # squares of the outcome overflow, so the cell variances fitted after the
+    # first solve are infinite and the second solve's score weights are not
+    # finite
+    ("y-times-1e160", _huge_outcome(1e160), [], 3,
+     "mean score is not finite at zero coefficients"),
     ("far-probe", None, ["--probe", "1e6,0,0,0,0"], 0, None),
     ("overflowing-probe", None, ["--probe", "1e160,0,0,0,0"], 3, "effect curve"),
     ("nan-probe", None, ["--probe", "nan,0,0,0,0"], 2, "probes"),

@@ -288,8 +288,9 @@ class TestSolvers:
     def test_source_and_arm_requirements(self, fused_fixture, source, arm):
         cfg, data, model, nuis = fused_fixture
         ws = build_workspace(data, model, **nuis)
-        with pytest.raises(ValidationError):
-            solve_integrative(data.trial_only(), ws)
+        for one_source in (data.trial_only(), subset(data, data.s == 0)):
+            with pytest.raises(ValidationError, match="needs records from both sources"):
+                solve_integrative(one_source, ws)
         # one source keeps only its arm-``arm`` records
         one_arm = subset(data, (data.s != source) | (data.a == arm))
         with pytest.raises(ValidationError, match=f"source s={source} contains a single arm"):

@@ -66,6 +66,10 @@ class TestParseTerms:
         with pytest.raises(ValidationError):
             parse_terms((expr,), NAMES)
 
+    def test_names_an_empty_expression(self):
+        with pytest.raises(ValidationError, match="empty basis term expression"):
+            parse_terms(["1", ""], NAMES)
+
 
 class TestAnalysisConfig:
     def test_required_keys(self):

@@ -227,8 +227,8 @@ class TestBasisTerms:
     def test_term_validation(self):
         with pytest.raises(ValidationError):
             BasisTerm("cubic")
-        with pytest.raises(ValidationError):
-            spline_term(0, (0.0, 1.0), 0)          # too few knots
+        with pytest.raises(ValidationError, match="at least 3 knots"):
+            spline_term(0, (0.0, 1.0), 0)
         with pytest.raises(ValidationError):
             spline_term(0, (0.0, 1.0, 1.0), 0)     # not increasing
         with pytest.raises(ValidationError):

@@ -169,6 +169,28 @@ class TestFitAdditive:
             fit_additive(np.zeros((3, 1)), np.zeros(3), spec, link="probit")
 
 
+# each nuisance fit that reads a ridge, called on the desk draw's knots=0
+# basis; the propensity fit reads it in the cohort's logistic regression
+RIDGE_READERS = {
+    "identity": lambda data, spec, designs, ridge: fit_additive(
+        designs[0], data.y[data.block(0)], spec, ridge=ridge),
+    "logit": lambda data, spec, designs, ridge: fit_additive(
+        designs[0], data.a[data.block(0)].astype(float), spec, link="logit", ridge=ridge),
+    "propensity": lambda data, spec, designs, ridge: fit_propensity(
+        data, spec, designs, ridge=ridge),
+    "outcome-mean": lambda data, spec, designs, ridge: fit_outcome_mean(
+        data, data.y, spec, designs, ridge=ridge),
+}
+
+
+@pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("fit", RIDGE_READERS.values(), ids=RIDGE_READERS)
+def test_ridge_is_checked_where_it_is_read(desk_data, fit, ridge):
+    spec = build_spline_basis(desk_data, 0)
+    with pytest.raises(ValidationError, match="ridge must be finite and non-negative"):
+        fit(desk_data, spec, source_designs(desk_data, spec), ridge)
+
+
 class TestFitPropensity:
     def test_trial_known_short_circuits(self, desk_data):
         spec = build_spline_basis(desk_data, 0)

@@ -85,15 +85,14 @@ class TestTruth:
         X = np.arange(10.0).reshape(2, 5)
         unit = simulation.true_confounding(make_config(beta=1.0), X)
         assert np.allclose(unit, X.sum(axis=1))
-        double = simulation.true_confounding(
-            make_config(beta=1.0, confounding_form="double"), X)
+        double = simulation.true_confounding(make_config(beta=2.0), X)
         assert np.allclose(double, 2.0 * X.sum(axis=1))
 
 
 class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"n": 1}, {"m": 1}, {"reps": 0}, {"jobs": 0},
-        {"tau_form": "mixed"}, {"confounding_form": "triple"},
+        {"tau_form": "mixed"},
         {"estimators": ("integrative", "oracle")}, {"estimators": ()},
     ])
     def test_rejects_bad_settings(self, bad):
@@ -213,8 +212,7 @@ class TestGenerator:
             assert (resid[a == arm] - fit).var() == pytest.approx(2.0, rel=0.05)
 
     def test_double_scale_doubles_the_shift(self):
-        cfg = make_config(beta=1.0, n=2, m=80_000, seed=8,
-                          confounding_form="double")
+        cfg = make_config(beta=2.0, n=2, m=80_000, seed=8)
         data = generate_replicate(cfg, 0)
         sel = (data.s == 0) & (data.a == 1)
         x = data.x[sel]
