@@ -33,7 +33,6 @@ from .nuisance import (
     fit_variance_function,
 )
 from .estimators import (
-    FitOptions,
     PipelineResult,
     ScoreWorkspace,
     SolveReport,

@@ -51,7 +51,6 @@ from .nuisance import (
 )
 
 __all__ = [
-    "FitOptions",
     "SolveReport",
     "ScoreWorkspace",
     "build_workspace",
@@ -74,17 +73,6 @@ def _check_estimators(names: tuple) -> None:
         raise ValidationError(f"unknown estimators: {sorted(unknown)}")
     if not names:
         raise ValidationError(f"estimators must list at least one of {list(ESTIMATOR_NAMES)}")
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Settings of the nuisance fits: spline knots per covariate, the
-    ridge penalty, the propensity clip and a known trial propensity."""
-
-    knots: int = 4
-    ridge: float = 1e-6
-    clip_e: float = 0.01
-    trial_known: float | None = None
 
 
 @dataclass(frozen=True)
@@ -401,40 +389,47 @@ class PipelineResult:
     meta_coef: np.ndarray | None = None
 
 
-def run_pipeline(data: Dataset, model: StructuralModel, opts: FitOptions = FitOptions(),
-                 which: tuple = ("integrative",)) -> PipelineResult:
+def run_pipeline(data: Dataset, model: StructuralModel, which: tuple = ("integrative",), *,
+                 knots: int = 4, ridge: float = 1e-6, clip_e: float = 0.01,
+                 trial_known: float | None = None) -> PipelineResult:
     """Fit the nuisances, then the requested estimators.
 
-    Fits the propensities and builds one workspace whose pseudo-outcome
-    is centered at its per-source outcome-mean fit at every coefficient
-    vector, then solves each estimator in two steps: at unit residual
-    variances, then with per-cell variances fitted at that solution.  The
-    trial-only estimator reads the workspace's trial records and effect
-    columns, and its variances are fitted on trial records only; its
-    spline knots and variance bounds come from the pooled sample.
+    Fits the propensities (``knots`` spline knots per covariate, penalty
+    ``ridge``, clipped at ``clip_e``; ``trial_known`` is a known trial
+    propensity) and builds one workspace whose pseudo-outcome is centered
+    at its per-source outcome-mean fit at every coefficient vector, then
+    solves each estimator in two steps: at unit residual variances, then
+    with per-cell variances fitted at that solution.  The trial-only
+    estimator reads the workspace's trial records and effect columns, and
+    its variances are fitted on trial records only; its spline knots and
+    variance bounds come from the pooled sample.
     """
     _check_estimators(which)
-    spec = build_spline_basis(data, opts.knots)
+    spec = build_spline_basis(data, knots)
     designs = source_designs(data, spec)
     # each design's Gram, formed once: the propensity IRLS starts from it
     # and the outcome-mean smoother solves on it
     grams = {source: _gram(design) for source, design in designs.items()}
-    e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
-                           clip_e=opts.clip_e, ridge=opts.ridge, grams=grams)
+    e_fit = fit_propensity(data, spec, designs, trial_known=trial_known,
+                           clip_e=clip_e, ridge=ridge, grams=grams)
     e_raw = e_fit.predict_raw(data.s, designs)
     if "integrative" not in which and "rct" not in which:
         design = model.tau_basis.design(data.x)
         return PipelineResult(design, meta_coef=meta_estimate(data, design, e_raw))
+    with np.errstate(over="ignore"):
+        y_var = float(np.var(data.y))
+    if not np.isfinite(y_var):
+        raise NumericalError("the outcome is too large to square: its variance is not "
+                             "finite; rescale the outcome")
     e_hat = e_fit.clipped(e_raw)
     unit = np.ones(data.n)
     ws = build_workspace(data, model, e=e_hat, mu=np.zeros(data.n), v1=unit, v0=unit)
-    ws = _profile_outcome_mean(ws, data, designs, opts.ridge, grams)
+    ws = _profile_outcome_mean(ws, data, designs, ridge, grams)
     del designs, grams  # not held through the solves, which read the workspace alone
     # the effect columns, which neither the zeroing nor the profiling touches
     result = PipelineResult(ws.grad[:, :model.p1])
     if "meta" in which:
         result.meta_coef = meta_estimate(data, result.effect_design, e_raw)
-    y_var = float(np.var(data.y))
     if "rct" in which:
         if data.n_trial == 0:
             raise ValidationError("trial-only fitting requires s=1 records")

@@ -144,7 +144,8 @@ def sandwich_covariance(data: Dataset, psi_hat: np.ndarray, ws: ScoreWorkspace) 
     """
     _check_workspace(ws, data, "sandwich covariance")
     params = _coefficients(psi_hat, ws.p)
-    influence = ws.grad @ _solve_square(-ws.jacobian, np.eye(ws.p), "sandwich bread").T
+    # formed as its transpose, so that the rows come out column-major, like ``grad``
+    influence = (_solve_square(-ws.jacobian, np.eye(ws.p), "sandwich bread") @ ws.grad.T).T
     # a score row is its gradient row times one scalar: no (n, p) score matrix
     influence *= (ws.score_weight * ws.residuals(params))[:, None]
     cov = influence.T @ influence / ws.n ** 2
@@ -242,7 +243,10 @@ def gof_test(data: Dataset, est: PsiEstimate, ws: ScoreWorkspace, alt_tau: Basis
     g_mean = g_mat.mean(axis=0)
     # derivative of the averaged test vector in the coefficients
     g_jac = -(alt * weight[:, None]).T @ ws.resid_design / ws.n
-    corrected = g_mat + est.influence @ g_jac.T
+    # a row-major copy keeps the statistic's bits: with one alternative column
+    # this is a matrix-vector product, which a one-thread BLAS sums in an
+    # order set by the rows' layout
+    corrected = g_mat + np.ascontiguousarray(est.influence) @ g_jac.T
     sigma = corrected.T @ corrected / ws.n
     t_stat = float(ws.n * g_mean @ _solve_square(sigma, g_mean, "test covariance"))
     df = q1 + q2

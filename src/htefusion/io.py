@@ -12,7 +12,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .estimators import FitOptions, _check_estimators, run_pipeline
+from .estimators import _check_estimators, run_pipeline
 from .inference import _Z95, _summaries
 from .model import (
     BasisSpec,
@@ -230,7 +230,7 @@ def load_csv(path: str, cfg: AnalysisConfig) -> Dataset:
             raise ValidationError(f"data file {path} contains no data rows")
         try:
             return Dataset(table[:, 0], table[:, 1], table[:, 2].copy(),
-                           np.ascontiguousarray(table[:, 3:]))
+                           np.asfortranarray(table[:, 3:]))
         except ValidationError:  # a flag that is not 0/1, or a value that is not finite
             failure = "a value is out of range"
     located = _locate_bad_cell(path, needed, index)
@@ -247,8 +247,7 @@ class ResultDocument:
     diagnostics: dict
 
     def to_dict(self) -> dict:
-        return {"version": self.version, "config": self.config,
-                "results": self.results, "diagnostics": self.diagnostics}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -286,13 +285,12 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
     names = list(cfg.covariates)
     model = StructuralModel(parse_terms(cfg.tau_terms, names),
                             parse_terms(cfg.lambda_terms, names))
-    opts = FitOptions(knots=cfg.knots, ridge=cfg.ridge, clip_e=cfg.clip_e,
-                      trial_known=cfg.trial_known)
     results: dict = {}
     diagnostics: dict = {"n_trial": data.n_trial, "n_obs": data.n_obs}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = run_pipeline(data, model, opts, which=cfg.estimators)
+        fit = run_pipeline(data, model, cfg.estimators, knots=cfg.knots, ridge=cfg.ridge,
+                           clip_e=cfg.clip_e, trial_known=cfg.trial_known)
         summaries = _summaries(data, model, fit, np.reshape(cfg.probes, (-1, data.d)),
                                parse_terms(cfg.gof_tau_terms, names),
                                parse_terms(cfg.gof_lambda_terms, names),

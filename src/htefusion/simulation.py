@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimators import ESTIMATOR_NAMES, FitOptions, _check_estimators, run_pipeline
+from .estimators import ESTIMATOR_NAMES, _check_estimators, run_pipeline
 from .inference import _Z95, _summaries
 from .model import (
     BasisSpec,
@@ -215,8 +215,8 @@ def run_replicate(cfg: SimConfig, rep: int) -> dict:
     """Generate and analyze one replicate; returns plain-type results."""
     data = generate_replicate(cfg, rep)
     model = cfg.model()
-    opts = FitOptions(knots=cfg.knots, trial_known=cfg.trial_known)
-    fit = run_pipeline(data, model, opts, which=cfg.estimators)
+    fit = run_pipeline(data, model, cfg.estimators, knots=cfg.knots,
+                       trial_known=cfg.trial_known)
     summaries = _summaries(data, model, fit, _probe_points(cfg),
                            cfg.gof_alt_tau or BasisSpec(()), cfg.gof_alt_lambda or BasisSpec(()),
                            efficient_weight=False)

@@ -5,6 +5,7 @@ process as the built-in study, either with library-fitted nuisances or
 with the known truth injected as its values on the records.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -35,6 +36,14 @@ def run_child(args):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def pipeline_settings(**settings) -> dict:
+    """``run_pipeline``'s nuisance settings, by keyword: its own defaults,
+    read from its signature, with ``settings`` in their place."""
+    params = inspect.signature(htefusion.run_pipeline).parameters.values()
+    defaults = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+    return {**defaults, **settings}
 
 
 def make_config(beta=0.0, **kw):

@@ -26,7 +26,6 @@ from scipy.special import expit
 import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
-    FitOptions,
     SimConfig,
     build_spline_basis,
     build_workspace,
@@ -242,12 +241,12 @@ def test_criterion_7_no_gain_when_bases_coincide():
     """
     shared = default_tau_basis()
     cfg = SimConfig(beta=(1.0, 0.0, 0.0, 0.0, 0.0), reps=50, lambda_terms=shared)
-    opts = FitOptions(knots=cfg.knots, trial_known=cfg.trial_known)
     gains = []
     for r in range(cfg.reps):
         data = generate_replicate(cfg, r)
         model = cfg.model()
-        fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
+        fit = run_pipeline(data, model, ("integrative", "rct"), knots=cfg.knots,
+                           trial_known=cfg.trial_known)
         est_i = sandwich_covariance(data, fit.integrative.psi_hat,
                                     fit.integrative.workspace)
         est_r = sandwich_covariance(data, fit.rct.psi_hat, fit.rct.workspace)

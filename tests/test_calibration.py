@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 import htefusion.simulation as simulation
-from htefusion import FitOptions, SimConfig, generate_replicate, run_pipeline
+from htefusion import SimConfig, generate_replicate, run_pipeline
 from htefusion import sandwich_covariance
 from htefusion.inference import _Z95
 from htefusion.simulation import _usable_cpus, true_tau_coefficients
@@ -41,8 +41,7 @@ def calibration_draw(cfg: SimConfig, rep: int) -> dict:
     sandwich standard errors."""
     data = generate_replicate(cfg, rep)
     model = cfg.model()
-    fit = run_pipeline(data, model, FitOptions(knots=cfg.knots, trial_known=cfg.trial_known),
-                       which=ESTIMATORS)
+    fit = run_pipeline(data, model, ESTIMATORS, knots=cfg.knots, trial_known=cfg.trial_known)
     out = {}
     for name in ESTIMATORS:
         report = getattr(fit, name)

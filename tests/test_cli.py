@@ -123,11 +123,9 @@ HOSTILE = [
     # the bread's entries overflow: LAPACK's SVD would not converge on them
     ("age-times-1e80", _huge_age(1e80), [], 3, "sandwich bread is numerically singular"),
     ("age-times-1e100", _huge_age(1e100), [], 3, "sandwich bread is numerically singular"),
-    # squares of the outcome overflow, so the cell variances fitted after the
-    # first solve are infinite and the second solve's score weights are not
-    # finite
-    ("y-times-1e160", _huge_outcome(1e160), [], 3,
-     "mean score is not finite at zero coefficients"),
+    # squares of the outcome overflow: its variance, which bounds the cell
+    # variances, is not finite, and the fit stops before any solve
+    ("y-times-1e160", _huge_outcome(1e160), [], 3, "the outcome is too large to square"),
     ("far-probe", None, ["--probe", "1e6,0,0,0,0"], 0, None),
     ("overflowing-probe", None, ["--probe", "1e160,0,0,0,0"], 3, "effect curve"),
     ("nan-probe", None, ["--probe", "nan,0,0,0,0"], 2, "probes"),
@@ -447,7 +445,7 @@ class TestEntryPoint:
         modules = [name for name, val in namespace.items()
                    if name != "__builtins__" and isinstance(val, ModuleType)]
         assert modules == []
-        assert "FitOptions" in namespace
+        assert "run_pipeline" in namespace
 
     def test_submodules_list_only_package_exports(self):
         # a submodule's __all__ names what ``htefusion`` re-exports; other

@@ -15,7 +15,6 @@ import pytest
 from htefusion import (
     BasisSpec,
     Dataset,
-    FitOptions,
     NumericalError,
     Propensity,
     PsiEstimate,
@@ -41,7 +40,8 @@ import htefusion.estimators as estimators
 import htefusion.nuisance as nuisance
 from htefusion.estimators import preliminary_estimate
 from htefusion.nuisance import fit_conditional_outcomes, fit_outcome_mean, source_designs
-from conftest import make_config, subset, true_psi, true_values, values_subset
+from conftest import (make_config, pipeline_settings, subset, true_psi, true_values,
+                      values_subset)
 from oracles import (efficient_score, pseudo_outcomes, refit_outcome_mean, score_jacobian,
                      score_matrix)
 
@@ -58,12 +58,13 @@ def trial_workspace(data, model, nuis):
     return build_workspace(data, model, **nuis).trial(data.n_trial)
 
 
-def fitted_propensities(data, opts):
-    """The clipped propensities ``run_pipeline`` fits to ``data`` with ``opts``."""
-    spec = build_spline_basis(data, opts.knots)
+def fitted_propensities(data, **settings):
+    """The clipped propensities ``run_pipeline`` fits to ``data`` with ``settings``."""
+    opts = pipeline_settings(**settings)
+    spec = build_spline_basis(data, opts["knots"])
     designs = source_designs(data, spec)
-    e_fit = fit_propensity(data, spec, designs, trial_known=opts.trial_known,
-                           clip_e=opts.clip_e, ridge=opts.ridge)
+    e_fit = fit_propensity(data, spec, designs, trial_known=opts["trial_known"],
+                           clip_e=opts["clip_e"], ridge=opts["ridge"])
     return e_fit.predict(data.s, designs)
 
 
@@ -84,11 +85,12 @@ def weighted_by_hand(data, ws, e_hat, y_var, rounds=1):
     return rep
 
 
-def by_hand_per_estimator(data, model, opts, rounds=1):
-    """``run_pipeline``'s integrative and trial-only fits, and the same two
-    estimators weighted by hand on the pipeline's workspaces."""
-    fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
-    e_hat, y_var, trial = fitted_propensities(data, opts), float(np.var(data.y)), data.s == 1
+def by_hand_per_estimator(data, model, rounds=1, **settings):
+    """``run_pipeline``'s integrative and trial-only fits with ``settings``, and
+    the same two estimators weighted by hand on the pipeline's workspaces."""
+    fit = run_pipeline(data, model, ("integrative", "rct"), **settings)
+    e_hat, y_var = fitted_propensities(data, **settings), float(np.var(data.y))
+    trial = data.s == 1
     return fit, {
         "integrative": weighted_by_hand(data, fit.integrative.workspace, e_hat, y_var,
                                         rounds),
@@ -296,6 +298,17 @@ class TestSolvers:
         with pytest.raises(ValidationError, match=f"source s={source} contains a single arm"):
             solve_integrative(one_arm, ws)
 
+    def test_a_mean_score_that_overflows_is_named(self):
+        # an outcome near the largest float: the sums over records overflow,
+        # and the solve stops instead of returning a fallback or a NaN
+        data = generate_replicate(make_config(beta=1.0, n=200, m=600, seed=17), 0)
+        huge = Dataset(data.s, data.a, data.y * 1e306, data.x)
+        half, zero, unit = np.full(huge.n, 0.5), np.zeros(huge.n), np.ones(huge.n)
+        ws = build_workspace(huge, make_config().model(), e=half, mu=zero, v1=unit, v0=unit)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="mean score is not finite at zero"):
+            solve_integrative(huge, ws)
+
     def test_dimension_mismatch(self, fused_fixture):
         # each solve takes the workspace of its own kind, on the data's records
         cfg, data, model, nuis = fused_fixture
@@ -345,8 +358,8 @@ class TestSolvers:
         # every round solves its reweighted equations afresh, and each solve
         # must be accepted
         model = make_config(beta=1.0, seed=3).model()
-        opts = FitOptions(knots=0, trial_known=0.5)
-        fits = {rounds: by_hand_per_estimator(desk_data, model, opts, rounds)[1]
+        fits = {rounds: by_hand_per_estimator(desk_data, model, rounds, knots=0,
+                                              trial_known=0.5)[1]
                 for rounds in (8, 20)}
         for rep in fits[20].values():
             assert rep.converged and not rep.fallback_used
@@ -360,7 +373,7 @@ class TestSolvers:
         # a solve at unit variances, then one solve with the cell variances
         # fitted at that solution, bit for bit
         model = make_config(beta=1.0, seed=3).model()
-        fit, by_hand = by_hand_per_estimator(desk_data, model, FitOptions(knots=knots))
+        fit, by_hand = by_hand_per_estimator(desk_data, model, knots=knots)
         for name, rep in by_hand.items():
             assert np.array_equal(getattr(fit, name).psi_hat, rep.psi_hat), name
 
@@ -387,8 +400,7 @@ class TestMetaEstimate:
                               BasisSpec(tuple(linear_term(j) for j in range(5))))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit = run_pipeline(data, dup, FitOptions(knots=0, trial_known=0.5),
-                               which=("meta",))
+            fit = run_pipeline(data, dup, ("meta",), knots=0, trial_known=0.5)
         messages = {str(w.message) for w in caught}
         assert ("meta comparator fit: singular normal equations; "
                 "solved with an escalated ridge") in messages
@@ -406,8 +418,7 @@ class TestSharedJacobian:
 
     def test_solve_and_sandwich_share_one_jacobian(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
-        fit = run_pipeline(data, model, FitOptions(knots=0, trial_known=0.5),
-                           which=("integrative", "rct"))
+        fit = run_pipeline(data, model, ("integrative", "rct"), knots=0, trial_known=0.5)
         for name, d in (("integrative", data), ("rct", data.trial_only())):
             rep = getattr(fit, name)
             ws = rep.workspace
@@ -447,15 +458,14 @@ class TestPipeline:
         # with a known trial propensity the score weight of a trial record
         # varies only through its arm's residual variance
         cfg, data, model, _ = fused_fixture
-        opts = FitOptions(knots=0, trial_known=0.5)
-        ws = run_pipeline(data, model, opts, which=("rct",)).rct.workspace
+        ws = run_pipeline(data, model, ("rct",), knots=0, trial_known=0.5).rct.workspace
         a = data.a[data.s == 1]
         assert [np.ptp(ws.score_weight[a == arm]) for arm in (0, 1)] == [0.0, 0.0]
 
     def test_requested_estimators_all_present(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
-        opts = FitOptions(knots=0, trial_known=0.5)
-        fit = run_pipeline(data, model, opts, which=("integrative", "rct", "meta"))
+        fit = run_pipeline(data, model, ("integrative", "rct", "meta"), knots=0,
+                           trial_known=0.5)
         assert fit.integrative is not None and fit.integrative.converged
         assert fit.rct is not None and fit.rct.converged
         assert fit.rct.workspace.n == data.n_trial and fit.rct.workspace.p2 == 0
@@ -470,28 +480,26 @@ class TestPipeline:
         cfg, data, model, _ = fused_fixture
         treated_trial = subset(data, (data.s == 0) | (data.a == 1))
         with pytest.raises(ValidationError, match="single arm"):
-            run_pipeline(treated_trial, model, FitOptions(knots=0, trial_known=0.5),
-                         which=("rct",))
+            run_pipeline(treated_trial, model, ("rct",), knots=0, trial_known=0.5)
 
     def test_singular_smoother_warning_names_its_source(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
         trial = data.trial_only()
         twin = Dataset(trial.s, trial.a, trial.y, np.column_stack([trial.x, trial.x[:, 0]]))
-        opts = FitOptions(knots=0, ridge=0.0, trial_known=0.5)
         with pytest.warns(UserWarning, match=r"^outcome-mean smoother \(s=1\): singular"):
-            fit = run_pipeline(twin, model, opts, which=("rct",))
+            fit = run_pipeline(twin, model, ("rct",), knots=0, ridge=0.0, trial_known=0.5)
         assert fit.rct.converged
 
     def test_refinement_refits_at_the_solution(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
-        opts = FitOptions(knots=0, trial_known=0.5)
-        fit1 = run_pipeline(data, model, opts)
+        opts = pipeline_settings(knots=0, trial_known=0.5)
+        fit1 = run_pipeline(data, model, **opts)
         # the same workspace at unit weight, built and profiled afresh
-        spec = build_spline_basis(data, opts.knots)
-        unit, e_hat = np.ones(data.n), fitted_propensities(data, opts)
+        spec = build_spline_basis(data, opts["knots"])
+        unit, e_hat = np.ones(data.n), fitted_propensities(data, **opts)
         ws0 = build_workspace(data, model, e=e_hat, mu=np.zeros(data.n), v1=unit, v0=unit)
         ws0 = estimators._profile_outcome_mean(ws0, data, source_designs(data, spec),
-                                               opts.ridge)
+                                               opts["ridge"])
         first = solve_integrative(data, ws0)
         # the variance step moves the solution through the score weight alone
         assert not np.allclose(first.psi_hat, fit1.integrative.psi_hat)
@@ -506,9 +514,7 @@ class TestPipeline:
 
     def test_pipeline_is_deterministic(self, fused_fixture):
         cfg, data, model, _ = fused_fixture
-        opts = FitOptions(knots=0, trial_known=0.5)
-        a = run_pipeline(data, model, opts, which=("integrative",))
-        b = run_pipeline(data, model, opts, which=("integrative",))
+        a, b = (run_pipeline(data, model, knots=0, trial_known=0.5) for _ in range(2))
         assert np.array_equal(a.integrative.psi_hat, b.integrative.psi_hat)
 
     def test_row_order_does_not_matter(self, desk_data):
@@ -516,8 +522,7 @@ class TestPipeline:
         order = np.random.default_rng(12).permutation(desk_data.n)
         shuffled = Dataset(desk_data.s[order], desk_data.a[order], desk_data.y[order],
                            desk_data.x[order])
-        opts = FitOptions(knots=4)
-        fits = [run_pipeline(d, model, opts, which=("integrative", "rct"))
+        fits = [run_pipeline(d, model, ("integrative", "rct"), knots=4)
                 for d in (desk_data, shuffled)]
         for name in ("integrative", "rct"):
             got = []
@@ -535,10 +540,9 @@ class TestProfiledOutcomeMean:
     @pytest.mark.parametrize("knots", [0, 4])
     def test_equals_explicit_outcome_mean_refits(self, desk_data, knots):
         model = make_config(beta=1.0, seed=3).model()
-        opts = FitOptions(knots=knots)
-        fit = run_pipeline(desk_data, model, opts, which=("integrative", "rct"))
+        fit = run_pipeline(desk_data, model, ("integrative", "rct"), knots=knots)
         spec = build_spline_basis(desk_data, knots)
-        e_hat, unit = fitted_propensities(desk_data, opts), np.ones(desk_data.n)
+        e_hat, unit = fitted_propensities(desk_data, knots=knots), np.ones(desk_data.n)
         for name, solve in (("integrative", solve_integrative), ("rct", solve_rct)):
             trial_only = name == "rct"
             # the pipeline's workspace at unit variances throughout
@@ -546,7 +550,8 @@ class TestProfiledOutcomeMean:
             weight = estimators._score_weight(desk_data.a[rows], e_hat[rows], 1, 1)
             ws = replace(getattr(fit, name).workspace, score_weight=weight)
             rep = solve(desk_data, ws)
-            want = refit_outcome_mean(desk_data, model, e_hat, unit, spec, opts.ridge,
+            want = refit_outcome_mean(desk_data, model, e_hat, unit, spec,
+                                      pipeline_settings()["ridge"],
                                       trial_only=trial_only)
             est = sandwich_covariance(desk_data, rep.psi_hat, ws)
             assert np.abs((est.psi_hat - want) / est.se).max() < 1e-8, name
@@ -596,8 +601,7 @@ class TestCachedDesigns:
 
         monkeypatch.setattr(estimators, "build_spline_basis", capture)
         monkeypatch.setattr(BasisSpec, "design", counting)
-        run_pipeline(desk_data, model, FitOptions(knots=4),
-                     which=("integrative", "rct", "meta"))
+        run_pipeline(desk_data, model, ("integrative", "rct", "meta"), knots=4)
         assert len(built) == 1
         assert sorted(rows) == sorted([desk_data.n_obs, desk_data.n_trial])
 
@@ -615,8 +619,7 @@ class TestCachedDesigns:
             return design(self, X)
 
         monkeypatch.setattr(BasisSpec, "design", counting)
-        run_pipeline(desk_data, model, FitOptions(knots=4),
-                     which=("integrative", "rct", "meta"))
+        run_pipeline(desk_data, model, ("integrative", "rct", "meta"), knots=4)
         # one effect and confounding design for the one workspace of the fit,
         # which both estimators and both steps of each read; the comparator
         # reads its effect columns
@@ -639,8 +642,8 @@ class TestCachedDesigns:
             return predict(self, design)
 
         monkeypatch.setattr(nuisance.AdditiveRegressor, "predict", counting)
-        run_pipeline(desk_data, model, FitOptions(knots=knots, trial_known=trial_known),
-                     which=("integrative", "rct", "meta"))
+        run_pipeline(desk_data, model, ("integrative", "rct", "meta"), knots=knots,
+                     trial_known=trial_known)
         fitted = [desk_data.n_obs] if trial_known else [desk_data.n_obs, desk_data.n_trial]
         assert sorted(rows) == sorted(fitted)
 
@@ -653,7 +656,6 @@ class TestTrialOnlyRefits:
         return make_config(beta=1.0, seed=3).model()
 
     def test_variance_fit_reads_trial_cells_only(self, desk_data, model, monkeypatch):
-        opts = FitOptions(knots=4)
         fitted, rounds = [], []
         fit_additive = nuisance.fit_additive
         fit_variance = estimators.fit_variance_function
@@ -670,10 +672,10 @@ class TestTrialOnlyRefits:
 
         monkeypatch.setattr(nuisance, "fit_additive", counting)
         monkeypatch.setattr(estimators, "fit_variance_function", capture)
-        spec = build_spline_basis(desk_data, opts.knots)
+        spec = build_spline_basis(desk_data, 4)
         fit_propensity(desk_data, spec, source_designs(desk_data, spec))
         propensity_fits = len(fitted)
-        fit = run_pipeline(desk_data, model, opts, which=("rct",))
+        fit = run_pipeline(desk_data, model, ("rct",), knots=4)
         # one variance fit, on the trial's two cells; no regression runs
         # after the propensity fits
         assert rounds == [(desk_data.n_trial, 2 * propensity_fits, {(0, 1), (1, 1)})]
@@ -686,8 +688,7 @@ class TestTrialOnlyRefits:
         y = desk_data.y.copy()
         y[obs] = np.random.default_rng(8).permutation(y[obs]) + 0.5
         other = Dataset(desk_data.s, desk_data.a, y, desk_data.x)
-        opts = FitOptions(knots=knots)
-        fits = [run_pipeline(d, model, opts, which=("integrative", "rct"))
+        fits = [run_pipeline(d, model, ("integrative", "rct"), knots=knots)
                 for d in (desk_data, other)]
         assert np.array_equal(fits[0].rct.psi_hat, fits[1].rct.psi_hat)
         assert not np.array_equal(fits[0].integrative.psi_hat, fits[1].integrative.psi_hat)
@@ -695,8 +696,7 @@ class TestTrialOnlyRefits:
     def test_trial_fit_equals_the_pooled_round_on_trial_rows(self, desk_data, model):
         # the trial-only workspace is the pooled one's trial rows and effect
         # columns; only its fitted variances differ
-        fit = run_pipeline(desk_data, model, FitOptions(knots=4),
-                           which=("integrative", "rct"))
+        fit = run_pipeline(desk_data, model, ("integrative", "rct"), knots=4)
         pooled, trial_ws = fit.integrative.workspace, fit.rct.workspace
         trial, p1 = desk_data.s == 1, model.p1
         assert np.array_equal(trial_ws.grad, pooled.grad[trial, :p1])

@@ -8,7 +8,6 @@ from scipy import stats
 
 from htefusion import (
     BasisSpec,
-    FitOptions,
     NumericalError,
     SimConfig,
     StructuralModel,
@@ -235,11 +234,10 @@ class TestPrecisionGain:
         shared = BasisSpec((constant_term(), linear_term(0), square_term(0),
                             linear_term(1), square_term(1)))
         cfg = make_config(beta=0.0, lambda_terms=shared, seed=17)
-        opts = FitOptions(knots=0, trial_known=0.5)
         for rep_idx in range(3):
             data = generate_replicate(cfg, rep_idx)
             model = cfg.model()
-            fit = run_pipeline(data, model, opts, which=("integrative", "rct"))
+            fit = run_pipeline(data, model, ("integrative", "rct"), knots=0, trial_known=0.5)
             est_i = sandwich_covariance(data, fit.integrative.psi_hat,
                                         fit.integrative.workspace)
             est_r = sandwich_covariance(data, fit.rct.psi_hat, fit.rct.workspace)
@@ -295,7 +293,7 @@ class TestGofTest:
         # vector's derivative against the bread gives
         cfg = make_config(beta=1.0, n=300, m=900, seed=11, knots=knots)
         data = generate_replicate(cfg, 0)
-        fit = run_pipeline(data, cfg.model(), FitOptions(knots=knots, trial_known=0.5))
+        fit = run_pipeline(data, cfg.model(), knots=knots, trial_known=0.5)
         ws = fit.integrative.workspace
         est = sandwich_covariance(data, fit.integrative.psi_hat, ws)
         alt_tau, alt_lambda = BasisSpec((product_term(0, 1),)), BasisSpec((square_term(0),))
@@ -325,8 +323,7 @@ class TestGofTest:
                                                square_term(0), linear_term(1))))
         data = generate_replicate(cfg, 0)
         model = cfg.model()
-        opts = FitOptions(knots=0, trial_known=0.5)
-        fit = run_pipeline(data, model, opts)
+        fit = run_pipeline(data, model, knots=0, trial_known=0.5)
         est = sandwich_covariance(data, fit.integrative.psi_hat,
                                   fit.integrative.workspace)
         out = gof_test(data, est, fit.integrative.workspace,

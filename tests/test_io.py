@@ -1,6 +1,7 @@
 """Config parsing, CSV loading, and the serialized result document."""
 
 import csv
+import dataclasses
 import json
 import re
 
@@ -11,14 +12,16 @@ from htefusion import (
     AnalysisConfig,
     ResultDocument,
     SimConfig,
+    StructuralModel,
     ValidationError,
     generate_replicate,
     load_csv,
     parse_terms,
     run_fit,
+    run_pipeline,
     run_simulate,
 )
-from conftest import make_config
+from conftest import make_config, pipeline_settings
 
 NAMES = ("age", "bmi", "x3", "x4", "x5")
 
@@ -102,6 +105,21 @@ class TestAnalysisConfig:
         assert cfg.ridge == 1.0 and isinstance(cfg.ridge, float)
         assert cfg.probes == ((0.0, 1.0, 2.0, 3.0, 4.0),)
         assert cfg.trial_known is None and cfg.output is None
+
+    def test_fit_settings_default_to_the_library_defaults(self, csv_fixture):
+        # every nuisance setting of run_pipeline is a config key with the same
+        # default, so a CLI fit and a library fit without settings agree
+        defaults = {f.name: f.default for f in dataclasses.fields(AnalysisConfig)}
+        settings = pipeline_settings()
+        assert {name: defaults[name] for name in settings} == settings
+        path, data = csv_fixture
+        cfg = AnalysisConfig(data=str(path), covariates=NAMES, tau_terms=("1", "age"),
+                             lambda_terms=("age", "bmi"))
+        model = StructuralModel(parse_terms(cfg.tau_terms, NAMES),
+                                parse_terms(cfg.lambda_terms, NAMES))
+        lam = run_fit(cfg).results["integrative"]["lambda"]
+        want = run_pipeline(data, model).integrative.psi_hat[model.p1:]
+        assert [c["estimate"] for c in lam] == want.tolist()
 
     @pytest.mark.parametrize("key, value", [("knots", 4.0), ("knots", True), ("ridge", False),
                                             ("gof_efficient_weight", 1), ("data", None),

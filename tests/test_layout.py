@@ -1,6 +1,7 @@
 """Memory layout of the record-by-column matrices and the kernels that read them.
 
-Every design and workspace matrix a fit builds is column-major, and row
+Every design and workspace matrix a fit builds is column-major, as are the
+covariates a CSV loads into and the sandwich's influence rows, and row
 selections keep that layout, so that a held design's rows and a design
 built from the same covariates give bit-identical fits.  Sums over records
 run as products (``ScoreWorkspace.mean_score``) or symmetric products (the IRLS Gram).
@@ -24,7 +25,7 @@ from htefusion import (
     square_term,
     tau_curve,
 )
-from htefusion.io import AnalysisConfig, run_fit
+from htefusion.io import AnalysisConfig, load_csv, run_fit
 from htefusion.nuisance import fit_conditional_outcomes, source_designs
 import htefusion.inference as inference
 import htefusion.simulation as simulation
@@ -58,6 +59,23 @@ class TestColumnMajor:
             assert np.shares_memory(mat, full) and mat.strides[0] == mat.itemsize
         pooled = run_pipeline(data, model).integrative.workspace  # after profiling
         assert pooled.grad.flags.f_contiguous and pooled.resid_design.flags.f_contiguous
+
+    def test_loaded_covariates(self, study, tmp_path):
+        cfg, data, model = study
+        path = tmp_path / "study.csv"
+        names = [f"x{j + 1}" for j in range(data.d)]
+        np.savetxt(path, np.column_stack([data.s, data.a, data.y, data.x]), delimiter=",",
+                   header=",".join(["s", "a", "y", *names]), comments="")
+        acfg = AnalysisConfig(data=str(path), covariates=names, tau_terms=("1",),
+                              lambda_terms=("x1",))
+        assert load_csv(str(path), acfg).x.flags.f_contiguous
+
+    def test_influence_rows(self, study):
+        cfg, data, model = study
+        fit = run_pipeline(data, model, ("integrative", "rct"))
+        for d, rep in ((data, fit.integrative), (data.trial_only(), fit.rct)):
+            est = sandwich_covariance(d, rep.psi_hat, rep.workspace)
+            assert est.influence.flags.f_contiguous
 
     @pytest.mark.parametrize("source, arm", [(0, 0), (0, 1), (1, 0), (1, 1), (0, None)])
     def test_held_cell_rows_equal_a_fresh_design(self, study, source, arm):

@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 from htefusion import (
     BasisSpec,
     Dataset,
-    FitOptions,
     StructuralModel,
     ate_estimate,
     generate_replicate,
@@ -33,7 +32,7 @@ from htefusion import (
     sandwich_covariance,
     tau_curve,
 )
-from conftest import make_config
+from conftest import make_config, pipeline_settings
 
 RTOL = 1e-10
 
@@ -49,10 +48,10 @@ def _draw(study):
     return cfg, generate_replicate(cfg, 0)
 
 
-def _estimates(data, model, knots, ridge=FitOptions.ridge):
+def _estimates(data, model, knots, ridge=pipeline_settings()["ridge"]):
     """Each estimator's coefficients with their sandwich covariance."""
-    fit = run_pipeline(data, model, FitOptions(knots=knots, ridge=ridge, trial_known=0.5),
-                       which=("integrative", "rct"))
+    fit = run_pipeline(data, model, ("integrative", "rct"), knots=knots, ridge=ridge,
+                       trial_known=0.5)
     out = {}
     for name in ("integrative", "rct"):
         rep = getattr(fit, name)
@@ -191,8 +190,8 @@ def test_cohort_outcomes_and_arms_leave_the_trial_fit(study, knots, trial_known)
     y, a = data.y.copy(), data.a.copy()
     y[obs], a[obs] = y[rng.permutation(obs)], a[rng.permutation(obs)]
     moved = Dataset(data.s, a, y, data.x)
-    opts = FitOptions(knots=knots, trial_known=trial_known)
-    base, other = (run_pipeline(d, model, opts, which=("rct",)).rct for d in (data, moved))
+    base, other = (run_pipeline(d, model, ("rct",), knots=knots, trial_known=trial_known).rct
+                   for d in (data, moved))
     assert base.converged and other.converged
     est, est_m = (sandwich_covariance(d, rep.psi_hat, rep.workspace)
                   for d, rep in ((data, base), (moved, other)))

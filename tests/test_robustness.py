@@ -27,7 +27,7 @@ import pytest
 from scipy.special import expit
 
 import htefusion.simulation as simulation
-from htefusion import Dataset, FitOptions, SimConfig, run_pipeline, true_tau
+from htefusion import Dataset, SimConfig, run_pipeline, true_tau
 from htefusion.simulation import _usable_cpus, replicate_rng, true_tau_coefficients
 
 N, M, REPS, SEED = 300, 5000, 200, 777
@@ -70,8 +70,7 @@ def effect_coefficients(case: tuple, rep: int) -> np.ndarray:
     _, e_wrong, mu_wrong, beta = case
     data = draw(e_wrong, mu_wrong, beta, rep)
     model = SimConfig().model()
-    fit = run_pipeline(data, model, FitOptions(knots=0, trial_known=0.5),
-                       which=("integrative",))
+    fit = run_pipeline(data, model, knots=0, trial_known=0.5)
     return fit.integrative.psi_hat[:model.p1]
 
 
