@@ -32,6 +32,7 @@ and ``R`` once, and one linear solve finds the root of the equations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -418,7 +419,7 @@ def run_pipeline(data: Dataset, model: StructuralModel, which: tuple = ("integra
         return PipelineResult(design, meta_coef=meta_estimate(data, design, e_raw))
     with np.errstate(over="ignore"):
         y_var = float(np.var(data.y))
-    if not np.isfinite(y_var):
+    if not math.isfinite(y_var):
         raise NumericalError("the outcome is too large to square: its variance is not "
                              "finite; rescale the outcome")
     e_hat = e_fit.clipped(e_raw)

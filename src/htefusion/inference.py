@@ -188,7 +188,7 @@ def ate_estimate(est: PsiEstimate, design: np.ndarray) -> AteEstimate:
     pi0 = m / est.n
     spread = float(np.var(tau_vals, ddof=1)) if m > 1 else 0.0
     var = spread / (pi0 * est.n) + float(grad0 @ est.phi_cov @ grad0)
-    return AteEstimate(tau0, float(np.sqrt(max(var, 0.0))), pi0)
+    return AteEstimate(tau0, math.sqrt(max(var, 0.0)), pi0)
 
 
 def precision_gain(est_int: PsiEstimate, est_rct: PsiEstimate) -> GainReport:
@@ -243,10 +243,7 @@ def gof_test(data: Dataset, est: PsiEstimate, ws: ScoreWorkspace, alt_tau: Basis
     g_mean = g_mat.mean(axis=0)
     # derivative of the averaged test vector in the coefficients
     g_jac = -(alt * weight[:, None]).T @ ws.resid_design / ws.n
-    # a row-major copy keeps the statistic's bits: with one alternative column
-    # this is a matrix-vector product, which a one-thread BLAS sums in an
-    # order set by the rows' layout
-    corrected = g_mat + np.ascontiguousarray(est.influence) @ g_jac.T
+    corrected = g_mat + est.influence @ g_jac.T
     sigma = corrected.T @ corrected / ws.n
     t_stat = float(ws.n * g_mean @ _solve_square(sigma, g_mean, "test covariance"))
     df = q1 + q2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -108,7 +109,8 @@ class Dataset:
             )
         if not s[:np.count_nonzero(s)].all():  # not trial first
             order = np.argsort(1 - s, kind="stable")
-            s, a, y, x = s[order], a[order], y[order], x[order]
+            # x through its transpose: one copy that stays column-major
+            s, a, y, x = s[order], a[order], y[order], x.T.take(order, axis=1).T
         self._freeze(s, a, y, x)
 
     def _freeze(self, s, a, y, x) -> None:
@@ -199,6 +201,8 @@ class BasisTerm:
     piece: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.knots, tuple):  # hashable, as a study's cache key needs
+            object.__setattr__(self, "knots", tuple(self.knots))
         if self.kind not in ("const", "linear", "square", "product", "spline"):
             raise ValidationError(f"unknown basis term kind {self.kind!r}")
         if self.kind == "spline":
@@ -378,7 +382,12 @@ class StructuralModel:
     def p(self) -> int:
         return self.p1 + self.p2
 
+    @cached_property
+    def _stacked(self) -> BasisSpec:
+        return BasisSpec(self.tau_basis.terms + self.lambda_basis.terms)
+
     def design(self, x) -> np.ndarray:
         """The effect and confounding designs side by side, shape (n, p):
-        the first ``p1`` columns are ``b_tau(x)`` and the rest ``b_lam(x)``."""
-        return BasisSpec(self.tau_basis.terms + self.lambda_basis.terms).design(x)
+        the first ``p1`` columns are ``b_tau(x)`` and the rest ``b_lam(x)``,
+        from one stacked basis built on the model's first call."""
+        return self._stacked.design(x)

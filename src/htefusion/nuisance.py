@@ -10,6 +10,7 @@ reproduces coefficients bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -243,10 +244,10 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     dev = deviance(coef, eta)
     gram = 0.25 * gram
     rhs = design.T @ (y - 0.5)
-    eye = np.eye(basis.p)
+    penalty = pen * np.eye(basis.p)  # the same at every step
     for _ in range(_IRLS_MAX_ITER):
         try:
-            new = np.linalg.solve(gram + pen * eye, rhs)
+            new = np.linalg.solve(gram + penalty, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{what}: IRLS update produced a singular system: {exc}")
         step = new - coef
@@ -255,7 +256,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
             cand = coef + t * step
             eta_new = design @ cand
             dev_new = deviance(cand, eta_new)
-            if np.isfinite(dev_new) and dev_new <= dev + 1e-12:
+            if math.isfinite(dev_new) and dev_new <= dev + 1e-12:
                 break
             t *= 0.5
         else:
@@ -467,21 +468,22 @@ def fit_variance_function(data: Dataset, resid: np.ndarray, *,
     per cell suffices: any positive variances keep the equations unbiased,
     and a covariate-dependent fit on a few hundred records per cell puts
     noise into the weights.  Each cell is clamped to 1e-4 to 1e4 times
-    ``y_var`` (1 when it is not positive), the pooled outcome variance
-    even when ``data`` is a subset.
+    ``y_var`` (1 when it is not positive, or NaN), the pooled outcome
+    variance even when ``data`` is a subset; the cells are Python floats.
     """
     resid = np.asarray(resid, dtype=float)
     if resid.shape != (data.n,):
         raise ValidationError("residuals do not match the number of records")
-    if y_var <= 0.0:
+    if not y_var > 0.0:
         y_var = 1.0
+    lo, hi = 1e-4 * y_var, 1e4 * y_var
     by_cell = {}
     for s_val in (0, 1):
         block = data.block(s_val)
         arm = data.a[block]
+        squares = resid[block] ** 2  # once per source, for both of its cells
         for a_val in (0, 1):
             cell = arm == a_val
             if cell.any():
-                by_cell[(a_val, s_val)] = float(
-                    np.clip(np.mean(resid[block][cell] ** 2), 1e-4 * y_var, 1e4 * y_var))
+                by_cell[(a_val, s_val)] = min(max(float(np.mean(squares[cell])), lo), hi)
     return VarianceFunction(by_cell)

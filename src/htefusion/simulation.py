@@ -146,10 +146,16 @@ def true_tau_coefficients(tau_form: str) -> np.ndarray:
     return np.array([1.0, 1.0, 1.0, sign, sign])
 
 
+# the generator's effect basis, held: a basis is immutable
+_TRUE_TAU_BASIS = default_tau_basis()
+
+
 def true_tau(cfg: SimConfig, X) -> np.ndarray:
+    """The generating effect surface at the rows of ``X``, on the held default
+    effect basis."""
     coef = true_tau_coefficients(cfg.tau_form)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return default_tau_basis().design(X) @ coef
+    return _TRUE_TAU_BASIS.design(X) @ coef
 
 
 def true_ate(cfg: SimConfig) -> float:
@@ -192,7 +198,8 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     rng.standard_normal(out=x_o)
     sum_o = x_o.sum(axis=1)
     a_o = (rng.random(cfg.m) < _expit(-sum_o)).astype(np.int8)
-    u_o = rng.normal((a_o - 0.5) * true_confounding(cfg, x_o), 1.0)
+    # the stream and bits of rng.normal(loc, 1.0), without its broadcasting
+    u_o = (a_o - 0.5) * true_confounding(cfg, x_o) + rng.standard_normal(cfg.m)
     y_o = a_o * true_tau(cfg, x_o) + sum_o + u_o + rng.standard_normal(cfg.m)
 
     return Dataset(
@@ -211,16 +218,32 @@ def _probe_points(cfg: SimConfig) -> np.ndarray:
     return pts
 
 
+@functools.lru_cache(maxsize=8)
+def _study(cfg: SimConfig) -> tuple:
+    """What every replicate of the study ``cfg`` shares, built once per study
+    and held read-only in this bounded cache, keyed by the frozen config: the
+    fitted model, the probe points, the target labels (the probes', then
+    "ate") and the specification test's two alternative bases."""
+    points = _probe_points(cfg)
+    points.flags.writeable = False
+    labels = tuple(probe_label(pr) for pr in cfg.probes) + ("ate",)
+    return (cfg.model(), points, labels,
+            cfg.gof_alt_tau or BasisSpec(()), cfg.gof_alt_lambda or BasisSpec(()))
+
+
 def run_replicate(cfg: SimConfig, rep: int) -> dict:
-    """Generate and analyze one replicate; returns plain-type results."""
+    """Generate and analyze one replicate; returns plain-type results.
+
+    The model, probe points, labels and alternative bases are the study's,
+    built on its first replicate (:func:`_study`); only the records are drawn
+    and fitted per replicate.
+    """
     data = generate_replicate(cfg, rep)
-    model = cfg.model()
+    model, points, labels, alt_tau, alt_lambda = _study(cfg)
     fit = run_pipeline(data, model, cfg.estimators, knots=cfg.knots,
                        trial_known=cfg.trial_known)
-    summaries = _summaries(data, model, fit, _probe_points(cfg),
-                           cfg.gof_alt_tau or BasisSpec(()), cfg.gof_alt_lambda or BasisSpec(()),
+    summaries = _summaries(data, model, fit, points, alt_tau, alt_lambda,
                            efficient_weight=False)
-    labels = [probe_label(pr) for pr in cfg.probes] + ["ate"]
     estimates = {}
     for name, got in summaries.items():
         if name == "meta":  # point values without variances
@@ -361,8 +384,7 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
             f"{n_fallback} of {cfg.reps} replicates hit the solver fallback"
         )
 
-    labels = [probe_label(pr) for pr in cfg.probes] + ["ate"]
-    grid = _probe_points(cfg)
+    _, grid, labels, _, _ = _study(cfg)
     truths = list(true_tau(cfg, grid)) + [true_ate(cfg)]
     targets = tuple((lab, float(tr)) for lab, tr in zip(labels, truths))
     truth = np.array([tr for _, tr in targets])[:, None]

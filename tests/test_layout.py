@@ -61,14 +61,19 @@ class TestColumnMajor:
         assert pooled.grad.flags.f_contiguous and pooled.resid_design.flags.f_contiguous
 
     def test_loaded_covariates(self, study, tmp_path):
+        # a file written cohort first is held trial first, and its reordered
+        # covariates stay column-major
         cfg, data, model = study
         path = tmp_path / "study.csv"
         names = [f"x{j + 1}" for j in range(data.d)]
-        np.savetxt(path, np.column_stack([data.s, data.a, data.y, data.x]), delimiter=",",
-                   header=",".join(["s", "a", "y", *names]), comments="")
         acfg = AnalysisConfig(data=str(path), covariates=names, tau_terms=("1",),
                               lambda_terms=("x1",))
-        assert load_csv(str(path), acfg).x.flags.f_contiguous
+        for order in (np.arange(data.n), np.argsort(data.s, kind="stable")):
+            rows = np.column_stack([data.s, data.a, data.y, data.x])[order]
+            np.savetxt(path, rows, delimiter=",", header=",".join(["s", "a", "y", *names]),
+                       comments="")
+            x = load_csv(str(path), acfg).x
+            assert x.flags.f_contiguous and np.array_equal(x, data.x)
 
     def test_influence_rows(self, study):
         cfg, data, model = study

@@ -397,9 +397,9 @@ class TestFitVarianceFunction:
             fresh = fit_additive(spec.design(data.x[rows]), h[rows], spec)
             assert np.array_equal(held.by_source[source].coef, fresh.coef)
         # the outcome variance only bounds the cells: any that brackets
-        # their mean squares, or none (y_var <= 0 reads as 1), leaves them be
+        # their mean squares, or none (y_var <= 0 or NaN reads as 1), leaves them be
         base = fit_variance_function(data, resid, y_var=float(np.var(data.y)))
-        for y_var in (2.0, 0.0, -1.0):
+        for y_var in (2.0, 0.0, -1.0, float("nan")):
             again = fit_variance_function(data, resid, y_var=y_var)
             assert again.by_cell == base.by_cell
             assert np.array_equal(again.predict(1, np.ones(3, dtype=int)),
@@ -429,6 +429,7 @@ class TestFitVarianceFunction:
             fit = fit_variance_function(data, resid, y_var=y_var)
             assert np.all(fit.predict(1, np.ones(5, dtype=int)) == bound)
             assert set(fit.by_cell.values()) == {bound}
+            assert all(type(var) is float for var in fit.by_cell.values())
 
     def test_variance_function_scalar_components(self):
         vf = VarianceFunction({(0, 0): 2.0, (1, 0): 2.0, (0, 1): 1.0, (1, 1): 1.0})

@@ -12,6 +12,7 @@ from scipy.special import expit
 import htefusion.simulation as simulation
 from htefusion import (
     BasisSpec,
+    BasisTerm,
     McSummary,
     SimConfig,
     ValidationError,
@@ -33,6 +34,7 @@ from htefusion import (
     true_tau_coefficients,
 )
 from htefusion.io import AnalysisConfig, run_fit
+from htefusion.model import _expit
 from conftest import make_config, run_child
 from oracles import fold_cells
 
@@ -122,7 +124,7 @@ class TestConfig:
         assert make_config(jobs=10**6).jobs == cores
         assert make_config(jobs=1).jobs == 1
 
-    def test_workers_and_threads_capped_at_the_affinity_mask(self, monkeypatch):
+    def test_worker_processes_capped_at_the_affinity_mask(self, monkeypatch):
         # as under taskset -c 0 on a two-core host: one worker process
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -211,6 +213,26 @@ class TestGenerator:
             fit = cols[a == arm] @ coefs
             assert (resid[a == arm] - fit).var() == pytest.approx(2.0, rel=0.05)
 
+    @pytest.mark.parametrize("beta", [(1.0,) * 5, (0.5, -1.0, 2.0, 0.0, 1.5)],
+                             ids=["unit", "mixed"])
+    def test_outcomes_equal_a_draw_of_the_shift_by_rng_normal(self, beta):
+        # the reference draws the cohort shift with rng.normal(loc, 1.0) from
+        # the replicate's stream; the generator's loc + standard_normal must
+        # take the same numbers from it and give the same bits
+        cfg = SimConfig(beta=beta, n=150, m=400, seed=12)
+        rng = replicate_rng(cfg.seed, 3)
+        x_t = rng.standard_normal((cfg.n, 5))
+        a_t = (rng.random(cfg.n) < 0.5).astype(np.int8)
+        y_t = a_t * true_tau(cfg, x_t) + x_t.sum(axis=1) + rng.standard_normal(cfg.n)
+        x_o = rng.standard_normal((cfg.m, 5))
+        a_o = (rng.random(cfg.m) < _expit(-x_o.sum(axis=1))).astype(np.int8)
+        u_o = rng.normal((a_o - 0.5) * simulation.true_confounding(cfg, x_o), 1.0)
+        y_o = a_o * true_tau(cfg, x_o) + x_o.sum(axis=1) + u_o + rng.standard_normal(cfg.m)
+        data = generate_replicate(cfg, 3)
+        assert np.array_equal(data.x, np.vstack([x_t, x_o]))
+        assert np.array_equal(data.a, np.concatenate([a_t, a_o]))
+        assert np.array_equal(data.y, np.concatenate([y_t, y_o]))
+
     def test_double_scale_doubles_the_shift(self):
         cfg = make_config(beta=2.0, n=2, m=80_000, seed=8)
         data = generate_replicate(cfg, 0)
@@ -292,6 +314,15 @@ class TestRunReplicate:
         want["ate"] = (doc["meta"]["ate"]["estimate"], None)
         assert out["estimates"]["meta"] == want
         assert out["gof_p"] == doc["integrative"]["gof"]["p_value"]
+
+    def test_spline_knots_given_as_a_list_run(self):
+        # a study's constants are held by its config, so each of its terms
+        # must hash, a spline term given a list of knots too
+        spline = BasisTerm("spline", j=0, knots=[-1.0, 0.0, 1.0])
+        cfg = make_config(beta=1.0, n=200, m=600, seed=9, estimators=("integrative",),
+                          lambda_terms=BasisSpec((linear_term(0), spline)))
+        assert spline.knots == (-1.0, 0.0, 1.0)
+        assert set(run_replicate(cfg, 0)["estimates"]) == {"integrative"}
 
     def test_gof_skipped_without_alternative(self):
         cfg = make_config(beta=0.0, n=200, m=600, seed=9,
@@ -379,6 +410,21 @@ class TestRunMonteCarlo:
         a["config"].pop("jobs")
         b["config"].pop("jobs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_a_serial_study_builds_its_constants_once(self, monkeypatch):
+        cfg = make_config(beta=1.0, n=100, m=300, seed=13, reps=4, jobs=1,
+                          gof_alt_tau=BasisSpec((product_term(0, 1),)))
+        built = []
+        model = SimConfig.model
+        monkeypatch.setattr(SimConfig, "model", lambda self: built.append(self) or model(self))
+        simulation._study.cache_clear()
+        once = run_monte_carlo(cfg)
+        assert len(built) == 1
+        # the same study with its constants built anew for every use
+        monkeypatch.setattr(simulation, "_study", simulation._study.__wrapped__)
+        rebuilt = run_monte_carlo(cfg)
+        assert len(built) == 1 + cfg.reps + 1
+        assert json.dumps(once.to_dict()) == json.dumps(rebuilt.to_dict())
 
     def test_serial_study_runs_its_replicates_on_one_blas_thread(self, monkeypatch):
         before = simulation._blas_threads(2)
