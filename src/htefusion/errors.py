@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "NumericalError"]
+
 
 class ValidationError(ValueError):
     """Unusable input: malformed data, inconsistent shapes, or bad options."""

@@ -206,7 +206,7 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
         np.concatenate([np.ones(cfg.n, dtype=np.int8), np.zeros(cfg.m, dtype=np.int8)]),
         np.concatenate([a_t, a_o]),
         np.concatenate([y_t, y_o]),
-        x,
+        np.asfortranarray(x),  # column-major, as a loaded CSV's covariates
     )
 
 

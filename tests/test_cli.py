@@ -448,12 +448,17 @@ class TestEntryPoint:
         assert "run_pipeline" in namespace
 
     def test_submodules_list_only_package_exports(self):
-        # a submodule's __all__ names what ``htefusion`` re-exports; other
-        # names stay importable from their modules
+        # the submodules' __all__ are the one list of what ``htefusion``
+        # exports, with its version: none names something the package
+        # leaves out, and the package adds nothing; other names stay
+        # importable from their modules
         exported = set(htefusion.__all__)
+        declared = {"__version__"}
         for info in pkgutil.iter_modules(htefusion.__path__):
             module = importlib.import_module(f"htefusion.{info.name}")
             assert set(getattr(module, "__all__", ())) <= exported, info.name
+            declared.update(getattr(module, "__all__", ()))
+        assert exported == declared
 
     def test_console_script(self):
         proc = run_child(["-m", "htefusion.cli", "--version"])

@@ -1,9 +1,9 @@
 """Memory layout of the record-by-column matrices and the kernels that read them.
 
-Every design and workspace matrix a fit builds is column-major, as are the
-covariates a CSV loads into and the sandwich's influence rows, and row
-selections keep that layout, so that a held design's rows and a design
-built from the same covariates give bit-identical fits.  Sums over records
+Every design and workspace matrix a fit builds is column-major, as are a
+replicate's covariates, those a CSV loads into and the sandwich's influence
+rows, and row selections keep that layout, so that a held design's rows and
+a design built from the same covariates give bit-identical fits.  Sums over records
 run as products (``ScoreWorkspace.mean_score``) or symmetric products (the IRLS Gram).
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from htefusion import (
     BasisSpec,
+    Dataset,
     ValidationError,
     ate_estimate,
     build_spline_basis,
@@ -74,6 +75,23 @@ class TestColumnMajor:
                        comments="")
             x = load_csv(str(path), acfg).x
             assert x.flags.f_contiguous and np.array_equal(x, data.x)
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    def test_replicate_covariates(self, study, knots):
+        # a replicate's covariates are column-major, as a loaded CSV's are,
+        # and a fit on them has the bits of the same fit on a row-major copy
+        cfg, data, model = study
+        assert data.x.flags.f_contiguous
+        c_order = Dataset(data.s, data.a, data.y, np.ascontiguousarray(data.x))
+        assert c_order.x.flags.c_contiguous
+
+        def bits(d):
+            fit = run_pipeline(d, model, ("integrative", "rct", "meta"), knots=knots)
+            rep = fit.integrative
+            cov = sandwich_covariance(d, rep.psi_hat, rep.workspace).cov
+            return [a.tobytes() for a in (rep.psi_hat, fit.rct.psi_hat, fit.meta_coef, cov)]
+
+        assert bits(data) == bits(c_order)
 
     def test_influence_rows(self, study):
         cfg, data, model = study
