@@ -184,14 +184,13 @@ def build_workspace(data: Dataset, model: StructuralModel, *, e: np.ndarray,
     a = data.a.astype(float)
     k = _score_weight(data.a, e, v1, v0)
     # blocks are written in place: no stacked temporaries beside the result;
-    # the design becomes ``grad`` once ``resid_design`` has read it
+    # the design, its confounding columns zero on the trial rows, is ``grad``
     t_design, l_design = design[:, :p1], design[:, p1:p1 + p2]
-    obs = (1.0 - data.s)[:, None]
+    l_design[:data.n_trial] = 0.0
     resid_design = np.empty((data.n, p1 + p2), order="F")
     np.multiply(a[:, None], t_design, out=resid_design[:, :p1])
-    np.multiply(obs * (a - e)[:, None], l_design, out=resid_design[:, p1:])
+    np.multiply((a - e)[:, None], l_design, out=resid_design[:, p1:])
     grad = design
-    np.multiply(obs, l_design, out=l_design)
     base_resid = data.y - mu
     for what, name, arr in (("propensity", "e", e), ("outcome mean", "mu", mu),
                             ("variance", "v1", v1), ("variance", "v0", v0)):

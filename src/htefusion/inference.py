@@ -12,7 +12,7 @@ from .estimators import PipelineResult, ScoreWorkspace, _check_workspace
 # Not used here: bench/test_bench.py::test_tracer_restores_every_binding
 # checks that the tracer rewraps and restores this binding.
 from .estimators import build_workspace  # noqa: F401
-from .model import BasisSpec, Dataset, StructuralModel
+from .model import BasisSpec, Dataset
 
 __all__ = [
     "PsiEstimate",
@@ -194,14 +194,19 @@ def ate_estimate(est: PsiEstimate, design: np.ndarray) -> AteEstimate:
 def precision_gain(est_int: PsiEstimate, est_rct: PsiEstimate) -> GainReport:
     """Difference of scaled precision matrices for the effect block.
 
-    Both covariances are put on the same root-n scale using each
-    estimate's total record count before inversion.  Identical inputs
+    Both estimates must come from the same dataset (the trial-only one's
+    sandwich too is taken on the pooled data), whose total record count puts
+    both covariances on one root-n scale before inversion.  Identical inputs
     give an exact zero matrix; a positive semidefinite gain reflects the
     efficiency of pooling the observational records.
     """
     p1 = est_int.p1
     if est_rct.p1 != p1:
         raise ValidationError("effect blocks have different dimensions")
+    counts = [(est.n_trial, est.n_obs) for est in (est_int, est_rct)]
+    if counts[0] != counts[1]:
+        raise ValidationError(f"the estimates come from different datasets: (trial, cohort) "
+                              f"records {counts[0]} and {counts[1]}")
     eye = np.eye(p1)
     prec_int = _solve_square(est_int.n * est_int.phi_cov, eye, "integrative covariance")
     prec_rct = _solve_square(est_rct.n * est_rct.phi_cov, eye, "trial-only covariance")
@@ -232,12 +237,8 @@ def gof_test(data: Dataset, est: PsiEstimate, ws: ScoreWorkspace, alt_tau: Basis
     if est.influence.shape != (ws.n, ws.p):
         raise ValidationError(f"the estimate does not match the workspace: influence has "
                               f"shape {est.influence.shape}, not {(ws.n, ws.p)}")
-    blocks = []
-    if q1:
-        blocks.append(alt_tau.design(data.x))
-    if q2:
-        blocks.append((1.0 - data.s)[:, None] * alt_lambda.design(data.x))
-    alt = np.hstack(blocks)
+    alt = BasisSpec(alt_tau.terms + alt_lambda.terms).design(data.x)
+    alt[:data.n_trial, q1:] = 0.0  # the confounding alternatives act on cohort rows
     weight = ws.score_weight if efficient_weight else ws.eps_a
     g_mat = alt * (weight * ws.residuals(params))[:, None]
     g_mean = g_mat.mean(axis=0)
@@ -250,16 +251,15 @@ def gof_test(data: Dataset, est: PsiEstimate, ws: ScoreWorkspace, alt_tau: Basis
     return GofResult(t_stat, df, _chi2_sf(t_stat, df))
 
 
-def _summaries(data: Dataset, model: StructuralModel, fit: PipelineResult, points: np.ndarray,
-               alt_tau: BasisSpec, alt_lambda: BasisSpec, efficient_weight: bool) -> dict:
+def _summaries(data: Dataset, fit: PipelineResult, probe: np.ndarray, alt_tau: BasisSpec,
+               alt_lambda: BasisSpec, efficient_weight: bool) -> dict:
     """Each estimator in ``fit`` mapped to its summaries, over the fit's effect design.
 
-    The integrative and trial-only fits get ``est``, ``curve`` at the ``points``
-    rows, ``ate`` when there are cohort records and, for the integrative fit given
-    an alternative term, ``gof``.  The comparator gets its values alone: ``curve``
-    as an array and ``ate`` as a float.
+    The integrative and trial-only fits get ``est``, ``curve`` at the probe points
+    whose effect-basis rows are ``probe``, ``ate`` when there are cohort records
+    and, for the integrative fit given an alternative term, ``gof``.  The
+    comparator gets its values alone: ``curve`` as an array and ``ate`` as a float.
     """
-    probe = model.tau_basis.design(points)
     obs = fit.effect_design[data.block(0)] if data.n_obs else None
     out = {}
     for name, rep in (("integrative", fit.integrative), ("rct", fit.rct)):

@@ -291,8 +291,8 @@ def run_fit(cfg: AnalysisConfig, data: Dataset | None = None) -> ResultDocument:
         warnings.simplefilter("always")
         fit = run_pipeline(data, model, cfg.estimators, knots=cfg.knots, ridge=cfg.ridge,
                            clip_e=cfg.clip_e, trial_known=cfg.trial_known)
-        summaries = _summaries(data, model, fit, np.reshape(cfg.probes, (-1, data.d)),
-                               parse_terms(cfg.gof_tau_terms, names),
+        probe = model.tau_basis.design(np.reshape(cfg.probes, (-1, data.d)))
+        summaries = _summaries(data, fit, probe, parse_terms(cfg.gof_tau_terms, names),
                                parse_terms(cfg.gof_lambda_terms, names),
                                cfg.gof_efficient_weight)
 

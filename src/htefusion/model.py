@@ -79,10 +79,10 @@ class Dataset:
     Source/arm coverage is intentionally not enforced here: a trial-only
     dataset is valid input for trial-only fitting.  Estimation routines
     check the coverage they actually need.  The trial count is taken when
-    the columns are frozen, and the trial dataset built once, on first use.
+    the columns are frozen.
     """
 
-    __slots__ = ("s", "a", "y", "x", "n_trial", "_trial")
+    __slots__ = ("s", "a", "y", "x", "n_trial")
 
     def __init__(self, s, a, y, x):
         s = _check_binary(s, "s")
@@ -119,7 +119,6 @@ class Dataset:
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         object.__setattr__(self, "n_trial", int(np.count_nonzero(s)))
-        object.__setattr__(self, "_trial", None)
 
     def __setattr__(self, name, value):  # columns are read-only
         raise AttributeError("Dataset is immutable")
@@ -149,14 +148,12 @@ class Dataset:
         return slice(0, self.n_trial) if source == 1 else slice(self.n_trial, self.n)
 
     def trial_only(self) -> "Dataset":
-        """The trial records, held once, as views of the first ``n_trial`` rows."""
-        if self._trial is None:
-            if self.n_trial == 0:
-                raise ValidationError("the dataset has no trial records")
-            trial = object.__new__(Dataset)
-            trial._freeze(*(col[:self.n_trial] for col in (self.s, self.a, self.y, self.x)))
-            object.__setattr__(self, "_trial", trial)
-        return self._trial
+        """The trial records, as views of the first ``n_trial`` rows."""
+        if self.n_trial == 0:
+            raise ValidationError("the dataset has no trial records")
+        trial = object.__new__(Dataset)
+        trial._freeze(*(col[:self.n_trial] for col in (self.s, self.a, self.y, self.x)))
+        return trial
 
 
 def _natural_cubic_pieces(v: np.ndarray, knots: Sequence[float]) -> list:

@@ -210,40 +210,35 @@ def generate_replicate(cfg: SimConfig, rep: int) -> Dataset:
     )
 
 
-def _probe_points(cfg: SimConfig) -> np.ndarray:
-    pts = np.zeros((len(cfg.probes), N_COVARIATES))
-    for i, (x1, x2) in enumerate(cfg.probes):
-        pts[i, 0] = x1
-        pts[i, 1] = x2
-    return pts
-
-
 @functools.lru_cache(maxsize=8)
 def _study(cfg: SimConfig) -> tuple:
     """What every replicate of the study ``cfg`` shares, built once per study
     and held read-only in this bounded cache, keyed by the frozen config: the
-    fitted model, the probe points, the target labels (the probes', then
-    "ate") and the specification test's two alternative bases."""
-    points = _probe_points(cfg)
-    points.flags.writeable = False
+    fitted model, the probe points and their effect design, the target labels
+    (the probes', then "ate") and the specification test's two alternative
+    bases."""
+    model = cfg.model()
+    points = np.zeros((len(cfg.probes), N_COVARIATES))
+    points[:, :2] = np.reshape(cfg.probes, (-1, 2))
+    probe = model.tau_basis.design(points)
+    points.flags.writeable = probe.flags.writeable = False
     labels = tuple(probe_label(pr) for pr in cfg.probes) + ("ate",)
-    return (cfg.model(), points, labels,
+    return (model, points, probe, labels,
             cfg.gof_alt_tau or BasisSpec(()), cfg.gof_alt_lambda or BasisSpec(()))
 
 
 def run_replicate(cfg: SimConfig, rep: int) -> dict:
     """Generate and analyze one replicate; returns plain-type results.
 
-    The model, probe points, labels and alternative bases are the study's,
+    The model, probe design, labels and alternative bases are the study's,
     built on its first replicate (:func:`_study`); only the records are drawn
     and fitted per replicate.
     """
     data = generate_replicate(cfg, rep)
-    model, points, labels, alt_tau, alt_lambda = _study(cfg)
+    model, _, probe, labels, alt_tau, alt_lambda = _study(cfg)
     fit = run_pipeline(data, model, cfg.estimators, knots=cfg.knots,
                        trial_known=cfg.trial_known)
-    summaries = _summaries(data, model, fit, points, alt_tau, alt_lambda,
-                           efficient_weight=False)
+    summaries = _summaries(data, fit, probe, alt_tau, alt_lambda, efficient_weight=False)
     estimates = {}
     for name, got in summaries.items():
         if name == "meta":  # point values without variances
@@ -280,17 +275,8 @@ class McSummary:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "reps": self.reps,
-            "targets": [{"label": lab, "truth": tr} for lab, tr in self.targets],
-            "cells": {
-                est: {lab: asdict(st) for lab, st in per_est.items()}
-                for est, per_est in self.cells.items()
-            },
-            "n_fallback": self.n_fallback,
-            "gof": self.gof,
-            "config": self.config,
-        }
+        return asdict(self) | {"targets": [{"label": lab, "truth": tr}
+                                           for lab, tr in self.targets]}
 
 
 @functools.cache
@@ -384,7 +370,7 @@ def run_monte_carlo(cfg: SimConfig) -> McSummary:
             f"{n_fallback} of {cfg.reps} replicates hit the solver fallback"
         )
 
-    _, grid, labels, _, _ = _study(cfg)
+    _, grid, _, labels, _, _ = _study(cfg)
     truths = list(true_tau(cfg, grid)) + [true_ate(cfg)]
     targets = tuple((lab, float(tr)) for lab, tr in zip(labels, truths))
     truth = np.array([tr for _, tr in targets])[:, None]

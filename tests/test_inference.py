@@ -254,6 +254,18 @@ class TestPrecisionGain:
         with pytest.raises(ValidationError):
             precision_gain(est, est2)
 
+    def test_estimates_from_two_datasets_are_rejected(self, solved):
+        # the trial-only sandwich on the trial dataset has the covariance of the
+        # one on the pooled data, but counts 500 records where the pooled counts
+        # 2,000, which would mis-scale the gain
+        cfg, data, model, nuis, rep, est = solved
+        rct = solve_rct(data, nuis.trial(data.n_trial))
+        est_r = sandwich_covariance(data.trial_only(), rct.psi_hat, rct.workspace)
+        assert np.array_equal(est_r.cov, sandwich_covariance(data, rct.psi_hat,
+                                                             rct.workspace).cov)
+        with pytest.raises(ValidationError, match="different datasets"):
+            precision_gain(est, est_r)
+
 
 class TestChi2Sf:
     @pytest.mark.parametrize("df", range(1, 61))

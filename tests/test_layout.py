@@ -20,7 +20,10 @@ from htefusion import (
     constant_term,
     fit_additive,
     generate_replicate,
+    gof_test,
     linear_term,
+    product_term,
+    run_monte_carlo,
     run_pipeline,
     sandwich_covariance,
     square_term,
@@ -79,7 +82,8 @@ class TestColumnMajor:
     @pytest.mark.parametrize("knots", [0, 4])
     def test_replicate_covariates(self, study, knots):
         # a replicate's covariates are column-major, as a loaded CSV's are,
-        # and a fit on them has the bits of the same fit on a row-major copy
+        # and a fit on them has the bits of the same fit on a row-major copy,
+        # its specification test on two alternative columns too
         cfg, data, model = study
         assert data.x.flags.f_contiguous
         c_order = Dataset(data.s, data.a, data.y, np.ascontiguousarray(data.x))
@@ -88,8 +92,12 @@ class TestColumnMajor:
         def bits(d):
             fit = run_pipeline(d, model, ("integrative", "rct", "meta"), knots=knots)
             rep = fit.integrative
-            cov = sandwich_covariance(d, rep.psi_hat, rep.workspace).cov
-            return [a.tobytes() for a in (rep.psi_hat, fit.rct.psi_hat, fit.meta_coef, cov)]
+            est = sandwich_covariance(d, rep.psi_hat, rep.workspace)
+            gof = gof_test(d, est, rep.workspace, BasisSpec((product_term(0, 1),)),
+                           BasisSpec((square_term(0),)))
+            assert gof.df == 2
+            return [a.tobytes() for a in (rep.psi_hat, fit.rct.psi_hat, fit.meta_coef,
+                                          est.cov, np.float64(gof.t_stat))]
 
         assert bits(data) == bits(c_order)
 
@@ -226,6 +234,14 @@ class TestEffectDesigns:
         rows = self._effect_rows(monkeypatch, tau, lambda: simulation.run_replicate(sim, 0))
         assert rows == [len(sim.probes)]
 
+    def test_a_study_evaluates_the_effect_basis_on_its_probes_once(self, monkeypatch):
+        # the probe design is a study constant, shared by its replicates; a
+        # seed no other test uses keeps the study out of the held cache
+        tau = BasisSpec((constant_term(), linear_term(0), square_term(1)))
+        sim = make_config(beta=1.0, n=150, m=450, seed=3901, reps=3, tau_terms=tau)
+        rows = self._effect_rows(monkeypatch, tau, lambda: run_monte_carlo(sim))
+        assert rows == [len(sim.probes)]
+
     def test_a_replicate_builds_each_design_once(self, monkeypatch):
         # the draw itself evaluates the effect basis on the cohort rows, so
         # only the fit and its summaries are counted
@@ -252,8 +268,8 @@ class TestSourceBlocks:
             return average(est, design)
 
         monkeypatch.setattr(inference, "ate_estimate", recording)
-        inference._summaries(data, model, fit, np.zeros((1, data.d)), BasisSpec(()),
-                             BasisSpec(()), False)
+        inference._summaries(data, fit, model.tau_basis.design(np.zeros((1, data.d))),
+                             BasisSpec(()), BasisSpec(()), False)
         assert len(designs) == 2
         for design in designs:
             assert np.shares_memory(design, fit.effect_design)

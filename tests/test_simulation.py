@@ -296,7 +296,7 @@ class TestRunReplicate:
         monkeypatch.setattr(simulation, "generate_replicate", lambda cfg, rep: data)
         out = run_replicate(cfg, 0)
         names = [f"x{j + 1}" for j in range(5)]
-        points = simulation._probe_points(cfg)
+        points = simulation._study(cfg)[1]
         doc = run_fit(AnalysisConfig(
             data="unused.csv", covariates=names, tau_terms=("1", "x1", "x1^2", "x2", "x2^2"),
             lambda_terms=names, estimators=("integrative", "rct", "meta"), knots=knots,
@@ -366,6 +366,13 @@ class TestRunMonteCarlo:
             assert mc.cells["meta"][lab].mean_ve is None
         assert mc.gof is not None
         assert len(mc.gof["p_values"]) == 4
+
+    def test_a_study_without_probes_reports_the_average_effect_alone(self):
+        cfg = make_config(beta=1.0, n=150, m=450, seed=11, reps=2, probes=())
+        mc = run_monte_carlo(cfg)
+        assert mc.targets == (("ate", 1.0),)
+        assert all(set(per_est) == {"ate"} for per_est in mc.cells.values())
+        assert mc.to_dict()["targets"] == [{"label": "ate", "truth": 1.0}]
 
     def test_truth_column(self, tiny_study):
         cfg, mc = tiny_study
