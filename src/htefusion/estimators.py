@@ -42,8 +42,7 @@ from .errors import NumericalError, ValidationError
 from .model import Dataset, StructuralModel
 from .nuisance import (
     CellMeans,
-    _gram,
-    _solve_penalized,
+    _Smoother,
     _source_design,
     build_spline_basis,
     fit_propensity,
@@ -235,15 +234,15 @@ def preliminary_estimate(data: Dataset, model: StructuralModel, cond_y: CellMean
         raise ValidationError("preliminary estimate requires trial records")
     dt = _source_design(designs, 1, data.n_trial)
     delta_trial = cond_y.predict(1, 1, dt) - cond_y.predict(0, 1, dt)
-    phi = _solve_penalized(model.tau_basis.design(data.x[data.block(1)]), delta_trial, 0.0,
-                           "preliminary effect fit")
+    phi = _Smoother(model.tau_basis.design(data.x[data.block(1)]), 0.0).solve(
+        delta_trial, "preliminary effect fit")
     if data.n_obs == 0:
         return np.concatenate([phi, np.zeros(model.p2)])
     dobs = _source_design(designs, 0, data.n_obs)
     delta_obs = cond_y.predict(1, 0, dobs) - cond_y.predict(0, 0, dobs)
     both = model.design(data.x[data.block(0)])
-    lam = _solve_penalized(both[:, model.p1:], delta_obs - both[:, :model.p1] @ phi, 0.0,
-                           "preliminary confounding fit")
+    lam = _Smoother(both[:, model.p1:], 0.0).solve(delta_obs - both[:, :model.p1] @ phi,
+                                                   "preliminary confounding fit")
     return np.concatenate([phi, lam])
 
 
@@ -321,32 +320,30 @@ def meta_estimate(data: Dataset, design: np.ndarray, e: np.ndarray) -> np.ndarra
         raise NumericalError("meta comparator: fitted propensities reached 0 or 1")
     a = data.a.astype(float)
     adj = a * data.y / e - (1.0 - a) * data.y / (1.0 - e)
-    return _solve_penalized(design, adj, 0.0, "meta comparator fit")
+    return _Smoother(design, 0.0).solve(adj, "meta comparator fit")
 
 
-def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset, designs: dict,
-                          ridge: float, grams: dict | None = None) -> ScoreWorkspace:
+def _profile_outcome_mean(ws: ScoreWorkspace, data: Dataset,
+                          smoothers: dict) -> ScoreWorkspace:
     """The workspace with its pseudo-outcome centered at its outcome-mean fit.
 
     The outcome mean at any coefficients is each source's ridge smoother
     ``S`` (the fit of :func:`fit_outcome_mean`) applied to the
     pseudo-outcome, so ``base_resid`` and ``resid_design`` become
     ``(I - S) y`` and ``(I - S) R``, from one solve per source on
-    ``designs``, that source's held spline design.  ``grams``, when
-    given, holds their Grams by source (``nuisance._gram``), which the
-    solves then read instead of forming them, with the same bits; each
-    solve computes only its right-hand side.  Each source's block of both
-    is rewritten in place, so ``ws`` is consumed; the returned workspace
-    holds them and computes its own Jacobian.
+    ``smoothers``, each source's ``nuisance._Smoother`` of its held spline
+    design; each solve reads the held Gram and computes only its
+    right-hand side.  Each source's block of both is rewritten in place, so
+    ``ws`` is consumed; the returned workspace holds them and computes its
+    own Jacobian.
     """
-    for source, design in designs.items():
+    for source, smoother in smoothers.items():
         rows = data.block(source)
         base, resid = ws.base_resid[rows], ws.resid_design[rows]
         z = np.empty((base.shape[0], ws.p + 1), order="F")  # the one stacked copy
         z[:, 0], z[:, 1:] = base, resid
-        coef = _solve_penalized(design, z, ridge, f"outcome-mean smoother (s={source})",
-                                (grams or {}).get(source))
-        np.matmul(design, coef, out=z)  # the smoothed values, into the solved-on copy
+        coef = smoother.solve(z, f"outcome-mean smoother (s={source})")
+        np.matmul(smoother.design, coef, out=z)  # the smoothed values, into the solved-on copy
         base -= z[:, 0]
         resid -= z[:, 1:]
     return replace(ws)
@@ -407,11 +404,11 @@ def run_pipeline(data: Dataset, model: StructuralModel, which: tuple = ("integra
     _check_estimators(which)
     spec = build_spline_basis(data, knots)
     designs = source_designs(data, spec)
-    # each design's Gram, formed once: the propensity IRLS starts from it
-    # and the outcome-mean smoother solves on it
-    grams = {source: _gram(design) for source, design in designs.items()}
+    # each design's smoother, and so its Gram, built once: the propensity
+    # IRLS starts from it and the outcome-mean profiling solves on it
+    smoothers = {source: _Smoother(design, ridge) for source, design in designs.items()}
     e_fit = fit_propensity(data, spec, designs, trial_known=trial_known,
-                           clip_e=clip_e, ridge=ridge, grams=grams)
+                           clip_e=clip_e, ridge=ridge, smoothers=smoothers)
     e_raw = e_fit.predict_raw(data.s, designs)
     if "integrative" not in which and "rct" not in which:
         design = model.tau_basis.design(data.x)
@@ -424,8 +421,8 @@ def run_pipeline(data: Dataset, model: StructuralModel, which: tuple = ("integra
     e_hat = e_fit.clipped(e_raw)
     unit = np.ones(data.n)
     ws = build_workspace(data, model, e=e_hat, mu=np.zeros(data.n), v1=unit, v0=unit)
-    ws = _profile_outcome_mean(ws, data, designs, ridge, grams)
-    del designs, grams  # not held through the solves, which read the workspace alone
+    ws = _profile_outcome_mean(ws, data, smoothers)
+    del designs, smoothers  # not held through the solves, which read the workspace alone
     # the effect columns, which neither the zeroing nor the profiling touches
     result = PipelineResult(ws.grad[:, :model.p1])
     if "meta" in which:

@@ -108,70 +108,64 @@ def _sorted_quantiles(srt: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 def _gram(design: np.ndarray) -> np.ndarray:
     """``design.T @ design``, one symmetric product, read-only, so that the
-    fits on ``design`` can share it."""
+    fits on ``design``'s smoother can share it."""
     gram = design.T @ design
     gram.flags.writeable = False
     return gram
 
 
-def _penalty_scale(gram: np.ndarray, ridge: float) -> float:
-    """What a fit on ``gram`` multiplies ``ridge`` by to get its penalty:
-    the mean diagonal of the Gram, or 1 when that is not positive and
-    finite.  Raises unless ``ridge`` is finite and non-negative."""
-    if not 0.0 <= ridge < np.inf:  # also rejects NaN
-        raise ValidationError(f"ridge must be finite and non-negative, got {ridge}")
-    scale = float(np.mean(np.diag(gram)))
-    return scale if 0.0 < scale < np.inf else 1.0
-
-
-def _solve_penalized(design: np.ndarray, target: np.ndarray, ridge: float,
-                     what: str = "additive regression",
-                     gram: np.ndarray | None = None) -> np.ndarray:
-    """Ridge-penalized least squares via the normal equations.
-
-    The penalty is ``ridge`` times :func:`_penalty_scale` of the Gram
-    matrix, applied to every coefficient; ``ridge=0`` gives plain least
-    squares.
-    ``gram`` is ``_gram(design)`` when the caller holds it; without it the
-    Gram is formed here, by the same product, so with the same bits.
-    If the system is numerically singular the penalty is escalated a
-    hundredfold with a warning that names the fit, ``what``.  Without a
-    penalty, an exactly singular system can still solve to finite numbers
-    that split collinear coefficients arbitrarily, so its rank is checked
-    first; the penalized fits, whose systems the ridge keeps regular, skip
-    that check.
+class _Smoother:
+    """The ridge-penalized least-squares system on one held design: the
+    design, its read-only Gram (:func:`_gram`), formed once, and the one
+    ridge rule of every nuisance fit, a penalty of ``ridge`` times the
+    Gram's mean diagonal (times 1 when that is not positive and finite) on
+    every coefficient.  Raises unless ``ridge`` is finite and non-negative.
     """
-    n, p = design.shape
-    if gram is None:
-        gram = _gram(design)
-    scale = _penalty_scale(gram, ridge)
-    rhs = design.T @ target
-    pen = ridge * scale
-    eye = np.eye(p)
-    first = 0
-    if pen == 0.0 and np.linalg.matrix_rank(gram) < p:
-        first, pen = 1, 1e-10 * scale  # the first escalation below
-        # collinear columns split evenly only if their right-hand sides are
-        # equal, which one symmetric product over [design, target] ensures
-        aug = np.column_stack((design, target))
-        full = aug.T @ aug
-        gram, rhs = full[:p, :p], full[:p, p:].reshape(rhs.shape)
-    for attempt in range(first, 3):
-        try:
-            coef = np.linalg.solve(gram + pen * eye, rhs)
-        except np.linalg.LinAlgError:
-            coef = None
-        if coef is not None and np.isfinite(coef).all():
-            if attempt > 0:
-                warnings.warn(
-                    f"{what}: singular normal equations; solved with an escalated ridge",
-                    stacklevel=3,
-                )
-            return coef
-        pen = max(pen * 100.0, 1e-10 * scale)
-    raise NumericalError(
-        f"{what}: normal equations remained singular despite ridge escalation"
-    )
+
+    def __init__(self, design: np.ndarray, ridge: float):
+        if not 0.0 <= ridge < np.inf:  # also rejects NaN
+            raise ValidationError(f"ridge must be finite and non-negative, got {ridge}")
+        self.design, self.ridge, self.gram = design, ridge, _gram(design)
+        scale = float(np.mean(np.diag(self.gram)))
+        self._scale = scale if 0.0 < scale < np.inf else 1.0
+        self.penalty = ridge * self._scale
+
+    def solve(self, target: np.ndarray, what: str) -> np.ndarray:
+        """The penalized coefficients of ``target``'s column or columns.
+
+        If the system is numerically singular the penalty is escalated a
+        hundredfold with a warning that names the fit, ``what``.  Without a
+        penalty, an exactly singular system can still solve to finite
+        numbers that split collinear coefficients arbitrarily, so its rank
+        is checked first; a penalty keeps the system regular.
+        """
+        design, gram, pen = self.design, self.gram, self.penalty
+        p = design.shape[1]
+        rhs = design.T @ target
+        first = 0
+        if pen == 0.0 and np.linalg.matrix_rank(gram) < p:
+            first, pen = 1, 1e-10 * self._scale  # the first escalation below
+            # collinear columns split evenly only if their right-hand sides are
+            # equal, which one symmetric product over [design, target] ensures
+            aug = np.column_stack((design, target))
+            full = aug.T @ aug
+            gram, rhs = full[:p, :p], full[:p, p:].reshape(rhs.shape)
+        for attempt in range(first, 3):
+            try:
+                coef = np.linalg.solve(gram + pen * np.eye(p), rhs)
+            except np.linalg.LinAlgError:
+                coef = None
+            if coef is not None and np.isfinite(coef).all():
+                if attempt > 0:
+                    warnings.warn(
+                        f"{what}: singular normal equations; solved with an escalated ridge",
+                        stacklevel=3,
+                    )
+                return coef
+            pen = max(pen * 100.0, 1e-10 * self._scale)
+        raise NumericalError(
+            f"{what}: normal equations remained singular despite ridge escalation"
+        )
 
 
 @dataclass
@@ -201,32 +195,32 @@ _IRLS_TOL = 1e-10
 
 def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 1e-6,
                  what: str = "additive regression",
-                 gram: np.ndarray | None = None) -> AdditiveRegressor:
+                 smoother: _Smoother | None = None) -> AdditiveRegressor:
     """Fit an additive regression by penalized LS (identity) or IRLS (logit).
 
     ``X`` is ``basis``'s design of the records, one row per entry of ``y``.
-    ``what`` names the fit in its warnings and errors.  ``gram``, the
-    design's ``X.T @ X`` as ``_gram`` forms it, is a cache input only: a
-    caller that holds it saves forming it again, and leaving it out gives
-    the same bits.  The identity fit solves on it, and the logit fit's
-    first step starts from it.
+    ``what`` names the fit in its warnings and errors.  ``smoother``, the
+    ``_Smoother`` of that design at ``ridge``, is a cache input only: a
+    caller that holds it saves forming its Gram again, leaving it out gives
+    the same bits, and one built on another design or ridge is rejected.
+    The identity fit solves on it, and the logit fit's first step starts
+    from its Gram and penalty.
     """
     design = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if design.shape != (y.shape[0], basis.p):
         raise ValidationError("design does not match y and the basis")
-    if link == "identity":
-        coef = _solve_penalized(design, y, ridge, what, gram)
-        return AdditiveRegressor(basis, coef, "identity")
-    if link != "logit":
+    if link not in ("identity", "logit"):
         raise ValidationError(f"unknown link {link!r}")
+    if smoother is None:
+        smoother = _Smoother(design, ridge)
+    elif smoother.design is not design or smoother.ridge != ridge:
+        raise ValidationError(f"{what}: the smoother was built on another design or ridge")
+    if link == "identity":
+        return AdditiveRegressor(basis, smoother.solve(y, what), "identity")
 
-    # IRLS with step halving on the penalized deviance, under
-    # _solve_penalized's penalty
-    if gram is None:
-        gram = _gram(design)
-    pen = ridge * _penalty_scale(gram, ridge)
-
+    # IRLS with step halving on the penalized deviance, under the smoother's penalty
+    pen = smoother.penalty
     loss, y_eta = np.empty_like(y), np.empty_like(y)
     r = np.empty_like(design)  # the one weighted copy of the design
 
@@ -242,7 +236,7 @@ def fit_additive(X, y, basis: BasisSpec, link: str = "identity", ridge: float = 
     coef = np.zeros(basis.p)
     eta = np.zeros_like(y)
     dev = deviance(coef, eta)
-    gram = 0.25 * gram
+    gram = 0.25 * smoother.gram
     rhs = design.T @ (y - 0.5)
     penalty = pen * np.eye(basis.p)  # the same at every step
     for _ in range(_IRLS_MAX_ITER):
@@ -377,15 +371,16 @@ def source_designs(data: Dataset, spec: BasisSpec) -> dict:
 
 def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
                    trial_known: float | None = None, clip_e: float = 0.01,
-                   ridge: float = 1e-6, grams: dict | None = None) -> Propensity:
+                   ridge: float = 1e-6, smoothers: dict | None = None) -> Propensity:
     """Fit per-source logistic propensities on the spline basis.
 
     ``trial_known`` short-circuits the trial fit with a known constant
     randomization probability.  Each fitted source must contain both
     treatment arms; otherwise the logistic fit is hopeless (separation)
     and a validation error is raised.  ``designs`` is
-    ``source_designs(data, spec)``, and ``grams``, when given, holds the
-    Grams of some of them by source, a cache input of :func:`fit_additive`.
+    ``source_designs(data, spec)``, and ``smoothers``, when given, holds
+    the ``_Smoother`` of some of them at ``ridge`` by source, a cache input
+    of :func:`fit_additive`.
     """
     if not 0.0 < clip_e < 0.5:
         raise ValidationError(f"clip_e must lie in (0, 0.5), got {clip_e}")
@@ -406,7 +401,7 @@ def fit_propensity(data: Dataset, spec: BasisSpec, designs: dict,
         by_source[source] = fit_additive(
             _source_design(designs, source, a.size), a.astype(float),
             spec, link="logit", ridge=ridge, what=f"propensity fit (s={source})",
-            gram=(grams or {}).get(source),
+            smoother=(smoothers or {}).get(source),
         )
     return Propensity(by_source, clip=clip_e)
 
@@ -440,9 +435,9 @@ def fit_outcome_mean(data: Dataset, h: np.ndarray, spec: BasisSpec, designs: dic
                      ridge: float = 1e-6) -> OutcomeMean:
     """Regress the pseudo-outcome ``h`` of every record on X per source.
 
-    ``run_pipeline`` does not call this: the fit is one linear smoother
-    per source, which the pipeline applies to the outcome and the
-    coefficient design once instead.  ``designs`` is
+    ``run_pipeline`` does not call this: the fit is each source's
+    ``_Smoother`` solve, which the pipeline applies to the outcome and the
+    coefficient design at once instead.  ``designs`` is
     ``source_designs(data, spec)``.
     """
     h = np.asarray(h, dtype=float)

@@ -444,7 +444,9 @@ class TestSharedJacobian:
         ws = build_workspace(data, model, **nuis)
         stale = ws.jacobian
         spec = build_spline_basis(data, 0)
-        profiled = estimators._profile_outcome_mean(ws, data, source_designs(data, spec), 1e-6)
+        smoothers = {source: nuisance._Smoother(design, 1e-6)
+                     for source, design in source_designs(data, spec).items()}
+        profiled = estimators._profile_outcome_mean(ws, data, smoothers)
         # the profiled pieces are the handed-in arrays, rewritten in place
         assert profiled.resid_design is ws.resid_design
         assert profiled.base_resid is ws.base_resid
@@ -498,8 +500,9 @@ class TestPipeline:
         spec = build_spline_basis(data, opts["knots"])
         unit, e_hat = np.ones(data.n), fitted_propensities(data, **opts)
         ws0 = build_workspace(data, model, e=e_hat, mu=np.zeros(data.n), v1=unit, v0=unit)
-        ws0 = estimators._profile_outcome_mean(ws0, data, source_designs(data, spec),
-                                               opts["ridge"])
+        ws0 = estimators._profile_outcome_mean(ws0, data, {
+            source: nuisance._Smoother(design, opts["ridge"])
+            for source, design in source_designs(data, spec).items()})
         first = solve_integrative(data, ws0)
         # the variance step moves the solution through the score weight alone
         assert not np.allclose(first.psi_hat, fit1.integrative.psi_hat)
@@ -646,6 +649,29 @@ class TestCachedDesigns:
                      trial_known=trial_known)
         fitted = [desk_data.n_obs] if trial_known else [desk_data.n_obs, desk_data.n_trial]
         assert sorted(rows) == sorted(fitted)
+
+    @pytest.mark.parametrize("knots", [0, 4])
+    @pytest.mark.parametrize("trial_known", [None, 0.5], ids=["fitted", "known"])
+    def test_one_gram_per_source_design(self, desk_data, model, monkeypatch, knots,
+                                        trial_known):
+        # the propensity IRLS and the outcome-mean profiling read one held
+        # smoother per source design; the comparator's one solve forms the
+        # Gram of the effect design
+        shapes = []
+        gram = nuisance._gram
+
+        def counting(design):
+            shapes.append(design.shape)
+            return gram(design)
+
+        monkeypatch.setattr(nuisance, "_gram", counting)
+        for data, which in ((desk_data, ("integrative", "rct", "meta")),
+                            (desk_data.trial_only(), ("rct", "meta"))):
+            shapes.clear()
+            run_pipeline(data, model, which, knots=knots, trial_known=trial_known)
+            p = build_spline_basis(data, knots).p
+            sources = [(count, p) for count in (data.n_obs, data.n_trial) if count]
+            assert sorted(shapes) == sorted(sources + [(data.n, model.p1)])
 
 
 class TestTrialOnlyRefits:

@@ -41,6 +41,7 @@ from htefusion import (
 import htefusion.estimators as estimators
 import htefusion.model as hmodel
 from htefusion.nuisance import (
+    _Smoother,
     _gram,
     fit_conditional_outcomes,
     fit_outcome_mean,
@@ -501,9 +502,10 @@ class TestConcurrentFits:
 
 
 class TestHeldGram:
-    """A fit given a design's held Gram has the bits of one that forms it,
-    on the whole draw and on each of its two row halves, whose designs
-    have other row counts."""
+    """A fit given a design's held smoother has the bits of one that forms
+    its Gram, on the whole draw and on each of its two row halves, whose
+    designs have other row counts; a smoother of another design or ridge is
+    refused."""
 
     @pytest.fixture(params=["whole", "halves"])
     def draws(self, request, desk_data):
@@ -559,18 +561,44 @@ class TestHeldGram:
             assert quarter.tobytes() != ((0.5 * design).T @ (0.5 * design)).tobytes()
 
     def test_logit_fit_reads_the_held_gram_with_the_same_bits(self, draws):
+        ridge = 1e-6
         for spec, design, y in self._propensity_cases(draws):
-            formed = fit_additive(design, y, spec, link="logit").coef
-            held = fit_additive(design, y, spec, link="logit", gram=_gram(design)).coef
+            formed = fit_additive(design, y, spec, link="logit", ridge=ridge).coef
+            held = fit_additive(design, y, spec, link="logit", ridge=ridge,
+                                smoother=_Smoother(design, ridge)).coef
             assert held.tobytes() == formed.tobytes()
 
     def test_smoother_reads_the_held_grams_with_the_same_bits(self, draws):
         cfg = make_config(beta=1.0, seed=3)  # desk_data's draw
+        ridge = 1e-6
         for data in draws:
             designs = source_designs(data, build_spline_basis(data, 4))
-            grams = {source: _gram(design) for source, design in designs.items()}
-            got = [estimators._profile_outcome_mean(
-                build_workspace(data, cfg.model(), **true_values(cfg, data)),
-                data, designs, 1e-6, held) for held in (None, grams)]
-            for name in ("base_resid", "resid_design"):
-                assert getattr(got[1], name).tobytes() == getattr(got[0], name).tobytes()
+            ws = build_workspace(data, cfg.model(), **true_values(cfg, data))
+            # the stacked [y, R] of each source, smoothed from scratch
+            want = {}
+            for source, design in designs.items():
+                rows = data.block(source)
+                z = np.empty((design.shape[0], ws.p + 1), order="F")
+                z[:, 0], z[:, 1:] = ws.base_resid[rows], ws.resid_design[rows]
+                gram, p = _gram(design), design.shape[1]
+                pen = ridge * float(np.mean(np.diag(gram)))
+                want[source] = z - design @ np.linalg.solve(gram + pen * np.eye(p),
+                                                            design.T @ z)
+            got = estimators._profile_outcome_mean(
+                ws, data, {source: _Smoother(d, ridge) for source, d in designs.items()})
+            for source, z in want.items():
+                rows = data.block(source)
+                assert got.base_resid[rows].tobytes() == z[:, 0].tobytes()
+                assert got.resid_design[rows].tobytes() == z[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("link", ["identity", "logit"])
+    def test_smoother_of_another_design_or_ridge_is_refused(self, desk_data, link):
+        spec = build_spline_basis(desk_data, 4)
+        designs = source_designs(desk_data, spec)
+        rows = desk_data.block(0)
+        y = desk_data.a[rows].astype(float) if link == "logit" else desk_data.y[rows]
+        # the trial's design, this design at another ridge, and an equal copy
+        for foreign in (_Smoother(designs[1], 1e-6), _Smoother(designs[0], 1e-4),
+                        _Smoother(designs[0].copy(), 1e-6)):
+            with pytest.raises(ValidationError, match="another design or ridge"):
+                fit_additive(designs[0], y, spec, link=link, ridge=1e-6, smoother=foreign)
